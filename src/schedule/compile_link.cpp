@@ -219,6 +219,7 @@ LinkSchedule unroll_rate_schedule(const DiGraph& g,
   }
   const Rational unit = fractions_hcf(fraction_sets);
   std::vector<std::vector<PendingChunk>> per_commodity;
+  std::size_t num_hops = 0;
   for (std::size_t c = 0; c < commodities.size(); ++c) {
     const CommodityPaths& cp = commodities[c];
     const auto& fractions = fraction_sets[c];
@@ -237,24 +238,51 @@ LinkSchedule unroll_rate_schedule(const DiGraph& g,
         offset = c.hi;
         chunks.push_back(PendingChunk{c, &cp.paths[p].path});
       }
+      num_hops += static_cast<std::size_t>(count_r.num()) * cp.paths[p].path.size();
     }
     per_commodity.push_back(std::move(chunks));
   }
+  sched.transfers.reserve(num_hops);
 
   // Earliest-fit list scheduling of chunk hops with per-(edge, step)
   // occupancy limited to slots_per_link scaled by the edge's capacity, so a
   // capacity-4 host link (Fig. 2 augmentation) legitimately carries 4 chunks
   // per step in the same wall-clock step time.
+  //
+  // Steps only ever fill up, so each edge keeps a skip pointer per step:
+  // a free step points at itself, a full one at a later step with every
+  // step in between full. first_free() follows the pointers and compresses
+  // the path it walked (union-find style), so a hop skips a run of full
+  // steps in amortized near-constant time instead of probing each one.
+  struct EdgeSlots {
+    std::vector<int> used;  ///< chunks placed, indexed by step
+    std::vector<int> next;  ///< skip pointer, indexed by step
+  };
   std::vector<int> slot_budget(static_cast<std::size_t>(g.num_edges()));
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     slot_budget[static_cast<std::size_t>(e)] = std::max(
         1, static_cast<int>(std::lround(g.edge(e).capacity * options.slots_per_link)));
   }
-  std::vector<std::vector<int>> usage(static_cast<std::size_t>(g.num_edges()));
-  auto slot_free = [&](EdgeId e, int step) {
-    auto& u = usage[static_cast<std::size_t>(e)];
-    if (static_cast<std::size_t>(step) >= u.size()) u.resize(static_cast<std::size_t>(step) + 1, 0);
-    return u[static_cast<std::size_t>(step)] < slot_budget[static_cast<std::size_t>(e)];
+  std::vector<EdgeSlots> slots(static_cast<std::size_t>(g.num_edges()));
+  // Earliest step >= `from` with a free slot on `es`; steps past the end of
+  // the arrays are untouched and therefore free.
+  auto first_free = [](EdgeSlots& es, int from) {
+    const int size = static_cast<int>(es.next.size());
+    int root = from;
+    while (root < size && es.next[static_cast<std::size_t>(root)] != root) {
+      root = es.next[static_cast<std::size_t>(root)];
+    }
+    for (int t = from; t < size && t != root;) {
+      const int after = es.next[static_cast<std::size_t>(t)];
+      es.next[static_cast<std::size_t>(t)] = root;
+      t = after;
+    }
+    if (root >= size) {
+      es.used.resize(static_cast<std::size_t>(root) + 1, 0);
+      es.next.resize(static_cast<std::size_t>(root) + 1);
+      for (int t = size; t <= root; ++t) es.next[static_cast<std::size_t>(t)] = t;
+    }
+    return root;
   };
   int max_step = 0;
   bool progressed = true;
@@ -266,9 +294,12 @@ LinkSchedule unroll_rate_schedule(const DiGraph& g,
       const PendingChunk& pc = chunks[round];
       int prev = 0;
       for (const EdgeId e : *pc.path) {
-        int t = prev + 1;
-        while (!slot_free(e, t)) ++t;
-        usage[static_cast<std::size_t>(e)][static_cast<std::size_t>(t)]++;
+        EdgeSlots& es = slots[static_cast<std::size_t>(e)];
+        const int t = first_free(es, prev + 1);
+        if (++es.used[static_cast<std::size_t>(t)] ==
+            slot_budget[static_cast<std::size_t>(e)]) {
+          es.next[static_cast<std::size_t>(t)] = t + 1;
+        }
         sched.transfers.push_back(
             Transfer{pc.chunk, g.edge(e).from, g.edge(e).to, t});
         prev = t;

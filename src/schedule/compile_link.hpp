@@ -48,7 +48,14 @@ struct UnrollOptions {
   int slots_per_link = 1;
 };
 
-/// Scalable pipelined lowering of weighted rate-MCF paths.
+/// Scalable pipelined lowering of weighted rate-MCF paths. Every commodity
+/// is cut into equal chunks at one global unit, and chunks are placed round
+/// robin across commodities, hop by hop along their paths. Each hop takes
+/// the earliest step after its previous hop's step (step 1 for the first)
+/// at which its edge still has a free slot; an edge has
+/// max(1, round(capacity * slots_per_link)) slots per step. Full steps are
+/// skipped through per-edge skip pointers, so the cost is about O(hops),
+/// not the O(hops x full steps skipped) of a step-by-step scan.
 [[nodiscard]] LinkSchedule unroll_rate_schedule(const DiGraph& g,
                                                 const std::vector<CommodityPaths>& commodities,
                                                 const UnrollOptions& options = {});

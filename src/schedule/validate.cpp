@@ -12,6 +12,14 @@ namespace a2a {
 
 namespace {
 
+/// A chunk's identity; chunks are checked in the order of this key.
+using ChunkKey = std::tuple<NodeId, NodeId, std::int64_t, std::int64_t,
+                            std::int64_t, std::int64_t>;
+
+ChunkKey chunk_key(const Chunk& c) {
+  return {c.src, c.dst, c.lo.num(), c.lo.den(), c.hi.num(), c.hi.den()};
+}
+
 std::string chunk_name(const Chunk& c) {
   std::ostringstream os;
   os << "chunk(" << c.src << "->" << c.dst << ", [" << c.lo << "," << c.hi << "))";
@@ -36,11 +44,6 @@ ValidationResult validate_link_schedule(const DiGraph& g,
                 "demand matrix size does not match terminal count");
   }
   ValidationResult result;
-  // Group transfers per chunk identity.
-  std::map<std::tuple<NodeId, NodeId, std::int64_t, std::int64_t, std::int64_t,
-                      std::int64_t>,
-           std::vector<const Transfer*>>
-      per_chunk;
   for (const Transfer& t : schedule.transfers) {
     if (t.step < 1 || t.step > schedule.num_steps) {
       result.fail("transfer step out of range: " + std::to_string(t.step));
@@ -49,15 +52,41 @@ ValidationResult validate_link_schedule(const DiGraph& g,
       result.fail("transfer on non-edge (" + std::to_string(t.from) + "," +
                   std::to_string(t.to) + ")");
     }
-    per_chunk[{t.chunk.src, t.chunk.dst, t.chunk.lo.num(), t.chunk.lo.den(),
-               t.chunk.hi.num(), t.chunk.hi.den()}]
-        .push_back(&t);
   }
+  // Group transfers per chunk identity, visiting chunks in ChunkKey order.
+  // Both compilers emit a chunk's hops back to back, so the schedule splits
+  // into one run of equal-chunk transfers per chunk; a stable sort of the
+  // runs brings a chunk's runs together in schedule order. Any other
+  // transfer order only means more runs, down to one per transfer.
+  struct Run {
+    ChunkKey key;
+    std::size_t begin;
+    std::size_t end;
+  };
+  const auto& transfers = schedule.transfers;
+  std::vector<Run> runs;
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
+    if (!runs.empty() && transfers[i].chunk == transfers[runs.back().begin].chunk) {
+      runs.back().end = i + 1;
+    } else {
+      runs.push_back(Run{chunk_key(transfers[i].chunk), i, i + 1});
+    }
+  }
+  std::stable_sort(runs.begin(), runs.end(),
+                   [](const Run& a, const Run& b) { return a.key < b.key; });
   // Per chunk: hops sorted by step must chain src -> ... -> dst with
   // strictly increasing steps.
   std::map<std::pair<NodeId, NodeId>, std::vector<std::pair<Rational, Rational>>>
       delivered;
-  for (auto& [key, hops] : per_chunk) {
+  std::vector<const Transfer*> hops;
+  for (std::size_t r = 0; r < runs.size();) {
+    hops.clear();
+    const ChunkKey& key = runs[r].key;
+    for (; r < runs.size() && runs[r].key == key; ++r) {
+      for (std::size_t i = runs[r].begin; i < runs[r].end; ++i) {
+        hops.push_back(&transfers[i]);
+      }
+    }
     const Chunk& c = hops.front()->chunk;
     std::sort(hops.begin(), hops.end(),
               [](const Transfer* a, const Transfer* b) { return a->step < b->step; });

@@ -177,6 +177,18 @@ BrokerResult ScheduleBroker::request(const std::string& fingerprint,
     return BrokerResult{future.get(), /*hit=*/false, /*coalesced=*/true, 0.0};
   }
 
+  // A previous leader may have finished between our lookup and our claim:
+  // it stores its artifact before it clears its in-flight slot, so look
+  // again before synthesizing the same schedule a second time.
+  if (auto view = try_lookup(fingerprint)) {
+    promise.set_value(*view);
+    {
+      std::lock_guard lock(state.mutex);
+      state.inflight.erase(fingerprint);
+    }
+    return BrokerResult{*view, /*hit=*/true, /*coalesced=*/false, 0.0};
+  }
+
   // Leader: run the pipeline inline, publish the artifact to every waiter.
   A2A_COUNTER("service.syntheses").inc();
   const auto synth_start = Clock::now();

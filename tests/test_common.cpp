@@ -24,7 +24,7 @@ TEST(Rng, NextBelowInRange) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(rng.next_below(7), 7u);
   }
-  EXPECT_THROW(rng.next_below(0), InvalidArgument);
+  EXPECT_THROW((void)rng.next_below(0), InvalidArgument);
 }
 
 TEST(Rng, NextDoubleInUnitInterval) {

@@ -123,12 +123,49 @@ TEST(Varint, TruncatedInputThrows) {
                InvalidArgument);
 }
 
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition, with no
+/// tables to share a mistake with the implementation under test.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t size,
+                            std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
 TEST(Crc32, MatchesKnownVector) {
   // The canonical CRC-32 check value.
   EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
   // Accumulation across buffers equals one-shot.
   const std::uint32_t partial = crc32("12345", 5);
   EXPECT_EQ(crc32("6789", 4, partial), 0xCBF43926u);
+
+  // Every length 0..1100 at every start offset 0..7, so each split of a
+  // buffer into 8-byte blocks and a byte tail meets every alignment.
+  Rng rng(0xC0C32);
+  std::vector<unsigned char> buf(1100 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next_below(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      ASSERT_EQ(crc32(buf.data() + offset, len), crc32_bitwise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Seeded chaining split at every point equals the one-shot CRC, from a
+  // zero seed and from an arbitrary one.
+  for (const std::uint32_t seed : {0u, 0x9E3779B9u}) {
+    const std::uint32_t whole = crc32_bitwise(buf.data(), 1100, seed);
+    EXPECT_EQ(crc32(buf.data(), 1100, seed), whole);
+    for (std::size_t split = 0; split <= 1100; ++split) {
+      const std::uint32_t head = crc32(buf.data(), split, seed);
+      ASSERT_EQ(crc32(buf.data() + split, 1100 - split, head), whole)
+          << "seed " << seed << " split " << split;
+    }
+  }
 }
 
 TEST(SchedBin, EmptyLinkScheduleRoundTripsUnderEveryCodec) {

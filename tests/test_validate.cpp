@@ -2,9 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <map>
+#include <optional>
+#include <sstream>
+#include <tuple>
+
 #include "collectives/demand.hpp"
+#include "common/random.hpp"
+#include "core/api.hpp"
+#include "graph/augment.hpp"
 #include "graph/topologies.hpp"
 #include "mcf/concurrent_flow.hpp"
+#include "mcf/decomposed.hpp"
+#include "schedule/compile_link.hpp"
 
 namespace a2a {
 namespace {
@@ -228,6 +241,290 @@ TEST(ValidateLink, WeightedShardMustTileToItsDemand) {
   sched.transfers.pop_back();
   sched.transfers.push_back(Transfer{whole(1, 0), 1, 0, 1});
   EXPECT_FALSE(validate_link_schedule(g, sched, all_nodes(g), &demand).ok);
+}
+
+// ---- differential check against a map-grouped reference ---------------------
+
+std::string reference_chunk_name(const Chunk& c) {
+  std::ostringstream os;
+  os << "chunk(" << c.src << "->" << c.dst << ", [" << c.lo << "," << c.hi << "))";
+  return os.str();
+}
+
+/// Reference link validator: groups transfers per chunk in a std::map keyed
+/// by (src, dst, lo, hi) numerators and denominators. validate_link_schedule
+/// must reach the same verdict with the same errors in the same order.
+ValidationResult reference_validate_link(const DiGraph& g, const LinkSchedule& schedule,
+                                         const std::vector<NodeId>& terminals,
+                                         const DemandMatrix* demand,
+                                         double demand_tol = 2.2e-2) {
+  ValidationResult result;
+  std::map<std::tuple<NodeId, NodeId, std::int64_t, std::int64_t, std::int64_t,
+                      std::int64_t>,
+           std::vector<const Transfer*>>
+      per_chunk;
+  for (const Transfer& t : schedule.transfers) {
+    if (t.step < 1 || t.step > schedule.num_steps) {
+      result.fail("transfer step out of range: " + std::to_string(t.step));
+    }
+    if (g.find_edge(t.from, t.to) < 0) {
+      result.fail("transfer on non-edge (" + std::to_string(t.from) + "," +
+                  std::to_string(t.to) + ")");
+    }
+    per_chunk[{t.chunk.src, t.chunk.dst, t.chunk.lo.num(), t.chunk.lo.den(),
+               t.chunk.hi.num(), t.chunk.hi.den()}]
+        .push_back(&t);
+  }
+  std::map<std::pair<NodeId, NodeId>, std::vector<std::pair<Rational, Rational>>>
+      delivered;
+  for (auto& [key, hops] : per_chunk) {
+    const Chunk& c = hops.front()->chunk;
+    std::sort(hops.begin(), hops.end(),
+              [](const Transfer* a, const Transfer* b) { return a->step < b->step; });
+    NodeId at = c.src;
+    int prev_step = 0;
+    bool chain_ok = true;
+    for (const Transfer* t : hops) {
+      if (t->from != at) {
+        result.fail(reference_chunk_name(c) + " forwarded from " +
+                    std::to_string(t->from) + " before arriving there");
+        chain_ok = false;
+        break;
+      }
+      if (t->step <= prev_step) {
+        result.fail(reference_chunk_name(c) + " violates causality at step " +
+                    std::to_string(t->step));
+        chain_ok = false;
+        break;
+      }
+      at = t->to;
+      prev_step = t->step;
+    }
+    if (chain_ok && at != c.dst) {
+      result.fail(reference_chunk_name(c) + " ends at node " + std::to_string(at) +
+                  ", not its destination");
+    }
+    if (chain_ok && at == c.dst) {
+      delivered[{c.src, c.dst}].emplace_back(c.lo, c.hi);
+    }
+  }
+  const int S = static_cast<int>(terminals.size());
+  for (int si = 0; si < S; ++si) {
+    const NodeId s = terminals[static_cast<std::size_t>(si)];
+    for (int di = 0; di < S; ++di) {
+      const NodeId d = terminals[static_cast<std::size_t>(di)];
+      if (s == d) continue;
+      const double w = demand == nullptr ? 1.0 : demand->at(si, di);
+      auto it = delivered.find({s, d});
+      if (w <= 0.0) {
+        if (it != delivered.end() && !it->second.empty()) {
+          result.fail("zero-demand shard " + std::to_string(s) + "->" +
+                      std::to_string(d) + " has chunks");
+        }
+        continue;
+      }
+      if (it == delivered.end()) {
+        result.fail("shard " + std::to_string(s) + "->" + std::to_string(d) +
+                    " never delivered");
+        continue;
+      }
+      auto& intervals = it->second;
+      std::sort(intervals.begin(), intervals.end());
+      Rational cursor(0);
+      bool tiled = true;
+      for (const auto& [lo, hi] : intervals) {
+        if (!(lo == cursor)) {
+          tiled = false;
+          break;
+        }
+        cursor = hi;
+      }
+      const bool complete = demand == nullptr
+                                ? cursor == Rational(1)
+                                : std::abs(cursor.to_double() - w) <= demand_tol;
+      if (!tiled || !complete) {
+        result.fail("shard " + std::to_string(s) + "->" + std::to_string(d) +
+                    " chunks do not tile [0," +
+                    (demand == nullptr ? std::string("1") : std::to_string(w)) +
+                    ")");
+      }
+    }
+  }
+  return result;
+}
+
+/// A valid unrolled schedule with the demand it was built for.
+struct ValidCase {
+  std::string name;
+  DiGraph graph;
+  std::vector<NodeId> terminals;
+  std::optional<DemandMatrix> demand;
+  LinkSchedule schedule;
+
+  [[nodiscard]] const DemandMatrix* demand_ptr() const {
+    return demand ? &*demand : nullptr;
+  }
+};
+
+std::vector<ValidCase> valid_cases() {
+  std::vector<ValidCase> cases;
+  const DiGraph torus = make_torus({3, 2});
+  const AugmentedGraph hosts = augment_host_bottleneck(torus, 4.0);
+  std::vector<NodeId> host_ids(static_cast<std::size_t>(hosts.num_hosts));
+  for (NodeId h = 0; h < hosts.num_hosts; ++h) host_ids[static_cast<std::size_t>(h)] = h;
+  // Skewed demands on the toolchain's chunking grid move tens of thousands
+  // of hops, so only the smallest graph takes one.
+  const DiGraph kautz = make_generalized_kautz(8, 2);
+  const std::vector<std::tuple<std::string, DiGraph, std::vector<NodeId>,
+                               std::vector<const char*>>>
+      graphs = {
+          {"torus3x2", torus, all_nodes(torus), {"uniform", "zipf:0.6", "block:3"}},
+          {"genkautz8_2", kautz, all_nodes(kautz), {"uniform", "block:3"}},
+          {"torus3x2+hosts", hosts.graph, host_ids, {"uniform", "block:3"}},
+      };
+  UnrollOptions uo;
+  uo.chunking = ToolchainOptions{}.chunking;
+  for (const auto& [name, g, terminals, specs] : graphs) {
+    for (const char* spec : specs) {
+      ValidCase c{name + " " + spec, g, terminals, std::nullopt, {}};
+      if (std::string(spec) != "uniform") {
+        c.demand = DemandSpec::parse(spec).instantiate(static_cast<int>(terminals.size()));
+      }
+      const auto flows =
+          solve_decomposed_mcf(g, terminals, {}, nullptr, nullptr, c.demand_ptr());
+      c.schedule = unroll_rate_schedule(g, paths_from_link_flows(g, flows, c.demand_ptr()), uo);
+      cases.push_back(std::move(c));
+    }
+  }
+  const DiGraph cube = make_hypercube(3);
+  cases.push_back({"hypercube3 tsMCF", cube, all_nodes(cube), std::nullopt,
+                   compile_tsmcf_schedule(cube, solve_tsmcf_exact(cube, 4, all_nodes(cube)))});
+  return cases;
+}
+
+/// Both validators' verdicts on `sched` must agree; returns the verdict.
+bool expect_same_verdict(const ValidCase& c, const LinkSchedule& sched,
+                         const DemandMatrix* demand, const std::string& label) {
+  SCOPED_TRACE(c.name + ": " + label);
+  const ValidationResult want = reference_validate_link(c.graph, sched, c.terminals, demand);
+  const ValidationResult got = validate_link_schedule(c.graph, sched, c.terminals, demand);
+  EXPECT_EQ(got.ok, want.ok);
+  EXPECT_EQ(got.errors.size(), want.errors.size());
+  EXPECT_TRUE(got.errors == want.errors)
+      << "first error: " << (got.errors.empty() ? "" : got.errors.front())
+      << " | reference: " << (want.errors.empty() ? "" : want.errors.front());
+  return got.ok;
+}
+
+/// [begin, end) of the transfers of the chunk at `i`, which the unroller
+/// emits back to back.
+std::pair<std::size_t, std::size_t> chunk_run(const LinkSchedule& s, std::size_t i) {
+  std::size_t b = i, e = i + 1;
+  while (b > 0 && s.transfers[b - 1].chunk == s.transfers[i].chunk) --b;
+  while (e < s.transfers.size() && s.transfers[e].chunk == s.transfers[i].chunk) ++e;
+  return {b, e};
+}
+
+TEST(ValidateLink, MatchesMapGroupedReferenceOnValidAndMutatedSchedules) {
+  Rng rng(0x5A11DA7E);
+  const DemandMatrix blocks3 = DemandSpec::parse("block:3").instantiate(6);
+  struct Mutation {
+    std::string label;
+    std::optional<bool> valid;  ///< the verdict it must get; nullopt: either
+    std::function<void(const ValidCase&, LinkSchedule&)> apply;
+  };
+  auto pick = [&](const LinkSchedule& s) {
+    return static_cast<std::size_t>(rng.next_below(s.transfers.size()));
+  };
+  const std::vector<Mutation> mutations = {
+      {"unchanged", true, [](const ValidCase&, LinkSchedule&) {}},
+      {"shuffled", true, [&](const ValidCase&, LinkSchedule& s) { rng.shuffle(s.transfers); }},
+      {"dropped hop", false,
+       [&](const ValidCase&, LinkSchedule& s) {
+         s.transfers.erase(s.transfers.begin() + static_cast<std::ptrdiff_t>(pick(s)));
+       }},
+      {"steps swapped within a chunk", false,
+       [&](const ValidCase&, LinkSchedule& s) {
+         for (int tries = 0; tries < 100; ++tries) {
+           const auto [b, e] = chunk_run(s, pick(s));
+           if (e - b < 2) continue;
+           std::swap(s.transfers[b].step, s.transfers[e - 1].step);
+           return;
+         }
+       }},
+      {"steps swapped across chunks", std::nullopt,
+       [&](const ValidCase&, LinkSchedule& s) {
+         const std::size_t i = pick(s);
+         const std::size_t j = pick(s);
+         std::swap(s.transfers[i].step, s.transfers[j].step);
+       }},
+      {"chunk duplicated in place", false,
+       [&](const ValidCase&, LinkSchedule& s) {
+         const auto [b, e] = chunk_run(s, pick(s));
+         const std::vector<Transfer> copy(s.transfers.begin() + static_cast<std::ptrdiff_t>(b),
+                                          s.transfers.begin() + static_cast<std::ptrdiff_t>(e));
+         s.transfers.insert(s.transfers.begin() + static_cast<std::ptrdiff_t>(e), copy.begin(),
+                            copy.end());
+       }},
+      {"chunk duplicated at the end", false,
+       [&](const ValidCase&, LinkSchedule& s) {
+         const auto [b, e] = chunk_run(s, pick(s));
+         for (std::size_t i = b; i < e; ++i) s.transfers.push_back(s.transfers[i]);
+       }},
+      {"hop moved onto a non-edge", false,
+       [&](const ValidCase& c, LinkSchedule& s) {
+         for (int tries = 0; tries < 100; ++tries) {
+           Transfer& t = s.transfers[pick(s)];
+           const auto v = static_cast<NodeId>(rng.next_below(
+               static_cast<std::uint64_t>(c.graph.num_nodes())));
+           if (v == t.from || c.graph.find_edge(t.from, v) >= 0) continue;
+           t.to = v;
+           return;
+         }
+       }},
+      {"step 0", false, [&](const ValidCase&, LinkSchedule& s) { s.transfers[pick(s)].step = 0; }},
+      {"step num_steps + 1", false,
+       [&](const ValidCase&, LinkSchedule& s) {
+         s.transfers[pick(s)].step = s.num_steps + 1;
+       }},
+      {"lo shifted on a whole chunk", false,
+       [&](const ValidCase&, LinkSchedule& s) {
+         const auto [b, e] = chunk_run(s, pick(s));
+         const Rational shift = s.transfers[b].chunk.size() / Rational(2);
+         for (std::size_t i = b; i < e; ++i) s.transfers[i].chunk.lo += shift;
+       }},
+      {"lo shifted on one hop", false,
+       [&](const ValidCase&, LinkSchedule& s) {
+         Chunk& c = s.transfers[pick(s)].chunk;
+         c.lo += c.size() / Rational(3);
+       }},
+  };
+  for (const ValidCase& c : valid_cases()) {
+    ASSERT_TRUE(validate_link_schedule(c.graph, c.schedule, c.terminals, c.demand_ptr()).ok)
+        << c.name;
+    for (const Mutation& m : mutations) {
+      for (int round = 0; round < 3; ++round) {
+        LinkSchedule mutant = c.schedule;
+        m.apply(c, mutant);
+        const bool ok = expect_same_verdict(c, mutant, c.demand_ptr(), m.label);
+        if (m.valid) {
+          EXPECT_EQ(ok, *m.valid) << c.name << ": " << m.label;
+        }
+        // The same mutant with its hops scattered across the schedule.
+        rng.shuffle(mutant.transfers);
+        expect_same_verdict(c, mutant, c.demand_ptr(), m.label + ", shuffled");
+      }
+    }
+    // Chunks on zero-weight commodities: the schedule checked against a
+    // demand that silences every cross-block pair.
+    if (c.terminals.size() == 6) {
+      const bool ok = expect_same_verdict(c, c.schedule, &blocks3, "checked against block:3");
+      EXPECT_EQ(ok, c.name.ends_with("block:3")) << c.name;
+      LinkSchedule shuffled = c.schedule;
+      rng.shuffle(shuffled.transfers);
+      expect_same_verdict(c, shuffled, &blocks3, "checked against block:3, shuffled");
+    }
+  }
 }
 
 }  // namespace
