@@ -29,7 +29,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/api.hpp"
 #include "core/schedule_cache.hpp"
 #include "service/admission.hpp"
@@ -127,8 +126,7 @@ int main(int argc, char** argv) {
   ScheduleCacheOptions cache_options;
   cache_options.disk_dir = (dir.path / "cache").string();
   ScheduleCache cache(std::move(cache_options));
-  ThreadPool pool(4);
-  service::ScheduleBroker broker(&cache, &pool);
+  service::ScheduleBroker broker(&cache, nullptr);
   service::AdmissionQueue admission(&broker);
 
   const DiGraph g27 = make_generalized_kautz(27, 4);

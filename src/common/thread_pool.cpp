@@ -48,22 +48,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::submit(std::function<void()> fn) {
-  {
-    std::lock_guard lock(mutex_);
-    queue_.push([fn = std::move(fn)] {
-      try {
-        fn();
-      } catch (...) {
-        A2A_COUNTER("pool.task_exceptions").inc();
-      }
-    });
-  }
-  A2A_COUNTER("pool.tasks").inc();
-  A2A_GAUGE("pool.queue_depth").add(1);
-  cv_.notify_one();
-}
-
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;

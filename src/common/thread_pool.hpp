@@ -31,14 +31,6 @@ class ThreadPool {
   /// discarded by the rethrow anyway).
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
-  /// Enqueues one fire-and-forget task (the service layers' background
-  /// refresh / admission work items). Unlike parallel_for there is no
-  /// caller to rethrow into, so an escaping exception is swallowed and
-  /// counted (`pool.task_exceptions`) — tasks that care report their own
-  /// failures through promises or counters. The destructor still drains the
-  /// queue before joining, so a submitted task always runs.
-  void submit(std::function<void()> fn);
-
  private:
   void worker_loop();
 

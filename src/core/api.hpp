@@ -84,7 +84,7 @@ struct GeneratedSchedule {
                                                     const ToolchainOptions& options = {});
 
 /// The lookup half: cached schedule for an already-computed fingerprint, or
-/// nullopt on miss (or null cache). Decoded-value tier semantics — the
+/// nullopt on miss (or null cache). Serves the decoded value — the
 /// zero-copy byte path is ScheduleCache::lookup_artifact().
 [[nodiscard]] std::optional<GeneratedSchedule> lookup_schedule(
     ScheduleCache* cache, const std::string& fingerprint);

@@ -236,6 +236,9 @@ std::string generated_schedule_to_bytes(const GeneratedSchedule& schedule,
     blob = path_schedule_to_schedbin(schedule.schedule_graph, *schedule.path,
                                      options);
   }
+  // Exact capacity: the memory tier keeps this buffer for the entry's
+  // lifetime, and growing it by the 4 CRC bytes would double it.
+  out.reserve(out.size() + 8 + blob.size() + 4);
   put_u64(out, blob.size());
   out.append(blob);
   put_u32(out, crc32(out.data(), out.size()));
@@ -355,27 +358,16 @@ void quarantine_object(const std::string& disk_dir, const fs::path& path) {
   if (ec) fs::remove(path, ec);
 }
 
-/// A ref file holds the 32-hex-char content key of its artifact.
-std::optional<std::string> resolve_ref(const std::string& disk_dir,
-                                       const std::string& fingerprint) {
-  auto key = read_file(ref_path(disk_dir, fingerprint));
-  if (!key.has_value() || key->size() != 32) return std::nullopt;
-  return key;
-}
-
 struct DiskArtifact {
   fs::path path;
-  std::string key;  ///< object stem; empty for pre-v2 flat entries.
+  std::string key;  ///< object stem: the artifact's content key.
   std::uintmax_t size = 0;
   fs::file_time_type mtime;
 };
 
-/// Every finished artifact the disk tier holds: content-addressed objects
-/// plus pre-v2 flat `<fingerprint>.schedbin` entries at the top level —
-/// both serve lookups, so both must count toward (and be evictable under)
-/// the byte budget. In-flight ".tmp.<pid>.<seq>" files are skipped: a peer
-/// process's pending write must be neither counted nor evicted out from
-/// under its imminent rename.
+/// Every finished content-addressed object the disk tier holds. In-flight
+/// ".tmp.<pid>.<seq>" files are skipped: a peer process's pending write
+/// must be neither counted nor evicted out from under its imminent rename.
 std::pair<std::vector<DiskArtifact>, std::uintmax_t> scan_artifacts(
     const std::string& disk_dir) {
   std::vector<DiskArtifact> out;
@@ -392,36 +384,22 @@ std::pair<std::vector<DiskArtifact>, std::uintmax_t> scan_artifacts(
                    de.last_write_time(ec)});
     total += size;
   }
-  for (const auto& de : fs::directory_iterator(fs::path(disk_dir), ec)) {
-    if (!de.is_regular_file(ec) || de.path().extension() != ".schedbin") continue;
-    const std::uintmax_t size = de.file_size(ec);
-    if (ec) continue;
-    out.push_back({de.path(), "", size, de.last_write_time(ec)});
-    total += size;
-  }
   return {std::move(out), total};
 }
 
-}  // namespace
-
-namespace {
-
-/// Resolves a fingerprint to its artifact path ("" when absent). `had_ref`
-/// reports whether a ref file existed — a ref without its artifact is
-/// dangling (the object was GC'ed by another process) and worth cleaning.
+/// Resolves a fingerprint to its artifact path ("" when absent) through its
+/// ref file, which holds the 32-hex-char content key. `had_ref` reports
+/// whether a ref existed — a ref without its artifact is dangling (the
+/// object was GC'ed by another process) and worth cleaning.
 std::string resolve_entry(const std::string& disk_dir,
                           const std::string& fingerprint, bool* had_ref) {
+  const auto key = read_file(ref_path(disk_dir, fingerprint));
+  const bool valid = key.has_value() && key->size() == 32;
+  if (had_ref != nullptr) *had_ref = valid;
+  if (!valid) return {};
   std::error_code ec;
-  const auto key = resolve_ref(disk_dir, fingerprint);
-  if (had_ref != nullptr) *had_ref = key.has_value();
-  if (key.has_value()) {
-    const fs::path obj = object_path(disk_dir, *key);
-    if (fs::exists(obj, ec)) return obj.string();
-  }
-  // Pre-v2 disk layout: one file per fingerprint, no sharing.
-  const fs::path legacy = fs::path(disk_dir) / (fingerprint + ".schedbin");
-  if (fs::exists(legacy, ec)) return legacy.string();
-  return {};
+  const fs::path obj = object_path(disk_dir, *key);
+  return fs::exists(obj, ec) ? obj.string() : std::string{};
 }
 
 }  // namespace
@@ -433,65 +411,73 @@ std::string ScheduleCache::entry_path(const std::string& fingerprint) const {
 
 std::optional<GeneratedSchedule> ScheduleCache::lookup(
     const std::string& fingerprint) {
-  obs::TraceSpan span("cache.lookup");
+  auto hit = find(fingerprint, /*decode=*/true);
+  if (!hit.has_value()) return std::nullopt;
+  return std::move(hit->schedule);
+}
+
+std::optional<ArtifactView> ScheduleCache::lookup_artifact(
+    const std::string& fingerprint) {
+  auto hit = find(fingerprint, /*decode=*/false);
+  if (!hit.has_value()) return std::nullopt;
+  return std::move(hit->view);
+}
+
+std::optional<ScheduleCache::Hit> ScheduleCache::find(
+    const std::string& fingerprint, bool decode) {
+  obs::TraceSpan span(decode ? "cache.lookup" : "cache.lookup_artifact");
   A2A_COUNTER("cache.lookups").inc();
+  ArtifactView view;
+  std::string path;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.lookups;
     if (const auto it = entries_.find(fingerprint); it != entries_.end()) {
-      ++stats_.memory_hits;
-      A2A_COUNTER("cache.memory_hits").inc();
-      span.annotate("memory hit");
-      touch_locked(fingerprint);
-      return it->second.schedule;
+      Entry& entry = it->second;
+      lru_.splice(lru_.begin(), lru_, entry.lru_it);
+      if (!decode || entry.schedule.has_value()) {
+        ++stats_.memory_hits;
+        A2A_COUNTER("cache.memory_hits").inc();
+        span.annotate("memory hit");
+        return Hit{entry.view, decode ? entry.schedule : std::nullopt};
+      }
+      // Known bytes, unknown value: decoded below, outside the mutex.
+      view = entry.view;
+      path = entry.path;
     }
   }
-  // Disk read + decode happen outside the mutex so slow I/O never blocks
+  // Disk I/O and decode happen outside the mutex so slow work never blocks
   // other consumers' memory-tier hits.
-  if (!options_.disk_dir.empty()) {
-    bool had_ref = false;
-    const std::string path =
-        resolve_entry(options_.disk_dir, fingerprint, &had_ref);
-    if (!path.empty()) {
-      if (const auto bytes = read_file(path)) {
-        // A corrupt disk entry is a miss, not an error: the artifact is
-        // quarantined (kept for forensics, never served again), its ref
-        // dropped, and the caller re-synthesizes and overwrites it.
-        // std::exception, not just Error: a truncated or foreign payload
-        // can trip a length_error/bad_alloc in the decoder before the CRC
-        // gets a chance to reject it.
-        try {
-          GeneratedSchedule schedule = generated_schedule_from_bytes(*bytes);
-          // Refresh the artifact's age — but only where the GC will ever
-          // read it: with an unbounded tier this would be a pointless
-          // mtime-write syscall on every hot-path hit.
-          if (options_.max_disk_bytes > 0) {
-            std::error_code ec;
-            fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-          }
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.disk_hits;
-          A2A_COUNTER("cache.disk_hits").inc();
-          span.annotate("disk hit");
-          insert_memory_locked(fingerprint, schedule);
-          return schedule;
-        } catch (const std::exception&) {
-          {
-            std::lock_guard<std::mutex> disk_lock(disk_mutex_);
-            quarantine_object(options_.disk_dir, path);
-          }
-          std::error_code ec;
-          fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.disk_corrupt;
-          A2A_COUNTER("cache.disk_corrupt").inc();
-          span.annotate("corrupt artifact quarantined");
-        }
+  const bool from_disk = !view.valid();
+  if (from_disk) view = open_disk(fingerprint, path, span);
+  if (view.valid()) {
+    std::optional<GeneratedSchedule> schedule;
+    if (decode) {
+      // A corrupt artifact is a miss, not an error. std::exception, not
+      // just Error: a truncated or foreign payload can trip a
+      // length_error/bad_alloc in the decoder before the CRC rejects it.
+      try {
+        schedule = generated_schedule_from_bytes(view.envelope);
+      } catch (const std::exception&) {
+        discard_corrupt(fingerprint, path);
+        span.annotate("corrupt artifact quarantined");
+        view = ArtifactView{};
       }
-    } else if (had_ref) {
-      // Dangling ref (its artifact was GC'ed by another process): drop it.
-      std::error_code ec;
-      fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
+    }
+    if (view.valid()) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (from_disk) {
+        ++stats_.disk_hits;
+        A2A_COUNTER("cache.disk_hits").inc();
+        span.annotate("disk hit");
+      } else {
+        ++stats_.memory_hits;
+        A2A_COUNTER("cache.memory_hits").inc();
+        span.annotate("memory hit (decoded)");
+      }
+      admit_locked(fingerprint, view, std::move(path), schedule);
+      view.from_disk = from_disk;
+      return Hit{std::move(view), std::move(schedule)};
     }
   }
   std::lock_guard<std::mutex> lock(mutex_);
@@ -501,92 +487,100 @@ std::optional<GeneratedSchedule> ScheduleCache::lookup(
   return std::nullopt;
 }
 
-std::optional<ArtifactView> ScheduleCache::lookup_artifact(
-    const std::string& fingerprint) {
-  obs::TraceSpan span("cache.lookup_artifact");
-  A2A_COUNTER("cache.lookups").inc();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.lookups;
+ArtifactView ScheduleCache::open_disk(const std::string& fingerprint,
+                                      std::string& path, obs::TraceSpan& span) {
+  if (options_.disk_dir.empty()) return {};
+  bool had_ref = false;
+  path = resolve_entry(options_.disk_dir, fingerprint, &had_ref);
+  std::error_code ec;
+  if (path.empty()) {
+    // Dangling ref (its artifact was GC'ed by another process): drop it.
+    if (had_ref) fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
+    return {};
   }
-  if (!options_.disk_dir.empty()) {
-    bool had_ref = false;
-    const std::string path =
-        resolve_entry(options_.disk_dir, fingerprint, &had_ref);
-    if (!path.empty()) {
-      try {
-        auto mapping = std::make_shared<const MmapFile>(path);
-        ArtifactView view = parse_schedule_envelope(mapping->view());
-        // Header/trailer validation of the inner frame touches its first
-        // and last pages only; chunk payloads keep their own CRCs for the
-        // eventual decoder. An empty blob (a schedule with neither link nor
-        // path — never produced, but representable) has nothing to check.
-        if (view.blob_size > 0) {
-          (void)SchedBinReader::from_bytes(view.schedbin());
-        }
-        view.mapping = std::move(mapping);
-        if (options_.max_disk_bytes > 0) {
-          std::error_code ec;
-          fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.disk_hits;
-        A2A_COUNTER("cache.disk_hits").inc();
-        span.annotate("disk hit (zero-copy)");
-        return view;
-      } catch (const std::exception&) {
-        std::error_code ec;
-        if (!fs::exists(path, ec)) {
-          // Not corruption: the object vanished between resolve and mmap
-          // (a concurrent GC won the race). Drop the dangling ref and
-          // degrade to a clean miss.
-          fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
-          span.annotate("lost race with disk GC");
-        } else {
-          // Same corrupt-artifact contract as lookup(): quarantine, drop
-          // the ref, degrade to a miss so the caller re-synthesizes.
-          {
-            std::lock_guard<std::mutex> disk_lock(disk_mutex_);
-            quarantine_object(options_.disk_dir, path);
-          }
-          fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.disk_corrupt;
-          A2A_COUNTER("cache.disk_corrupt").inc();
-          span.annotate("corrupt artifact quarantined");
-        }
-      }
-    } else if (had_ref) {
-      std::error_code ec;
-      fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
+  try {
+    auto mapping = std::make_shared<const MmapFile>(path);
+    ArtifactView view = parse_schedule_envelope(mapping->view());
+    // Header/trailer validation of the inner frame touches its first and
+    // last pages only; chunk payloads keep their own CRCs for the eventual
+    // decoder. An empty blob (a schedule with neither link nor path — never
+    // produced, but representable) has nothing to check.
+    if (view.blob_size > 0) {
+      (void)SchedBinReader::from_bytes(view.schedbin());
     }
+    view.mapping = std::move(mapping);
+    // Refresh the artifact's age — but only where the GC will ever read it:
+    // with an unbounded tier this would be a pointless mtime-write syscall.
+    if (options_.max_disk_bytes > 0) {
+      fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+    }
+    return view;
+  } catch (const std::exception&) {
+    if (fs::exists(path, ec)) {
+      discard_corrupt(fingerprint, path);
+      span.annotate("corrupt artifact quarantined");
+    } else {
+      // Not corruption: the object vanished between resolve and mmap (a
+      // concurrent GC won the race). Drop the dangling ref; a clean miss.
+      fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
+      span.annotate("lost race with disk GC");
+    }
+    return {};
+  }
+}
+
+void ScheduleCache::discard_corrupt(const std::string& fingerprint,
+                                    const std::string& path) {
+  // The artifact is quarantined (kept for forensics, never served again)
+  // and its ref dropped, so the caller re-synthesizes and rewrites it.
+  if (!path.empty()) {
+    {
+      std::lock_guard<std::mutex> disk_lock(disk_mutex_);
+      quarantine_object(options_.disk_dir, path);
+    }
+    std::error_code ec;
+    fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  A2A_COUNTER("cache.misses").inc();
-  span.annotate("miss");
-  return std::nullopt;
+  drop_locked(fingerprint);
+  ++stats_.disk_corrupt;
+  A2A_COUNTER("cache.disk_corrupt").inc();
 }
 
 std::shared_ptr<const std::string> ScheduleCache::insert(
     const std::string& fingerprint, const GeneratedSchedule& schedule) {
   obs::TraceSpan span("cache.insert");
   A2A_COUNTER("cache.insertions").inc();
+  auto bytes = std::make_shared<const std::string>(
+      generated_schedule_to_bytes(schedule, options_.schedbin));
   {
+    ArtifactView view = parse_schedule_envelope(*bytes);
+    view.bytes = bytes;
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.insertions;
-    insert_memory_locked(fingerprint, schedule);
+    admit_locked(fingerprint, std::move(view), {}, schedule);
   }
-  // The envelope is serialized even with the disk tier disabled: callers
-  // serving bytes (the broker's miss path) need it either way, and callers
-  // that don't simply drop the shared_ptr.
-  auto bytes_ptr = std::make_shared<const std::string>(
-      generated_schedule_to_bytes(schedule, options_.schedbin));
-  const std::string& bytes = *bytes_ptr;
-  if (options_.disk_dir.empty()) return bytes_ptr;
-  // Serialization and file I/O stay outside the LRU mutex; disk_mutex_
-  // serializes writers and the GC within this process, and atomic renames
-  // keep a fleet of processes safe.
+  if (options_.disk_dir.empty()) return bytes;
+  try {
+    store_disk(fingerprint, *bytes, span);
+  } catch (const std::exception& e) {
+    // Disk full, read-only or a path component that is a file: the memory
+    // tier already holds the entry, so only persistence is lost — never
+    // the request that synthesized it.
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.disk_errors;
+    A2A_COUNTER("cache.disk_errors").inc();
+    span.annotate(std::string("disk error: ") + e.what());
+  }
+  return bytes;
+}
+
+void ScheduleCache::store_disk(const std::string& fingerprint,
+                               const std::string& bytes,
+                               obs::TraceSpan& span) {
+  // File I/O stays outside the LRU mutex; disk_mutex_ serializes writers
+  // and the GC within this process, and atomic renames keep a fleet of
+  // processes safe.
   if (options_.max_disk_bytes > 0 && bytes.size() > options_.max_disk_bytes) {
     // Larger than the whole budget: writing it would only be GC'ed right
     // back (same never-admit rule as the memory tier), so skip the write
@@ -595,7 +589,7 @@ std::shared_ptr<const std::string> ScheduleCache::insert(
     ++stats_.disk_oversize_rejections;
     A2A_COUNTER("cache.disk_oversize_rejections").inc();
     span.annotate("disk oversize rejection");
-    return bytes_ptr;
+    return;
   }
   const std::string key = schedule_content_key(bytes);
   std::lock_guard<std::mutex> disk_lock(disk_mutex_);
@@ -640,7 +634,6 @@ std::shared_ptr<const std::string> ScheduleCache::insert(
     A2A_COUNTER("cache.disk_dedups").inc();
     span.annotate("disk dedup");
   }
-  return bytes_ptr;
 }
 
 void ScheduleCache::gc_disk() {
@@ -653,8 +646,7 @@ void ScheduleCache::gc_disk() {
         fs::file_time_type::clock::now() - std::chrono::hours(1);
     std::error_code ec;
     for (const fs::path& dir :
-         {objects_dir(options_.disk_dir), refs_dir(options_.disk_dir),
-          fs::path(options_.disk_dir)}) {
+         {objects_dir(options_.disk_dir), refs_dir(options_.disk_dir)}) {
       for (const auto& de : fs::directory_iterator(dir, ec)) {
         if (!de.is_regular_file(ec)) continue;
         if (de.path().filename().string().find(".tmp.") == std::string::npos) {
@@ -669,7 +661,6 @@ void ScheduleCache::gc_disk() {
   if (total <= options_.max_disk_bytes) return;
   // Refcount pass: refs pointing at a victim are removed with it, so a
   // later lookup cleanly misses instead of chasing a dangling pointer.
-  // (Pre-v2 flat entries have no refs; removing the file is the eviction.)
   std::error_code ec;
   std::unordered_map<std::string, std::vector<fs::path>> refs_by_key;
   for (const auto& de : fs::directory_iterator(refs_dir(options_.disk_dir), ec)) {
@@ -686,9 +677,7 @@ void ScheduleCache::gc_disk() {
   for (const DiskArtifact& victim : artifacts) {
     if (total <= options_.max_disk_bytes) break;
     fs::remove(victim.path, ec);
-    if (!victim.key.empty()) {
-      for (const fs::path& ref : refs_by_key[victim.key]) fs::remove(ref, ec);
-    }
+    for (const fs::path& ref : refs_by_key[victim.key]) fs::remove(ref, ec);
     total -= victim.size;
     ++evicted;
   }
@@ -735,47 +724,36 @@ void ScheduleCache::clear() {
   A2A_GAUGE("cache.memory_bytes").set(0);
 }
 
-void ScheduleCache::touch_locked(const std::string& fingerprint) {
-  const auto it = entries_.find(fingerprint);
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(fingerprint);
-  it->second.lru_it = lru_.begin();
+void ScheduleCache::admit_locked(const std::string& fingerprint,
+                                 ArtifactView view, std::string path,
+                                 std::optional<GeneratedSchedule> schedule) {
+  // max_memory_bytes == 0 disables the memory tier outright. Without this
+  // gate every insert and every disk hit would be admitted and then
+  // immediately evicted by the budget sweep below (pure churn).
+  if (options_.max_memory_bytes == 0) return;
+  // Replace any previous version, so a hit cannot serve outdated data.
+  drop_locked(fingerprint);
+  const std::size_t bytes =
+      view.envelope.size() +
+      (schedule.has_value() ? schedule_memory_bytes(*schedule) : 0);
+  // Larger than the whole budget: can never be resident.
+  if (bytes <= options_.max_memory_bytes) {
+    lru_.push_front(fingerprint);
+    entries_.emplace(fingerprint,
+                     Entry{std::move(view), std::move(path),
+                           std::move(schedule), bytes, lru_.begin()});
+    memory_bytes_ += bytes;
+  }
+  evict_over_budget_locked();
 }
 
-void ScheduleCache::insert_memory_locked(const std::string& fingerprint,
-                                         const GeneratedSchedule& schedule) {
-  // max_memory_bytes == 0 disables the memory tier outright. Without this
-  // gate every insert would be admitted and then immediately evicted by the
-  // budget sweep below (pure churn), and a zero-budget promote-from-disk
-  // would do the same on every disk hit.
-  if (options_.max_memory_bytes == 0) return;
-  const std::size_t bytes = schedule_memory_bytes(schedule);
+void ScheduleCache::drop_locked(const std::string& fingerprint) {
   const auto it = entries_.find(fingerprint);
-  if (bytes > options_.max_memory_bytes) {
-    // Larger than the whole budget: can never be resident. Also drop any
-    // smaller stale version so a hit cannot serve outdated data.
-    if (it != entries_.end()) {
-      memory_bytes_ -= it->second.bytes;
-      lru_.erase(it->second.lru_it);
-      entries_.erase(it);
-      A2A_GAUGE("cache.memory_bytes")
-          .set(static_cast<std::int64_t>(memory_bytes_));
-    }
-    return;
-  }
-  if (it != entries_.end()) {
-    memory_bytes_ -= it->second.bytes;
-    it->second.schedule = schedule;
-    it->second.bytes = bytes;
-    memory_bytes_ += bytes;
-    touch_locked(fingerprint);
-    evict_over_budget_locked();
-    return;
-  }
-  lru_.push_front(fingerprint);
-  entries_.emplace(fingerprint, Entry{schedule, bytes, lru_.begin()});
-  memory_bytes_ += bytes;
-  evict_over_budget_locked();
+  if (it == entries_.end()) return;
+  memory_bytes_ -= it->second.bytes;
+  lru_.erase(it->second.lru_it);
+  entries_.erase(it);
+  A2A_GAUGE("cache.memory_bytes").set(static_cast<std::int64_t>(memory_bytes_));
 }
 
 void ScheduleCache::evict_over_budget_locked() {

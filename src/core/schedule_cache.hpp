@@ -6,9 +6,15 @@
 // results by a fingerprint of the request's canonical form and serves them
 // from two tiers:
 //
-//   * an in-memory LRU of decoded GeneratedSchedule values, evicted by a
-//     decoded-size byte budget (schedules vary by 1000x in size; counting
-//     entries lets a handful of Fig. 10 monsters blow the heap), and
+//   * an in-memory LRU, the process's only store of served schedules. Each
+//     entry holds the artifact as an ArtifactView (the heap envelope
+//     insert() wrote, or the mmap of a disk object a lookup promoted) plus
+//     the decoded GeneratedSchedule once it is known, and is charged the
+//     envelope bytes plus schedule_memory_bytes() against one byte budget
+//     (schedules vary by 1000x in size; counting entries lets a handful of
+//     Fig. 10 monsters blow the heap). lookup_artifact() serves the bytes,
+//     lookup() the decoded value — decoding a promoted entry once and
+//     keeping the result — and both share one memory -> disk -> miss path.
 //   * an optional on-disk tier of SchedBin-based entry files, so a fleet of
 //     processes (or a restarted one) shares compiled artifacts. Disk
 //     entries are content-addressed: the artifact file is keyed by a hash
@@ -16,7 +22,8 @@
 //     at it, so identical schedules produced under different pipeline
 //     invocations (or different request options that happen to compile to
 //     the same schedule) share one artifact. A file-size byte budget
-//     garbage-collects the oldest artifacts and their refs.
+//     garbage-collects the oldest artifacts and their refs. A failed disk
+//     write costs persistence only: the entry is still served from memory.
 //
 // All operations are thread-safe; hit/miss counters expose the behaviour to
 // tests and monitoring.
@@ -36,19 +43,23 @@
 
 namespace a2a {
 
+namespace obs {
+class TraceSpan;
+}  // namespace obs
+
 struct ScheduleCacheOptions {
-  /// Byte budget for the in-memory LRU tier, accounted in decoded schedule
-  /// size (see schedule_memory_bytes). 0 disables the memory tier: every
-  /// lookup goes to the disk tier (when configured) and nothing is retained
-  /// in memory — useful for memory-constrained fleets sharing a disk cache.
-  /// An entry larger than the whole budget is never admitted.
+  /// Byte budget for the in-memory LRU tier. An entry is charged its
+  /// envelope bytes plus, once decoded, schedule_memory_bytes(). 0 disables
+  /// the memory tier: every lookup goes to the disk tier (when configured)
+  /// and nothing is retained in memory — useful for memory-constrained
+  /// fleets sharing a disk cache. An entry larger than the whole budget is
+  /// never admitted.
   std::size_t max_memory_bytes = 256ULL << 20;
   /// Directory for the on-disk tier ("" disables it). Created on first use;
   /// holds `objects/` (content-addressed artifacts) and `refs/`
   /// (fingerprint -> artifact pointers).
   std::string disk_dir;
-  /// Byte budget for the disk tier, accounted in artifact file size
-  /// (content-addressed objects AND pre-v2 flat entry files both count).
+  /// Byte budget for the disk tier, accounted in artifact file size.
   /// 0 = unbounded (the disk tier is enabled/disabled by disk_dir alone).
   /// When exceeded after a write, the oldest artifacts and every ref
   /// pointing at them are garbage-collected; an artifact alone larger than
@@ -79,13 +90,16 @@ struct ScheduleCacheStats {
   /// — preserved for forensics, never served again — its ref dropped, and
   /// the lookup degrades to a miss so the caller re-synthesizes.
   std::uint64_t disk_corrupt = 0;
+  /// Inserts whose disk write failed (disk full, read-only or missing
+  /// directory). The entry is still served from the memory tier.
+  std::uint64_t disk_errors = 0;
 
   [[nodiscard]] std::uint64_t hits() const { return memory_hits + disk_hits; }
 };
 
 /// Deterministic estimate of the resident bytes of a decoded schedule
-/// (vectors' elements, notes, graph adjacency). This is what the memory
-/// tier's byte budget accounts, exposed so callers can size budgets.
+/// (vectors' elements, notes, graph adjacency): the decoded part of a memory
+/// entry's charge, exposed so callers can size budgets.
 [[nodiscard]] std::size_t schedule_memory_bytes(const GeneratedSchedule& s);
 
 /// Fingerprint of a generate_schedule() request: a 128-bit hash (32 hex
@@ -106,14 +120,17 @@ struct ScheduleCacheStats {
 /// page cache to a socket, and the client's SchedBinReader decodes chunks
 /// on demand with per-chunk CRCs.
 struct ArtifactView {
-  std::shared_ptr<const MmapFile> mapping;     ///< disk-tier hits.
-  std::shared_ptr<const std::string> bytes;    ///< freshly serialized results.
+  std::shared_ptr<const MmapFile> mapping;     ///< a disk object's pages.
+  std::shared_ptr<const std::string> bytes;    ///< the envelope insert() wrote.
   std::string_view envelope;                   ///< the whole SBCE envelope.
   std::size_t blob_offset = 0;                 ///< inner SchedBin frame start.
   std::size_t blob_size = 0;
   ScheduleKind kind = ScheduleKind::kLinkUnrolled;
   double concurrent_flow = 0.0;
   int vc_layers = 0;
+  /// Set by a lookup that opened the disk object; false for memory-tier
+  /// hits.
+  bool from_disk = false;
 
   [[nodiscard]] std::string_view schedbin() const {
     return envelope.substr(blob_offset, blob_size);
@@ -139,47 +156,68 @@ class ScheduleCache {
   ScheduleCache& operator=(const ScheduleCache&) = delete;
 
   /// Returns the cached schedule for `fingerprint`, checking memory then
-  /// disk. A disk hit is promoted into the memory tier.
+  /// disk. An entry whose decoded value is not yet known (a disk hit, or an
+  /// entry lookup_artifact() promoted) is decoded once and the result kept
+  /// in the memory tier. An entry that fails to decode is evicted, its disk
+  /// object quarantined, and the call degrades to a miss.
   [[nodiscard]] std::optional<GeneratedSchedule> lookup(
       const std::string& fingerprint);
 
-  /// Zero-copy lookup: resolves `fingerprint` to its disk artifact, mmaps
-  /// it, validates the inner SchedBin frame's header/trailer (a few pages,
-  /// not the whole file) and returns the view — the decoded memory tier is
-  /// neither consulted nor populated, so the hot serving path never pays a
-  /// decode. A corrupt artifact is quarantined exactly as in lookup() and
-  /// the call degrades to a miss. Counts into the same lookup/hit/miss
-  /// stats as lookup(). Always a miss when the disk tier is disabled.
+  /// Zero-copy lookup: the memory tier's view, or else the disk artifact
+  /// mmap'd with its inner SchedBin frame's header/trailer validated (a few
+  /// pages, not the whole file) and promoted into the memory tier — never a
+  /// decode, so the hot serving path never pays one. A corrupt artifact is
+  /// quarantined and the call degrades to a miss. Counts into the same
+  /// lookup/hit/miss stats as lookup().
   [[nodiscard]] std::optional<ArtifactView> lookup_artifact(
       const std::string& fingerprint);
 
-  /// Stores `schedule` in the memory tier (evicting LRU entries past the
-  /// byte budget) and, when a disk_dir is configured, writes (or dedups
-  /// against) the content-addressed artifact and its ref file. Returns the
-  /// serialized envelope so callers that serve bytes (the ScheduleBroker)
-  /// reuse the exact artifact written instead of re-encoding.
+  /// Stores `schedule` and its serialized envelope in the memory tier
+  /// (evicting LRU entries past the byte budget) and, when a disk_dir is
+  /// configured, writes (or dedups against) the content-addressed artifact
+  /// and its ref file; a failed write is counted in disk_errors, never
+  /// thrown. Returns the envelope so callers that serve bytes (the
+  /// ScheduleBroker) reuse the exact artifact stored instead of re-encoding.
   std::shared_ptr<const std::string> insert(const std::string& fingerprint,
                                             const GeneratedSchedule& schedule);
 
   [[nodiscard]] ScheduleCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
-  /// Decoded bytes currently held by the memory tier.
+  /// Bytes the memory tier is charged for (envelopes plus decoded values).
   [[nodiscard]] std::size_t memory_bytes() const;
   void clear();  ///< drops the memory tier only; disk entries persist.
 
   /// Path of the disk artifact a fingerprint currently resolves to (""
   /// when the disk tier is disabled or the fingerprint has no entry).
   [[nodiscard]] std::string entry_path(const std::string& fingerprint) const;
-  /// Artifact files the disk tier currently holds (content-addressed
-  /// objects plus pre-v2 flat entries) and their total size. Exposed for
-  /// tests and monitoring.
+  /// Content-addressed objects the disk tier currently holds and their
+  /// total size. Exposed for tests and monitoring.
   [[nodiscard]] std::size_t disk_object_count() const;
   [[nodiscard]] std::size_t disk_bytes() const;
 
  private:
-  void touch_locked(const std::string& fingerprint);
-  void insert_memory_locked(const std::string& fingerprint,
-                            const GeneratedSchedule& schedule);
+  struct Hit {
+    ArtifactView view;
+    std::optional<GeneratedSchedule> schedule;  ///< set when decoding.
+  };
+  /// The memory -> disk -> miss path lookup() (`decode`) and
+  /// lookup_artifact() share.
+  std::optional<Hit> find(const std::string& fingerprint, bool decode);
+  /// Maps the disk object `fingerprint` resolves to (`path` names it), or
+  /// returns an invalid view. Drops dangling refs and quarantines corrupt
+  /// objects.
+  ArtifactView open_disk(const std::string& fingerprint, std::string& path,
+                         obs::TraceSpan& span);
+  /// Evicts `fingerprint` and quarantines the disk object at `path` (if
+  /// any) after its bytes failed to decode.
+  void discard_corrupt(const std::string& fingerprint, const std::string& path);
+  /// Writes the artifact and its ref; throws on I/O failure.
+  void store_disk(const std::string& fingerprint, const std::string& bytes,
+                  obs::TraceSpan& span);
+  void admit_locked(const std::string& fingerprint, ArtifactView view,
+                    std::string path,
+                    std::optional<GeneratedSchedule> schedule);
+  void drop_locked(const std::string& fingerprint);
   void evict_over_budget_locked();
   void gc_disk();  ///< enforces max_disk_bytes; caller holds disk_mutex_.
 
@@ -188,8 +226,10 @@ class ScheduleCache {
   /// MRU-first list of fingerprints plus value map (classic LRU pairing).
   std::list<std::string> lru_;
   struct Entry {
-    GeneratedSchedule schedule;
-    std::size_t bytes = 0;
+    ArtifactView view;
+    std::string path;  ///< disk object `view` maps; "" for heap envelopes.
+    std::optional<GeneratedSchedule> schedule;
+    std::size_t bytes = 0;  ///< envelope + decoded bytes charged.
     std::list<std::string>::iterator lru_it;
   };
   std::unordered_map<std::string, Entry> entries_;

@@ -54,6 +54,8 @@ enum class FailoverRung {
 
 struct FailoverOptions {
   /// Directory of the fallback library's disk tier ("" = in-memory only).
+  /// A directory that cannot be written costs persistence, not service:
+  /// fallbacks are still kept and served from memory.
   std::string library_dir;
   std::size_t cache_memory_bytes = 64ULL << 20;
   /// Budget per signature during offline precompute — generous, this is

@@ -1,33 +1,23 @@
 // ScheduleBroker — the middle layer of the schedule service, between the
 // admission queue and generate_schedule()'s fingerprint-first split.
 //
-// The broker owns three behaviours the one-shot pipeline never needed:
+// The broker owns two behaviours the one-shot pipeline never needed:
 //
 //   * request coalescing: concurrent requests for the same fingerprint
 //     collapse into ONE synthesis. The first caller (the leader) runs the
 //     LP/MCF pipeline inline; everyone else parks on a shared_future and is
 //     handed the same artifact bytes. A leader failure propagates to every
 //     waiter and clears the slot so a later request retries.
-//   * zero-copy hits: results are held and served as ArtifactViews — the
-//     serialized envelope either mmap'd from the cache's disk tier or the
-//     exact heap buffer insert() wrote — so the hot path never decodes a
-//     schedule, and the transport writes schedbin() bytes straight out.
-//     A small LRU of hot views keeps repeat hits free of even the
-//     open+mmap syscalls.
-//   * background refresh: a hot view that has not been revalidated against
-//     the cache for refresh_age_s is re-resolved on the shared ThreadPool
-//     (off the request path), so long-lived daemons track cache GC /
-//     multi-process rewrites without ever stalling a hit.
+//   * zero-copy hits: results are served as ArtifactViews straight from the
+//     ScheduleCache — its memory tier (the heap envelope insert() wrote, or
+//     a promoted disk object's mmap) or else its disk tier — so the hot
+//     path never decodes a schedule, and the transport writes schedbin()
+//     bytes straight out. The broker holds no copy of its own.
 //
-// Thread-safe; lifetime rule: the ScheduleCache and ThreadPool must outlive
-// every background task, i.e. destroy the pool before the cache (the
-// broker's own shared state is refcounted, so the broker itself may be
-// destroyed while refreshes are still queued).
+// Thread-safe; the ScheduleCache must outlive the broker.
 #pragma once
 
 #include <future>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -42,19 +32,9 @@ class ThreadPool;
 
 namespace a2a::service {
 
-struct BrokerOptions {
-  /// Entries kept in the in-process hot-view LRU (each pins either an mmap
-  /// or the serialized envelope buffer). 0 disables the hot tier: every hit
-  /// re-resolves through the cache.
-  std::size_t hot_capacity = 64;
-  /// Age after which a hot view is revalidated against the cache in the
-  /// background. <= 0 disables refresh.
-  double refresh_age_s = 300.0;
-};
-
 struct BrokerResult {
   ArtifactView view;
-  /// Served without running the pipeline (hot tier or cache artifact).
+  /// Served from the cache without running the pipeline.
   bool hit = false;
   /// This caller waited on another request's in-flight synthesis.
   bool coalesced = false;
@@ -64,17 +44,16 @@ struct BrokerResult {
 
 class ScheduleBroker {
  public:
-  /// Both pointers may be null: without a cache every request synthesizes
-  /// (still coalesced, still served as bytes); without a pool background
-  /// refresh is disabled.
-  ScheduleBroker(ScheduleCache* cache, ThreadPool* pool,
-                 BrokerOptions options = {});
+  /// `cache` may be null: then every request synthesizes (still coalesced,
+  /// still served as bytes). `pool` is unused and may be null; it is kept
+  /// so existing callers compile unchanged.
+  ScheduleBroker(ScheduleCache* cache, ThreadPool* pool);
 
   ScheduleBroker(const ScheduleBroker&) = delete;
   ScheduleBroker& operator=(const ScheduleBroker&) = delete;
 
-  /// Fast path only: hot tier, then the cache's zero-copy artifact lookup.
-  /// Never synthesizes, never blocks on another request. nullopt on miss.
+  /// Fast path only: the cache's zero-copy artifact lookup. Never
+  /// synthesizes, never blocks on another request. nullopt on miss.
   [[nodiscard]] std::optional<ArtifactView> try_lookup(
       const std::string& fingerprint);
 
@@ -98,16 +77,13 @@ class ScheduleBroker {
 
   /// Syntheses currently in flight (leaders running, not yet published).
   [[nodiscard]] std::size_t inflight() const;
-  /// Views currently pinned by the hot tier.
-  [[nodiscard]] std::size_t hot_size() const;
-
-  /// Shared broker state (defined in broker.cpp); public so the refresh
-  /// tasks — which may outlive the broker object — can hold it by
-  /// shared_ptr.
-  struct State;
 
  private:
-  std::shared_ptr<State> state_;
+  ScheduleCache* cache_;
+  mutable std::mutex mutex_;
+  /// fingerprint -> the future every coalesced waiter parks on. An entry
+  /// exists exactly while a leader is synthesizing. Guarded by mutex_.
+  std::unordered_map<std::string, std::shared_future<ArtifactView>> inflight_;
 };
 
 }  // namespace a2a::service

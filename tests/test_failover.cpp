@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <optional>
 #include <set>
 
 #include "common/random.hpp"
@@ -302,6 +304,35 @@ TEST(FailoverPrecompute, DiskLibrarySurvivesManagerRestart) {
     EXPECT_EQ(r.rung, FailoverRung::kPrecomputedHit);
     EXPECT_TRUE(r.validated);
   }
+  fs::remove_all(dir);
+}
+
+TEST(FailoverPrecompute, UnwritableLibraryDirStillConstructsAndServes) {
+  const DiGraph g = make_generalized_kautz(10, 3);
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("a2a_failover_blocked_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // A library_dir below a regular file: every disk write fails (root
+  // ignores permission bits, so chmod would not). The library keeps
+  // serving from memory instead of throwing out of the ladder.
+  std::ofstream(dir / "blocker") << "not a directory";
+  FailoverOptions opts;
+  opts.library_dir = (dir / "blocker" / "lib").string();
+  std::optional<FailoverManager> mgr;
+  ASSERT_NO_THROW(mgr.emplace(g, forwarding_fabric(), opts));
+  FailureSignature sig;
+  sig.edges = {3};
+  FailoverResult first;
+  ASSERT_NO_THROW(first = mgr->reschedule(sig, 5.0));
+  EXPECT_EQ(first.rung, FailoverRung::kDualWarmExact);
+  EXPECT_TRUE(first.validated);
+  const FailoverResult second = mgr->reschedule(sig, 5.0);
+  EXPECT_EQ(second.rung, FailoverRung::kPrecomputedHit);
+  EXPECT_TRUE(second.validated);
+  EXPECT_GE(mgr->library().stats().disk_errors, 2u);
+  mgr.reset();
   fs::remove_all(dir);
 }
 

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "graph/topologies.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/fabric.hpp"
 
 namespace a2a {
@@ -53,6 +54,23 @@ GeneratedSchedule make_sized(int transfers, int tag) {
   s.terminals = {0, 1, 2, 3};
   s.notes = "synthetic";
   return s;
+}
+
+/// What the memory tier charges for an entry insert() stores: its envelope
+/// plus its decoded schedule.
+std::size_t charge(const GeneratedSchedule& s) {
+  return generated_schedule_to_bytes(s).size() + schedule_memory_bytes(s);
+}
+
+/// A disk_dir nested below a regular file: every directory creation and
+/// write under it fails (root ignores permission bits, so chmod would not).
+std::string unwritable_dir(const fs::path& root) {
+  std::ofstream(root / "blocker") << "not a directory";
+  return (root / "blocker" / "cache").string();
+}
+
+std::uint64_t decode_calls() {
+  return obs::MetricsRegistry::global().counter("schedbin.decode.calls").value();
 }
 
 TEST(Fingerprint, StableAndSensitive) {
@@ -127,8 +145,8 @@ TEST(ScheduleCache, ByteBudgetEvictsLruOldest) {
   const GeneratedSchedule a = make_sized(100, 1);
   const GeneratedSchedule b = make_sized(100, 2);
   const GeneratedSchedule c = make_sized(100, 3);
-  const std::size_t each = schedule_memory_bytes(a);
-  ASSERT_EQ(each, schedule_memory_bytes(b));
+  const std::size_t each = charge(a);
+  ASSERT_EQ(each, charge(b));
 
   ScheduleCacheOptions options;
   options.max_memory_bytes = 2 * each;  // room for exactly two
@@ -151,8 +169,8 @@ TEST(ScheduleCache, MixedSizeEvictionFreesEnoughBytes) {
   // One large insert must evict as many small LRU entries as it takes.
   const GeneratedSchedule small = make_sized(50, 1);
   const GeneratedSchedule large = make_sized(400, 2);
-  const std::size_t small_bytes = schedule_memory_bytes(small);
-  const std::size_t large_bytes = schedule_memory_bytes(large);
+  const std::size_t small_bytes = charge(small);
+  const std::size_t large_bytes = charge(large);
   ASSERT_GT(large_bytes, 3 * small_bytes);
 
   ScheduleCacheOptions options;
@@ -176,7 +194,7 @@ TEST(ScheduleCache, BudgetExactlyMetKeepsEntries) {
   const GeneratedSchedule a = make_sized(64, 1);
   const GeneratedSchedule b = make_sized(64, 2);
   ScheduleCacheOptions options;
-  options.max_memory_bytes = schedule_memory_bytes(a) + schedule_memory_bytes(b);
+  options.max_memory_bytes = charge(a) + charge(b);
   ScheduleCache cache(options);
   cache.insert("a", a);
   cache.insert("b", b);
@@ -192,7 +210,7 @@ TEST(ScheduleCache, BudgetExactlyMetKeepsEntries) {
 TEST(ScheduleCache, SingleEntryLargerThanBudgetNeverAdmitted) {
   const GeneratedSchedule big = make_sized(1000, 1);
   ScheduleCacheOptions options;
-  options.max_memory_bytes = schedule_memory_bytes(big) - 1;
+  options.max_memory_bytes = charge(big) - 1;
   ScheduleCache cache(options);
   cache.insert("big", big);
   EXPECT_EQ(cache.size(), 0u);
@@ -235,9 +253,19 @@ TEST(ScheduleCache, ZeroBudgetStillServesDiskTier) {
   EXPECT_EQ(hit->concurrent_flow, schedule.concurrent_flow);
   EXPECT_EQ(cache.stats().disk_hits, 1u);
   EXPECT_EQ(cache.size(), 0u);  // the disk hit was not promoted either
-  // Repeated lookups keep hitting disk, never the (disabled) memory tier.
+  // Repeated lookups keep hitting disk, never the (disabled) memory tier;
+  // the byte path serves every one as a fresh mmap of the disk object.
   ASSERT_TRUE(cache.lookup("fp").has_value());
   EXPECT_EQ(cache.stats().disk_hits, 2u);
+  for (std::uint64_t i = 3; i <= 4; ++i) {
+    const auto view = cache.lookup_artifact("fp");
+    ASSERT_TRUE(view.has_value());
+    EXPECT_TRUE(view->mapping);
+    EXPECT_TRUE(view->from_disk);
+    EXPECT_EQ(cache.stats().disk_hits, i);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.memory_bytes(), 0u);
+  }
   EXPECT_EQ(cache.stats().memory_hits, 0u);
 }
 
@@ -399,40 +427,6 @@ TEST(ScheduleCache, OversizeArtifactIsNeverWrittenToDisk) {
   EXPECT_EQ(cache.stats().disk_writes, 1u);
 }
 
-TEST(ScheduleCache, LegacyFlatEntriesCountTowardDiskBudgetAndEvict) {
-  const TempDir dir;
-  ScheduleCacheOptions options;
-  options.disk_dir = dir.path.string();
-  // A pre-v2 cache layout: one flat <fingerprint>.schedbin at the top
-  // level. It must serve lookups, count toward the byte budget, and be
-  // evictable by the GC like any object.
-  const GeneratedSchedule legacy_schedule = make_sized(300, 1);
-  const std::string legacy_bytes =
-      generated_schedule_to_bytes(legacy_schedule, options.schedbin);
-  {
-    std::ofstream out(dir.path / "legacyfp.schedbin", std::ios::binary);
-    out.write(legacy_bytes.data(),
-              static_cast<std::streamsize>(legacy_bytes.size()));
-  }
-  ScheduleCache cache(options);
-  EXPECT_EQ(cache.disk_bytes(), legacy_bytes.size());
-  EXPECT_EQ(cache.disk_object_count(), 1u);
-  ASSERT_TRUE(cache.lookup("legacyfp").has_value());
-
-  // A budgeted cache inserting a new artifact must GC the (older) legacy
-  // file once the combined size crosses the budget.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ScheduleCacheOptions budgeted = options;
-  budgeted.max_disk_bytes = legacy_bytes.size() + legacy_bytes.size() / 2;
-  ScheduleCache squeezed(budgeted);
-  squeezed.insert("fresh", make_sized(300, 2));
-  EXPECT_EQ(squeezed.disk_object_count(), 1u);
-  EXPECT_GE(squeezed.stats().disk_evictions, 1u);
-  EXPECT_FALSE(fs::exists(dir.path / "legacyfp.schedbin"))
-      << "the older legacy entry was the GC victim";
-  EXPECT_FALSE(squeezed.entry_path("fresh").empty());
-}
-
 TEST(ScheduleCache, CorruptDiskEntryIsAMissNotAnError) {
   const TempDir dir;
   const DiGraph g = make_ring(6);
@@ -579,27 +573,140 @@ TEST(ScheduleCache, LookupArtifactServesMmapWithoutDecode) {
   ScheduleCache cache(std::move(options));
   const GeneratedSchedule schedule = make_sized(80, 4);
   const auto bytes = cache.insert("fp", schedule);
+  const std::uint64_t decodes_before = decode_calls();
 
-  const auto view = cache.lookup_artifact("fp");
-  ASSERT_TRUE(view.has_value());
-  EXPECT_TRUE(view->mapping);  // zero-copy: the disk object's pages.
-  EXPECT_FALSE(view->bytes);
-  EXPECT_EQ(std::string(view->envelope), *bytes);
-  EXPECT_EQ(cache.stats().disk_hits, 1u);
-  // The artifact path stays byte-path only: the decoded memory tier was
-  // neither consulted nor populated.
-  EXPECT_EQ(cache.size(), 1u);  // insert() populated it...
+  // Right after insert() the memory tier serves the heap envelope it wrote.
+  const auto heap = cache.lookup_artifact("fp");
+  ASSERT_TRUE(heap.has_value());
+  EXPECT_EQ(heap->bytes, bytes);
+  EXPECT_FALSE(heap->mapping);
+  EXPECT_FALSE(heap->from_disk);
+  EXPECT_EQ(cache.stats().memory_hits, 1u);
+
+  // With the memory tier dropped, the disk object is mmap'd and promoted...
   cache.clear();
-  EXPECT_TRUE(cache.lookup_artifact("fp").has_value());
-  EXPECT_EQ(cache.size(), 0u);  // ...lookup_artifact() does not.
+  const auto mapped = cache.lookup_artifact("fp");
+  ASSERT_TRUE(mapped.has_value());
+  EXPECT_TRUE(mapped->mapping);  // zero-copy: the disk object's pages.
+  EXPECT_FALSE(mapped->bytes);
+  EXPECT_TRUE(mapped->from_disk);
+  EXPECT_EQ(std::string(mapped->envelope), *bytes);
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.memory_bytes(), bytes->size());  // bytes only, no value.
+  // ...so the next lookup is a memory hit on the same mapping.
+  const auto again = cache.lookup_artifact("fp");
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->mapping, mapped->mapping);
+  EXPECT_FALSE(again->from_disk);
+  EXPECT_EQ(cache.stats().memory_hits, 2u);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(decode_calls(), decodes_before) << "byte lookups never decode";
+  }
 
   EXPECT_FALSE(cache.lookup_artifact("absent").has_value());
+}
+
+TEST(ScheduleCache, LookupDecodesAPromotedArtifactOnce) {
+  const TempDir dir;
+  ScheduleCacheOptions options;
+  options.disk_dir = dir.path.string();
+  const GeneratedSchedule schedule = make_sized(80, 6);
+  {
+    ScheduleCache writer(options);
+    writer.insert("fp", schedule);
+  }
+  // A fresh cache promotes the disk object through the byte path...
+  ScheduleCache cache(options);
+  ASSERT_TRUE(cache.lookup_artifact("fp").has_value());
+  const std::size_t envelope_bytes = cache.memory_bytes();
+  // ...the first decoded lookup decodes it once and keeps the value...
+  std::uint64_t before = decode_calls();
+  const auto first = cache.lookup("fp");
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->concurrent_flow, schedule.concurrent_flow);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(decode_calls(), before + 1);
+  }
+  EXPECT_EQ(cache.memory_bytes(),
+            envelope_bytes + schedule_memory_bytes(*first));
+  // ...so the second one is a copy, not a decode.
+  before = decode_calls();
+  ASSERT_TRUE(cache.lookup("fp").has_value());
+  if (obs::compiled_in()) {
+    EXPECT_EQ(decode_calls(), before);
+  }
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
+  EXPECT_EQ(cache.stats().memory_hits, 2u);
+
+  // insert() hands the cache the decoded value: lookup() never decodes.
+  ScheduleCache inserted;
+  inserted.insert("fp", schedule);
+  before = decode_calls();
+  ASSERT_TRUE(inserted.lookup("fp").has_value());
+  if (obs::compiled_in()) {
+    EXPECT_EQ(decode_calls(), before);
+  }
+}
+
+TEST(ScheduleCache, FailedDecodeQuarantinesAndEvictsPromotedEntry) {
+  const TempDir dir;
+  ScheduleCacheOptions options;
+  options.disk_dir = dir.path.string();
+  {
+    ScheduleCache writer(options);
+    writer.insert("fp", make_sized(80, 7));
+  }
+  ScheduleCache cache(options);
+  ASSERT_TRUE(cache.lookup_artifact("fp").has_value());
+  ASSERT_EQ(cache.size(), 1u);
+  // The object rots after it was promoted: its frame header and trailer
+  // still check out, but the envelope CRC no longer does.
+  const std::string path = cache.entry_path("fp");
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(12);
+    f.put('\xEE');
+  }
+  EXPECT_FALSE(cache.lookup("fp").has_value());
+  EXPECT_EQ(cache.stats().disk_corrupt, 1u);
+  EXPECT_EQ(cache.size(), 0u) << "the memory entry is evicted at once";
+  EXPECT_EQ(cache.memory_bytes(), 0u);
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_TRUE(
+      fs::exists(dir.path / "quarantine" / fs::path(path).filename()));
+  EXPECT_FALSE(cache.lookup_artifact("fp").has_value());
+}
+
+TEST(ScheduleCache, DiskWriteFailureStillServesFromMemory) {
+  const TempDir dir;
+  ScheduleCacheOptions options;
+  options.disk_dir = unwritable_dir(dir.path);
+  ScheduleCache cache(options);
+  const GeneratedSchedule schedule = make_sized(40, 2);
+  std::shared_ptr<const std::string> bytes;
+  ASSERT_NO_THROW(bytes = cache.insert("fp", schedule));
+  ASSERT_TRUE(bytes);
+  EXPECT_EQ(*bytes, generated_schedule_to_bytes(schedule));
+  EXPECT_EQ(cache.stats().disk_errors, 1u);
+  EXPECT_EQ(cache.stats().disk_writes, 0u);
+  EXPECT_TRUE(cache.entry_path("fp").empty());
+  // Both lookups are memory hits on what insert() kept.
+  const auto view = cache.lookup_artifact("fp");
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->bytes, bytes);
+  const auto hit = cache.lookup("fp");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->concurrent_flow, schedule.concurrent_flow);
+  EXPECT_EQ(cache.stats().memory_hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 TEST(ScheduleCache, LookupArtifactQuarantinesCorruptObjects) {
   const TempDir dir;
   ScheduleCacheOptions options;
   options.disk_dir = dir.path.string();
+  options.max_memory_bytes = 0;  // force lookups to the disk tier
   ScheduleCache cache(std::move(options));
   cache.insert("fp", make_sized(80, 5));
   const std::string path = cache.entry_path("fp");

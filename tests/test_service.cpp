@@ -12,16 +12,17 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "container/schedbin.hpp"
 #include "core/api.hpp"
 #include "core/schedule_cache.hpp"
 #include "graph/topologies.hpp"
+#include "obs/metrics.hpp"
 #include "service/admission.hpp"
 #include "service/request.hpp"
 #include "service/server.hpp"
@@ -166,8 +167,7 @@ TEST(ScheduleBroker, ConcurrentIdenticalRequestsRunOneSynthesis) {
   ScheduleCacheOptions cache_options;
   cache_options.disk_dir = dir.path.string();
   ScheduleCache cache(std::move(cache_options));
-  ThreadPool pool(4);
-  service::ScheduleBroker broker(&cache, &pool);
+  service::ScheduleBroker broker(&cache, nullptr);
 
   const DiGraph topo = make_ring(6);
   const Fabric fabric = hpc_cerio_fabric();
@@ -199,7 +199,9 @@ TEST(ScheduleBroker, ConcurrentIdenticalRequestsRunOneSynthesis) {
     ASSERT_TRUE(r.view.valid());
     EXPECT_EQ(std::string(r.view.envelope), reference);
     if (r.synth_seconds > 0.0) ++leaders;
-    if (!r.hit && !r.coalesced) EXPECT_GT(r.synth_seconds, 0.0);
+    if (!r.hit && !r.coalesced) {
+      EXPECT_GT(r.synth_seconds, 0.0);
+    }
   }
   EXPECT_EQ(leaders, 1);
   EXPECT_EQ(broker.inflight(), 0u);
@@ -211,8 +213,7 @@ TEST(ScheduleBroker, ConcurrentIdenticalRequestsRunOneSynthesis) {
 }
 
 TEST(ScheduleBroker, LeaderFailurePropagatesAndClearsTheSlot) {
-  ThreadPool pool(4);
-  service::ScheduleBroker broker(nullptr, &pool);
+  service::ScheduleBroker broker(nullptr, nullptr);
 
   const DiGraph topo = make_ring(6);
   const Fabric fabric = hpc_cerio_fabric();
@@ -250,7 +251,11 @@ TEST(ScheduleBroker, LeaderFailurePropagatesAndClearsTheSlot) {
   EXPECT_FALSE(result.hit);
 }
 
-TEST(ScheduleBroker, HitsAreServedFromHotTierWithoutCacheTraffic) {
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+TEST(ScheduleBroker, RepeatHitsAreServedFromTheCacheMemoryTier) {
   TempDir dir;
   ScheduleCacheOptions cache_options;
   cache_options.disk_dir = dir.path.string();
@@ -265,11 +270,43 @@ TEST(ScheduleBroker, HitsAreServedFromHotTierWithoutCacheTraffic) {
   ASSERT_TRUE(miss.view.valid());
   EXPECT_TRUE(miss.view.bytes);  // miss path serves the bytes insert() wrote.
 
-  const std::uint64_t cache_lookups_before = cache.stats().lookups;
+  const ScheduleCacheStats before = cache.stats();
+  const std::uint64_t hot_before = counter_value("service.hot_hits");
+  const std::uint64_t artifact_before = counter_value("service.artifact_hits");
   const auto hit = broker.request(topo, fabric, options);
   EXPECT_TRUE(hit.hit);
-  EXPECT_EQ(cache.stats().lookups, cache_lookups_before);  // hot tier only.
+  EXPECT_EQ(cache.stats().memory_hits, before.memory_hits + 1);
+  EXPECT_EQ(cache.stats().disk_hits, before.disk_hits);
+  // The hit shares the very buffer insert() stored: no second copy.
+  EXPECT_EQ(hit.view.bytes, miss.view.bytes);
   EXPECT_EQ(std::string(hit.view.envelope), std::string(miss.view.envelope));
+  if (obs::compiled_in()) {
+    EXPECT_EQ(counter_value("service.hot_hits"), hot_before + 1);
+    EXPECT_EQ(counter_value("service.artifact_hits"), artifact_before);
+  }
+}
+
+TEST(ScheduleBroker, DiskWriteFailureStillServesRepeatsAsHits) {
+  TempDir dir;
+  std::ofstream(dir.path / "blocker") << "not a directory";
+  ScheduleCacheOptions cache_options;
+  cache_options.disk_dir = (dir.path / "blocker" / "cache").string();
+  ScheduleCache cache(std::move(cache_options));
+  service::ScheduleBroker broker(&cache, nullptr);
+
+  const DiGraph topo = make_ring(6);
+  const Fabric fabric = hpc_cerio_fabric();
+  const ToolchainOptions options = fresh_options();
+  const std::uint64_t runs_before = pipeline_invocations();
+
+  service::BrokerResult first;
+  ASSERT_NO_THROW(first = broker.request(topo, fabric, options));
+  EXPECT_FALSE(first.hit);
+  EXPECT_EQ(cache.stats().disk_errors, 1u);
+  const auto second = broker.request(topo, fabric, options);
+  EXPECT_TRUE(second.hit);
+  EXPECT_EQ(std::string(second.view.envelope), std::string(first.view.envelope));
+  EXPECT_EQ(pipeline_invocations() - runs_before, 1u);
 }
 
 TEST(ScheduleBroker, ColdBrokerServesMmapViewFromDiskTier) {
@@ -403,8 +440,7 @@ TEST(ScheduleServer, RoundTripServesSchedBinAndMetrics) {
   ScheduleCacheOptions cache_options;
   cache_options.disk_dir = dir.path.string();
   ScheduleCache cache(std::move(cache_options));
-  ThreadPool pool(2);
-  service::ScheduleBroker broker(&cache, &pool);
+  service::ScheduleBroker broker(&cache, nullptr);
   service::AdmissionQueue admission(&broker);
   service::ServerOptions server_options;
   server_options.port = 0;
@@ -428,7 +464,7 @@ TEST(ScheduleServer, RoundTripServesSchedBinAndMetrics) {
                         sizeof kSchedBinMagic),
             0);
 
-  // Same request again: a hit served from bytes already on disk.
+  // Same request again: a hit served from the cache's memory tier.
   const std::string again = http_request(
       server.port(), "GET", "/schedule?topology=ring&nodes=6");
   EXPECT_NE(again.find("X-A2A-Hit: 1"), std::string::npos);

@@ -538,6 +538,10 @@ int main(int argc, char** argv) {
         generate_schedule(topo, fabric, options, cache ? &*cache : nullptr);
     std::cerr << "pipeline: " << result.notes
               << (result.from_cache ? " [served from cache]" : "") << "\n";
+    if (cache && cache->stats().disk_errors > 0) {
+      std::cerr << "warning: could not write to cache dir " << args.cache_dir
+                << "; the schedule was not cached\n";
+    }
     std::cerr << "concurrent rate F = " << result.concurrent_flow
               << " (throughput bound "
               << (result.terminals.size() - 1) * result.concurrent_flow *

@@ -9,9 +9,8 @@
 //   curl -X POST http://127.0.0.1:8787/shutdown
 //
 // Construction/destruction order is the service's lifetime rule: the cache
-// outlives the pool (background refreshes touch it from pool workers), the
-// pool outlives the broker's queued tasks (its destructor drains), and the
-// server is torn down first so no request races a dying layer.
+// outlives the broker, and the server is torn down first so no request
+// races a dying layer.
 //
 // Exits 0 on a clean shutdown (signal or POST /shutdown).
 #include <unistd.h>
@@ -20,12 +19,10 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "core/schedule_cache.hpp"
 #include "service/admission.hpp"
 #include "service/broker.hpp"
@@ -43,7 +40,6 @@ struct Args {
   unsigned threads = 4;
   std::size_t max_pending = 64;
   double default_deadline_ms = 0.0;
-  double refresh_age_s = 300.0;
 };
 
 void usage() {
@@ -51,15 +47,14 @@ void usage() {
       "usage: schedserved [options]\n"
       "  --port P          TCP port on 127.0.0.1 (0 = ephemeral; default 8787)\n"
       "  --port-file FILE  write the bound port here once listening\n"
-      "  --cache-dir DIR   two-tier schedule cache directory (strongly\n"
-      "                    recommended: without it every restart recompiles)\n"
+      "  --cache-dir DIR   disk tier of the schedule cache (strongly\n"
+      "                    recommended: without it schedules are kept in\n"
+      "                    memory only and every restart recompiles)\n"
       "  --trace-dir DIR   enable per-request tracing (trace=1) into DIR\n"
       "  --threads N       connection worker threads (default 4)\n"
       "  --max-pending N   misses in service at once before 429 (default 64)\n"
       "  --deadline-ms M   default deadline for requests that carry none\n"
-      "                    (default: none)\n"
-      "  --refresh-age S   revalidate hot artifacts older than S seconds in\n"
-      "                    the background (default 300)\n";
+      "                    (default: none)\n";
 }
 
 }  // namespace
@@ -91,7 +86,6 @@ int main(int argc, char** argv) {
       else if (flag == "--deadline-ms") {
         args.default_deadline_ms = std::stod(value());
       }
-      else if (flag == "--refresh-age") args.refresh_age_s = std::stod(value());
       else if (flag == "--help" || flag == "-h") {
         usage();
         return 0;
@@ -115,17 +109,11 @@ int main(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
   try {
-    std::optional<ScheduleCache> cache;
-    if (!args.cache_dir.empty()) {
-      ScheduleCacheOptions cache_options;
-      cache_options.disk_dir = args.cache_dir;
-      cache.emplace(std::move(cache_options));
-    }
-    ThreadPool pool;
-    service::BrokerOptions broker_options;
-    broker_options.refresh_age_s = args.refresh_age_s;
-    service::ScheduleBroker broker(cache ? &*cache : nullptr, &pool,
-                                   broker_options);
+    // Memory-only without --cache-dir, so repeat requests are still hits.
+    ScheduleCacheOptions cache_options;
+    cache_options.disk_dir = args.cache_dir;
+    ScheduleCache cache(std::move(cache_options));
+    service::ScheduleBroker broker(&cache, nullptr);
     service::AdmissionOptions admission_options;
     admission_options.max_pending = args.max_pending;
     admission_options.default_deadline_ms = args.default_deadline_ms;
@@ -144,7 +132,8 @@ int main(int argc, char** argv) {
       A2A_REQUIRE(out.good(), "short write to port file: ", args.port_file);
     }
     std::cerr << "schedserved: listening on 127.0.0.1:" << server.port()
-              << (cache ? " (cache: " + args.cache_dir + ")" : " (no cache)")
+              << (args.cache_dir.empty() ? " (memory-only cache)"
+                                         : " (cache: " + args.cache_dir + ")")
               << "\n";
 
     // Two shutdown paths converge on sigwait: a signal arrives directly, or
