@@ -256,7 +256,6 @@ LpStatus SimplexCore::iterate_dual() {
       // a tolerance-bounded dual infeasibility (clamped to zero in later
       // ratio tests and polished by the primal at the end) — the standard
       // Harris trade of a whisker of dual feasibility for pivot stability.
-      ++stats_.harris_second_pass;
       const double dtol = options_.optimality_tol;
       double theta_rel = kInfinity;
       for (std::size_t c = passed; c < candidates.size(); ++c) {

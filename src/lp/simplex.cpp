@@ -367,7 +367,6 @@ LpStatus SimplexCore::iterate_primal() {
         }
       }
       if (theta_rel < limit) {
-        ++stats_.harris_second_pass;
         double best_piv = 0.0;
         double chosen_t = 0.0;
         for (int i = 0; i < m_; ++i) {

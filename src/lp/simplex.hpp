@@ -71,9 +71,6 @@ struct LpStats {
   /// FT updates refused transactionally (unstable spike diagonal) — each one
   /// forced a refactorization instead.
   long long ft_refusals = 0;
-  /// Harris ratio tests whose second pass ran (pass 1 found a degenerate or
-  /// near-degenerate step worth re-picking for pivot size).
-  long long harris_second_pass = 0;
   /// Transitions into Bland's rule (anti-cycling episodes), primal + dual.
   long long bland_episodes = 0;
   bool dual_used = false;           ///< the dual simplex drove this solve.
@@ -96,7 +93,6 @@ struct LpStats {
     refactorizations += other.refactorizations;
     ft_updates += other.ft_updates;
     ft_refusals += other.ft_refusals;
-    harris_second_pass += other.harris_second_pass;
     bland_episodes += other.bland_episodes;
     dual_used = dual_used || other.dual_used;
     cold_retries += other.cold_retries;

@@ -437,8 +437,6 @@ void SimplexCore::finish(LpSolution& out, const LpModel& model,
       .add(static_cast<std::uint64_t>(stats_.refactorizations));
   A2A_COUNTER("lp.ft_updates").add(static_cast<std::uint64_t>(stats_.ft_updates));
   A2A_COUNTER("lp.ft_refusals").add(static_cast<std::uint64_t>(stats_.ft_refusals));
-  A2A_COUNTER("lp.harris_second_pass")
-      .add(static_cast<std::uint64_t>(stats_.harris_second_pass));
   A2A_COUNTER("lp.bland_episodes")
       .add(static_cast<std::uint64_t>(stats_.bland_episodes));
   A2A_HISTOGRAM("lp.solve.seconds").observe_seconds(out.solve_seconds);

@@ -13,8 +13,8 @@ namespace {
 /// Fill-reducing factorization order: repeatedly peel columns with exactly
 /// one entry in still-active rows (slacks immediately, then the cascade
 /// through the near-triangular network structure). Peeled pivots generate no
-/// L entries and therefore no fill; only the residual "bump" — typically a
-/// small fraction of a flow basis — is left to general elimination.
+/// L entries and therefore no fill; only the residual "bump" is left to
+/// general elimination, in the order chosen below.
 std::vector<int> singleton_peel_order(const CscMatrix& a,
                                       const std::vector<int>& columns) {
   const int n = static_cast<int>(columns.size());
@@ -76,10 +76,19 @@ std::vector<int> singleton_peel_order(const CscMatrix& a,
       if (--active_count[j2] == 1) stack.push_back(j2);
     }
   }
-  // The bump: whatever the peel could not order, in natural order.
+  // The bump: whatever the peel could not order, sparsest first (ascending
+  // count of entries in still-active rows; Suhl & Suhl 1990). A dense
+  // linking column such as pMCF's concurrent-flow F then goes last, where it
+  // costs one U column, instead of filling every later column with its L
+  // column. The sort is stable, so ties keep basis-position order.
+  const auto bump_begin = static_cast<std::ptrdiff_t>(order.size());
   for (int j = 0; j < n; ++j) {
     if (!used[j]) order.push_back(j);
   }
+  std::stable_sort(order.begin() + bump_begin, order.end(), [&](int x, int y) {
+    return active_count[static_cast<std::size_t>(x)] <
+           active_count[static_cast<std::size_t>(y)];
+  });
   return order;
 }
 

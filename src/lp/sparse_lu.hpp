@@ -4,8 +4,14 @@
 // Left-looking column factorization with partial pivoting; L and U are kept
 // as sparse columns, so ftran/btran are sparse triangular solves that skip
 // structural zeros instead of dense O(m^2) passes, and refactorization costs
-// O(fill) instead of the O(m^3) dense invert it replaces. Network-flow bases
-// are near-triangular, so fill stays close to the input nonzero count.
+// O(fill) instead of the O(m^3) dense invert it replaces. A column-singleton
+// peel orders the triangular part of the basis with zero fill. What it
+// leaves, the bump, is not small for every flow LP: the pMCF basis carries
+// the concurrent-flow column F, with an entry in every commodity's demand
+// row. The bump is therefore factored sparsest column first (ascending count
+// of entries in still-active rows, stable on basis position; the column
+// order of Suhl & Suhl 1990), so F is eliminated last and costs one U
+// column instead of filling every column after it through its L column.
 //
 // Between refactorizations the factors track the live basis with
 // Forrest–Tomlin updates (Forrest & Tomlin 1972): replacing the basis column

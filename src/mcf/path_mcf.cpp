@@ -69,11 +69,7 @@ PathSet build_shortest_path_set(const DiGraph& g,
   return set;
 }
 
-namespace {
-
-PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
-                                    const SimplexOptions& lp, LpBasis* warm,
-                                    LpWarmMode warm_mode, bool throw_on_fail) {
+LpModel build_path_mcf_model(const DiGraph& g, const PathSet& paths, int* f_var) {
   const std::size_t K = paths.commodities.size();
   A2A_REQUIRE(K >= 1, "empty path set");
   LpModel model(Sense::kMaximize);
@@ -85,7 +81,7 @@ PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
       model.add_variable(0.0, kInfinity, 0.0);
     }
   }
-  const int f_var = model.add_variable(0.0, kInfinity, 1.0);
+  const int f = model.add_variable(0.0, kInfinity, 1.0);
 
   // (22) capacity rows, built edge-major from the path incidences.
   std::vector<int> cap_row(static_cast<std::size_t>(g.num_edges()), -1);
@@ -105,9 +101,20 @@ PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
     for (std::size_t p = 0; p < paths.candidates[k].size(); ++p) {
       model.add_coefficient(row, first_var[k] + static_cast<int>(p), 1.0);
     }
-    model.add_coefficient(row, f_var, -paths.demand_of(k));
+    model.add_coefficient(row, f, -paths.demand_of(k));
   }
+  if (f_var != nullptr) *f_var = f;
+  return model;
+}
 
+namespace {
+
+PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
+                                    const SimplexOptions& lp, LpBasis* warm,
+                                    LpWarmMode warm_mode, bool throw_on_fail) {
+  const std::size_t K = paths.commodities.size();
+  int f_var = -1;
+  const LpModel model = build_path_mcf_model(g, paths, &f_var);
   const LpSolution sol = solve_lp_warm(model, lp, warm, warm_mode);
   if (throw_on_fail && !sol.optimal()) {
     throw SolverError("path MCF LP failed: " + to_string(sol.status));
@@ -122,10 +129,10 @@ PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
   // the zero weights for the caller's repair pass in that case.
   if (sol.values.size() > static_cast<std::size_t>(f_var)) {
     out.concurrent_flow = sol.values[static_cast<std::size_t>(f_var)];
+    std::size_t var = 0;  // (commodity, candidate) order, as built
     for (std::size_t k = 0; k < K; ++k) {
       for (std::size_t p = 0; p < paths.candidates[k].size(); ++p) {
-        const double v =
-            sol.values[static_cast<std::size_t>(first_var[k]) + p];
+        const double v = sol.values[var++];
         out.weights[k][p] = v > 1e-10 ? v : 0.0;
       }
     }

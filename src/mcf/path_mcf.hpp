@@ -34,6 +34,13 @@ namespace a2a {
                                               bool* truncated = nullptr,
                                               const DemandMatrix* demand = nullptr);
 
+/// Builds the pMCF LP (eqs. 21–24) without solving it. Variables run over
+/// (commodity, candidate) in `paths` order, with the concurrent rate F last
+/// (`*f_var`); F has an entry in every commodity's demand row. Exposed so
+/// tests can inspect the exact model the solver entry points run.
+[[nodiscard]] LpModel build_path_mcf_model(const DiGraph& g, const PathSet& paths,
+                                           int* f_var = nullptr);
+
 /// Exact path-based MCF LP. Result weights align with `paths.candidates`.
 struct PathMcfSolution {
   double concurrent_flow = 0.0;

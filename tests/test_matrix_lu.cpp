@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/matrix.hpp"
 #include "common/random.hpp"
+#include "graph/topologies.hpp"
 #include "lp/lu.hpp"
+#include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
 #include "lp/sparse_lu.hpp"
+#include "mcf/concurrent_flow.hpp"
+#include "mcf/path_mcf.hpp"
 
 namespace a2a {
 namespace {
@@ -222,6 +228,97 @@ TEST(SparseLu, ThrowsOnSingular) {
   csc.push(1, 4.0);
   SparseLu lu;
   EXPECT_THROW(lu.factor(csc, {0, 1}), SolverError);
+}
+
+TEST(SparseLu, DenseLinkingColumnStaysOutOfTheFill) {
+  // The optimal pMCF basis on GenKautz(12,3): F is basic and dense (one
+  // entry per commodity), the path columns are sparse. Wherever F sits in
+  // the basis, the bump order must eliminate it late, so its L column never
+  // fills the columns factored after it.
+  const DiGraph g = make_generalized_kautz(12, 3);
+  const PathSet paths = build_disjoint_path_set(g, all_nodes(g));
+  int f_var = -1;
+  const LpModel model = build_path_mcf_model(g, paths, &f_var);
+  SimplexOptions options;
+  options.presolve = false;
+  const LpSolution sol = solve_lp(model, options);
+  ASSERT_TRUE(sol.optimal());
+  ASSERT_EQ(sol.basis.variables[static_cast<std::size_t>(f_var)],
+            LpVarStatus::kBasic);
+
+  // Structural columns, then the slack identity; the basis lists its basic
+  // columns in that order.
+  const int m = model.num_rows();
+  const int n = model.num_variables();
+  CscMatrix a(m);
+  for (int j = 0; j < n; ++j) {
+    a.begin_column();
+    for (const auto& entry : model.column(j)) a.push(entry.row, entry.value);
+  }
+  for (int r = 0; r < m; ++r) {
+    a.begin_column();
+    a.push(r, 1.0);
+  }
+  std::vector<int> basis;
+  for (int j = 0; j < n; ++j) {
+    if (sol.basis.variables[static_cast<std::size_t>(j)] == LpVarStatus::kBasic) {
+      basis.push_back(j);
+    }
+  }
+  for (int r = 0; r < m; ++r) {
+    if (sol.basis.rows[static_cast<std::size_t>(r)] == LpVarStatus::kBasic) {
+      basis.push_back(n + r);
+    }
+  }
+  ASSERT_EQ(static_cast<int>(basis.size()), m);
+  std::size_t basis_nonzeros = 0;
+  for (const int col : basis) {
+    basis_nonzeros += static_cast<std::size_t>(a.col_end(col) - a.col_begin(col));
+  }
+
+  Rng rng(13);
+  for (const bool f_first : {true, false}) {
+    SCOPED_TRACE(f_first ? "F at basis position 0" : "F at its natural position");
+    std::vector<int> columns = basis;
+    if (f_first) {
+      const auto f = std::find(columns.begin(), columns.end(), f_var);
+      std::rotate(columns.begin(), f, f + 1);
+    }
+    SparseLu lu;
+    lu.factor(a, columns);
+    EXPECT_LE(lu.fill_nonzeros(), 2 * basis_nonzeros);
+
+    // FTRAN: B x = b, x indexed by basis position.
+    std::vector<double> b(static_cast<std::size_t>(m));
+    for (auto& v : b) v = rng.next_double() - 0.5;
+    std::vector<double> x = b, scratch;
+    lu.ftran(x, scratch);
+    std::vector<double> bx(static_cast<std::size_t>(m), 0.0);
+    for (int k = 0; k < m; ++k) {
+      const int col = columns[static_cast<std::size_t>(k)];
+      for (int p = a.col_begin(col); p < a.col_end(col); ++p) {
+        bx[static_cast<std::size_t>(a.entry_row(p))] +=
+            a.entry_value(p) * x[static_cast<std::size_t>(k)];
+      }
+    }
+    for (int r = 0; r < m; ++r) {
+      EXPECT_NEAR(bx[static_cast<std::size_t>(r)], b[static_cast<std::size_t>(r)], 1e-9);
+    }
+
+    // BTRAN: B' y = c, c indexed by basis position, y by row.
+    std::vector<double> c(static_cast<std::size_t>(m));
+    for (auto& v : c) v = rng.next_double() - 0.5;
+    std::vector<double> y = c;
+    lu.btran(y, scratch);
+    for (int k = 0; k < m; ++k) {
+      const int col = columns[static_cast<std::size_t>(k)];
+      double acc = 0.0;
+      for (int p = a.col_begin(col); p < a.col_end(col); ++p) {
+        acc += a.entry_value(p) * y[static_cast<std::size_t>(a.entry_row(p))];
+      }
+      EXPECT_NEAR(acc, c[static_cast<std::size_t>(k)], 1e-9);
+    }
+  }
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include "graph/algorithms.hpp"
 #include "graph/topologies.hpp"
 #include "mcf/concurrent_flow.hpp"
+#include "mcf/path_mcf.hpp"
 #include "mcf/timestepped.hpp"
+#include "obs/metrics.hpp"
 
 namespace a2a {
 namespace {
@@ -352,6 +354,35 @@ TEST(SimplexWarmStart, McfEntryPointsRoundTripBases) {
   const auto b = solve_link_mcf_exact(g, all_nodes(g), {}, &warm);
   EXPECT_NEAR(a.concurrent_flow, b.concurrent_flow, 1e-9);
   EXPECT_EQ(b.lp_iterations, 0);
+}
+
+/// bench_lp's full-size Fig. 9 sweep: scenario 1 collapses one GenKautz(27,4)
+/// link drawn by Rng(4242). Warm-starting its primal solve from scenario 0's
+/// optimal basis once drove the basis numerically singular (elimination
+/// column 805 of 806) and cost a cold retry. A tripwire for the LU's bump
+/// order, not a proof that warm solves never collapse.
+TEST(SimplexWarmStart, Fig9SweepScenarioOneDoesNotCollapse) {
+  const DiGraph base = make_generalized_kautz(27, 4);
+  const PathSet candidates = build_disjoint_path_set(base, all_nodes(base));
+  DiGraph g = base;
+  Rng rng(4242);
+  g.set_capacity(static_cast<EdgeId>(rng.next_below(
+                     static_cast<std::uint64_t>(g.num_edges()))),
+                 1e-6);
+
+  LpBasis basis;
+  (void)solve_path_mcf_exact(base, candidates, {}, &basis, LpWarmMode::kPrimal);
+  ASSERT_FALSE(basis.empty());
+  const obs::Counter& retries =
+      obs::MetricsRegistry::global().counter("lp.cold_retries");
+  const std::uint64_t retries_before = retries.value();
+  const auto warm =
+      solve_path_mcf_exact(g, candidates, {}, &basis, LpWarmMode::kPrimal);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(retries.value() - retries_before, 0u);
+  }
+  const auto cold = solve_path_mcf_exact(g, candidates);
+  EXPECT_NEAR(warm.concurrent_flow, cold.concurrent_flow, 1e-6);
 }
 
 // ---- degenerate and bound-flip pivot paths --------------------------------
