@@ -19,7 +19,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "common/thread_pool.hpp"
 #include "container/schedbin.hpp"
 #include "core/api.hpp"
 #include "core/schedule_cache.hpp"
@@ -98,7 +97,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
   }
-  ThreadPool pool;
   ToolchainOptions toolchain;
   toolchain.chunking = coarse_chunking();
   const Fabric fabric = hpc_cerio_fabric();
@@ -109,7 +107,7 @@ int main(int argc, char** argv) {
   Table sizes({"topology", "routes", "xml KB", "raw KB", "rle KB", "delta KB",
                "dict KB", "xml/delta", "delta/dict"});
   Table speeds({"topology", "xml enc MB/s", "xml dec MB/s", "bin enc MB/s",
-                "bin dec MB/s", "bin enc(mt) MB/s", "bin dec(mt) MB/s"});
+                "bin dec MB/s"});
 
   double worst_ratio = 1e30;
   double worst_dict_gain = 1e30;
@@ -167,20 +165,12 @@ int main(int argc, char** argv) {
 
     SchedBinOptions serial;
     serial.codec = SchedBinCodec::kDelta;
-    SchedBinOptions threaded = serial;
-    threaded.chunk_words = 4096;  // enough chunks to spread across the pool
-    threaded.pool = &pool;
     const double xml_enc = best_time([&] { (void)path_schedule_to_xml(g, sched); });
     const double xml_dec = best_time([&] { (void)path_schedule_from_xml(g, xml); });
     const double bin_enc =
         best_time([&] { (void)path_schedule_to_schedbin(g, sched, serial); });
     const double bin_dec =
         best_time([&] { (void)path_schedule_from_schedbin(g, delta); });
-    const double bin_enc_mt =
-        best_time([&] { (void)path_schedule_to_schedbin(g, sched, threaded); });
-    const std::string delta_mt = path_schedule_to_schedbin(g, sched, threaded);
-    const double bin_dec_mt = best_time(
-        [&] { (void)path_schedule_from_schedbin(g, delta_mt, &pool); });
     // Throughput normalized by the logical payload (the XML byte count), so
     // the columns compare end-to-end schedule (de)serialization rates.
     speeds.row()
@@ -188,9 +178,7 @@ int main(int argc, char** argv) {
         .cell(mbps(xml.size(), xml_enc), 1)
         .cell(mbps(xml.size(), xml_dec), 1)
         .cell(mbps(xml.size(), bin_enc), 1)
-        .cell(mbps(xml.size(), bin_dec), 1)
-        .cell(mbps(xml.size(), bin_enc_mt), 1)
-        .cell(mbps(xml.size(), bin_dec_mt), 1);
+        .cell(mbps(xml.size(), bin_dec), 1);
   }
   sizes.print(std::cout);
   std::cout << "\nworst xml/delta compression ratio: " << worst_ratio

@@ -5,6 +5,7 @@
 // paper makes (Fig. 5 + Fig. 7): regeneration takes seconds, is topology
 // agnostic (DOR is undefined on a punctured torus), and keeps throughput
 // near the new optimum while SSSP-style repair loses ~30%.
+#include <chrono>
 #include <iostream>
 
 #include "baselines/sssp.hpp"

@@ -8,6 +8,13 @@
 
 namespace a2a {
 
+namespace {
+
+/// The pool whose worker_loop runs on this thread, if any.
+thread_local const ThreadPool* current_pool = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
@@ -28,7 +35,15 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
+ThreadPool& ThreadPool::shared() {
+  // Leaked like the metrics registry: a caller on another thread may still
+  // be inside parallel_for during static destruction.
+  static ThreadPool* const pool = new ThreadPool();
+  return *pool;
+}
+
 void ThreadPool::worker_loop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -51,6 +66,10 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
+  if (current_pool == this) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
   // Work-stealing via a shared atomic index keeps task-queue overhead at one
   // enqueued closure per worker regardless of `count`. All cross-thread
   // coordination lives in one shared block; the exception slot is written
@@ -112,8 +131,11 @@ void ThreadPool::parallel_for(std::size_t count,
   }
   std::exception_ptr error;
   {
+    // Moved out, so the caller owns the exception: the queued closures
+    // still share `state` and may be destroyed on a worker after the
+    // caller's handler has run.
     std::lock_guard lock(state->error_mutex);
-    error = state->error;
+    error = std::move(state->error);
   }
   if (error) std::rethrow_exception(error);
 }

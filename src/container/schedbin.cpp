@@ -8,7 +8,6 @@
 #include "common/binio.hpp"
 #include "common/crc32.hpp"
 #include "common/mmap_file.hpp"
-#include "common/thread_pool.hpp"
 #include "common/varint.hpp"
 #include "container/columnar.hpp"
 #include "obs/metrics.hpp"
@@ -130,7 +129,7 @@ std::string encode_container(SchedBinKind kind, int num_nodes, int num_steps,
         std::make_unique<DictEncoder>(DictView{dict.data(), dict.size()});
   }
 
-  // Compress every chunk independently (parallel when a pool is supplied).
+  // Compress every chunk independently.
   std::vector<std::string> payloads(chunks);
   std::vector<SchedBinCodec> chunk_codecs(chunks, options.codec);
   const auto compress_one = [&](std::size_t c) {
@@ -160,16 +159,11 @@ std::string encode_container(SchedBinKind kind, int num_nodes, int num_steps,
     payloads[c] = std::move(best);
     chunk_codecs[c] = best_codec;
   };
-  if (options.pool != nullptr && chunks > 1) {
-    options.pool->parallel_for(chunks, compress_one);
-  } else {
-    for (std::size_t c = 0; c < chunks; ++c) compress_one(c);
-  }
+  for (std::size_t c = 0; c < chunks; ++c) compress_one(c);
 
   if (options.codec == SchedBinCodec::kDict) {
-    // Per-codec chunk tally, aggregated AFTER the parallel loop (the lambda
-    // runs on pool workers; scanning the result array here keeps the hot
-    // loop free of shared counters).
+    // Per-codec chunk tally, aggregated after the loop so the hot loop
+    // stays free of counters.
     std::size_t by_codec[4] = {0, 0, 0, 0};
     for (const SchedBinCodec c : chunk_codecs) {
       ++by_codec[static_cast<std::size_t>(c)];
@@ -493,20 +487,14 @@ void decode_chunk_at(std::string_view bytes, const ParsedContainer& pc,
 }
 
 std::vector<std::int64_t> decode_payload(std::string_view bytes,
-                                         const ParsedContainer& pc,
-                                         ThreadPool* pool) {
+                                         const ParsedContainer& pc) {
   const SchedBinInfo& info = pc.info;
   A2A_TRACE_SPAN("schedbin.decode",
                  std::to_string(info.num_chunks) + " chunks");
   const auto decode_start = std::chrono::steady_clock::now();
   std::vector<std::int64_t> words(info.word_count);
-  const auto decode_one = [&](std::size_t c) {
+  for (std::size_t c = 0; c < info.num_chunks; ++c) {
     decode_chunk_at(bytes, pc, c, words.data() + c * info.chunk_words);
-  };
-  if (pool != nullptr && info.num_chunks > 1) {
-    pool->parallel_for(info.num_chunks, decode_one);
-  } else {
-    for (std::size_t c = 0; c < info.num_chunks; ++c) decode_one(c);
   }
   A2A_COUNTER("schedbin.decode.calls").inc();
   A2A_COUNTER("schedbin.decode.payload_bytes").add(info.payload_bytes);
@@ -529,12 +517,11 @@ std::string link_schedule_to_schedbin(const LinkSchedule& schedule,
 }
 
 LinkSchedule link_schedule_from_schedbin(std::string_view bytes,
-                                         ThreadPool* pool,
                                          std::uint64_t max_decoded_bytes) {
   const ParsedContainer pc = parse_container(bytes, max_decoded_bytes);
   A2A_REQUIRE(pc.info.kind == SchedBinKind::kLink,
               "not a link-schedule SchedBin");
-  const std::vector<std::int64_t> words = decode_payload(bytes, pc, pool);
+  const std::vector<std::int64_t> words = decode_payload(bytes, pc);
   return link_schedule_from_words(words, pc.info.num_nodes, pc.info.num_steps,
                                   static_cast<std::size_t>(pc.info.record_count));
 }
@@ -549,12 +536,11 @@ std::string path_schedule_to_schedbin(const DiGraph& g,
 
 PathSchedule path_schedule_from_schedbin(const DiGraph& g,
                                          std::string_view bytes,
-                                         ThreadPool* pool,
                                          std::uint64_t max_decoded_bytes) {
   const ParsedContainer pc = parse_container(bytes, max_decoded_bytes);
   A2A_REQUIRE(pc.info.kind == SchedBinKind::kPath,
               "not a path-schedule SchedBin");
-  const std::vector<std::int64_t> words = decode_payload(bytes, pc, pool);
+  const std::vector<std::int64_t> words = decode_payload(bytes, pc);
   return path_schedule_from_words(g, words, pc.info.num_nodes,
                                   pc.info.chunk_unit,
                                   static_cast<std::size_t>(pc.info.record_count));
@@ -574,8 +560,7 @@ SchedBinInfo schedbin_inspect(std::string_view bytes,
 std::string schedbin_convert(std::string_view bytes, SchedBinOptions options,
                              std::uint64_t max_decoded_bytes) {
   const ParsedContainer pc = parse_container(bytes, max_decoded_bytes);
-  const std::vector<std::int64_t> words =
-      decode_payload(bytes, pc, options.pool);
+  const std::vector<std::int64_t> words = decode_payload(bytes, pc);
   // Frame metadata rides along unless the caller stamps its own; v1 targets
   // cannot carry any, so conversion down-level drops it by design.
   if (options.metadata.empty() && options.version == kSchedBinVersion2) {
@@ -666,26 +651,25 @@ std::size_t SchedBinReader::decode_chunk(std::uint32_t c,
   return count;
 }
 
-std::vector<std::int64_t> SchedBinReader::decode_all(ThreadPool* pool) const {
-  std::vector<std::int64_t> words = decode_payload(impl_->bytes, impl_->pc, pool);
+std::vector<std::int64_t> SchedBinReader::decode_all() const {
+  std::vector<std::int64_t> words = decode_payload(impl_->bytes, impl_->pc);
   impl_->payload_read.fetch_add(impl_->pc.info.payload_bytes,
                                 std::memory_order_relaxed);
   return words;
 }
 
-LinkSchedule SchedBinReader::read_link(ThreadPool* pool) const {
+LinkSchedule SchedBinReader::read_link() const {
   const SchedBinInfo& info = impl_->pc.info;
   A2A_REQUIRE(info.kind == SchedBinKind::kLink, "not a link-schedule SchedBin");
-  return link_schedule_from_words(decode_all(pool), info.num_nodes,
+  return link_schedule_from_words(decode_all(), info.num_nodes,
                                   info.num_steps,
                                   static_cast<std::size_t>(info.record_count));
 }
 
-PathSchedule SchedBinReader::read_path(const DiGraph& g,
-                                       ThreadPool* pool) const {
+PathSchedule SchedBinReader::read_path(const DiGraph& g) const {
   const SchedBinInfo& info = impl_->pc.info;
   A2A_REQUIRE(info.kind == SchedBinKind::kPath, "not a path-schedule SchedBin");
-  return path_schedule_from_words(g, decode_all(pool), info.num_nodes,
+  return path_schedule_from_words(g, decode_all(), info.num_nodes,
                                   info.chunk_unit,
                                   static_cast<std::size_t>(info.record_count));
 }

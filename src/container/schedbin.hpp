@@ -5,8 +5,8 @@
 // many consumers) they are too large and too slow to parse. SchedBin stores
 // the same schedules as a compact little-endian artifact, modeled on the
 // chunked-frame design of Blosc2: a fixed header and independently
-// compressed chunks that can be (de)compressed in parallel and are each
-// guarded by a CRC-32.
+// compressed chunks, each guarded by a CRC-32, so a reader decodes only the
+// chunks it needs. Encode and decode walk the chunks on the calling thread.
 //
 // Format v1 layout (all integers little-endian):
 //
@@ -51,8 +51,7 @@
 //
 // The payload stream is the columnar flattening of columnar.hpp. Chunks are
 // fixed word-count slices of that stream, so decode offsets are computable
-// from the directory alone and every chunk decodes independently — the
-// multithreaded path hands one chunk per thread-pool task.
+// from the directory alone and every chunk decodes independently.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +66,6 @@
 #include "schedule/schedule.hpp"
 
 namespace a2a {
-
-class ThreadPool;
 
 inline constexpr char kSchedBinMagic[4] = {'S', 'B', 'I', 'N'};
 inline constexpr char kSchedBinTrailerMagic[4] = {'S', 'B', 'T', 'R'};
@@ -106,11 +103,9 @@ struct SchedBinOptions {
   /// older readers and writes byte-identical frames to PR 1.
   std::uint16_t version = kSchedBinVersion2;
   /// Words per chunk. The default (64Ki words = 512 KiB raw) keeps chunk
-  /// count low for small schedules while giving large ones enough chunks to
-  /// saturate the pool.
+  /// count low for small schedules while a mmap reader of a large one still
+  /// decodes a chunk without touching the rest.
   std::uint32_t chunk_words = 64 * 1024;
-  /// Optional pool for parallel per-chunk compression; serial when null.
-  ThreadPool* pool = nullptr;
   /// Free-form provenance stamps written into the v2 trailer (v1 frames
   /// cannot carry metadata; writing v1 with metadata is an error).
   SchedBinMetadata metadata;
@@ -140,7 +135,7 @@ struct SchedBinInfo {
     const LinkSchedule& schedule, const SchedBinOptions& options = {});
 
 [[nodiscard]] LinkSchedule link_schedule_from_schedbin(
-    std::string_view bytes, ThreadPool* pool = nullptr,
+    std::string_view bytes,
     std::uint64_t max_decoded_bytes = kSchedBinDefaultDecodeBudget);
 
 [[nodiscard]] std::string path_schedule_to_schedbin(
@@ -148,7 +143,7 @@ struct SchedBinInfo {
     const SchedBinOptions& options = {});
 
 [[nodiscard]] PathSchedule path_schedule_from_schedbin(
-    const DiGraph& g, std::string_view bytes, ThreadPool* pool = nullptr,
+    const DiGraph& g, std::string_view bytes,
     std::uint64_t max_decoded_bytes = kSchedBinDefaultDecodeBudget);
 
 /// Validates magic/version/structure and every chunk CRC without decoding.
@@ -211,13 +206,11 @@ class SchedBinReader {
   /// are touched.
   std::size_t decode_chunk(std::uint32_t c, std::vector<std::int64_t>& out) const;
 
-  /// Decodes the whole payload (parallel per chunk when a pool is given).
-  [[nodiscard]] std::vector<std::int64_t> decode_all(
-      ThreadPool* pool = nullptr) const;
+  /// Decodes the whole payload, chunk by chunk.
+  [[nodiscard]] std::vector<std::int64_t> decode_all() const;
 
-  [[nodiscard]] LinkSchedule read_link(ThreadPool* pool = nullptr) const;
-  [[nodiscard]] PathSchedule read_path(const DiGraph& g,
-                                       ThreadPool* pool = nullptr) const;
+  [[nodiscard]] LinkSchedule read_link() const;
+  [[nodiscard]] PathSchedule read_path(const DiGraph& g) const;
 
   /// Container bytes consumed so far: the header/directory/trailer overhead
   /// plus every chunk payload decoded through this reader.

@@ -40,14 +40,6 @@ long long estimate_path_diversity(const DiGraph& g, int samples) {
   return worst;
 }
 
-std::optional<GeneratedSchedule> lookup_schedule(ScheduleCache* cache,
-                                                 const std::string& fingerprint) {
-  if (cache == nullptr) return std::nullopt;
-  auto cached = cache->lookup(fingerprint);
-  if (cached.has_value()) cached->from_cache = true;
-  return cached;
-}
-
 GeneratedSchedule generate_schedule(const DiGraph& topology,
                                     const Fabric& fabric,
                                     const ToolchainOptions& options,
@@ -55,7 +47,8 @@ GeneratedSchedule generate_schedule(const DiGraph& topology,
   if (cache == nullptr) return synthesize_schedule(topology, fabric, options);
   const std::string fingerprint =
       schedule_fingerprint(topology, fabric, options);
-  if (auto cached = lookup_schedule(cache, fingerprint)) {
+  if (auto cached = cache->lookup(fingerprint)) {
+    cached->from_cache = true;
     return std::move(*cached);
   }
   GeneratedSchedule result = synthesize_schedule(topology, fabric, options);

@@ -83,14 +83,8 @@ struct GeneratedSchedule {
                                                     const Fabric& fabric,
                                                     const ToolchainOptions& options = {});
 
-/// The lookup half: cached schedule for an already-computed fingerprint, or
-/// nullopt on miss (or null cache). Serves the decoded value — the
-/// zero-copy byte path is ScheduleCache::lookup_artifact().
-[[nodiscard]] std::optional<GeneratedSchedule> lookup_schedule(
-    ScheduleCache* cache, const std::string& fingerprint);
-
-/// Cache-aware variant, now a thin composition of the fingerprint-first
-/// split: schedule_fingerprint() -> lookup_schedule() -> on miss,
+/// Cache-aware variant, a thin composition of the fingerprint-first split:
+/// schedule_fingerprint() -> ScheduleCache::lookup() -> on miss,
 /// synthesize_schedule() + ScheduleCache::insert(). With a null cache this
 /// is identical to the three-argument overload.
 [[nodiscard]] GeneratedSchedule generate_schedule(const DiGraph& topology,

@@ -129,6 +129,13 @@ void write_file_atomic(const std::string& path, std::string_view bytes) {
   fs::rename(tmp, path);
 }
 
+/// Content key of an artifact's bytes (32 hex chars), the basename of its
+/// object file in the disk tier.
+std::string schedule_content_key(std::string_view bytes) {
+  return hex128(fnv1a(bytes, 0x5bd1e995ULL),
+                fnv1a(bytes, 0xc2b2ae3d27d4eb4fULL));
+}
+
 std::optional<std::string> read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) return std::nullopt;
@@ -170,7 +177,6 @@ std::string schedule_fingerprint(const DiGraph& topology, const Fabric& fabric,
   feed_i64(buf, options.mcf.lp.stall_limit);
   feed_double(buf, options.mcf.fptas.epsilon);
   feed_i64(buf, options.mcf.fptas.max_phases);
-  // options.mcf.threads intentionally excluded: it changes wall time only.
   feed_i64(buf, options.chunking.max_denominator);
   feed_double(buf, options.chunking.min_fraction);
   feed_i64(buf, options.vc_max_layers_warn);
@@ -181,11 +187,6 @@ std::string schedule_fingerprint(const DiGraph& topology, const Fabric& fabric,
   }
 
   return hex128(fnv1a(buf, 0), fnv1a(buf, 0x9e3779b97f4a7c15ULL));
-}
-
-std::string schedule_content_key(std::string_view bytes) {
-  return hex128(fnv1a(bytes, 0x5bd1e995ULL),
-                fnv1a(bytes, 0xc2b2ae3d27d4eb4fULL));
 }
 
 std::size_t schedule_memory_bytes(const GeneratedSchedule& s) {

@@ -105,8 +105,9 @@ struct ScheduleCacheStats {
 /// Fingerprint of a generate_schedule() request: a 128-bit hash (32 hex
 /// chars) over the topology's canonical form (node count + sorted edge list
 /// with capacities), every fabric field, and every semantically relevant
-/// ToolchainOptions field. Thread counts are excluded — they change wall
-/// time, not the schedule.
+/// ToolchainOptions field. The core count is not an input: the decomposed
+/// solve's child loop gives bit-identical results on one thread or across
+/// the shared pool.
 [[nodiscard]] std::string schedule_fingerprint(const DiGraph& topology,
                                                const Fabric& fabric,
                                                const ToolchainOptions& options);
@@ -257,9 +258,5 @@ class ScheduleCache {
     const GeneratedSchedule& schedule, const SchedBinOptions& options = {});
 [[nodiscard]] GeneratedSchedule generated_schedule_from_bytes(
     std::string_view bytes);
-
-/// Content key of an artifact's bytes (32 hex chars), the basename of its
-/// object file in the disk tier. Exposed for tests.
-[[nodiscard]] std::string schedule_content_key(std::string_view bytes);
 
 }  // namespace a2a

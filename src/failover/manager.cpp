@@ -385,8 +385,7 @@ PrecomputeReport FailoverManager::precompute(
   report.attempted = domain.size();
   std::atomic<std::size_t> stored{0}, skipped{0}, failed{0};
 
-  ThreadPool pool(options_.threads);
-  pool.parallel_for(domain.size(), [&](std::size_t i) {
+  ThreadPool::shared().parallel_for(domain.size(), [&](std::size_t i) {
     FailureSignature sig = domain[i];
     sig.normalize();
     const DegradedView view = make_view(sig);

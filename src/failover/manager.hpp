@@ -81,8 +81,6 @@ struct FailoverOptions {
   /// degraded reroute renormalizes (matches the LP's zero clamp).
   double min_route_weight = 1e-9;
   ChunkingOptions chunking{.max_denominator = 24, .min_fraction = 1e-3};
-  /// Threads for precompute() (0 = hardware concurrency).
-  unsigned threads = 0;
   FailureDomainOptions domain;
   SimplexOptions lp;
 };
@@ -133,9 +131,11 @@ class FailoverManager {
   /// domain options.
   [[nodiscard]] std::vector<FailureSignature> enumerate_domain() const;
 
-  /// Batch-synthesizes fallback schedules for `domain` across the thread
-  /// pool (dual-warm from the healthy basis where the LP shape allows) and
-  /// stores the validated results in the library.
+  /// Batch-synthesizes fallback schedules for `domain`, one signature per
+  /// iteration of a parallel_for on ThreadPool::shared() (dual-warm from the
+  /// healthy basis where the LP shape allows), and stores the validated
+  /// results in the library. Each task's own solve, compile, validate and
+  /// encode run serially on its worker.
   PrecomputeReport precompute(const std::vector<FailureSignature>& domain);
 
   /// The online entry point: best valid schedule for the degraded fabric

@@ -46,13 +46,6 @@ std::vector<int> bfs_distances_to(const DiGraph& g, NodeId target) {
   return dist;
 }
 
-std::vector<std::vector<int>> all_pairs_distances(const DiGraph& g) {
-  std::vector<std::vector<int>> out;
-  out.reserve(static_cast<std::size_t>(g.num_nodes()));
-  for (NodeId s = 0; s < g.num_nodes(); ++s) out.push_back(bfs_distances(g, s));
-  return out;
-}
-
 bool is_strongly_connected(const DiGraph& g) {
   if (g.num_nodes() <= 1) return true;
   const auto fwd = bfs_distances(g, 0);

@@ -18,9 +18,6 @@ inline constexpr int kUnreachable = -1;
 /// Hop distances *to* `target` (BFS on reversed arcs).
 [[nodiscard]] std::vector<int> bfs_distances_to(const DiGraph& g, NodeId target);
 
-/// All-pairs hop distances; dist[s][t].
-[[nodiscard]] std::vector<std::vector<int>> all_pairs_distances(const DiGraph& g);
-
 /// True iff every node reaches every other node.
 [[nodiscard]] bool is_strongly_connected(const DiGraph& g);
 

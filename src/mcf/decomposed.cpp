@@ -4,11 +4,15 @@
 #include <chrono>
 
 #include "collectives/demand.hpp"
+#include "common/thread_pool.hpp"
 #include "mcf/extraction.hpp"
 #include "obs/trace.hpp"
 
 namespace a2a {
 
+namespace {
+
+/// Master stage only (mode-dispatched).
 GroupedFlowSolution solve_master(const DiGraph& g,
                                  const std::vector<NodeId>& terminals,
                                  const DecomposedOptions& options,
@@ -28,6 +32,8 @@ GroupedFlowSolution solve_master(const DiGraph& g,
   fo.epsilon = options.fptas_epsilon;
   return fleischer_grouped(g, terminals, fo, demand);
 }
+
+}  // namespace
 
 LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
                                       const std::vector<NodeId>& terminals,
@@ -75,8 +81,7 @@ LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
     }
   }
 
-  ThreadPool pool(options.threads);
-  pool.parallel_for(static_cast<std::size_t>(S), [&](std::size_t si) {
+  ThreadPool::shared().parallel_for(static_cast<std::size_t>(S), [&](std::size_t si) {
     if (silent[si]) return;
     // Child solves run on pool workers; the span carries the worker's
     // thread id, so traces show how child LPs spread across the pool.

@@ -2,7 +2,9 @@
 //
 // The O(N^3)-variable link MCF is split into
 //   * a master LP on N source-grouped commodities (O(N^2) variables), and
-//   * N independent child problems, one per source, run on a thread pool.
+//   * N independent child problems, one per source, run on the process-wide
+//     ThreadPool::shared() (inline when the caller is itself one of its
+//     workers).
 //
 // Two exactness tiers per stage:
 //   master: exact simplex up to a size threshold, Fleischer FPTAS at tight
@@ -14,7 +16,6 @@
 //           and much faster alternative (measured in the ablation bench).
 #pragma once
 
-#include "common/thread_pool.hpp"
 #include "mcf/concurrent_flow.hpp"
 #include "mcf/fleischer.hpp"
 
@@ -38,8 +39,6 @@ struct DecomposedOptions {
   /// rhs-only perturbations with the dual simplex instead of restoration.
   LpWarmMode warm_mode = LpWarmMode::kAuto;
   FleischerOptions fptas;
-  /// 0 = hardware concurrency.
-  unsigned threads = 0;
 };
 
 struct DecomposedTiming {
@@ -61,12 +60,5 @@ struct DecomposedTiming {
     const DiGraph& g, const std::vector<NodeId>& terminals,
     const DecomposedOptions& options = {}, DecomposedTiming* timing = nullptr,
     LpBasis* master_warm = nullptr, const DemandMatrix* demand = nullptr);
-
-/// Master stage only (mode-dispatched); exposed for Fig. 7's breakdown.
-[[nodiscard]] GroupedFlowSolution solve_master(const DiGraph& g,
-                                               const std::vector<NodeId>& terminals,
-                                               const DecomposedOptions& options = {},
-                                               LpBasis* master_warm = nullptr,
-                                               const DemandMatrix* demand = nullptr);
 
 }  // namespace a2a

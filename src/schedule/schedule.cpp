@@ -1,6 +1,8 @@
 #include "schedule/schedule.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <tuple>
 
 namespace a2a {
 
@@ -17,6 +19,47 @@ std::vector<std::vector<double>> LinkSchedule::bytes_per_edge_step(
         tr.chunk.size().to_double() * shard_bytes;
   }
   return bytes;
+}
+
+void LinkSchedule::for_each_chunk(
+    const std::function<void(const std::vector<const Transfer*>&)>& fn) const {
+  // Both compilers emit a chunk's hops back to back, so the schedule splits
+  // into one run of equal-chunk transfers per chunk; a stable sort of the
+  // runs brings a chunk's runs together in schedule order. Any other
+  // transfer order only means more runs, down to one per transfer.
+  using ChunkKey = std::tuple<NodeId, NodeId, std::int64_t, std::int64_t,
+                              std::int64_t, std::int64_t>;
+  struct Run {
+    ChunkKey key;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<Run> runs;
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
+    const Chunk& c = transfers[i].chunk;
+    if (!runs.empty() && c == transfers[runs.back().begin].chunk) {
+      runs.back().end = i + 1;
+    } else {
+      runs.push_back(Run{{c.src, c.dst, c.lo.num(), c.lo.den(), c.hi.num(),
+                          c.hi.den()},
+                         i, i + 1});
+    }
+  }
+  std::stable_sort(runs.begin(), runs.end(),
+                   [](const Run& a, const Run& b) { return a.key < b.key; });
+  std::vector<const Transfer*> hops;
+  for (std::size_t r = 0; r < runs.size();) {
+    hops.clear();
+    const ChunkKey& key = runs[r].key;
+    for (; r < runs.size() && runs[r].key == key; ++r) {
+      for (std::size_t i = runs[r].begin; i < runs[r].end; ++i) {
+        hops.push_back(&transfers[i]);
+      }
+    }
+    std::sort(hops.begin(), hops.end(),
+              [](const Transfer* a, const Transfer* b) { return a->step < b->step; });
+    fn(hops);
+  }
 }
 
 std::vector<double> PathSchedule::edge_load(const DiGraph& g) const {

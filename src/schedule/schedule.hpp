@@ -6,6 +6,7 @@
 // the unit shard, so a schedule is valid for any shard byte size m.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "common/rational.hpp"
@@ -46,6 +47,11 @@ struct LinkSchedule {
   /// (indexed [step-1][edge]).
   [[nodiscard]] std::vector<std::vector<double>> bytes_per_edge_step(
       const DiGraph& g, double shard_bytes) const;
+
+  /// Calls fn once per distinct chunk, in (src, dst, lo, hi) order, with
+  /// that chunk's transfers sorted by step.
+  void for_each_chunk(
+      const std::function<void(const std::vector<const Transfer*>&)>& fn) const;
 };
 
 /// One weighted route of a path-based schedule, already chunked: the route

@@ -1,8 +1,6 @@
 #include "schedule/stats.hpp"
 
 #include <algorithm>
-#include <map>
-#include <tuple>
 
 namespace a2a {
 
@@ -13,35 +11,33 @@ LinkScheduleStats analyze_link_schedule(const DiGraph& g,
   stats.num_steps = schedule.num_steps;
   stats.num_transfers = static_cast<long long>(schedule.transfers.size());
   stats.step_traffic.assign(static_cast<std::size_t>(schedule.num_steps), 0.0);
-
-  using ChunkKey = std::tuple<NodeId, NodeId, std::int64_t, std::int64_t,
-                              std::int64_t, std::int64_t>;
-  // Per chunk: hops ordered by step, to find residence intervals.
-  std::map<ChunkKey, std::vector<const Transfer*>> per_chunk;
+  NodeId ranks = schedule.num_nodes;
   for (const Transfer& t : schedule.transfers) {
     stats.step_traffic[static_cast<std::size_t>(t.step - 1)] +=
         t.chunk.size().to_double();
-    per_chunk[{t.chunk.src, t.chunk.dst, t.chunk.lo.num(), t.chunk.lo.den(),
-               t.chunk.hi.num(), t.chunk.hi.den()}]
-        .push_back(&t);
+    ranks = std::max(ranks, t.to + 1);
   }
-  // Scratch: a forwarded chunk occupies rank r's scratch from its arrival
-  // step until the step it is forwarded. Track per (rank, step) occupancy.
-  std::map<std::pair<NodeId, int>, double> scratch;
-  for (auto& [key, hops] : per_chunk) {
-    std::sort(hops.begin(), hops.end(), [](const Transfer* a, const Transfer* b) {
-      return a->step < b->step;
-    });
+  // Scratch: a forwarded chunk occupies its holder's scratch from its
+  // arrival step until the step it is forwarded. Each residence adds to the
+  // holder's difference array over the steps; prefix sums then give every
+  // (rank, step) occupancy.
+  const auto span = static_cast<std::size_t>(schedule.num_steps) + 1;
+  std::vector<double> scratch(static_cast<std::size_t>(ranks) * span, 0.0);
+  schedule.for_each_chunk([&](const std::vector<const Transfer*>& hops) {
     stats.max_hops = std::max(stats.max_hops, static_cast<int>(hops.size()));
     for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-      const NodeId holder = hops[i]->to;
-      for (int step = hops[i]->step; step < hops[i + 1]->step; ++step) {
-        scratch[{holder, step}] += hops[i]->chunk.size().to_double();
-      }
+      const double size = hops[i]->chunk.size().to_double();
+      double* held = scratch.data() + static_cast<std::size_t>(hops[i]->to) * span;
+      held[hops[i]->step] += size;
+      held[hops[i + 1]->step] -= size;
     }
-  }
-  for (const auto& [key, bytes] : scratch) {
-    stats.peak_scratch_per_rank = std::max(stats.peak_scratch_per_rank, bytes);
+  });
+  for (std::size_t r = 0; r < static_cast<std::size_t>(ranks); ++r) {
+    double held = 0.0;
+    for (std::size_t step = 0; step < span; ++step) {
+      held += scratch[r * span + step];
+      stats.peak_scratch_per_rank = std::max(stats.peak_scratch_per_rank, held);
+    }
   }
   return stats;
 }

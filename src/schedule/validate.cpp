@@ -4,21 +4,12 @@
 #include <cmath>
 #include <map>
 #include <sstream>
-#include <tuple>
 
 #include "collectives/demand.hpp"
 
 namespace a2a {
 
 namespace {
-
-/// A chunk's identity; chunks are checked in the order of this key.
-using ChunkKey = std::tuple<NodeId, NodeId, std::int64_t, std::int64_t,
-                            std::int64_t, std::int64_t>;
-
-ChunkKey chunk_key(const Chunk& c) {
-  return {c.src, c.dst, c.lo.num(), c.lo.den(), c.hi.num(), c.hi.den()};
-}
 
 std::string chunk_name(const Chunk& c) {
   std::ostringstream os;
@@ -27,12 +18,6 @@ std::string chunk_name(const Chunk& c) {
 }
 
 }  // namespace
-
-ValidationResult validate_link_schedule(const DiGraph& g,
-                                        const LinkSchedule& schedule,
-                                        const std::vector<NodeId>& terminals) {
-  return validate_link_schedule(g, schedule, terminals, nullptr);
-}
 
 ValidationResult validate_link_schedule(const DiGraph& g,
                                         const LinkSchedule& schedule,
@@ -53,43 +38,12 @@ ValidationResult validate_link_schedule(const DiGraph& g,
                   std::to_string(t.to) + ")");
     }
   }
-  // Group transfers per chunk identity, visiting chunks in ChunkKey order.
-  // Both compilers emit a chunk's hops back to back, so the schedule splits
-  // into one run of equal-chunk transfers per chunk; a stable sort of the
-  // runs brings a chunk's runs together in schedule order. Any other
-  // transfer order only means more runs, down to one per transfer.
-  struct Run {
-    ChunkKey key;
-    std::size_t begin;
-    std::size_t end;
-  };
-  const auto& transfers = schedule.transfers;
-  std::vector<Run> runs;
-  for (std::size_t i = 0; i < transfers.size(); ++i) {
-    if (!runs.empty() && transfers[i].chunk == transfers[runs.back().begin].chunk) {
-      runs.back().end = i + 1;
-    } else {
-      runs.push_back(Run{chunk_key(transfers[i].chunk), i, i + 1});
-    }
-  }
-  std::stable_sort(runs.begin(), runs.end(),
-                   [](const Run& a, const Run& b) { return a.key < b.key; });
   // Per chunk: hops sorted by step must chain src -> ... -> dst with
   // strictly increasing steps.
   std::map<std::pair<NodeId, NodeId>, std::vector<std::pair<Rational, Rational>>>
       delivered;
-  std::vector<const Transfer*> hops;
-  for (std::size_t r = 0; r < runs.size();) {
-    hops.clear();
-    const ChunkKey& key = runs[r].key;
-    for (; r < runs.size() && runs[r].key == key; ++r) {
-      for (std::size_t i = runs[r].begin; i < runs[r].end; ++i) {
-        hops.push_back(&transfers[i]);
-      }
-    }
+  schedule.for_each_chunk([&](const std::vector<const Transfer*>& hops) {
     const Chunk& c = hops.front()->chunk;
-    std::sort(hops.begin(), hops.end(),
-              [](const Transfer* a, const Transfer* b) { return a->step < b->step; });
     NodeId at = c.src;
     int prev_step = 0;
     bool chain_ok = true;
@@ -116,7 +70,7 @@ ValidationResult validate_link_schedule(const DiGraph& g,
     if (chain_ok && at == c.dst) {
       delivered[{c.src, c.dst}].emplace_back(c.lo, c.hi);
     }
-  }
+  });
   // Completeness: every (s,d) shard tiles [0, w) — w == 1 without a demand
   // matrix (checked exactly); w == demand(s,d) within demand_tol otherwise.
   const int S = static_cast<int>(terminals.size());
@@ -162,12 +116,6 @@ ValidationResult validate_link_schedule(const DiGraph& g,
     }
   }
   return result;
-}
-
-ValidationResult validate_path_schedule(const DiGraph& g,
-                                        const PathSchedule& schedule,
-                                        const std::vector<NodeId>& terminals) {
-  return validate_path_schedule(g, schedule, terminals, nullptr);
 }
 
 ValidationResult validate_path_schedule(const DiGraph& g,

@@ -225,7 +225,7 @@ TEST(FuzzSchedBin, SmokeSeededMutations) {
       // survive a re-encode round trip.
       if (info.kind == SchedBinKind::kLink) {
         const LinkSchedule sched =
-            link_schedule_from_schedbin(mutant, nullptr, budget);
+            link_schedule_from_schedbin(mutant, budget);
         SchedBinOptions re;
         re.codec = info.codec;
         const std::string bytes = link_schedule_to_schedbin(sched, re);
@@ -235,7 +235,7 @@ TEST(FuzzSchedBin, SmokeSeededMutations) {
         // Mutant route words rarely resolve against any real topology;
         // a clean InvalidArgument is fine, a crash is not.
         try {
-          (void)path_schedule_from_schedbin(cube, mutant, nullptr, budget);
+          (void)path_schedule_from_schedbin(cube, mutant, budget);
         } catch (const Error&) {
         }
       }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 #include <sstream>
 
@@ -121,6 +122,26 @@ TEST(ThreadPool, LateIterationsSkippedAfterFailure) {
                SolverError);
   for (auto& h : hits) EXPECT_LE(h.load(), 1);
   EXPECT_EQ(hits[0].load(), 1);
+}
+
+TEST(ThreadPool, NestedLoopRunsInlineOnTheWorker) {
+  // A parallel_for issued from one of the pool's own workers runs on that
+  // worker: with two of four workers busy in the outer loop, the inner
+  // iterations must not spread to the idle two.
+  ThreadPool pool(4);
+  std::thread::id outer_ids[2];
+  std::thread::id inner_ids[2][8];
+  pool.parallel_for(2, [&](std::size_t o) {
+    outer_ids[o] = std::this_thread::get_id();
+    pool.parallel_for(8, [&](std::size_t i) {
+      inner_ids[o][i] = std::this_thread::get_id();
+    });
+  });
+  for (std::size_t o = 0; o < 2; ++o) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(inner_ids[o][i], outer_ids[o]) << "outer " << o << ", inner " << i;
+    }
+  }
 }
 
 TEST(Table, AlignsColumns) {

@@ -6,7 +6,6 @@
 #include "common/binio.hpp"
 #include "common/crc32.hpp"
 #include "common/random.hpp"
-#include "common/thread_pool.hpp"
 #include "common/varint.hpp"
 #include "graph/topologies.hpp"
 #include "mcf/decomposed.hpp"
@@ -265,23 +264,6 @@ TEST(SchedBin, CompiledPathScheduleRoundTripsAndStillValidates) {
   const PathSchedule parsed = path_schedule_from_schedbin(g, bytes);
   expect_path_equal(parsed, sched);
   EXPECT_TRUE(validate_path_schedule(g, parsed, all_nodes(g)).ok);
-}
-
-TEST(SchedBin, ParallelAndSerialProduceIdenticalBytes) {
-  Rng rng(7);
-  const LinkSchedule s = random_link_schedule(rng, 2000);
-  ThreadPool pool(4);
-  for (const SchedBinCodec codec : kAllCodecs) {
-    SchedBinOptions serial;
-    serial.codec = codec;
-    serial.chunk_words = 128;  // ~140 chunks
-    SchedBinOptions parallel = serial;
-    parallel.pool = &pool;
-    const std::string a = link_schedule_to_schedbin(s, serial);
-    const std::string b = link_schedule_to_schedbin(s, parallel);
-    EXPECT_EQ(a, b);
-    expect_link_equal(link_schedule_from_schedbin(b, &pool), s);
-  }
 }
 
 TEST(SchedBin, DeltaBeatsXmlOnRealSchedules) {

@@ -1,12 +1,19 @@
 // Determinism regression tests: the same instance must produce bit-identical
 // pivot sequences, objectives, values, and LpBasis exports run after run —
-// and across thread counts for the decomposed solver — pinning the
-// deterministic tie-breaking PR 3 introduced and the deterministic partial-
-// pricing cursor this PR added.
+// and for the decomposed solver whether its child loop runs on one thread
+// or across the shared pool, alone or next to concurrent solves — pinning
+// the deterministic tie-breaking and the deterministic partial-pricing
+// cursor.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <fstream>
+#include <string>
+#include <thread>
 
+#include "common/thread_pool.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/topologies.hpp"
 #include "lp/simplex.hpp"
@@ -86,26 +93,89 @@ TEST(LpDeterminism, PartialPricingCursorIsDeterministic) {
               1e-7 * std::max(1.0, std::abs(c.objective)));
 }
 
-TEST(LpDeterminism, DecomposedSolveIsThreadCountInvariant) {
+/// The GenKautz(12,4) decomposed solve with child LPs.
+LinkFlowSolution gk12_child_lp_solve() {
   const DiGraph g = make_generalized_kautz(12, 4);
-  const auto nodes = all_nodes(g);
   DecomposedOptions opts;
   opts.child = ChildMode::kLp;
-  opts.threads = 1;
-  const LinkFlowSolution one = solve_decomposed_mcf(g, nodes, opts);
-  opts.threads = 4;
-  const LinkFlowSolution four = solve_decomposed_mcf(g, nodes, opts);
-  EXPECT_TRUE(bit_equal(one.concurrent_flow, four.concurrent_flow));
-  ASSERT_EQ(one.per_commodity.size(), four.per_commodity.size());
-  for (std::size_t k = 0; k < one.per_commodity.size(); ++k) {
-    const auto& fa = one.per_commodity[k];
-    const auto& fb = four.per_commodity[k];
+  return solve_decomposed_mcf(g, all_nodes(g), opts);
+}
+
+/// The one-thread reference: issued from a task of the shared pool, the
+/// solve's child loop runs inline on that worker.
+LinkFlowSolution one_thread_reference() {
+  LinkFlowSolution out;
+  ThreadPool::shared().parallel_for(
+      1, [&](std::size_t) { out = gk12_child_lp_solve(); });
+  return out;
+}
+
+void expect_identical(const LinkFlowSolution& a, const LinkFlowSolution& b) {
+  EXPECT_TRUE(bit_equal(a.concurrent_flow, b.concurrent_flow));
+  ASSERT_EQ(a.per_commodity.size(), b.per_commodity.size());
+  for (std::size_t k = 0; k < a.per_commodity.size(); ++k) {
+    const auto& fa = a.per_commodity[k];
+    const auto& fb = b.per_commodity[k];
     ASSERT_EQ(fa.size(), fb.size()) << "commodity " << k;
     for (std::size_t i = 0; i < fa.size(); ++i) {
       EXPECT_EQ(fa.edges()[i], fb.edges()[i]);
       EXPECT_TRUE(bit_equal(fa.values()[i], fb.values()[i]));
     }
   }
+}
+
+TEST(LpDeterminism, DecomposedSolveIsThreadCountInvariant) {
+  const LinkFlowSolution one = one_thread_reference();
+  const LinkFlowSolution many = gk12_child_lp_solve();
+  expect_identical(one, many);
+}
+
+/// The process's thread count from /proc/self/status (-1 if unreadable).
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(LpDeterminism, ConcurrentSolvesShareOnePool) {
+  // Concurrent solves queue their child loops on the one shared pool, so
+  // the process never holds more threads than before plus the callers and
+  // the sampler — however many cores each solve could use on its own.
+  const LinkFlowSolution reference = one_thread_reference();
+  const int baseline = process_threads();
+  if (baseline < 0) GTEST_SKIP() << "no /proc/self/status";
+  constexpr int kCallers = 8;
+  constexpr int kRounds = 4;
+  std::atomic<bool> done{false};
+  int peak = baseline;
+  std::thread sampler([&] {
+    while (!done.load()) {
+      peak = std::max(peak, process_threads());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::vector<std::vector<LinkFlowSolution>> results(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&results, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        results[c].push_back(gk12_child_lp_solve());
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  done.store(true);
+  sampler.join();
+  for (const auto& per_caller : results) {
+    for (const LinkFlowSolution& r : per_caller) expect_identical(reference, r);
+  }
+  RecordProperty("baseline_threads", baseline);
+  RecordProperty("sampled_max_threads", peak);
+  EXPECT_LE(peak, baseline + kCallers + 1)
+      << "baseline " << baseline << " threads, sampled maximum " << peak;
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 // statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <tuple>
+
+#include "common/random.hpp"
+#include "core/api.hpp"
 #include "graph/topologies.hpp"
 #include "mcf/decomposed.hpp"
 #include "mcf/timestepped.hpp"
@@ -13,6 +20,109 @@
 
 namespace a2a {
 namespace {
+
+/// The original analyze_link_schedule: chunks grouped through a std::map,
+/// and one (rank, step) map insertion per step of every residence. Kept as
+/// the reference the linear-time version must agree with.
+LinkScheduleStats reference_link_stats(const LinkSchedule& schedule) {
+  LinkScheduleStats stats;
+  stats.num_steps = schedule.num_steps;
+  stats.num_transfers = static_cast<long long>(schedule.transfers.size());
+  stats.step_traffic.assign(static_cast<std::size_t>(schedule.num_steps), 0.0);
+
+  using ChunkKey = std::tuple<NodeId, NodeId, std::int64_t, std::int64_t,
+                              std::int64_t, std::int64_t>;
+  std::map<ChunkKey, std::vector<const Transfer*>> per_chunk;
+  for (const Transfer& t : schedule.transfers) {
+    stats.step_traffic[static_cast<std::size_t>(t.step - 1)] +=
+        t.chunk.size().to_double();
+    per_chunk[{t.chunk.src, t.chunk.dst, t.chunk.lo.num(), t.chunk.lo.den(),
+               t.chunk.hi.num(), t.chunk.hi.den()}]
+        .push_back(&t);
+  }
+  std::map<std::pair<NodeId, int>, double> scratch;
+  for (auto& [key, hops] : per_chunk) {
+    std::sort(hops.begin(), hops.end(), [](const Transfer* a, const Transfer* b) {
+      return a->step < b->step;
+    });
+    stats.max_hops = std::max(stats.max_hops, static_cast<int>(hops.size()));
+    for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
+      const NodeId holder = hops[i]->to;
+      for (int step = hops[i]->step; step < hops[i + 1]->step; ++step) {
+        scratch[{holder, step}] += hops[i]->chunk.size().to_double();
+      }
+    }
+  }
+  for (const auto& [key, bytes] : scratch) {
+    stats.peak_scratch_per_rank = std::max(stats.peak_scratch_per_rank, bytes);
+  }
+  return stats;
+}
+
+void expect_same_link_stats(const LinkSchedule& schedule) {
+  const LinkScheduleStats want = reference_link_stats(schedule);
+  const LinkScheduleStats got = analyze_link_schedule(DiGraph(0), schedule);
+  EXPECT_EQ(got.num_steps, want.num_steps);
+  EXPECT_EQ(got.num_transfers, want.num_transfers);
+  EXPECT_EQ(got.max_hops, want.max_hops);
+  EXPECT_EQ(got.step_traffic, want.step_traffic);
+  // Prefix sums add the same residences in another order.
+  EXPECT_NEAR(got.peak_scratch_per_rank, want.peak_scratch_per_rank,
+              1e-9 * want.peak_scratch_per_rank);
+}
+
+/// A random link schedule: each chunk walks a random rank sequence at
+/// strictly increasing steps. `grouped` emits each chunk's hops back to back
+/// in step order, as the compilers do; otherwise the transfers are shuffled.
+LinkSchedule random_link_schedule(Rng& rng, int chunks, bool grouped) {
+  LinkSchedule s;
+  s.num_nodes = rng.next_int(2, 12);
+  for (int c = 0; c < chunks; ++c) {
+    Chunk chunk;
+    chunk.src = rng.next_int(0, s.num_nodes);
+    chunk.dst = rng.next_int(0, s.num_nodes);
+    const int den = rng.next_int(1, 13);
+    const int lo = rng.next_int(0, den);
+    chunk.lo = Rational(lo, den);
+    chunk.hi = Rational(rng.next_int(lo + 1, den + 1), den);
+    NodeId at = chunk.src;
+    int step = 0;
+    const int hops = rng.next_int(1, 8);
+    for (int h = 0; h < hops; ++h) {
+      step += rng.next_int(1, 6);
+      const NodeId to =
+          h + 1 == hops ? chunk.dst : static_cast<NodeId>(rng.next_int(0, s.num_nodes));
+      s.transfers.push_back(Transfer{chunk, at, to, step});
+      at = to;
+    }
+    s.num_steps = std::max(s.num_steps, step);
+  }
+  if (!grouped) rng.shuffle(s.transfers);
+  return s;
+}
+
+TEST(Stats, LinkStatsMatchReferenceOnRandomSchedules) {
+  Rng rng(2024);
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_same_link_stats(
+        random_link_schedule(rng, rng.next_int(0, 200), round % 2 == 0));
+  }
+}
+
+TEST(Stats, LinkStatsMatchReferenceOnPipelinedUnroll) {
+  ToolchainOptions options;
+  options.exact_tsmcf_limit = 0;  // decomposed MCF + pipelined unroll
+  const GeneratedSchedule generated =
+      generate_schedule(make_torus({2, 2, 2}), cpu_oneccl_fabric(), options);
+  ASSERT_EQ(generated.kind, ScheduleKind::kLinkUnrolled);
+  ASSERT_TRUE(generated.link.has_value());
+  const LinkScheduleStats stats =
+      analyze_link_schedule(generated.schedule_graph, *generated.link);
+  EXPECT_GT(stats.max_hops, 1);
+  EXPECT_GT(stats.peak_scratch_per_rank, 0.0);
+  expect_same_link_stats(*generated.link);
+}
 
 PathSchedule torus_path_schedule() {
   const DiGraph g = make_torus({3, 3, 3});

@@ -9,7 +9,6 @@
 
 #include "common/mmap_file.hpp"
 #include "common/random.hpp"
-#include "common/thread_pool.hpp"
 #include "container/schedbin.hpp"
 #include "graph/topologies.hpp"
 #include "mcf/decomposed.hpp"

@@ -29,7 +29,6 @@
 
 #include "common/mmap_file.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "container/schedbin.hpp"
 #include "core/api.hpp"
 #include "core/schedule_cache.hpp"
@@ -162,11 +161,10 @@ bool is_schedbin(std::string_view bytes) {
          std::memcmp(bytes.data(), kSchedBinMagic, sizeof(kSchedBinMagic)) == 0;
 }
 
-SchedBinOptions bin_options_from(const Args& args, ThreadPool* pool) {
+SchedBinOptions bin_options_from(const Args& args) {
   SchedBinOptions options;
   options.codec = codec_from_name(args.codec);
   options.version = args.schedbin_v1 ? kSchedBinVersion1 : kSchedBinVersion2;
-  options.pool = pool;
   return options;
 }
 
@@ -297,11 +295,10 @@ int run_convert(const Args& args) {
     buf = read_file(args.convert_in);
     input = buf;
   }
-  ThreadPool pool;
   std::string output;
   if (is_schedbin(input)) {
     if (args.format == "schedbin") {
-      output = schedbin_convert(input, bin_options_from(args, &pool));
+      output = schedbin_convert(input, bin_options_from(args));
       std::cerr << "schedbin -> schedbin (" << args.codec << ", v"
                 << (args.schedbin_v1 ? 1 : 2)
                 << (args.schedbin_v1 ? ", metadata dropped — v1 cannot carry it"
@@ -310,16 +307,15 @@ int run_convert(const Args& args) {
     } else {
       const SchedBinInfo info = schedbin_inspect(input);
       if (info.kind == SchedBinKind::kLink) {
-        output = link_schedule_to_xml(link_schedule_from_schedbin(input, &pool));
+        output = link_schedule_to_xml(link_schedule_from_schedbin(input));
       } else {
         const DiGraph g = build_topology(args);
-        output =
-            path_schedule_to_xml(g, path_schedule_from_schedbin(g, input, &pool));
+        output = path_schedule_to_xml(g, path_schedule_from_schedbin(g, input));
       }
       std::cerr << "schedbin -> xml\n";
     }
   } else {
-    const SchedBinOptions options = bin_options_from(args, &pool);
+    const SchedBinOptions options = bin_options_from(args);
     // Peek at the XML root to pick the dialect.
     if (input.find("<linkschedule") != std::string::npos) {
       output = link_schedule_to_schedbin(link_schedule_from_xml(std::string(input)),
@@ -340,7 +336,7 @@ int run_convert(const Args& args) {
 
 /// --failure-domain DIR: the offline half of failover. Builds the healthy
 /// baseline, enumerates the failure domain, batch-synthesizes fallback
-/// schedules across the thread pool, and leaves them in the
+/// schedules on the shared thread pool, and leaves them in the
 /// content-addressed library at DIR for --inject (or a production manager)
 /// to serve in microseconds.
 int run_failure_domain(const Args& args) {
@@ -374,7 +370,7 @@ int run_failure_domain(const Args& args) {
 /// reschedule ladder under the deadline, reports which rung served and how
 /// long it took, and emits the degraded schedule through the normal output
 /// machinery.
-int run_inject(const Args& args, ThreadPool& pool) {
+int run_inject(const Args& args) {
   const DiGraph topo = build_topology(args);
   const Fabric fabric = build_fabric(args.fabric);
   const FailureSignature sig = FailureSignature::parse(args.inject, topo);
@@ -401,7 +397,7 @@ int run_inject(const Args& args, ThreadPool& pool) {
                                  *result.schedule.path)
           : path_schedule_to_schedbin(result.schedule.schedule_graph,
                                       *result.schedule.path,
-                                      bin_options_from(args, &pool));
+                                      bin_options_from(args));
   write_output(payload, args.output);
   return 0;
 }
@@ -506,8 +502,7 @@ int main(int argc, char** argv) {
       return rc;
     }
     if (!args.inject.empty()) {
-      ThreadPool pool;
-      const int rc = run_inject(args, pool);
+      const int rc = run_inject(args);
       finish_observability();
       return rc;
     }
@@ -548,8 +543,7 @@ int main(int argc, char** argv) {
                      fabric.link_GBps
               << " GB/s)\n";
 
-    ThreadPool pool;
-    SchedBinOptions bin_options = bin_options_from(args, &pool);
+    SchedBinOptions bin_options = bin_options_from(args);
     if (!args.schedbin_v1) {
       // Provenance stamps carried in the v2 trailer; --convert transcodes
       // preserve them instead of re-deriving from the converting process.
