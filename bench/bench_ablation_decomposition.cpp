@@ -3,10 +3,9 @@
 //   2. exact-LP master vs FPTAS master at several epsilons;
 //   3. pMCF candidate sets: link-disjoint vs shortest;
 //   4. unroller slots-per-link (schedule depth vs step weight);
-//   5. simplex refactorization interval.
+//   5. round partitioning under QP contention.
 #include "bench_util.hpp"
 
-#include "lp/simplex.hpp"
 #include "schedule/rounds.hpp"
 #include "mcf/fleischer.hpp"
 #include "mcf/path_mcf.hpp"
@@ -118,25 +117,7 @@ int main() {
     t.print(std::cout);
   }
 
-  std::cout << "\n=== Ablation 5: simplex refactorization interval "
-               "(GenKautz 10 d=3, full MCF) ===\n\n";
-  {
-    Table t({"interval", "seconds", "iterations"});
-    const DiGraph g = make_generalized_kautz(10, 3);
-    for (const int interval : {500, 4000}) {
-      SimplexOptions lp;
-      lp.refactor_interval = interval;
-      LinkFlowSolution sol;
-      const double secs =
-          timed([&] { sol = solve_link_mcf_exact(g, all_nodes(g), lp); });
-      t.row()
-          .cell(static_cast<long long>(interval))
-          .cell(secs, 3)
-          .cell(sol.lp_iterations);
-    }
-    t.print(std::cout);
-  }
-  std::cout << "\n=== Ablation 6: round partitioning under QP contention "
+  std::cout << "\n=== Ablation 5: round partitioning under QP contention "
                "(3x3x3 torus, 512MB buffer) ===\n\n";
   {
     // The §5.5 injection-rate fix: split the routed schedule across rounds

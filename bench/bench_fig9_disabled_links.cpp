@@ -20,10 +20,10 @@ namespace {
 /// The same Fig. 9 question asked of the exact LP: "disable" links by
 /// collapsing their capacity so the pMCF keeps its exact shape, then
 /// re-solve each scenario from the previous optimum. The basis stays dual
-/// feasible across the whole sweep (only capacities move), so the dual
-/// simplex iterates on it directly — this is the production path for
-/// incremental failure analysis, where every scenario after the first costs
-/// a fraction of a cold solve.
+/// feasible across the whole sweep (only capacities move), so the warm rule
+/// hands it to the dual simplex, which iterates on it directly — this is the
+/// production path for incremental failure analysis, where every scenario
+/// after the first costs a fraction of a cold solve.
 void exact_resolve_sweep() {
   std::cout << "\n--- exact pMCF re-solve sweep, GenKautz(27, d=4),"
                " dual warm starts ---\n";
@@ -52,8 +52,7 @@ void exact_resolve_sweep() {
                      1e-6);
     }
     const auto cold = solve_path_mcf_exact(g, candidates);
-    const auto dual =
-        solve_path_mcf_exact(g, candidates, {}, &warm, LpWarmMode::kDual);
+    const auto dual = solve_path_mcf_exact(g, candidates, {}, &warm);
     cold_seconds += cold.solve_seconds;
     dual_seconds += dual.solve_seconds;
     cold_iterations += cold.lp_iterations;

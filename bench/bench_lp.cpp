@@ -1,26 +1,23 @@
 // LP-solver benchmark: sparse revised simplex (solve_lp) vs the dense
 // reference (solve_lp_dense) on the Fig. 7 algorithm-runtime LPs — with the
-// sparse solver measured in three configurations: the PR 2/3 "legacy" setup
-// (product-form eta file, no presolve, exact ratio tests), Forrest–Tomlin
-// factor updates alone, and the full default (FT + presolve + Harris +
-// partial pricing) — plus the warm-start Fig. 9-style disabled-link sweep
-// comparing cold starts, primal warm starts (feasibility restoration), and
-// DUAL warm starts (the dual simplex iterating directly on the
-// still-dual-feasible basis).
+// sparse solver measured in two configurations: Forrest–Tomlin with exact
+// ratio tests (presolve, Harris and sectioned pricing off) and the full
+// default (FT + presolve + Harris + partial pricing) — plus the Fig. 9-style
+// disabled-link sweep comparing cold starts with warm starts from the
+// previous scenario's basis (the warm rule hands these rhs-only
+// perturbations to the dual simplex).
 //
 // Usage:
 //   bench_lp [--smoke] [--json PATH]
 //
 // --smoke runs a reduced set and exits nonzero when (a) any two solver legs
-// disagree on an objective beyond 1e-6 (dense vs eta vs FT vs FT+presolve —
-// numeric drift in the new legs fails CI, not just the dual one), (b) the
-// sparse solver fails to beat the dense one on the largest smoke LP, (c) the
-// FT+presolve default loses to the legacy eta configuration on that LP,
-// (d) the warm-started sweep needs more simplex iterations than cold
-// starts, or (e) the dual-warm sweep changes an objective or needs more
-// iterations than cold starts — so solver regressions fail CI loudly
-// instead of rotting silently. --json writes the measurements as a
-// BENCH_lp.json trajectory point.
+// disagree on an objective beyond 1e-6 (dense vs FT-exact vs default), (b)
+// the sparse solver fails to beat the dense one on the largest smoke LP,
+// (c) the default loses to the FT-exact configuration on that LP, or (d)
+// the warm sweep changes an objective or needs more simplex iterations than
+// cold starts — so solver regressions fail CI loudly instead of rotting
+// silently. The full run checks (a) and (d). --json writes the measurements
+// as a BENCH_lp.json trajectory point.
 #include "bench_util.hpp"
 
 #include <algorithm>
@@ -39,51 +36,39 @@ using namespace a2a::bench;
 
 namespace {
 
-/// The PR 2/PR 3 solver configuration, kept as the "before" side of the
-/// Forrest–Tomlin / presolve / Harris upgrade.
-SimplexOptions legacy_options() {
+/// Forrest–Tomlin with presolve, Harris ratio tests and sectioned pricing
+/// off: the exact-ratio-test engine the default's extras are measured
+/// against.
+SimplexOptions ft_exact_options() {
   SimplexOptions o;
-  o.basis_update = LpBasisUpdate::kEta;
   o.presolve = false;
   o.harris_ratio = false;
   o.partial_pricing_threshold = 0;
   return o;
 }
 
-/// Forrest–Tomlin updates isolated: presolve and the ratio-test/pricing
-/// changes disabled, so the ft column measures the factor-update win alone.
-SimplexOptions ft_only_options() {
-  SimplexOptions o = legacy_options();
-  o.basis_update = LpBasisUpdate::kForrestTomlin;
-  return o;
-}
-
 struct Comparison {
   std::string name;
   double dense_seconds = 0.0;
-  double legacy_seconds = 0.0;  ///< eta file, no presolve/Harris.
-  double ft_seconds = 0.0;      ///< Forrest–Tomlin alone.
+  double ft_seconds = 0.0;      ///< FT, exact ratio tests, no presolve.
   double sparse_seconds = 0.0;  ///< full default: FT + presolve + Harris.
   double dense_objective = 0.0;
-  double legacy_objective = 0.0;
   double ft_objective = 0.0;
   double sparse_objective = 0.0;
   long long dense_iterations = 0;
-  long long legacy_iterations = 0;
   long long ft_iterations = 0;
   long long sparse_iterations = 0;
 
   [[nodiscard]] double speedup() const {
     return sparse_seconds > 0.0 ? dense_seconds / sparse_seconds : 0.0;
   }
-  /// The tentpole number: FT + presolve + Harris vs the PR 3 configuration.
-  [[nodiscard]] double ft_presolve_speedup() const {
-    return sparse_seconds > 0.0 ? legacy_seconds / sparse_seconds : 0.0;
+  /// The default's presolve + Harris + pricing extras vs FT-exact.
+  [[nodiscard]] double default_vs_ft() const {
+    return sparse_seconds > 0.0 ? ft_seconds / sparse_seconds : 0.0;
   }
   [[nodiscard]] bool objectives_match() const {
     const double tol = 1e-6 * std::max(1.0, std::abs(dense_objective));
-    return std::abs(dense_objective - legacy_objective) <= tol &&
-           std::abs(dense_objective - ft_objective) <= tol &&
+    return std::abs(dense_objective - ft_objective) <= tol &&
            std::abs(dense_objective - sparse_objective) <= tol;
   }
 };
@@ -95,11 +80,7 @@ Comparison compare(const std::string& name, const LpModel& model) {
   c.dense_seconds = dense.solve_seconds;
   c.dense_objective = dense.objective;
   c.dense_iterations = dense.iterations;
-  const LpSolution legacy = solve_lp(model, legacy_options());
-  c.legacy_seconds = legacy.solve_seconds;
-  c.legacy_objective = legacy.objective;
-  c.legacy_iterations = legacy.iterations;
-  const LpSolution ft = solve_lp(model, ft_only_options());
+  const LpSolution ft = solve_lp(model, ft_exact_options());
   c.ft_seconds = ft.solve_seconds;
   c.ft_objective = ft.objective;
   c.ft_iterations = ft.iterations;
@@ -113,11 +94,9 @@ Comparison compare(const std::string& name, const LpModel& model) {
 struct WarmSweep {
   int scenarios = 0;
   double cold_seconds = 0.0;
-  double warm_seconds = 0.0;   ///< primal warm starts (restoration).
-  double dual_seconds = 0.0;   ///< dual warm starts.
+  double warm_seconds = 0.0;
   long long cold_iterations = 0;
   long long warm_iterations = 0;
-  long long dual_iterations = 0;
   bool objectives_match = true;
 };
 
@@ -177,55 +156,42 @@ int main(int argc, char** argv) {
       scenarios.push_back(std::move(g));
     }
     sweep.scenarios = static_cast<int>(scenarios.size());
-    LpBasis warm_primal;
-    LpBasis warm_dual;
+    LpBasis warm;
     for (const DiGraph& g : scenarios) {
       const auto cold = solve_path_mcf_exact(g, candidates);
-      const auto warm_sol = solve_path_mcf_exact(g, candidates, {},
-                                                 &warm_primal,
-                                                 LpWarmMode::kPrimal);
-      const auto dual_sol = solve_path_mcf_exact(g, candidates, {},
-                                                 &warm_dual,
-                                                 LpWarmMode::kDual);
+      const auto warm_sol = solve_path_mcf_exact(g, candidates, {}, &warm);
       sweep.cold_seconds += cold.solve_seconds;
       sweep.warm_seconds += warm_sol.solve_seconds;
-      sweep.dual_seconds += dual_sol.solve_seconds;
       sweep.cold_iterations += cold.lp_iterations;
       sweep.warm_iterations += warm_sol.lp_iterations;
-      sweep.dual_iterations += dual_sol.lp_iterations;
-      if (std::abs(cold.concurrent_flow - warm_sol.concurrent_flow) > 1e-6 ||
-          std::abs(cold.concurrent_flow - dual_sol.concurrent_flow) > 1e-6) {
+      if (std::abs(cold.concurrent_flow - warm_sol.concurrent_flow) > 1e-6) {
         sweep.objectives_match = false;
       }
     }
     std::cout << "  fig9_warm_sweep(" << sweep.scenarios << " scenarios): cold "
-              << sweep.cold_iterations << " it -> primal-warm "
-              << sweep.warm_iterations << " it -> dual-warm "
-              << sweep.dual_iterations << " it\n\n";
+              << sweep.cold_iterations << " it -> warm "
+              << sweep.warm_iterations << " it\n\n";
   }
 
   // ---- report -------------------------------------------------------------
-  Table table({"LP", "dense_s", "eta_s", "ft_s", "ft+pre_s", "vs_dense",
-               "vs_eta", "it", "obj_match"});
+  Table table({"LP", "dense_s", "ft_s", "default_s", "vs_dense", "vs_ft",
+               "it", "obj_match"});
   for (const auto& c : comparisons) {
     table.row()
         .cell(c.name)
         .cell(c.dense_seconds, 4)
-        .cell(c.legacy_seconds, 4)
         .cell(c.ft_seconds, 4)
         .cell(c.sparse_seconds, 4)
         .cell(c.speedup(), 2)
-        .cell(c.ft_presolve_speedup(), 2)
+        .cell(c.default_vs_ft(), 2)
         .cell(c.sparse_iterations)
         .cell(c.objectives_match() ? "yes" : "NO");
   }
   table.print(std::cout);
   std::cout << "\nFig. 9-style warm sweep (" << sweep.scenarios
             << " scenarios): cold " << sweep.cold_seconds << "s/"
-            << sweep.cold_iterations << " it, primal-warm "
-            << sweep.warm_seconds << "s/" << sweep.warm_iterations
-            << " it, dual-warm " << sweep.dual_seconds << "s/"
-            << sweep.dual_iterations << " it, objectives "
+            << sweep.cold_iterations << " it, warm " << sweep.warm_seconds
+            << "s/" << sweep.warm_iterations << " it, objectives "
             << (sweep.objectives_match ? "match" : "MISMATCH") << "\n";
 
   if (!json_path.empty()) {
@@ -236,13 +202,11 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < comparisons.size(); ++i) {
       const auto& c = comparisons[i];
       js << "    {\"lp\": \"" << c.name << "\", \"dense_seconds\": "
-         << c.dense_seconds << ", \"eta_seconds\": " << c.legacy_seconds
-         << ", \"ft_seconds\": " << c.ft_seconds
+         << c.dense_seconds << ", \"ft_seconds\": " << c.ft_seconds
          << ", \"sparse_seconds\": " << c.sparse_seconds
          << ", \"speedup\": " << c.speedup()
-         << ", \"ft_presolve_speedup\": " << c.ft_presolve_speedup()
+         << ", \"default_vs_ft\": " << c.default_vs_ft()
          << ", \"dense_iterations\": " << c.dense_iterations
-         << ", \"eta_iterations\": " << c.legacy_iterations
          << ", \"ft_iterations\": " << c.ft_iterations
          << ", \"sparse_iterations\": " << c.sparse_iterations
          << ", \"objective\": " << c.sparse_objective << "}"
@@ -251,10 +215,8 @@ int main(int argc, char** argv) {
     js << "  ],\n  \"fig9_warm_sweep\": {\"scenarios\": " << sweep.scenarios
        << ", \"cold_seconds\": " << sweep.cold_seconds
        << ", \"warm_seconds\": " << sweep.warm_seconds
-       << ", \"dual_seconds\": " << sweep.dual_seconds
        << ", \"cold_iterations\": " << sweep.cold_iterations
        << ", \"warm_iterations\": " << sweep.warm_iterations
-       << ", \"dual_iterations\": " << sweep.dual_iterations
        << ", \"objectives_match\": " << (sweep.objectives_match ? "true" : "false")
        << "},\n  \"metrics\": " << metrics_snapshot_json() << "\n}\n";
     append_bench_record(json_path, js.str());
@@ -280,18 +242,11 @@ int main(int argc, char** argv) {
               << sweep.cold_iterations << ")\n";
     failed = true;
   }
-  if (sweep.dual_iterations > sweep.cold_iterations) {
-    std::cerr << "FAIL: dual warm starts took more simplex iterations ("
-              << sweep.dual_iterations << ") than cold starts ("
-              << sweep.cold_iterations << ")\n";
-    failed = true;
-  }
   if (smoke) {
     // Perf gate on the slowest dense LP measured: the sparse solver must
     // win decisively there (it wins by >5x in practice; 1.5x absorbs CI
-    // noise), and the FT+presolve default must not LOSE to the legacy eta
-    // configuration (it wins by >1.3x on the large LPs; 0.9x absorbs noise
-    // on the small smoke sizes).
+    // noise), and the default must not LOSE to the FT-exact configuration
+    // (0.9x absorbs noise on the small smoke sizes).
     const auto big = std::max_element(
         comparisons.begin(), comparisons.end(),
         [](const Comparison& a, const Comparison& b) {
@@ -302,8 +257,8 @@ int main(int argc, char** argv) {
                 << "x below the 1.5x smoke floor on " << big->name << "\n";
       failed = true;
     }
-    if (big != comparisons.end() && big->ft_presolve_speedup() < 0.9) {
-      std::cerr << "FAIL: FT+presolve speedup " << big->ft_presolve_speedup()
+    if (big != comparisons.end() && big->default_vs_ft() < 0.9) {
+      std::cerr << "FAIL: default vs FT-exact " << big->default_vs_ft()
                 << "x below the 0.9x smoke floor on " << big->name << "\n";
       failed = true;
     }

@@ -116,7 +116,7 @@ GeneratedSchedule synthesize_schedule(const DiGraph& topology,
         A2A_TRACE_SPAN("stage.solve", "exact tsMCF LP, " +
                                           std::to_string(steps) + " steps");
         return solve_tsmcf_exact(graph, steps, terminals, options.mcf.lp,
-                                 nullptr, LpWarmMode::kAuto, demand);
+                                 nullptr, demand);
       }();
       out.kind = ScheduleKind::kLinkTsMcf;
       out.link = [&] {

@@ -170,11 +170,15 @@ std::string schedule_fingerprint(const DiGraph& topology, const Fabric& fabric,
   feed_i64(buf, options.mcf.exact_master_limit);
   feed_double(buf, options.mcf.fptas_epsilon);
   feed_i64(buf, options.mcf.lp.max_iterations);
-  feed_i64(buf, options.mcf.lp.refactor_interval);
-  feed_double(buf, options.mcf.lp.feasibility_tol);
-  feed_double(buf, options.mcf.lp.optimality_tol);
-  feed_double(buf, options.mcf.lp.pivot_tol);
-  feed_i64(buf, options.mcf.lp.stall_limit);
+  // The LP tolerances are constants, fed in the order and types of the
+  // SimplexOptions fields they replaced so that every fingerprint (and with
+  // it every cache directory and failover library) keeps its bytes. 4000
+  // stands for the retired refactor_interval, which no pipeline solve read.
+  feed_i64(buf, 4000);
+  feed_double(buf, kLpFeasibilityTol);
+  feed_double(buf, kLpOptimalityTol);
+  feed_double(buf, kLpPivotTol);
+  feed_i64(buf, kLpStallLimit);
   feed_double(buf, options.mcf.fptas.epsilon);
   feed_i64(buf, options.mcf.fptas.max_phases);
   feed_i64(buf, options.chunking.max_denominator);

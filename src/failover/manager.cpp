@@ -21,6 +21,21 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Memory budget of the fallback library's in-process tier.
+constexpr std::size_t kLibraryMemoryBytes = 64ULL << 20;
+/// Online deadline when the caller passes none.
+constexpr double kDefaultDeadlineS = 0.25;
+/// Fraction of the remaining budget rung 2 (exact re-solve) may burn; the
+/// rest is held back so rungs 3-4 plus validation still fit.
+constexpr double kExactBudgetFraction = 0.6;
+/// Fraction of the remaining budget rung 3 (FPTAS) may burn.
+constexpr double kFptasBudgetFraction = 0.8;
+/// FPTAS epsilon of the healthy baseline when exact_healthy is off.
+constexpr double kHealthyEpsilon = 0.02;
+/// Weight below which a healthy route is considered absent when the
+/// degraded reroute renormalizes (matches the LP's zero clamp).
+constexpr double kMinRouteWeight = 1e-9;
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -87,31 +102,33 @@ FailoverManager::FailoverManager(DiGraph healthy, Fabric fabric,
   double flow = 0.0;
   if (options_.exact_healthy) {
     const PathMcfSolution sol =
-        solve_path_mcf_exact(healthy_, healthy_paths_, options_.lp,
-                             &healthy_basis_, LpWarmMode::kAuto);
+        solve_path_mcf_exact(healthy_, healthy_paths_, {}, &healthy_basis_);
     weights = sol.weights;
     flow = sol.concurrent_flow;
   } else {
     // FPTAS baseline: no basis to warm from, but ctor cost stays bounded at
     // fabric sizes where the exact master LP is minutes.
     FleischerOptions fo;
-    fo.epsilon = options_.healthy_epsilon;
+    fo.epsilon = kHealthyEpsilon;
     const PathFlowSolution sol = fleischer_paths(healthy_, healthy_paths_, fo);
     weights = sol.weights;
     flow = sol.concurrent_flow;
   }
+  // Fallbacks are compiled on the pipeline's default chunking grid, the
+  // options base_fingerprint_ is minted under.
+  const ToolchainOptions toolchain;
   healthy_schedule_.kind = ScheduleKind::kPathPMcf;
   healthy_schedule_.path = compile_path_schedule(healthy_, healthy_paths_,
-                                                 weights, options_.chunking);
+                                                 weights, toolchain.chunking);
   healthy_schedule_.concurrent_flow = flow;
   healthy_schedule_.terminals = terminals_;
   healthy_schedule_.schedule_graph = healthy_;
   healthy_schedule_.notes = "failover healthy baseline";
   healthy_weights_ = std::move(weights);
-  base_fingerprint_ = schedule_fingerprint(healthy_, fabric_, ToolchainOptions{});
+  base_fingerprint_ = schedule_fingerprint(healthy_, fabric_, toolchain);
 
   ScheduleCacheOptions cache;
-  cache.max_memory_bytes = options_.cache_memory_bytes;
+  cache.max_memory_bytes = kLibraryMemoryBytes;
   cache.disk_dir = options_.library_dir;
   library_ = std::make_unique<ScheduleCache>(cache);
   library_->insert(failover_fingerprint(base_fingerprint_, FailureSignature{}),
@@ -196,7 +213,7 @@ bool FailoverManager::finish_result(const DegradedView& view,
       if (w < 0.0 || !std::isfinite(w)) w = 0.0;
       total += w;
     }
-    if (total <= options_.min_route_weight) {
+    if (total <= kMinRouteWeight) {
       std::size_t best = 0;
       for (std::size_t p = 1; p < view.paths.candidates[k].size(); ++p) {
         if (view.paths.candidates[k][p].size() <
@@ -209,8 +226,8 @@ bool FailoverManager::finish_result(const DegradedView& view,
     }
   }
   result.schedule.kind = ScheduleKind::kPathPMcf;
-  result.schedule.path =
-      compile_path_schedule(view.degraded, view.paths, repaired, options_.chunking);
+  result.schedule.path = compile_path_schedule(view.degraded, view.paths,
+                                               repaired, ToolchainOptions{}.chunking);
   result.schedule.concurrent_flow =
       1.0 / max_link_load(view.degraded, view.paths, repaired);
   result.schedule.terminals = view.survivors;
@@ -232,17 +249,16 @@ bool FailoverManager::finish_result(const DegradedView& view,
 bool FailoverManager::exact_resolve(const DegradedView& view, double budget_s,
                                     FailoverResult& result) const {
   result.rung = FailoverRung::kDualWarmExact;
-  SimplexOptions lp = options_.lp;
+  SimplexOptions lp;
   lp.time_limit_s = budget_s;
   if (view.sig.nodes.empty()) {
     // Link-only failure: the collapsed model has the healthy model's exact
     // shape, so the healthy optimal basis is dual feasible under the
     // capacity perturbation — re-solve dual-warm in a few pivots.
-    const DiGraph collapsed =
-        collapsed_topology(healthy_, view.sig, options_.collapsed_capacity);
+    const DiGraph collapsed = collapsed_topology(healthy_, view.sig);
     LpBasis basis = healthy_basis_;
-    const PathMcfSolution sol = solve_path_mcf_budgeted(
-        collapsed, healthy_paths_, lp, &basis, LpWarmMode::kDual);
+    const PathMcfSolution sol =
+        solve_path_mcf_budgeted(collapsed, healthy_paths_, lp, &basis);
     if (sol.status != LpStatus::kOptimal) return false;
     // Carry the healthy-model weights onto the surviving candidates (dead
     // candidates got starved by the collapsed capacity; whatever residue
@@ -275,7 +291,7 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
   A2A_COUNTER("failover.reschedules").inc();
   const auto start = Clock::now();
   const double deadline =
-      deadline_s > 0.0 ? deadline_s : options_.default_deadline_s;
+      deadline_s > 0.0 ? deadline_s : kDefaultDeadlineS;
 
   FailoverResult result;
   result.signature = sig;
@@ -337,7 +353,7 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
   // Rung 2 — deadline-bounded exact re-solve.
   {
     const double budget =
-        (deadline - seconds_since(start)) * options_.exact_budget_fraction;
+        (deadline - seconds_since(start)) * kExactBudgetFraction;
     if (budget > 1e-4 && exact_resolve(view, budget, result)) {
       library_->insert(fp, result.schedule);
       A2A_COUNTER("failover.exact").inc();
@@ -352,7 +368,7 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
     if (remaining > 1e-4) {
       FleischerOptions fo;
       fo.epsilon = epsilon_for_budget(remaining);
-      fo.time_limit_s = remaining * options_.fptas_budget_fraction;
+      fo.time_limit_s = remaining * kFptasBudgetFraction;
       try {
         const PathFlowSolution sol =
             fleischer_paths(view.degraded, view.paths, fo);

@@ -61,8 +61,7 @@ LpSolution SimplexCore::run_dual(const LpModel& model) {
     std::uint32_t h = static_cast<std::uint32_t>(j) * 2654435761u;
     h ^= h >> 16;
     const double u = 0.5 + 0.5 * (h & 0xffff) / 65536.0;
-    const double eps =
-        options_.dual_perturb * (1.0 + std::abs(work_cost_[j])) * u;
+    const double eps = kLpDualPerturb * (1.0 + std::abs(work_cost_[j])) * u;
     const double signed_eps = state_[j] == VarState::kAtLower ? eps : -eps;
     work_cost_[j] += signed_eps;
     d_[j] += signed_eps;
@@ -99,7 +98,7 @@ LpStatus SimplexCore::iterate_dual() {
   std::vector<Candidate> candidates;
   std::vector<int> flips;
   dual_weight_.assign(static_cast<std::size_t>(m_), 1.0);
-  const double ftol = options_.feasibility_tol;
+  const double ftol = kLpFeasibilityTol;
   int degenerate_streak = 0;
   bool bland = false;
   // x_basic_ comes straight from the warm import's fresh factorization.
@@ -149,7 +148,7 @@ LpStatus SimplexCore::iterate_dual() {
     if (leaving_row < 0) {
       // Primal feasible + dual feasible = optimal; confirm on freshly
       // recomputed basic values before declaring victory (the maintained
-      // ones drift with the eta file).
+      // ones drift with the factor updates).
       if (fresh) {
         for (int i = 0; i < m_; ++i) {
           const int j = basic_[static_cast<std::size_t>(i)];
@@ -180,10 +179,10 @@ LpStatus SimplexCore::iterate_dual() {
       const double at = sigma * arj;
       double ratio;
       if (state_[static_cast<std::size_t>(j)] == VarState::kAtLower &&
-          at > options_.pivot_tol) {
+          at > kLpPivotTol) {
         ratio = std::max(d_[static_cast<std::size_t>(j)], 0.0) / at;
       } else if (state_[static_cast<std::size_t>(j)] == VarState::kAtUpper &&
-                 at < -options_.pivot_tol) {
+                 at < -kLpPivotTol) {
         ratio = std::max(-d_[static_cast<std::size_t>(j)], 0.0) / (-at);
       } else {
         continue;
@@ -256,7 +255,7 @@ LpStatus SimplexCore::iterate_dual() {
       // a tolerance-bounded dual infeasibility (clamped to zero in later
       // ratio tests and polished by the primal at the end) — the standard
       // Harris trade of a whisker of dual feasibility for pivot stability.
-      const double dtol = options_.optimality_tol;
+      const double dtol = kLpOptimalityTol;
       double theta_rel = kInfinity;
       for (std::size_t c = passed; c < candidates.size(); ++c) {
         theta_rel = std::min(
@@ -287,7 +286,7 @@ LpStatus SimplexCore::iterate_dual() {
       return LpStatus::kIterationLimit;
     }
     for (std::size_t c = 0; c < passed; ++c) {
-      if (candidates[c].ratio < entering_ratio - options_.drop_tol) {
+      if (candidates[c].ratio < entering_ratio - kLpDropTol) {
         flips.push_back(candidates[c].j);
       }
     }
@@ -319,11 +318,10 @@ LpStatus SimplexCore::iterate_dual() {
     // ---- FTRAN the entering column and pivot ----------------------------
     compute_column(entering, alpha);
     const double alpha_r = alpha[static_cast<std::size_t>(leaving_row)];
-    if (std::abs(alpha_r) < options_.pivot_tol ||
+    if (std::abs(alpha_r) < kLpPivotTol ||
         std::abs(alpha_r - a_rq) >
-            options_.optimality_tol * std::max(1.0, std::abs(a_rq)) +
-                options_.pivot_tol) {
-      // Row and column disagree on the pivot element: the eta file has
+            kLpOptimalityTol * std::max(1.0, std::abs(a_rq)) + kLpPivotTol) {
+      // Row and column disagree on the pivot element: the factors have
       // drifted. Refactorize and retry the whole iteration (flips already
       // applied remain valid — they only moved nonbasic values).
       clear_accum();
@@ -360,7 +358,7 @@ LpStatus SimplexCore::iterate_dual() {
     for (int i = 0; i < m_; ++i) {
       if (i == leaving_row) continue;
       const double ai = alpha[i];
-      if (std::abs(ai) < options_.drop_tol) continue;
+      if (std::abs(ai) < kLpDropTol) continue;
       const double ratio = ai / alpha_r;
       const double candidate = ratio * ratio * w_r;
       if (candidate > dual_weight_[i]) {
@@ -385,18 +383,18 @@ LpStatus SimplexCore::iterate_dual() {
 
     ++iterations_;
     fresh = false;
-    if (update_factors(leaving_row, alpha) ||
-        std::abs(alpha_r) < options_.refactor_pivot_tol) {
+    if (update_factors(leaving_row) ||
+        std::abs(alpha_r) < kLpRefactorPivotTol) {
       refactorize();
       fresh = true;
     }
 
     // ---- anti-cycling ---------------------------------------------------
     // The dual objective strictly improves iff the dual step is nonzero.
-    if (std::abs(theta_d) > options_.drop_tol) {
+    if (std::abs(theta_d) > kLpDropTol) {
       degenerate_streak = 0;
       bland = false;
-    } else if (++degenerate_streak > options_.degenerate_streak_limit) {
+    } else if (++degenerate_streak > kLpDegenerateStreakLimit) {
       if (!bland) ++stats_.bland_episodes;
       bland = true;
     }

@@ -56,7 +56,7 @@ class Presolve {
     kUnbounded,   ///< a free objective ray survived with no constraints.
   };
 
-  Result run(const LpModel& model, const SimplexOptions& options);
+  Result run(const LpModel& model);
 
   [[nodiscard]] const LpModel& reduced() const { return reduced_; }
   [[nodiscard]] const PresolveStats& stats() const { return stats_; }

@@ -1,15 +1,15 @@
 // Primal driver of the sparse revised simplex and the solve_lp() dispatch.
 //
 // The basis engine (standard-form construction, warm-start import, sparse LU
-// + eta file, reduced costs) lives in simplex_core.{hpp,cpp} and is shared
-// with the dual simplex (dual_simplex.cpp). This file owns:
+// with Forrest–Tomlin updates, reduced costs) lives in simplex_core.{hpp,cpp}
+// and is shared with the dual simplex (dual_simplex.cpp). This file owns:
 //   * run_primal() — two-phase primal simplex: Devex pricing with
 //     incrementally maintained reduced costs, a bound-flip ratio test, and
 //     artificial-free feasibility restoration for warm bases whose basic
 //     values moved out of bounds;
-//   * solve_lp() — warm-mode dispatch between the primal and dual drivers,
-//     with a cold primal re-solve as the fallback whenever a warm path
-//     resists repair.
+//   * solve_lp() — the warm-start rule that picks the primal or the dual
+//     driver, with a cold primal re-solve as the fallback whenever a warm
+//     path resists repair.
 #include "lp/simplex.hpp"
 
 #include <algorithm>
@@ -60,7 +60,7 @@ LpSolution SimplexCore::run_primal(const LpModel& model) {
       finish(out, model, start);
       return out;
     }
-    if (phase_objective() > options_.phase1_tol) {
+    if (phase_objective() > kLpPhase1Tol) {
       out.status = LpStatus::kInfeasible;
       finish(out, model, start);
       return out;
@@ -88,7 +88,7 @@ LpSolution SimplexCore::run_primal(const LpModel& model) {
 /// streak switches pricing to Bland's rule (lowest eligible index) to break
 /// the cycle instead of abandoning the warm basis outright.
 bool SimplexCore::restore_feasibility() {
-  const double ftol = 16.0 * options_.feasibility_tol;
+  const double ftol = 16.0 * kLpFeasibilityTol;
   std::vector<double> y(static_cast<std::size_t>(m_));
   std::vector<double> alpha(static_cast<std::size_t>(m_));
   const long long budget = 2000 + 2LL * m_;
@@ -123,7 +123,7 @@ bool SimplexCore::restore_feasibility() {
     // of magnitude, which cannot cycle.
     int entering = -1;
     int direction = +1;
-    double best = options_.optimality_tol;
+    double best = kLpOptimalityTol;
     for (int j = 0; j < num_vars(); ++j) {
       if (state_[j] == VarState::kBasic) continue;
       if (fixed(j)) continue;
@@ -156,7 +156,7 @@ bool SimplexCore::restore_feasibility() {
     bool leaving_to_upper = false;
     for (int i = 0; i < m_; ++i) {
       const double wi = dir * alpha[i];
-      if (std::abs(wi) <= options_.pivot_tol) continue;
+      if (std::abs(wi) <= kLpPivotTol) continue;
       const int bj = basic_[static_cast<std::size_t>(i)];
       const double xi = x_basic_[i];
       double t = -1.0;
@@ -187,11 +187,11 @@ bool SimplexCore::restore_feasibility() {
       }
     }
     if (!std::isfinite(limit)) return false;
-    if (limit <= options_.drop_tol) {
+    if (limit <= kLpDropTol) {
       // A degenerate streak used to abort restoration here (surfacing as a
       // spurious solve failure); switching to Bland's rule breaks the cycle
       // and lets the repair finish. The pivot budget remains the backstop.
-      if (++degenerate_streak > options_.degenerate_streak_limit) {
+      if (++degenerate_streak > kLpDegenerateStreakLimit) {
         if (!bland) ++stats_.bland_episodes;
         bland = true;
       }
@@ -211,7 +211,7 @@ bool SimplexCore::restore_feasibility() {
       continue;
     }
     const double alpha_r = alpha[static_cast<std::size_t>(leaving_row)];
-    if (std::abs(alpha_r) < options_.pivot_tol) return false;
+    if (std::abs(alpha_r) < kLpPivotTol) return false;
     const int leaving = basic_[static_cast<std::size_t>(leaving_row)];
     state_[static_cast<std::size_t>(leaving)] =
         leaving_to_upper ? VarState::kAtUpper : VarState::kAtLower;
@@ -225,8 +225,8 @@ bool SimplexCore::restore_feasibility() {
     basic_[static_cast<std::size_t>(leaving_row)] = entering;
     state_[static_cast<std::size_t>(entering)] = VarState::kBasic;
     x_basic_[static_cast<std::size_t>(leaving_row)] = enter_value;
-    if (update_factors(leaving_row, alpha) ||
-        std::abs(alpha_r) < options_.refactor_pivot_tol) {
+    if (update_factors(leaving_row) ||
+        std::abs(alpha_r) < kLpRefactorPivotTol) {
       refactorize();
     }
   }
@@ -264,7 +264,7 @@ LpStatus SimplexCore::iterate_primal() {
       if (fixed(j)) return;
       const double dj = d_[static_cast<std::size_t>(j)];
       const double viol = st == VarState::kAtLower ? -dj : dj;
-      if (viol <= options_.optimality_tol) return;
+      if (viol <= kLpOptimalityTol) return;
       const double score = viol * viol / weight_[static_cast<std::size_t>(j)];
       if (score > best_score) {
         best_score = score;
@@ -278,7 +278,7 @@ LpStatus SimplexCore::iterate_primal() {
         if (st == VarState::kBasic || fixed(j)) continue;
         const double dj = d_[static_cast<std::size_t>(j)];
         const double viol = st == VarState::kAtLower ? -dj : dj;
-        if (viol <= options_.optimality_tol) continue;
+        if (viol <= kLpOptimalityTol) continue;
         entering = j;
         direction = st == VarState::kAtLower ? +1 : -1;
         break;
@@ -315,12 +315,12 @@ LpStatus SimplexCore::iterate_primal() {
       if (cb != 0.0) d_exact -= cb * alpha[i];
     }
     const double viol_exact = direction > 0 ? -d_exact : d_exact;
-    if (viol_exact <= options_.optimality_tol * 0.5) {
+    if (viol_exact <= kLpOptimalityTol * 0.5) {
       // Stale candidate: correct it and re-price. Counts against the
       // iteration budget — under severe ill-conditioning the maintained
       // and exact reduced costs can keep disagreeing, and this loop must
       // terminate via kIterationLimit rather than hang. Refactorizing
-      // removes the eta-file drift that causes the disagreement.
+      // removes the factor-update drift that causes the disagreement.
       ++iterations_;
       d_[static_cast<std::size_t>(entering)] = d_exact;
       if (++stale > 2) {
@@ -348,17 +348,17 @@ LpStatus SimplexCore::iterate_primal() {
     int leaving_row = -1;
     bool leaving_to_upper = false;
     if (options_.harris_ratio && !bland) {
-      const double ftol = options_.feasibility_tol;
+      const double ftol = kLpFeasibilityTol;
       double theta_rel = limit;
       for (int i = 0; i < m_; ++i) {
         const double wi = dir * alpha[i];
         const int bj = basic_[i];
-        if (wi > options_.pivot_tol) {
+        if (wi > kLpPivotTol) {
           const double lob = lo_[static_cast<std::size_t>(bj)];
           const double t =
               (x_basic_[i] - lob + ftol * std::max(1.0, std::abs(lob))) / wi;
           theta_rel = std::min(theta_rel, t);
-        } else if (wi < -options_.pivot_tol &&
+        } else if (wi < -kLpPivotTol &&
                    up_[static_cast<std::size_t>(bj)] < kInfinity) {
           const double upb = up_[static_cast<std::size_t>(bj)];
           const double t =
@@ -374,10 +374,10 @@ LpStatus SimplexCore::iterate_primal() {
           const int bj = basic_[i];
           double t;
           bool to_upper;
-          if (wi > options_.pivot_tol) {
+          if (wi > kLpPivotTol) {
             t = (x_basic_[i] - lo_[static_cast<std::size_t>(bj)]) / wi;
             to_upper = false;
-          } else if (wi < -options_.pivot_tol &&
+          } else if (wi < -kLpPivotTol &&
                      up_[static_cast<std::size_t>(bj)] < kInfinity) {
             t = (up_[static_cast<std::size_t>(bj)] - x_basic_[i]) / (-wi);
             to_upper = true;
@@ -386,8 +386,8 @@ LpStatus SimplexCore::iterate_primal() {
           }
           if (t > theta_rel) continue;
           const double piv = std::abs(wi);
-          if (leaving_row >= 0 && piv < best_piv - options_.drop_tol) continue;
-          if (leaving_row >= 0 && piv <= best_piv + options_.drop_tol &&
+          if (leaving_row >= 0 && piv < best_piv - kLpDropTol) continue;
+          if (leaving_row >= 0 && piv <= best_piv + kLpDropTol &&
               basic_[i] >= basic_[static_cast<std::size_t>(leaving_row)]) {
             continue;
           }
@@ -403,27 +403,27 @@ LpStatus SimplexCore::iterate_primal() {
       }
     } else {
       const auto prefer = [&](double t, double wi, int i) {
-        if (t < limit - options_.drop_tol) return true;
-        if (t >= limit + options_.drop_tol || leaving_row < 0) return false;
+        if (t < limit - kLpDropTol) return true;
+        if (t >= limit + kLpDropTol || leaving_row < 0) return false;
         const double w_cur =
             std::abs(dir * alpha[static_cast<std::size_t>(leaving_row)]);
         const double w_new = std::abs(wi);
-        if (w_new > w_cur + options_.drop_tol) return true;
-        if (w_new < w_cur - options_.drop_tol) return false;
+        if (w_new > w_cur + kLpDropTol) return true;
+        if (w_new < w_cur - kLpDropTol) return false;
         return basic_[static_cast<std::size_t>(i)] <
                basic_[static_cast<std::size_t>(leaving_row)];
       };
       for (int i = 0; i < m_; ++i) {
         const double wi = dir * alpha[i];
         const int bj = basic_[i];
-        if (wi > options_.pivot_tol) {
+        if (wi > kLpPivotTol) {
           const double t = (x_basic_[i] - lo_[static_cast<std::size_t>(bj)]) / wi;
           if (prefer(t, wi, i)) {
             limit = std::max(t, 0.0);
             leaving_row = i;
             leaving_to_upper = false;
           }
-        } else if (wi < -options_.pivot_tol && up_[static_cast<std::size_t>(bj)] < kInfinity) {
+        } else if (wi < -kLpPivotTol && up_[static_cast<std::size_t>(bj)] < kInfinity) {
           const double t = (up_[static_cast<std::size_t>(bj)] - x_basic_[i]) / (-wi);
           if (prefer(t, wi, i)) {
             limit = std::max(t, 0.0);
@@ -489,8 +489,8 @@ LpStatus SimplexCore::iterate_primal() {
       if (weights_blown) {
         weight_.assign(static_cast<std::size_t>(num_vars()), 1.0);
       }
-      if (update_factors(leaving_row, alpha) ||
-          std::abs(alpha_r) < options_.refactor_pivot_tol) {
+      if (update_factors(leaving_row) ||
+          std::abs(alpha_r) < kLpRefactorPivotTol) {
         refactorize();
       }
     }
@@ -499,7 +499,7 @@ LpStatus SimplexCore::iterate_primal() {
     if (limit > 1e-10) {
       stall = 0;
       bland = false;
-    } else if (++stall > options_.stall_limit) {
+    } else if (++stall > kLpStallLimit) {
       if (!bland) ++stats_.bland_episodes;
       bland = true;
     }
@@ -548,11 +548,10 @@ SimplexOptions with_remaining_budget(
   return adjusted;
 }
 
-/// The warm-mode dispatch between the primal and dual drivers, on the model
-/// as given (presolve and the numerical-collapse fallback live in
-/// solve_lp()).
+/// The warm-start rule (see solve_lp()) on the model as given; presolve and
+/// the numerical-collapse fallback live in solve_lp().
 LpSolution solve_lp_direct(const LpModel& model, const SimplexOptions& options,
-                           const LpBasis* warm_start, LpWarmMode warm_mode) {
+                           const LpBasis* warm_start) {
   const auto start = std::chrono::steady_clock::now();
   if (warm_start != nullptr) {
     lp_detail::SimplexCore solver(model, options, warm_start);
@@ -562,30 +561,26 @@ LpSolution solve_lp_direct(const LpModel& model, const SimplexOptions& options,
       // rebuilding an identical instance below.
       return solver.run_primal(model);
     }
-    {
-      // A primal-feasible basis skips phase 1 outright — nothing for the
-      // dual to improve on, so kAuto only reaches for the dual when the
-      // basic values moved out of bounds (the perturbed re-solve case).
-      const bool want_dual =
-          warm_mode == LpWarmMode::kDual ||
-          (warm_mode == LpWarmMode::kAuto && solver.needs_restoration());
-      if (want_dual && solver.dual_feasible()) {
-        LpSolution out = solver.run_dual(model);
-        if (out.status == LpStatus::kOptimal ||
-            out.status == LpStatus::kUnbounded ||
-            out.status == LpStatus::kTimeLimit) {
-          return out;
-        }
-        // The dual stalled (numerical drift or a genuinely infeasible
-        // instance it cannot certify); the cold primal is authoritative.
-      } else {
-        LpSolution out = solver.run_primal(model);
-        // An expired budget is terminal: the cold fallback below could not
-        // finish either, and the partial basis is the caller's answer.
-        if (out.status == LpStatus::kTimeLimit) return out;
-        if (!solver.warm_failed()) return out;
-        // The warm basis resisted repair; a cold solve is the reliable path.
+    // A primal-feasible basis skips phase 1 outright — nothing for the
+    // dual to improve on, so the dual runs only when the basic values moved
+    // out of bounds (the perturbed re-solve case) and the reduced costs
+    // kept their optimal signs.
+    if (solver.needs_restoration() && solver.dual_feasible()) {
+      LpSolution out = solver.run_dual(model);
+      if (out.status == LpStatus::kOptimal ||
+          out.status == LpStatus::kUnbounded ||
+          out.status == LpStatus::kTimeLimit) {
+        return out;
       }
+      // The dual stalled (numerical drift or a genuinely infeasible
+      // instance it cannot certify); the cold primal is authoritative.
+    } else {
+      LpSolution out = solver.run_primal(model);
+      // An expired budget is terminal: the cold fallback below could not
+      // finish either, and the partial basis is the caller's answer.
+      if (out.status == LpStatus::kTimeLimit) return out;
+      if (!solver.warm_failed()) return out;
+      // The warm basis resisted repair; a cold solve is the reliable path.
     }
   }
   // The cold core draws from whatever the warm attempt left of the budget —
@@ -620,7 +615,7 @@ void record_presolve_stats(const PresolveStats& ps, LpStats* stats) {
 }  // namespace
 
 LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
-                    const LpBasis* warm_start, LpWarmMode warm_mode) {
+                    const LpBasis* warm_start) {
   A2A_REQUIRE(model.num_rows() > 0, "LP with no constraints");
   A2A_REQUIRE(model.num_variables() > 0, "LP with no variables");
   const auto solve_start = std::chrono::steady_clock::now();
@@ -632,7 +627,7 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
   if (options.presolve) {
     const auto start = std::chrono::steady_clock::now();
     Presolve pre;
-    const Presolve::Result res = pre.run(model, options);
+    const Presolve::Result res = pre.run(model);
     if (res != Presolve::Result::kUnchanged) {
       LpSolution out;
       switch (res) {
@@ -666,7 +661,7 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
                                         pre.map_warm_basis(*warm_start, &mapped)
                                     ? &mapped
                                     : nullptr;
-          const LpSolution rsol = solve_lp(pre.reduced(), inner, seed, warm_mode);
+          const LpSolution rsol = solve_lp(pre.reduced(), inner, seed);
           pre.postsolve(model, rsol, &out);
           break;
         }
@@ -681,20 +676,20 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
     }
   }
   try {
-    return solve_lp_direct(model, options, warm_start, warm_mode);
+    return solve_lp_direct(model, options, warm_start);
   } catch (const SolverError& e) {
     // Numerical collapse: drift-poisoned pivots can steer the basis into
     // actual singularity (the refactorization throws). One cold retry on
-    // the conservative configuration — short-leash eta file, exact ratio
-    // tests — is the production-grade response; if even that cannot factor,
-    // the model itself is pathological and the error propagates. The retry
-    // draws from the remaining wall-clock budget, never a fresh one.
+    // the conservative configuration — Forrest–Tomlin on a 64-update
+    // leash, exact ratio tests — is the production-grade response; if even
+    // that cannot factor, the model itself is pathological and the error
+    // propagates. The retry draws from the remaining wall-clock budget,
+    // never a fresh one.
     SimplexOptions safe = with_remaining_budget(options, solve_start);
-    safe.basis_update = LpBasisUpdate::kEta;
-    safe.eta_limit = std::min(options.eta_limit, 64);
+    safe.ft_update_limit = std::min(options.ft_update_limit, 64);
     safe.harris_ratio = false;
     A2A_COUNTER("lp.cold_retries").inc();
-    LpSolution out = solve_lp_direct(model, safe, nullptr, warm_mode);
+    LpSolution out = solve_lp_direct(model, safe, nullptr);
     out.stats.cold_retries = 1;
     lp_detail::merge_failed_attempt(out, e.context());
     return out;
@@ -702,9 +697,9 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
 }
 
 LpSolution solve_lp_warm(const LpModel& model, const SimplexOptions& options,
-                         LpBasis* warm, LpWarmMode warm_mode) {
+                         LpBasis* warm) {
   const LpBasis* seed = warm != nullptr && !warm->empty() ? warm : nullptr;
-  LpSolution sol = solve_lp(model, options, seed, warm_mode);
+  LpSolution sol = solve_lp(model, options, seed);
   if (warm != nullptr && sol.optimal()) *warm = sol.basis;
   return sol;
 }

@@ -9,13 +9,15 @@
 //     partial pricing on wide models) with incrementally maintained reduced
 //     costs, a Harris two-pass bound-flip ratio test, and optional warm
 //     starts from a prior basis.
-//     Warm starts choose between the primal simplex (with in-place
-//     feasibility restoration) and a bounded-variable DUAL simplex that
+//     One rule picks the warm driver: the primal simplex (with in-place
+//     feasibility restoration) or a bounded-variable DUAL simplex that
 //     iterates directly on a still-dual-feasible basis — the natural engine
 //     for re-solves whose rhs/bounds moved under an optimal basis (Fig. 9
-//     disabled-link sweeps, schedule-cache revalidation, child LPs);
+//     disabled-link sweeps, failover re-solves, child LPs). The tolerances
+//     are constants (kLp* below), not options;
 //   * solve_lp_dense() — the original dense-inverse Dantzig solver, kept as
-//     the cross-check reference and the "before" side of bench_lp.
+//     the independent oracle the tests and fuzz_lp check solve_lp() against
+//     and as bench_lp's dense leg.
 #pragma once
 
 #include <string>
@@ -74,8 +76,9 @@ struct LpStats {
   /// Transitions into Bland's rule (anti-cycling episodes), primal + dual.
   long long bland_episodes = 0;
   bool dual_used = false;           ///< the dual simplex drove this solve.
-  /// 1 when the warm/FT path threw SolverError and the solve succeeded only
-  /// on the cold conservative retry (eta updates, Harris off).
+  /// 1 when the first attempt threw SolverError (numerical collapse) and the
+  /// solve finished on the cold conservative retry (Forrest–Tomlin with a
+  /// 64-update leash, Harris off).
   int cold_retries = 0;
   /// Presolve reductions (lp/presolve.hpp), zero when presolve was off.
   long long presolve_fixed_variables = 0;
@@ -121,20 +124,35 @@ struct LpSolution {
   [[nodiscard]] bool optimal() const { return status == LpStatus::kOptimal; }
 };
 
-/// How the sparse solver keeps the basis factorization alive between
-/// refactorizations.
-///
-///   kForrestTomlin — update the LU factors in place (Forrest & Tomlin 1972):
-///                    each pivot swaps one U column for the partially solved
-///                    entering column and records ONE sparse row eta, so
-///                    FTRAN/BTRAN cost is bounded by U's sparsity instead of
-///                    growing by a full transformed column per pivot.
-///                    Refactorization triggers on fill growth or an unstable
-///                    transformed diagonal, not on a fixed pivot count.
-///   kEta           — the PR 2 product-form eta file, kept as the
-///                    cross-check reference (bench_lp's "before" side and the
-///                    eta-vs-FT differential tests).
-enum class LpBasisUpdate { kForrestTomlin, kEta };
+/// Numerical tolerances of the simplex engines: the sparse solver, presolve
+/// and the dense reference all read these. They are constants rather than
+/// options because every shipped solve runs the same values, and
+/// schedule_fingerprint() feeds them so a cached schedule stays tied to the
+/// tolerances that produced it.
+inline constexpr double kLpFeasibilityTol = 1e-7;
+inline constexpr double kLpOptimalityTol = 1e-7;
+inline constexpr double kLpPivotTol = 1e-9;
+/// Non-improving primal pivots before pricing switches to Bland's rule.
+inline constexpr int kLpStallLimit = 8000;
+/// Phase-1 objective above this at phase-1 optimality means infeasible.
+inline constexpr double kLpPhase1Tol = 1e-6;
+/// Magnitudes below this are treated as exact zeros: entries dropped from
+/// Forrest–Tomlin updates, pivot-row scan cutoffs, ratio-test tie windows
+/// and the degenerate-step threshold.
+inline constexpr double kLpDropTol = 1e-12;
+/// A pivot magnitude below this forces a refactorization right after the
+/// pivot is applied (the factor update it leaves behind is too
+/// ill-conditioned to keep).
+inline constexpr double kLpRefactorPivotTol = 1e-8;
+/// Degenerate (zero-step) pivots in a row before the restoration and dual
+/// loops switch to Bland's rule to break the cycle.
+inline constexpr int kLpDegenerateStreakLimit = 64;
+/// Relative cost perturbation the dual simplex applies to nonbasic columns
+/// (in their dual-feasible direction) before iterating, so that totally
+/// dual-degenerate warm bases — the norm for max-concurrent-flow optima —
+/// still make strict progress. Removed before the solution is reported; the
+/// primal polishes the residue.
+inline constexpr double kLpDualPerturb = 1e-5;
 
 struct SimplexOptions {
   long long max_iterations = 2'000'000;
@@ -147,30 +165,20 @@ struct SimplexOptions {
   /// allowance, so a deadline-bounded caller overshoots by at most one
   /// check interval plus one refactorization.
   double time_limit_s = 0.0;
-  /// Pivots between LU refactorizations (dense solver: product-form updates
-  /// of the explicit inverse, refactorize rarely; flow bases stay accurate).
-  int refactor_interval = 4000;
-  /// Sparse solver: how the basis factors follow the pivots (see
-  /// LpBasisUpdate).
-  LpBasisUpdate basis_update = LpBasisUpdate::kForrestTomlin;
-  /// kEta only: eta-file length before the basis is refactorized. Each
-  /// pivot appends one eta vector, so FTRAN/BTRAN cost grows linearly with
-  /// this; sparse refactorization is cheap enough to keep it short.
-  int eta_limit = 96;
-  /// kForrestTomlin only: hard backstop on updates between refactorizations.
+  /// Hard backstop on Forrest–Tomlin updates between refactorizations.
   /// Fill growth and diagonal stability are the adaptive triggers, but the
   /// backstop also clamps x_basic_/reduced-cost drift (refactorization is
   /// when both are recomputed): ill-conditioned tsMCF bases go numerically
   /// singular when hundreds of pivots run without a refresh, so this stays
-  /// a small multiple of the old eta cadence.
+  /// small. The cold retry after a numerical collapse caps it at 64.
   int ft_update_limit = 192;
-  /// kForrestTomlin only: refactorize when the live U fill plus row-eta
-  /// entries exceed this multiple of the fresh factorization's fill — the
-  /// "FTRAN/BTRAN cost is growing" signal.
+  /// Refactorize when the live U fill plus row-eta entries exceed this
+  /// multiple of the fresh factorization's fill — the "FTRAN/BTRAN cost is
+  /// growing" signal.
   double refactor_fill_growth = 3.0;
-  /// kForrestTomlin only: an update whose transformed spike diagonal is
-  /// below this (relative to the spike's largest entry) is refused and the
-  /// basis refactorized instead.
+  /// An update whose transformed spike diagonal is below this (relative to
+  /// the spike's largest entry) is refused and the basis refactorized
+  /// instead.
   double ft_diag_tol = 1e-9;
   /// Run the presolve/postsolve layer (lp/presolve.hpp: fixed-variable and
   /// empty/singleton row-column elimination, bound tightening) before the
@@ -190,70 +198,35 @@ struct SimplexOptions {
   /// and stops at the first section containing an attractive candidate,
   /// instead of pricing all 50k pMCF columns every pivot. 0 disables.
   int partial_pricing_threshold = 4096;
-  double feasibility_tol = 1e-7;
-  double optimality_tol = 1e-7;
-  double pivot_tol = 1e-9;
-  int stall_limit = 8000;          ///< non-improving pivots before Bland.
-  /// Phase-1 objective above this at phase-1 optimality means infeasible.
-  double phase1_tol = 1e-6;
-  /// Magnitudes below this are treated as exact zeros: entries dropped from
-  /// eta vectors, pivot-row scan cutoffs, and the degenerate-step threshold.
-  /// Shared by the primal and dual ratio tests.
-  double drop_tol = 1e-12;
-  /// A pivot magnitude below this forces an immediate refactorization after
-  /// the pivot is applied (the eta vector it would leave behind is too
-  /// ill-conditioned to keep).
-  double refactor_pivot_tol = 1e-8;
-  /// Degenerate (zero-step) pivots in a row before the restoration and dual
-  /// loops switch to Bland's rule to break the cycle.
-  int degenerate_streak_limit = 64;
-  /// Relative cost perturbation the dual simplex applies to nonbasic
-  /// columns (in their dual-feasible direction) before iterating, so that
-  /// totally dual-degenerate warm bases — the norm for max-concurrent-flow
-  /// optima — still make strict progress. Removed before the solution is
-  /// reported; the primal polishes the residue.
-  double dual_perturb = 1e-5;
 };
-
-/// How solve_lp() exploits a supplied warm-start basis.
-///
-///   kPrimal — adopt the basis when primal feasible (skipping phase 1); when
-///             the instance's rhs/bounds moved under it, repair primal
-///             feasibility in place (artificial-free restoration) and finish
-///             with the primal simplex.
-///   kDual   — adopt the basis when it is still DUAL feasible (reduced costs
-///             have the optimal signs — always true when only rhs/bounds
-///             changed since the basis was optimal) and run the dual simplex
-///             directly on it, with no phase-1/restoration work at all. Falls
-///             back to the primal path when the basis is dual infeasible.
-///   kAuto   — primal-feasible basis: primal phase 2 (nothing to repair);
-///             otherwise prefer the dual when the basis is dual feasible,
-///             else primal restoration. The right default for perturbed
-///             re-solves (Fig. 9 sweeps, cache revalidation, child LPs).
-enum class LpWarmMode { kPrimal, kDual, kAuto };
 
 /// Solves `model` with the sparse revised simplex; throws SolverError only on
 /// internal numerical failure (singular basis after refactorization).
 /// Infeasible/unbounded are reported via the status field. A non-null
 /// `warm_start` seeds the initial basis when it is compatible with the
-/// model's shape; `warm_mode` picks how it is exploited (see LpWarmMode).
-/// A structurally broken, singular, or unusable basis silently falls back to
-/// the cold crash path.
+/// model's shape, and one rule picks how it is exploited:
+///   * primal feasible — primal phase 2 (nothing to repair);
+///   * primal infeasible and dual feasible (only rhs/bounds moved since it
+///     was optimal: Fig. 9 sweeps, failover re-solves, child LPs) — the dual
+///     simplex iterates on it directly;
+///   * neither — artificial-free primal restoration, then phase 2.
+/// A structurally broken, singular, or unusable basis, and any warm path
+/// that resists repair, falls back to the cold crash path.
 [[nodiscard]] LpSolution solve_lp(const LpModel& model,
                                   const SimplexOptions& options = {},
-                                  const LpBasis* warm_start = nullptr,
-                                  LpWarmMode warm_mode = LpWarmMode::kAuto);
+                                  const LpBasis* warm_start = nullptr);
 
 /// Warm-start protocol shared by every MCF entry point: seeds from `*warm`
 /// when it is non-null and non-empty, and writes the final basis back on an
 /// optimal solve so the caller's next same-shaped LP restarts near-optimal.
 [[nodiscard]] LpSolution solve_lp_warm(const LpModel& model,
                                        const SimplexOptions& options,
-                                       LpBasis* warm,
-                                       LpWarmMode warm_mode = LpWarmMode::kAuto);
+                                       LpBasis* warm);
 
 /// Reference implementation: the original dense-inverse Dantzig simplex.
-/// Same statuses and objectives; no basis export and no warm starts.
+/// Same statuses and objectives; no basis export and no warm starts. Kept
+/// as the independent oracle the tests and fuzz_lp check solve_lp against;
+/// of `options` it reads only max_iterations.
 [[nodiscard]] LpSolution solve_lp_dense(const LpModel& model,
                                         const SimplexOptions& options = {});
 

@@ -15,9 +15,7 @@ namespace a2a::lp_detail {
 
 SimplexCore::SimplexCore(const LpModel& model, const SimplexOptions& options,
                          const LpBasis* warm_start)
-    : options_(options),
-      m_(model.num_rows()),
-      use_ft_(options.basis_update == LpBasisUpdate::kForrestTomlin) {
+    : options_(options), m_(model.num_rows()) {
   if (options.time_limit_s > 0.0) {
     deadline_ = std::chrono::steady_clock::now() +
                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -117,7 +115,7 @@ bool SimplexCore::try_warm_start(const LpBasis& warm) {
   // factorization (build() skips its refactorize), on failure the cold
   // crash path refactorizes over it anyway.
   try {
-    lu_.factor(cols_, basic, /*prepare_updates=*/use_ft_);
+    lu_.factor(cols_, basic, /*prepare_updates=*/true);
   } catch (const SolverError&) {
     return false;
   }
@@ -134,7 +132,7 @@ bool SimplexCore::try_warm_start(const LpBasis& warm) {
     }
   }
   lu_.ftran(residual, lu_scratch_);
-  const double tol = 16.0 * options_.feasibility_tol;
+  const double tol = 16.0 * kLpFeasibilityTol;
   bool feasible = true;
   for (int i = 0; i < m_; ++i) {
     const int j = basic[static_cast<std::size_t>(i)];
@@ -231,7 +229,7 @@ bool SimplexCore::dual_feasible() const {
   // when only rhs/bounds moved; a generous multiple of the optimality
   // tolerance absorbs recomputation round-off without letting a genuinely
   // dual-infeasible basis through.
-  const double tol = 16.0 * options_.optimality_tol;
+  const double tol = 16.0 * kLpOptimalityTol;
   for (int j = 0; j < num_vars(); ++j) {
     if (state_[j] == VarState::kBasic || fixed(j)) continue;
     if (state_[j] == VarState::kAtLower && d_[j] < -tol) return false;
@@ -243,32 +241,13 @@ bool SimplexCore::dual_feasible() const {
 // ---- linear algebra ---------------------------------------------------------
 
 /// x <- B^-1 x. Input indexed by row; output indexed by basis position.
-/// Forrest–Tomlin mode keeps the pivot history inside lu_; kEta mode applies
-/// the product-form eta file on top of the last factorization.
+/// The Forrest–Tomlin pivot history lives inside lu_.
 void SimplexCore::ftran_full(std::vector<double>& x, bool save_spike) {
-  lu_.ftran(x, lu_scratch_, use_ft_ && save_spike ? &ft_spike_ : nullptr);
-  if (use_ft_) return;
-  for (std::size_t e = 0; e < eta_row_.size(); ++e) {
-    double& xr = x[static_cast<std::size_t>(eta_row_[e])];
-    if (xr == 0.0) continue;
-    xr /= eta_pivot_[e];
-    for (int k = eta_ptr_[e]; k < eta_ptr_[e + 1]; ++k) {
-      x[static_cast<std::size_t>(eta_pos_[k])] -= eta_val_[k] * xr;
-    }
-  }
+  lu_.ftran(x, lu_scratch_, save_spike ? &ft_spike_ : nullptr);
 }
 
 /// y <- B^-T y. Input indexed by basis position; output indexed by row.
 void SimplexCore::btran_full(std::vector<double>& y) {
-  if (!use_ft_) {
-    for (std::size_t e = eta_row_.size(); e-- > 0;) {
-      double t = y[static_cast<std::size_t>(eta_row_[e])];
-      for (int k = eta_ptr_[e]; k < eta_ptr_[e + 1]; ++k) {
-        t -= eta_val_[k] * y[static_cast<std::size_t>(eta_pos_[k])];
-      }
-      y[static_cast<std::size_t>(eta_row_[e])] = t / eta_pivot_[e];
-    }
-  }
   lu_.btran(y, lu_scratch_);
 }
 
@@ -289,7 +268,7 @@ void SimplexCore::compute_pivot_row(int row, std::vector<double>& rho,
   touched.clear();
   for (int i = 0; i < m_; ++i) {
     const double ri = rho[i];
-    if (std::abs(ri) < options_.drop_tol) continue;
+    if (std::abs(ri) < kLpDropTol) continue;
     for (int k = csr_.row_begin(i); k < csr_.row_end(i); ++k) {
       const int j = csr_.entry_col(k);
       if (accum[static_cast<std::size_t>(j)] == 0.0) touched.push_back(j);
@@ -298,52 +277,26 @@ void SimplexCore::compute_pivot_row(int row, std::vector<double>& rho,
   }
 }
 
-bool SimplexCore::update_factors(int row, const std::vector<double>& alpha) {
-  if (use_ft_) {
-    // ft_spike_ was captured by the compute_column(entering) of this very
-    // pivot; no solves have touched it since.
-    if (!lu_.update(row, ft_spike_, options_.ft_diag_tol, options_.drop_tol)) {
-      ++stats_.ft_refusals;
-      return true;  // unstable transformed diagonal: refactorize
-    }
-    ++stats_.ft_updates;
-    if (lu_.updates() >= options_.ft_update_limit) return true;
-    const auto base = static_cast<double>(std::max<std::size_t>(lu_.base_fill(), 64));
-    return static_cast<double>(lu_.update_work()) >
-           options_.refactor_fill_growth * base;
+bool SimplexCore::update_factors(int row) {
+  // ft_spike_ was captured by the compute_column(entering) of this very
+  // pivot; no solves have touched it since.
+  if (!lu_.update(row, ft_spike_, options_.ft_diag_tol, kLpDropTol)) {
+    ++stats_.ft_refusals;
+    return true;  // unstable transformed diagonal: refactorize
   }
-  append_eta(row, alpha);
-  return static_cast<int>(eta_row_.size()) >= options_.eta_limit;
+  ++stats_.ft_updates;
+  if (lu_.updates() >= options_.ft_update_limit) return true;
+  const auto base = static_cast<double>(std::max<std::size_t>(lu_.base_fill(), 64));
+  return static_cast<double>(lu_.update_work()) >
+         options_.refactor_fill_growth * base;
 }
 
-void SimplexCore::append_eta(int row, const std::vector<double>& alpha) {
-  eta_row_.push_back(row);
-  eta_pivot_.push_back(alpha[static_cast<std::size_t>(row)]);
-  for (int i = 0; i < m_; ++i) {
-    if (i == row) continue;
-    const double v = alpha[static_cast<std::size_t>(i)];
-    if (std::abs(v) > options_.drop_tol) {
-      eta_pos_.push_back(i);
-      eta_val_.push_back(v);
-    }
-  }
-  eta_ptr_.push_back(static_cast<int>(eta_pos_.size()));
-}
-
-void SimplexCore::clear_etas() {
-  eta_row_.clear();
-  eta_pivot_.clear();
-  eta_pos_.clear();
-  eta_val_.clear();
-  eta_ptr_.assign(1, 0);
-}
-
-/// Fresh LU of the current basis; resets the pivot history (FT updates or
-/// eta file) and recomputes the basic values and reduced costs (bounding
-/// numerical drift).
+/// Fresh LU of the current basis; resets the Forrest–Tomlin pivot history
+/// and recomputes the basic values and reduced costs (bounding numerical
+/// drift).
 void SimplexCore::refactorize() {
   try {
-    lu_.factor(cols_, basic_, /*prepare_updates=*/use_ft_);
+    lu_.factor(cols_, basic_, /*prepare_updates=*/true);
   } catch (const SolverError& e) {
     // Re-throw with where-the-run-was context; the LU layer only knows the
     // matrix, not the solve.
@@ -352,7 +305,6 @@ void SimplexCore::refactorize() {
                                          phase_});
   }
   ++stats_.refactorizations;
-  clear_etas();
   // x_B = B^-1 (b - A_N x_N).
   std::vector<double> residual = rhs_;
   for (int j = 0; j < num_vars(); ++j) {

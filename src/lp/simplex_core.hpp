@@ -3,9 +3,9 @@
 // SimplexCore owns everything the primal and dual iteration loops have in
 // common: the CSC/CSR constraint storage in standard form, variable bounds
 // and phase costs, the basis arrays, the sparse LU kept alive by
-// Forrest–Tomlin factor updates (or the legacy product-form eta file in
-// kEta mode), warm-start basis import, reduced-cost recomputation, and
-// solution export. The two drivers live in separate translation units:
+// Forrest–Tomlin factor updates, warm-start basis import, reduced-cost
+// recomputation, and solution export. The two drivers live in separate
+// translation units:
 //   * simplex.cpp      — run_primal(): two-phase primal simplex with Devex
 //     pricing, the bound-flip ratio test, and artificial-free feasibility
 //     restoration for warm bases whose basic values moved out of bounds;
@@ -91,15 +91,13 @@ class SimplexCore {
   void compute_pivot_row(int row, std::vector<double>& rho,
                          std::vector<double>& accum,
                          std::vector<int>& touched);
-  /// Folds the pivot (entering column `alpha`, basis position `row`) into
-  /// the live factorization: a Forrest–Tomlin update of the LU factors (the
-  /// default), or an appended product-form eta in kEta mode. Returns true
-  /// when the caller must refactorize — the FT update was refused as
+  /// Folds the pivot (the entering column whose spike the last
+  /// compute_column() captured, basis position `row`) into the live
+  /// factorization with a Forrest–Tomlin update of the LU factors. Returns
+  /// true when the caller must refactorize — the update was refused as
   /// unstable, fill grew past SimplexOptions::refactor_fill_growth, or the
-  /// update/eta count hit its backstop.
-  [[nodiscard]] bool update_factors(int row, const std::vector<double>& alpha);
-  void append_eta(int row, const std::vector<double>& alpha);
-  void clear_etas();
+  /// update count hit SimplexOptions::ft_update_limit.
+  [[nodiscard]] bool update_factors(int row);
   void refactorize();
   void recompute_reduced_costs();
 
@@ -159,17 +157,9 @@ class SimplexCore {
 
   SparseLu lu_;
   std::vector<double> lu_scratch_;
-  const bool use_ft_;  ///< basis_update == kForrestTomlin.
   /// Forrest–Tomlin spike of the last compute_column() (the partial FTRAN
   /// before the U solve), consumed by update_factors() at the pivot.
   std::vector<double> ft_spike_;
-  // kEta mode only — product-form eta file (flat arrays): eta e replaces
-  // basis position eta_row_[e] with the FTRAN'd entering column.
-  std::vector<int> eta_row_;
-  std::vector<double> eta_pivot_;
-  std::vector<int> eta_ptr_{0};
-  std::vector<int> eta_pos_;
-  std::vector<double> eta_val_;
 
   std::vector<double> d_;       ///< maintained reduced costs (nonbasic).
   std::vector<double> weight_;  ///< Devex reference weights (primal, per column).

@@ -102,7 +102,6 @@ LpModel build_link_mcf_model(const DiGraph& g, const TerminalPairs& pairs,
 LinkFlowSolution solve_link_mcf_exact(const DiGraph& g,
                                       const std::vector<NodeId>& terminals,
                                       const SimplexOptions& lp, LpBasis* warm,
-                                      LpWarmMode warm_mode,
                                       const DemandMatrix* demand) {
   A2A_REQUIRE(terminals.size() >= 2, "need at least two terminals");
   TerminalPairs pairs(terminals);
@@ -112,7 +111,7 @@ LinkFlowSolution solve_link_mcf_exact(const DiGraph& g,
   const LpModel model = build_link_mcf_model(g, pairs, &f_var, demand);
   auto var = [&](int k, int e) { return link_mcf_var(E, k, e); };
 
-  const LpSolution sol = solve_lp_warm(model, lp, warm, warm_mode);
+  const LpSolution sol = solve_lp_warm(model, lp, warm);
   if (!sol.optimal()) {
     throw SolverError("link MCF LP failed: " + to_string(sol.status));
   }
@@ -135,7 +134,6 @@ LinkFlowSolution solve_link_mcf_exact(const DiGraph& g,
 GroupedFlowSolution solve_master_lp(const DiGraph& g,
                                     const std::vector<NodeId>& terminals,
                                     const SimplexOptions& lp, LpBasis* warm,
-                                    LpWarmMode warm_mode,
                                     const DemandMatrix* demand) {
   A2A_REQUIRE(terminals.size() >= 2, "need at least two terminals");
   const int E = g.num_edges();
@@ -183,7 +181,7 @@ GroupedFlowSolution solve_master_lp(const DiGraph& g,
     }
   }
 
-  const LpSolution sol = solve_lp_warm(model, lp, warm, warm_mode);
+  const LpSolution sol = solve_lp_warm(model, lp, warm);
   if (!sol.optimal()) {
     throw SolverError("master MCF LP failed: " + to_string(sol.status));
   }
@@ -207,8 +205,7 @@ GroupedFlowSolution solve_master_lp(const DiGraph& g,
 std::vector<std::vector<double>> solve_child_lp(
     const DiGraph& g, const std::vector<NodeId>& terminals, int source_index,
     const std::vector<double>& source_flow, double F,
-    const SimplexOptions& lp, LpBasis* warm, LpWarmMode warm_mode,
-    const DemandMatrix* demand) {
+    const SimplexOptions& lp, LpBasis* warm, const DemandMatrix* demand) {
   const int E = g.num_edges();
   const int S = static_cast<int>(terminals.size());
   A2A_REQUIRE(source_index >= 0 && source_index < S, "source index out of range");
@@ -260,7 +257,7 @@ std::vector<std::vector<double>> solve_child_lp(
     }
   }
 
-  const LpSolution sol = solve_lp_warm(model, lp, warm, warm_mode);
+  const LpSolution sol = solve_lp_warm(model, lp, warm);
   if (!sol.optimal()) {
     throw SolverError("child MCF LP failed: " + to_string(sol.status));
   }

@@ -99,7 +99,6 @@ struct GroupedFlowSolution {
 [[nodiscard]] LinkFlowSolution solve_link_mcf_exact(
     const DiGraph& g, const std::vector<NodeId>& terminals,
     const SimplexOptions& lp = {}, LpBasis* warm = nullptr,
-    LpWarmMode warm_mode = LpWarmMode::kAuto,
     const DemandMatrix* demand = nullptr);
 
 /// Exact master LP (eqs. 6–9): grouped source-rooted commodities. Warm-start
@@ -108,7 +107,6 @@ struct GroupedFlowSolution {
 [[nodiscard]] GroupedFlowSolution solve_master_lp(
     const DiGraph& g, const std::vector<NodeId>& terminals,
     const SimplexOptions& lp = {}, LpBasis* warm = nullptr,
-    LpWarmMode warm_mode = LpWarmMode::kAuto,
     const DemandMatrix* demand = nullptr);
 
 /// Exact child LP (eqs. 10–14) for one source: splits the master's
@@ -121,7 +119,6 @@ struct GroupedFlowSolution {
     const DiGraph& g, const std::vector<NodeId>& terminals, int source_index,
     const std::vector<double>& source_flow, double F,
     const SimplexOptions& lp = {}, LpBasis* warm = nullptr,
-    LpWarmMode warm_mode = LpWarmMode::kAuto,
     const DemandMatrix* demand = nullptr);
 
 }  // namespace a2a

@@ -25,8 +25,7 @@ GroupedFlowSolution solve_master(const DiGraph& g,
                : MasterMode::kFptas;
   }
   if (mode == MasterMode::kExactLp) {
-    return solve_master_lp(g, terminals, options.lp, master_warm,
-                           options.warm_mode, demand);
+    return solve_master_lp(g, terminals, options.lp, master_warm, demand);
   }
   FleischerOptions fo = options.fptas;
   fo.epsilon = options.fptas_epsilon;
@@ -72,8 +71,7 @@ LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
   LpBasis child_seed;
   if (options.child == ChildMode::kLp && S > 1 && !silent[0]) {
     const auto flows = solve_child_lp(g, terminals, 0, master.per_source[0], F,
-                                      options.lp, &child_seed,
-                                      options.warm_mode, demand);
+                                      options.lp, &child_seed, demand);
     for (int di = 1; di < S; ++di) {
       const int pair = pairs.index(0, di);
       out.per_commodity[static_cast<std::size_t>(pair)] =
@@ -105,7 +103,7 @@ LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
       LpBasis warm = child_seed;
       const auto flows = solve_child_lp(g, terminals, static_cast<int>(si),
                                         master.per_source[si], F, options.lp,
-                                        &warm, options.warm_mode, demand);
+                                        &warm, demand);
       for (std::size_t k = 0; k < sinks.size(); ++k) {
         const int di = sink_terminal_index[k];
         const int pair = pairs.index(static_cast<int>(si), di);

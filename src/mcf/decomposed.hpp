@@ -34,10 +34,6 @@ struct DecomposedOptions {
   int exact_master_limit = 56;
   double fptas_epsilon = 0.02;
   SimplexOptions lp;
-  /// Warm-start strategy for the exact master and child LPs. kAuto lets a
-  /// dual-feasible basis from a prior solve (or the first child) absorb
-  /// rhs-only perturbations with the dual simplex instead of restoration.
-  LpWarmMode warm_mode = LpWarmMode::kAuto;
   FleischerOptions fptas;
 };
 

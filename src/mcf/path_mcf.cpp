@@ -111,11 +111,11 @@ namespace {
 
 PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
                                     const SimplexOptions& lp, LpBasis* warm,
-                                    LpWarmMode warm_mode, bool throw_on_fail) {
+                                    bool throw_on_fail) {
   const std::size_t K = paths.commodities.size();
   int f_var = -1;
   const LpModel model = build_path_mcf_model(g, paths, &f_var);
-  const LpSolution sol = solve_lp_warm(model, lp, warm, warm_mode);
+  const LpSolution sol = solve_lp_warm(model, lp, warm);
   if (throw_on_fail && !sol.optimal()) {
     throw SolverError("path MCF LP failed: " + to_string(sol.status));
   }
@@ -145,17 +145,13 @@ PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
 }  // namespace
 
 PathMcfSolution solve_path_mcf_exact(const DiGraph& g, const PathSet& paths,
-                                     const SimplexOptions& lp, LpBasis* warm,
-                                     LpWarmMode warm_mode) {
-  return solve_path_mcf_impl(g, paths, lp, warm, warm_mode,
-                             /*throw_on_fail=*/true);
+                                     const SimplexOptions& lp, LpBasis* warm) {
+  return solve_path_mcf_impl(g, paths, lp, warm, /*throw_on_fail=*/true);
 }
 
 PathMcfSolution solve_path_mcf_budgeted(const DiGraph& g, const PathSet& paths,
-                                        const SimplexOptions& lp, LpBasis* warm,
-                                        LpWarmMode warm_mode) {
-  return solve_path_mcf_impl(g, paths, lp, warm, warm_mode,
-                             /*throw_on_fail=*/false);
+                                        const SimplexOptions& lp, LpBasis* warm) {
+  return solve_path_mcf_impl(g, paths, lp, warm, /*throw_on_fail=*/false);
 }
 
 double max_link_load(const DiGraph& g, const PathSet& paths,

@@ -58,8 +58,7 @@ struct PathMcfSolution {
 [[nodiscard]] PathMcfSolution solve_path_mcf_exact(const DiGraph& g,
                                                    const PathSet& paths,
                                                    const SimplexOptions& lp = {},
-                                                   LpBasis* warm = nullptr,
-                                                   LpWarmMode warm_mode = LpWarmMode::kAuto);
+                                                   LpBasis* warm = nullptr);
 
 /// Deadline-tolerant variant for online re-scheduling: a non-optimal LP
 /// outcome (e.g. SimplexOptions::time_limit_s expired) is reported via
@@ -69,8 +68,7 @@ struct PathMcfSolution {
 [[nodiscard]] PathMcfSolution solve_path_mcf_budgeted(const DiGraph& g,
                                                       const PathSet& paths,
                                                       const SimplexOptions& lp = {},
-                                                      LpBasis* warm = nullptr,
-                                                      LpWarmMode warm_mode = LpWarmMode::kAuto);
+                                                      LpBasis* warm = nullptr);
 
 /// Max per-edge load if each commodity splits its demand (unit, or
 /// PathSet::demands when set) over its candidate paths with the given

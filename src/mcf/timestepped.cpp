@@ -110,7 +110,6 @@ LpModel build_tsmcf_model(const DiGraph& g, int steps,
 TsMcfSolution solve_tsmcf_exact(const DiGraph& g, int steps,
                                 const std::vector<NodeId>& terminals,
                                 const SimplexOptions& lp, LpBasis* warm,
-                                LpWarmMode warm_mode,
                                 const DemandMatrix* demand) {
   TerminalPairs pairs(terminals);
   const int K = pairs.count();
@@ -119,7 +118,7 @@ TsMcfSolution solve_tsmcf_exact(const DiGraph& g, int steps,
   const LpModel model = build_tsmcf_model(g, steps, pairs, &u_var, demand);
   auto var = [&](int k, int e, int t) { return tsmcf_var(E, steps, k, e, t); };
 
-  const LpSolution sol = solve_lp_warm(model, lp, warm, warm_mode);
+  const LpSolution sol = solve_lp_warm(model, lp, warm);
   if (!sol.optimal()) {
     throw SolverError("tsMCF LP failed: " + to_string(sol.status));
   }

@@ -62,7 +62,6 @@ struct TsMcfSolution {
                                               const std::vector<NodeId>& terminals,
                                               const SimplexOptions& lp = {},
                                               LpBasis* warm = nullptr,
-                                              LpWarmMode warm_mode = LpWarmMode::kAuto,
                                               const DemandMatrix* demand = nullptr);
 
 }  // namespace a2a

@@ -154,8 +154,7 @@ TEST(FuzzDemands, SolverTiersAgreeOnRandomDemandMatrices) {
 
     // Reference: the exact link MCF with weighted demand rows.
     const LinkFlowSolution exact =
-        solve_link_mcf_exact(g, terminals, {}, nullptr, LpWarmMode::kAuto,
-                             &demand);
+        solve_link_mcf_exact(g, terminals, {}, nullptr, &demand);
     ASSERT_GT(exact.concurrent_flow, 0.0);
     check_weighted_feasible(g, exact, demand);
 

@@ -4,11 +4,14 @@
 // singleton/empty rows, empty columns, duplicate rows), tie-heavy degenerate
 // instances, and random-network link-MCF models — and cross-checks every
 // solver path against every other:
-//   * dense reference (solve_lp_dense);
-//   * sparse legacy (product-form eta file, no presolve, exact ratio tests);
-//   * sparse Forrest–Tomlin (presolve off);
-//   * the full default (FT + presolve + Harris + partial pricing);
+//   * dense reference (solve_lp_dense) — the only independent oracle for
+//     the non-exact box, degenerate and network families;
+//   * Forrest–Tomlin with presolve, Harris and sectioned pricing off;
+//   * FT + presolve;
+//   * FT + Harris;
+//   * the full default (FT + presolve + Harris), sectioned pricing forced;
 //   * a dual-warm re-solve of a perturbed instance vs its cold solve;
+//   * a restoration-warm re-solve (perturbed rhs AND objective) vs cold;
 //   * an EXACT rational tableau simplex (Bland's rule, Rational arithmetic)
 //     on the small all-integer instances, where "identical objective" means
 //     equality against the exact optimum, not solver-vs-solver agreement.
@@ -29,6 +32,7 @@
 #include "common/rational.hpp"
 #include "graph/digraph.hpp"
 #include "lp/simplex.hpp"
+#include "lp/simplex_core.hpp"
 #include "mcf/concurrent_flow.hpp"
 
 namespace a2a {
@@ -374,20 +378,19 @@ struct SolverPath {
 };
 
 std::vector<SolverPath> solver_paths() {
-  SimplexOptions legacy;
-  legacy.basis_update = LpBasisUpdate::kEta;
-  legacy.presolve = false;
-  legacy.harris_ratio = false;
-  legacy.partial_pricing_threshold = 0;
-  SimplexOptions ft = legacy;
-  ft.basis_update = LpBasisUpdate::kForrestTomlin;
-  SimplexOptions presolved_eta = legacy;
-  presolved_eta.presolve = true;
+  SimplexOptions exact;
+  exact.presolve = false;
+  exact.harris_ratio = false;
+  exact.partial_pricing_threshold = 0;
+  SimplexOptions presolved = exact;
+  presolved.presolve = true;
+  SimplexOptions harris = exact;
+  harris.harris_ratio = true;
   SimplexOptions full;  // FT + presolve + Harris + partial pricing
   full.partial_pricing_threshold = 64;  // force the sectioned scan into play
-  return {{"legacy-eta", legacy},
-          {"ft", ft},
-          {"eta+presolve", presolved_eta},
+  return {{"ft-exact", exact},
+          {"ft+presolve", presolved},
+          {"ft+harris", harris},
           {"full-default", full}};
 }
 
@@ -475,7 +478,7 @@ TEST(FuzzLp, DualWarmResolvesMatchColdOnPerturbedInstances) {
     const LpModel perturbed =
         build_link_mcf_model(shrunk, TerminalPairs(all_nodes(shrunk)));
     const LpSolution cold = solve_lp(perturbed);
-    const LpSolution dual = solve_lp(perturbed, {}, &warm, LpWarmMode::kDual);
+    const LpSolution dual = solve_lp(perturbed, {}, &warm);
     ASSERT_TRUE(cold.optimal()) << "instance " << i;
     ASSERT_TRUE(dual.optimal()) << "instance " << i;
     ASSERT_NEAR(cold.objective, dual.objective,
@@ -483,6 +486,60 @@ TEST(FuzzLp, DualWarmResolvesMatchColdOnPerturbedInstances) {
         << "instance " << i;
     ASSERT_TRUE(feasible(perturbed, dual.values)) << "instance " << i;
   }
+}
+
+TEST(FuzzLp, RestorationWarmResolvesMatchColdOnRewardedInstances) {
+  const long long iters = std::max(1LL, fuzz_iterations() / 8);
+  // Presolve off, so the probe core below sees exactly the model and basis
+  // the warm solve starts from.
+  SimplexOptions no_presolve;
+  no_presolve.presolve = false;
+  long long restored = 0;
+  for (long long i = 0; i < iters; ++i) {
+    Rng rng(0x2E570AE0 + static_cast<std::uint64_t>(i));
+    DiGraph g(1);
+    (void)random_network_lp(rng, &g);  // draw a random graph shape
+    const LpSolution first =
+        solve_lp(build_link_mcf_model(g, TerminalPairs(all_nodes(g))));
+    ASSERT_TRUE(first.optimal()) << "instance " << i;
+    // Collapse capacities (the old basis loses primal feasibility) and
+    // reward commodity 0's flows (it loses dual feasibility too, unless
+    // every nonbasic flow of commodity 0 had reduced cost to spare).
+    DiGraph shrunk = g;
+    const int hits = rng.next_int(1, 3);
+    for (int h = 0; h < hits; ++h) {
+      shrunk.set_capacity(static_cast<EdgeId>(rng.next_below(
+                              static_cast<std::uint64_t>(shrunk.num_edges()))),
+                          1e-6);
+    }
+    LpModel perturbed =
+        build_link_mcf_model(shrunk, TerminalPairs(all_nodes(shrunk)));
+    for (int e = 0; e < shrunk.num_edges(); ++e) {
+      perturbed.set_objective(link_mcf_var(shrunk.num_edges(), 0, e), 1e-3);
+    }
+    const lp_detail::SimplexCore probe(perturbed, no_presolve, &first.basis);
+    ASSERT_TRUE(probe.warm_started()) << "instance " << i;
+    const LpSolution cold = solve_lp(perturbed);
+    const LpSolution warm = solve_lp(perturbed, no_presolve, &first.basis);
+    ASSERT_TRUE(cold.optimal()) << "instance " << i;
+    ASSERT_TRUE(warm.optimal()) << "instance " << i;
+    ASSERT_NEAR(cold.objective, warm.objective,
+                1e-6 * std::max(1.0, std::abs(cold.objective)))
+        << "instance " << i;
+    ASSERT_TRUE(feasible(perturbed, warm.values)) << "instance " << i;
+    if (probe.dual_feasible()) {
+      // The reward did not bite: the dual's case, or plain phase 2.
+      ASSERT_EQ(warm.stats.dual_used, probe.needs_restoration()) << "instance " << i;
+      continue;
+    }
+    // Dual infeasible: the warm rule must repair the old basis with the
+    // primal (restoration first when it is primal infeasible), not drop it.
+    ASSERT_TRUE(warm.warm_started) << "instance " << i;
+    ASSERT_FALSE(warm.stats.dual_used) << "instance " << i;
+    if (probe.needs_restoration()) ++restored;
+  }
+  // Most draws must really take the restoration path, or the check is hollow.
+  EXPECT_GT(restored, iters / 2);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Forrest–Tomlin factor-update tests: chains of SparseLu::update() against
 // fresh refactorizations, the instability refusal path, the solver-level
-// refactorization triggers, and the eta-vs-FT differential on the Fig. 7
-// LPs.
+// refactorization triggers, and FT against the dense reference on the
+// Fig. 7 LPs.
 #include "lp/sparse_lu.hpp"
 
 #include <gtest/gtest.h>
@@ -148,16 +148,15 @@ TEST(ForrestTomlin, UpdateRequiresPreparation) {
   EXPECT_THROW((void)lu.update(0, spike, 1e-9, 1e-12), Error);
 }
 
-// ---- solver-level: eta vs FT differential and refactorization triggers -----
+// ---- solver-level: FT vs the dense reference and refactorization triggers --
 
-SimplexOptions with_update(LpBasisUpdate update) {
+SimplexOptions no_presolve() {
   SimplexOptions o;
-  o.basis_update = update;
   o.presolve = false;  // isolate the factor-update machinery
   return o;
 }
 
-TEST(ForrestTomlin, EtaAndFtAgreeOnFig7Lps) {
+TEST(ForrestTomlin, FtMatchesDenseReferenceOnFig7Lps) {
   const DiGraph gk = make_generalized_kautz(10, 4);
   const DiGraph hc = make_hypercube(3);
   const std::vector<LpModel> models = {
@@ -165,73 +164,67 @@ TEST(ForrestTomlin, EtaAndFtAgreeOnFig7Lps) {
       build_tsmcf_model(hc, diameter(hc) + 1, TerminalPairs(all_nodes(hc))),
   };
   for (const LpModel& model : models) {
-    const LpSolution eta = solve_lp(model, with_update(LpBasisUpdate::kEta));
-    const LpSolution ft =
-        solve_lp(model, with_update(LpBasisUpdate::kForrestTomlin));
-    ASSERT_TRUE(eta.optimal());
+    const LpSolution dense = solve_lp_dense(model);
+    const LpSolution ft = solve_lp(model, no_presolve());
+    ASSERT_TRUE(dense.optimal());
     ASSERT_TRUE(ft.optimal());
-    EXPECT_NEAR(eta.objective, ft.objective,
-                1e-7 * std::max(1.0, std::abs(eta.objective)));
+    EXPECT_NEAR(dense.objective, ft.objective,
+                1e-7 * std::max(1.0, std::abs(dense.objective)));
   }
 }
 
 TEST(ForrestTomlin, ForcedRefactorizationTriggersStillSolve) {
   const DiGraph g = make_generalized_kautz(8, 4);
   const LpModel model = build_link_mcf_model(g, TerminalPairs(all_nodes(g)));
-  const double reference =
-      solve_lp(model, with_update(LpBasisUpdate::kEta)).objective;
+  const double reference = solve_lp_dense(model).objective;
   // Instability trigger: a diag tolerance so strict every update is refused
   // and the solver refactorizes on each pivot.
-  SimplexOptions paranoid = with_update(LpBasisUpdate::kForrestTomlin);
+  SimplexOptions paranoid = no_presolve();
   paranoid.ft_diag_tol = 0.99;
   const LpSolution s1 = solve_lp(model, paranoid);
   ASSERT_TRUE(s1.optimal());
   EXPECT_NEAR(s1.objective, reference, 1e-7);
   // Fill-growth trigger pinned to fire almost immediately.
-  SimplexOptions tight_fill = with_update(LpBasisUpdate::kForrestTomlin);
+  SimplexOptions tight_fill = no_presolve();
   tight_fill.refactor_fill_growth = 1.001;
   const LpSolution s2 = solve_lp(model, tight_fill);
   ASSERT_TRUE(s2.optimal());
   EXPECT_NEAR(s2.objective, reference, 1e-7);
   // Update-count backstop of one: refactorize after every single update.
-  SimplexOptions one = with_update(LpBasisUpdate::kForrestTomlin);
+  SimplexOptions one = no_presolve();
   one.ft_update_limit = 1;
   const LpSolution s3 = solve_lp(model, one);
   ASSERT_TRUE(s3.optimal());
   EXPECT_NEAR(s3.objective, reference, 1e-7);
 }
 
-TEST(ForrestTomlin, WarmDualResolvesAgreeAcrossUpdateModes) {
+TEST(ForrestTomlin, WarmDualResolveMatchesCold) {
   // The Fig. 9 shape: optimal basis, then capacities collapse and the dual
-  // simplex re-solves warm — in both factor-update modes, with the same
-  // objectives as a cold solve of the perturbed instance.
+  // simplex re-solves warm on the updated factors, with the same objective
+  // as a cold solve of the perturbed instance.
   const DiGraph base = make_generalized_kautz(10, 4);
   const auto nodes = all_nodes(base);
-  for (const LpBasisUpdate update :
-       {LpBasisUpdate::kEta, LpBasisUpdate::kForrestTomlin}) {
-    SimplexOptions o = with_update(update);
-    LpBasis warm;
-    const LpSolution first =
-        solve_lp_warm(build_link_mcf_model(base, TerminalPairs(nodes)), o,
-                      &warm, LpWarmMode::kAuto);
-    ASSERT_TRUE(first.optimal());
-    DiGraph g = base;
-    Rng rng(99);
-    for (int hit = 0; hit < 3; ++hit) {
-      g.set_capacity(static_cast<EdgeId>(rng.next_below(
-                         static_cast<std::uint64_t>(g.num_edges()))),
-                     1e-6);
-    }
-    const LpModel perturbed = build_link_mcf_model(g, TerminalPairs(nodes));
-    const LpSolution cold = solve_lp(perturbed, o);
-    const LpSolution dual =
-        solve_lp(perturbed, o, &warm, LpWarmMode::kDual);
-    ASSERT_TRUE(cold.optimal());
-    ASSERT_TRUE(dual.optimal());
-    EXPECT_TRUE(dual.warm_started);
-    EXPECT_NEAR(cold.objective, dual.objective,
-                1e-6 * std::max(1.0, std::abs(cold.objective)));
+  const SimplexOptions o = no_presolve();
+  LpBasis warm;
+  const LpSolution first =
+      solve_lp_warm(build_link_mcf_model(base, TerminalPairs(nodes)), o, &warm);
+  ASSERT_TRUE(first.optimal());
+  DiGraph g = base;
+  Rng rng(99);
+  for (int hit = 0; hit < 3; ++hit) {
+    g.set_capacity(static_cast<EdgeId>(rng.next_below(
+                       static_cast<std::uint64_t>(g.num_edges()))),
+                   1e-6);
   }
+  const LpModel perturbed = build_link_mcf_model(g, TerminalPairs(nodes));
+  const LpSolution cold = solve_lp(perturbed, o);
+  const LpSolution dual = solve_lp(perturbed, o, &warm);
+  ASSERT_TRUE(cold.optimal());
+  ASSERT_TRUE(dual.optimal());
+  EXPECT_TRUE(dual.warm_started);
+  EXPECT_TRUE(dual.stats.dual_used);
+  EXPECT_NEAR(cold.objective, dual.objective,
+              1e-6 * std::max(1.0, std::abs(cold.objective)));
 }
 
 }  // namespace

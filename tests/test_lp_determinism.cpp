@@ -64,12 +64,24 @@ TEST(LpDeterminism, RepeatedWarmResolvesAreBitIdentical) {
   DiGraph g = base;
   g.set_capacity(0, 1e-6);
   g.set_capacity(5, 1e-6);
-  const LpModel perturbed = build_link_mcf_model(g, TerminalPairs(nodes));
-  for (const LpWarmMode mode :
-       {LpWarmMode::kPrimal, LpWarmMode::kDual, LpWarmMode::kAuto}) {
-    const LpSolution a = solve_lp(perturbed, {}, &first.basis, mode);
-    const LpSolution b = solve_lp(perturbed, {}, &first.basis, mode);
+  // The two warm paths the rule takes from a primal-infeasible basis: the
+  // capacity collapse alone keeps it dual feasible (dual simplex); a small
+  // reward on commodity 0's flows makes it dual infeasible too (primal
+  // restoration).
+  const LpModel collapsed = build_link_mcf_model(g, TerminalPairs(nodes));
+  const LpModel rewarded = [&] {
+    LpModel m = collapsed;
+    for (int e = 0; e < g.num_edges(); ++e) {
+      m.set_objective(link_mcf_var(g.num_edges(), 0, e), 1e-3);
+    }
+    return m;
+  }();
+  for (const LpModel* perturbed : {&collapsed, &rewarded}) {
+    const LpSolution a = solve_lp(*perturbed, {}, &first.basis);
+    const LpSolution b = solve_lp(*perturbed, {}, &first.basis);
     ASSERT_TRUE(a.optimal());
+    EXPECT_TRUE(a.warm_started);
+    EXPECT_EQ(a.stats.dual_used, perturbed == &collapsed);
     expect_identical(a, b);
   }
 }

@@ -63,7 +63,7 @@ TEST(Presolve, FixedVariableSubstitutesIntoRhs) {
   m.add_coefficient(r2, x, 1);
   m.add_coefficient(r2, z, -1);
   Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::kReduced);
+  ASSERT_EQ(pre.run(m), Presolve::Result::kReduced);
   EXPECT_EQ(pre.stats().fixed_variables, 1);
   EXPECT_EQ(pre.reduced().num_variables(), 2);
   EXPECT_NEAR(pre.reduced().rhs(0), 3.0, 1e-12);
@@ -85,7 +85,7 @@ TEST(Presolve, SingletonRowBecomesBound) {
   m.add_coefficient(r, x, 1);
   m.add_coefficient(r, y, 1);
   Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::kReduced);
+  ASSERT_EQ(pre.run(m), Presolve::Result::kReduced);
   EXPECT_EQ(pre.stats().singleton_rows, 1);
   EXPECT_EQ(pre.reduced().num_rows(), 1);
   EXPECT_NEAR(pre.reduced().upper(0), 2.0, 1e-12);
@@ -150,7 +150,7 @@ TEST(Presolve, PostsolvedBasisReimportsCleanly) {
   const LpSolution first = solve_lp(model);
   ASSERT_TRUE(first.optimal());
   ASSERT_TRUE(first.basis.compatible(model.num_variables(), model.num_rows()));
-  const LpSolution second = solve_lp(model, {}, &first.basis, LpWarmMode::kAuto);
+  const LpSolution second = solve_lp(model, {}, &first.basis);
   ASSERT_TRUE(second.optimal());
   EXPECT_TRUE(second.warm_started);
   EXPECT_NEAR(first.objective, second.objective, 1e-9);
@@ -196,8 +196,7 @@ TEST(Presolve, WarmBasisThreadsThroughPerturbedResolves) {
   const LpModel perturbed = build_link_mcf_model(g, TerminalPairs(nodes));
   const LpSolution cold = solve_lp(perturbed);
   LpBasis warm_copy = warm;
-  const LpSolution resolved =
-      solve_lp_warm(perturbed, {}, &warm_copy, LpWarmMode::kDual);
+  const LpSolution resolved = solve_lp_warm(perturbed, {}, &warm_copy);
   ASSERT_TRUE(cold.optimal());
   ASSERT_TRUE(resolved.optimal());
   EXPECT_TRUE(resolved.warm_started);
@@ -222,7 +221,7 @@ TEST(Presolve, MapWarmBasisRejectsBasicEliminatedColumn) {
   m.add_coefficient(r2, x, 1);
   m.add_coefficient(r2, z, -1);
   Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::kReduced);
+  ASSERT_EQ(pre.run(m), Presolve::Result::kReduced);
   LpBasis full;
   full.variables = {LpVarStatus::kAtLower, LpVarStatus::kAtLower,
                     LpVarStatus::kBasic};

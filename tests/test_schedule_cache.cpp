@@ -102,6 +102,26 @@ TEST(Fingerprint, EdgeOrderDoesNotMatter) {
   EXPECT_EQ(schedule_fingerprint(a, f, {}), schedule_fingerprint(b, f, {}));
 }
 
+/// Golden values: fingerprints name every cache directory entry and
+/// failover library on disk, so a change to the bytes they are fed (an
+/// option field removed, a constant retuned, a feed reordered) would
+/// silently orphan all of them. Change these only together with a
+/// deliberate format break.
+TEST(ScheduleCache, FingerprintsAreStable) {
+  const DiGraph gk27 = make_generalized_kautz(27, 4);
+  EXPECT_EQ(schedule_fingerprint(gk27, hpc_cerio_fabric(), ToolchainOptions{}),
+            "8dc1ff93efc278e6fc57f9d17dcbd9bb");
+  ToolchainOptions zipf;
+  zipf.workload.demand = DemandSpec::parse("zipf:0.6");
+  EXPECT_EQ(schedule_fingerprint(make_torus({3, 3, 2}), cpu_oneccl_fabric(), zipf),
+            "c344c82e7b0f1378aad493a8e5db774d");
+  ToolchainOptions budgeted;
+  budgeted.mcf.lp.max_iterations = 1000;
+  budgeted.mcf.lp.time_limit_s = 2;
+  EXPECT_EQ(schedule_fingerprint(gk27, hpc_cerio_fabric(), budgeted),
+            "a0c16d64b7605eb90091461253996fb4");
+}
+
 TEST(ScheduleCache, SecondCallSkipsPipeline) {
   const DiGraph g = make_ring(6);
   const Fabric fabric = cpu_oneccl_fabric();

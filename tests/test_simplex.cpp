@@ -359,8 +359,9 @@ TEST(SimplexWarmStart, McfEntryPointsRoundTripBases) {
 /// bench_lp's full-size Fig. 9 sweep: scenario 1 collapses one GenKautz(27,4)
 /// link drawn by Rng(4242). Warm-starting its primal solve from scenario 0's
 /// optimal basis once drove the basis numerically singular (elimination
-/// column 805 of 806) and cost a cold retry. A tripwire for the LU's bump
-/// order, not a proof that warm solves never collapse.
+/// column 805 of 806) and cost a cold retry. The re-solve goes through the
+/// warm rule, the path failover runs. A tripwire for the LU's bump order,
+/// not a proof that warm solves never collapse.
 TEST(SimplexWarmStart, Fig9SweepScenarioOneDoesNotCollapse) {
   const DiGraph base = make_generalized_kautz(27, 4);
   const PathSet candidates = build_disjoint_path_set(base, all_nodes(base));
@@ -371,13 +372,12 @@ TEST(SimplexWarmStart, Fig9SweepScenarioOneDoesNotCollapse) {
                  1e-6);
 
   LpBasis basis;
-  (void)solve_path_mcf_exact(base, candidates, {}, &basis, LpWarmMode::kPrimal);
+  (void)solve_path_mcf_exact(base, candidates, {}, &basis);
   ASSERT_FALSE(basis.empty());
   const obs::Counter& retries =
       obs::MetricsRegistry::global().counter("lp.cold_retries");
   const std::uint64_t retries_before = retries.value();
-  const auto warm =
-      solve_path_mcf_exact(g, candidates, {}, &basis, LpWarmMode::kPrimal);
+  const auto warm = solve_path_mcf_exact(g, candidates, {}, &basis);
   if (obs::compiled_in()) {
     EXPECT_EQ(retries.value() - retries_before, 0u);
   }
@@ -516,27 +516,13 @@ TEST(SimplexCycling, BealeWarmRestorationSurvivesDegeneracy) {
   tight.add_coefficient(r, x4, 3.0);
   tight.add_coefficient(tight.add_row(RowType::kLessEqual, 0.5), x3, 1.0);
   const LpSolution cold = solve_lp(tight);
-  const LpSolution warm = solve_lp(tight, {}, &first.basis, LpWarmMode::kPrimal);
+  const LpSolution warm = solve_lp(tight, {}, &first.basis);
   ASSERT_TRUE(cold.optimal());
   ASSERT_TRUE(warm.optimal());
   EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
 }
 
 // ---- dual simplex ----------------------------------------------------------
-
-TEST(DualSimplex, AdoptsOptimalBasisWithZeroPivots) {
-  // Unperturbed re-solve under kDual: the basis is primal and dual feasible,
-  // so the dual loop should confirm optimality without a single pivot.
-  const DiGraph g = make_hypercube(3);
-  const LpModel model = build_link_mcf_model(g, TerminalPairs(all_nodes(g)));
-  const LpSolution cold = solve_lp(model);
-  ASSERT_TRUE(cold.optimal());
-  const LpSolution dual = solve_lp(model, {}, &cold.basis, LpWarmMode::kDual);
-  ASSERT_TRUE(dual.optimal());
-  EXPECT_TRUE(dual.warm_started);
-  EXPECT_EQ(dual.iterations, 0);
-  EXPECT_NEAR(dual.objective, cold.objective, 1e-9);
-}
 
 /// The tentpole property: after tightening capacities under an optimal
 /// basis (the Fig. 9 move), the basis stays dual feasible and the dual
@@ -560,11 +546,20 @@ TEST_P(DualSimplexCapacitySweep, TightenedResolveMatchesCold) {
   }
   const LpModel perturbed = build_link_mcf_model(g, TerminalPairs(all_nodes(g)));
   const LpSolution cold = solve_lp(perturbed);
-  const LpSolution dual = solve_lp(perturbed, {}, &first.basis, LpWarmMode::kDual);
+  const LpSolution dual = solve_lp(perturbed, {}, &first.basis);
   ASSERT_TRUE(cold.optimal());
   ASSERT_TRUE(dual.optimal());
   EXPECT_NEAR(dual.objective, cold.objective,
               1e-6 * std::max(1.0, std::abs(cold.objective)));
+  // The warm rule: the dual drives the re-solve exactly when the tightened
+  // capacities push the old optimal basis out of primal feasibility (only
+  // the rhs moved, so it stays dual feasible).
+  SimplexOptions no_presolve;
+  no_presolve.presolve = false;
+  const lp_detail::SimplexCore probe(perturbed, no_presolve, &first.basis);
+  ASSERT_TRUE(probe.warm_started());
+  ASSERT_TRUE(probe.dual_feasible());
+  EXPECT_EQ(dual.stats.dual_used, probe.needs_restoration());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DualSimplexCapacitySweep, ::testing::Range(0, 10));
@@ -592,10 +587,13 @@ TEST(DualSimplex, BoundFlipHeavyBoxes) {
     tight.add_coefficient(cap2, v, 1.0);
   }
   const LpSolution cold = solve_lp(tight);
-  const LpSolution dual = solve_lp(tight, {}, &first.basis, LpWarmMode::kDual);
+  const LpSolution dual = solve_lp(tight, {}, &first.basis);
   ASSERT_TRUE(cold.optimal());
   ASSERT_TRUE(dual.optimal());
   EXPECT_TRUE(dual.warm_started);
+  // Shrinking the capacity leaves the old basis primal infeasible and dual
+  // feasible, which is the dual's case.
+  EXPECT_TRUE(dual.stats.dual_used);
   EXPECT_NEAR(dual.objective, cold.objective, 1e-7);
   // The five highest-value columns fill the shrunk capacity.
   EXPECT_NEAR(dual.objective, 5.0 + 0.002 * (23 + 22 + 21 + 20 + 19), 1e-6);
@@ -603,9 +601,9 @@ TEST(DualSimplex, BoundFlipHeavyBoxes) {
 
 TEST(DualSimplex, DualInfeasibleWarmBasisFallsBackToPrimal) {
   // Flip the objective after the first solve: the old basis keeps primal
-  // feasibility but its reduced costs have the wrong signs, so kDual cannot
-  // run the dual loop and must land on the primal path — transparently, with
-  // the same optimum a cold solve finds.
+  // feasibility but its reduced costs have the wrong signs, so the warm rule
+  // must land on the primal path — transparently, with the same optimum a
+  // cold solve finds.
   const DiGraph g = make_ring(5);
   LpModel model = build_link_mcf_model(g, TerminalPairs(all_nodes(g)));
   const LpSolution first = solve_lp(model);
@@ -615,28 +613,27 @@ TEST(DualSimplex, DualInfeasibleWarmBasisFallsBackToPrimal) {
   LpModel flipped = model;
   flipped.set_objective(model.num_variables() - 1, -1.0);
   const LpSolution cold = solve_lp(flipped);
-  const LpSolution warm = solve_lp(flipped, {}, &first.basis, LpWarmMode::kDual);
+  const LpSolution warm = solve_lp(flipped, {}, &first.basis);
   ASSERT_TRUE(cold.optimal());
   ASSERT_TRUE(warm.optimal());
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_FALSE(warm.stats.dual_used);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
 }
 
 TEST(DualSimplex, TsMcfCapacityUpdateViaEntryPoint) {
   // End-to-end through solve_tsmcf_exact: warm basis round-trips across a
-  // capacity update in kDual mode with the objective a cold pipeline finds.
+  // capacity update with the objective a cold pipeline finds.
   const DiGraph g = make_ring(5);
   const int steps = diameter(g) + 1;
   LpBasis warm;
-  const auto first =
-      solve_tsmcf_exact(g, steps, all_nodes(g), {}, &warm, LpWarmMode::kDual);
+  const auto first = solve_tsmcf_exact(g, steps, all_nodes(g), {}, &warm);
   ASSERT_FALSE(warm.empty());
 
   DiGraph tight = g;
   tight.set_capacity(0, 0.5);
   const auto cold = solve_tsmcf_exact(tight, steps, all_nodes(tight));
-  const auto dual =
-      solve_tsmcf_exact(tight, steps, all_nodes(tight), {}, &warm,
-                        LpWarmMode::kDual);
+  const auto dual = solve_tsmcf_exact(tight, steps, all_nodes(tight), {}, &warm);
   EXPECT_NEAR(dual.total_utilization, cold.total_utilization, 1e-6);
   EXPECT_GE(dual.total_utilization, first.total_utilization - 1e-9);
 }
@@ -695,6 +692,33 @@ TEST(SimplexDeadline, GenerousBudgetMatchesUnlimitedOptimum) {
   ASSERT_TRUE(budgeted.optimal());
   EXPECT_NEAR(budgeted.objective, full.objective,
               1e-6 * std::max(1.0, std::abs(full.objective)));
+}
+
+/// The cold retry end to end. Without the update-count backstop and the
+/// fill-growth trigger, the Forrest–Tomlin factors of the GenKautz(10,4)
+/// tsMCF LP drift until a refactorization finds the basis singular (with a
+/// leash of 2 000 they do not). solve_lp() must catch that and finish on
+/// the conservative retry (64-update leash, exact ratio tests) at the
+/// optimum.
+TEST(SimplexColdRetry, RescuesACollapsedSolve) {
+  const DiGraph g = make_generalized_kautz(10, 4);
+  const LpModel model =
+      build_tsmcf_model(g, diameter(g) + 1, TerminalPairs(all_nodes(g)));
+  SimplexOptions reckless;
+  reckless.ft_update_limit = 4000;
+  reckless.refactor_fill_growth = 1e9;
+  const obs::Counter& retries =
+      obs::MetricsRegistry::global().counter("lp.cold_retries");
+  const std::uint64_t retries_before = retries.value();
+  const LpSolution s = solve_lp(model, reckless);
+  ASSERT_TRUE(s.optimal());
+  EXPECT_EQ(s.stats.cold_retries, 1);
+  if (obs::compiled_in()) {
+    EXPECT_EQ(retries.value() - retries_before, 1u);
+  }
+  const LpSolution dense = solve_lp_dense(model);
+  ASSERT_TRUE(dense.optimal());
+  EXPECT_NEAR(s.objective, dense.objective, 1e-9 * std::abs(dense.objective));
 }
 
 TEST(SimplexDeadline, MergeFailedAttemptFoldsForensicsIntoStats) {
