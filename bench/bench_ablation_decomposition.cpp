@@ -1,10 +1,11 @@
 // Ablations for the design choices DESIGN.md calls out:
-//   1. child LP (eqs. 10-14) vs combinatorial flow-decomposition children;
-//   2. exact-LP master vs FPTAS master at several epsilons;
-//   3. pMCF candidate sets: link-disjoint vs shortest;
-//   4. unroller slots-per-link (schedule depth vs step weight);
-//   5. round partitioning under QP contention.
+//   1. exact-LP master vs FPTAS master at several epsilons;
+//   2. pMCF candidate sets: link-disjoint vs shortest;
+//   3. unroller slots-per-link (schedule depth vs step weight);
+//   4. round partitioning under QP contention.
 #include "bench_util.hpp"
+
+#include <limits>
 
 #include "schedule/rounds.hpp"
 #include "mcf/fleischer.hpp"
@@ -14,34 +15,13 @@ using namespace a2a;
 using namespace a2a::bench;
 
 int main() {
-  std::cout << "=== Ablation 1: child LP vs combinatorial split ===\n\n";
-  {
-    Table t({"Graph", "child", "F", "child stage s"});
-    for (const int n : {12, 16, 20}) {
-      const DiGraph g = make_generalized_kautz(n, 3);
-      for (const auto child : {ChildMode::kLp, ChildMode::kCombinatorial}) {
-        DecomposedOptions options;
-        options.master = MasterMode::kExactLp;
-        options.child = child;
-        DecomposedTiming timing;
-        const auto sol = solve_decomposed_mcf(g, all_nodes(g), options, &timing);
-        t.row()
-            .cell(g.summary())
-            .cell(child == ChildMode::kLp ? "LP" : "combinatorial")
-            .cell(sol.concurrent_flow, 4)
-            .cell(timing.child_seconds, 3);
-      }
-    }
-    t.print(std::cout);
-  }
-
-  std::cout << "\n=== Ablation 2: master tier (3x3x3 torus, F* = 1/9) ===\n\n";
+  std::cout << "=== Ablation 1: master tier (3x3x3 torus, F* = 1/9) ===\n\n";
   {
     Table t({"master", "F", "seconds"});
     const DiGraph g = make_torus({3, 3, 3});
     {
       DecomposedOptions options;
-      options.master = MasterMode::kExactLp;
+      options.exact_master_limit = std::numeric_limits<int>::max();
       DecomposedTiming timing;
       const auto sol = solve_decomposed_mcf(g, all_nodes(g), options, &timing);
       t.row().cell("exact LP").cell(sol.concurrent_flow, 5).cell(
@@ -49,7 +29,7 @@ int main() {
     }
     for (const double eps : {0.1, 0.05, 0.02}) {
       DecomposedOptions options;
-      options.master = MasterMode::kFptas;
+      options.exact_master_limit = 0;
       options.fptas_epsilon = eps;
       DecomposedTiming timing;
       const auto sol = solve_decomposed_mcf(g, all_nodes(g), options, &timing);
@@ -61,7 +41,7 @@ int main() {
     t.print(std::cout);
   }
 
-  std::cout << "\n=== Ablation 3: pMCF candidate sets (GenKautz 32, d=4) ===\n\n";
+  std::cout << "\n=== Ablation 2: pMCF candidate sets (GenKautz 32, d=4) ===\n\n";
   {
     Table t({"candidates", "paths/pair", "F", "seconds"});
     const DiGraph g = make_generalized_kautz(32, 4);
@@ -95,7 +75,7 @@ int main() {
     t.print(std::cout);
   }
 
-  std::cout << "\n=== Ablation 4: unroller slots per link (Q3) ===\n\n";
+  std::cout << "\n=== Ablation 3: unroller slots per link (Q3) ===\n\n";
   {
     Table t({"slots", "steps", "sim GB/s @64MB", "sim GB/s @64KB"});
     const DiGraph g = make_hypercube(3);
@@ -117,7 +97,7 @@ int main() {
     t.print(std::cout);
   }
 
-  std::cout << "\n=== Ablation 5: round partitioning under QP contention "
+  std::cout << "\n=== Ablation 4: round partitioning under QP contention "
                "(3x3x3 torus, 512MB buffer) ===\n\n";
   {
     // The §5.5 injection-rate fix: split the routed schedule across rounds
@@ -125,7 +105,7 @@ int main() {
     Table t({"rounds", "peak QPs", "seconds", "GB/s"});
     const DiGraph g = make_torus({3, 3, 3});
     DecomposedOptions options;
-    options.master = MasterMode::kFptas;
+    options.exact_master_limit = 0;
     options.fptas_epsilon = 0.05;
     const auto flows = solve_decomposed_mcf(g, all_nodes(g), options);
     const PathSchedule sched =

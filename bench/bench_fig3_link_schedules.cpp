@@ -82,7 +82,7 @@ void run_bottlenecked_torus(Table& table) {
   std::vector<NodeId> hosts;
   for (NodeId u = 0; u < 27; ++u) hosts.push_back(aug.host(u));
   DecomposedOptions mcf;
-  mcf.master = MasterMode::kFptas;
+  mcf.exact_master_limit = 0;
   mcf.fptas_epsilon = 0.02;
   const auto flows = solve_decomposed_mcf(aug.graph, hosts, mcf);
   UnrollOptions unroll;

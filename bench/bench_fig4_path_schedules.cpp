@@ -30,7 +30,7 @@ std::vector<Scheme> build_schemes(const DiGraph& g,
   std::vector<Scheme> out;
 
   DecomposedOptions mcf;
-  mcf.master = g.num_nodes() <= 16 ? MasterMode::kExactLp : MasterMode::kFptas;
+  mcf.exact_master_limit = 16;
   mcf.fptas_epsilon = 0.02;
   const auto flows = solve_decomposed_mcf(g, nodes, mcf);
   out.push_back(

@@ -47,7 +47,7 @@ void run_family(const std::string& family, bool puncture_nodes_mode,
     const auto nodes = all_nodes(g);
 
     DecomposedOptions mcf;
-    mcf.master = MasterMode::kFptas;
+    mcf.exact_master_limit = 0;
     mcf.fptas_epsilon = 0.03;
     const auto flows = solve_decomposed_mcf(g, nodes, mcf);
     const PathSchedule mcf_sched =

@@ -46,7 +46,7 @@ std::vector<std::pair<std::string, PathSchedule>> build_schemes(
                    single_route_schedule(g, sssp.commodities, sssp.routes));
 
   DecomposedOptions mcf;
-  mcf.master = MasterMode::kFptas;
+  mcf.exact_master_limit = 0;
   mcf.fptas_epsilon = 0.03;
   const auto flows = solve_decomposed_mcf(g, nodes, mcf);
   out.emplace_back("MCF-extP",

@@ -9,6 +9,8 @@
 // TACCL/ILP fall over at tens of nodes — are the figure's content.
 #include "bench_util.hpp"
 
+#include <limits>
+
 #include "baselines/ilp_disjoint.hpp"
 #include "baselines/sccl_like.hpp"
 #include "baselines/taccl_like.hpp"
@@ -41,7 +43,7 @@ int main() {
   for (const int n : {8, 16, 24, 32}) {
     const DiGraph g = make_generalized_kautz(n, 4);
     DecomposedOptions options;
-    options.master = MasterMode::kExactLp;
+    options.exact_master_limit = std::numeric_limits<int>::max();
     DecomposedTiming timing;
     LinkFlowSolution flows;
     const double secs = timed(
@@ -63,7 +65,7 @@ int main() {
   for (const int n : {48, 96, 144, 216}) {
     const DiGraph g = make_generalized_kautz(n, 4);
     DecomposedOptions options;
-    options.master = MasterMode::kFptas;
+    options.exact_master_limit = 0;
     options.fptas_epsilon = 0.03;
     DecomposedTiming timing;
     const double secs = timed(

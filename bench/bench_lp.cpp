@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
       failed = true;
     }
   }
-  if (smoke && obs::compiled_in()) {
+  if (smoke) {
     // Observability overhead gate: with metrics enabled, a smoke LP must
     // solve within 3% of the runtime-disabled path (plus a 20 ms absolute
     // floor so timer noise on sub-millisecond solves cannot trip the gate).

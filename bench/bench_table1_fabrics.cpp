@@ -29,7 +29,7 @@ int main() {
   const Fabric hpc = hpc_cerio_fabric();
 
   DecomposedOptions mcf;
-  mcf.master = MasterMode::kFptas;
+  mcf.exact_master_limit = 0;
   mcf.fptas_epsilon = 0.03;
 
   // ML model: host bottleneck forces the Fig. 2 augmentation; F -> 2/27.

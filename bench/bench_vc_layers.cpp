@@ -19,7 +19,7 @@ namespace {
 
 std::vector<Path> mcf_routes(const DiGraph& g) {
   DecomposedOptions options;
-  options.master = MasterMode::kFptas;
+  options.exact_master_limit = 0;
   options.fptas_epsilon = 0.05;
   const auto flows = solve_decomposed_mcf(g, all_nodes(g), options);
   std::vector<Path> routes;

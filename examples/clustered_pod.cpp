@@ -6,6 +6,7 @@
 // bottleneck moves (internal cliques vs external GenKautz), how the optimal
 // F responds, and that the generated schedules stay valid end to end.
 #include <iostream>
+#include <limits>
 
 #include "common/table.hpp"
 #include "graph/clustered.hpp"
@@ -33,7 +34,7 @@ int main() {
     const auto topo = make_clustered(pods, options);
 
     DecomposedOptions mcf;
-    mcf.master = MasterMode::kExactLp;
+    mcf.exact_master_limit = std::numeric_limits<int>::max();
     const auto sol = solve_decomposed_mcf(topo.graph, all_nodes(topo.graph), mcf);
     // Where does the binding capacity sit? Compare per-family peak loads.
     const auto total = sol.total_edge_flow(topo.graph);

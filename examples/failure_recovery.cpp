@@ -31,7 +31,7 @@ int main() {
     const auto nodes = all_nodes(g);
     const auto t0 = std::chrono::steady_clock::now();
     DecomposedOptions options;
-    options.master = MasterMode::kFptas;
+    options.exact_master_limit = 0;
     options.fptas_epsilon = 0.03;
     const auto flows = solve_decomposed_mcf(g, nodes, options);
     const PathSchedule sched =

@@ -44,7 +44,7 @@ int main() {
   const auto nodes = all_nodes(torus);
 
   DecomposedOptions mcf;
-  mcf.master = MasterMode::kFptas;
+  mcf.exact_master_limit = 0;
   mcf.fptas_epsilon = 0.03;
   const auto flows = solve_decomposed_mcf(torus, nodes, mcf);
   const PathSchedule mcf_sched =

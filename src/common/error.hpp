@@ -35,6 +35,9 @@ class InternalError : public Error {
 struct SolverErrorContext {
   long long iterations = -1;        ///< simplex iterations completed (-1: unknown).
   long long refactorizations = -1;  ///< basis refactorizations completed.
+  long long ft_updates = -1;        ///< accepted Forrest–Tomlin updates.
+  long long ft_refusals = -1;       ///< refused Forrest–Tomlin updates.
+  long long bland_episodes = -1;    ///< switches to Bland's rule.
   const char* phase = "";  ///< "phase1", "primal", "dual", "restore", ...
 };
 

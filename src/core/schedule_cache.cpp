@@ -14,6 +14,7 @@
 
 #include "common/binio.hpp"
 #include "common/crc32.hpp"
+#include "common/fnv1a.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -30,16 +31,6 @@ using binio::read_uint;
 
 // ----------------------------------------------------------- fingerprint ---
 
-/// FNV-1a over `data` from an arbitrary seed; two seeds give 128 bits.
-std::uint64_t fnv1a(std::string_view data, std::uint64_t seed) {
-  std::uint64_t h = seed ^ 0xcbf29ce484222325ULL;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 void feed_u64(std::string& buf, std::uint64_t v) { put_u64(buf, v); }
 void feed_i64(std::string& buf, std::int64_t v) {
   put_u64(buf, static_cast<std::uint64_t>(v));
@@ -50,18 +41,6 @@ void feed_double(std::string& buf, double v) {
 void feed_str(std::string& buf, const std::string& s) {
   feed_u64(buf, s.size());
   buf.append(s);
-}
-
-std::string hex128(std::uint64_t a, std::uint64_t b) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(32);
-  for (const std::uint64_t v : {a, b}) {
-    for (int shift = 60; shift >= 0; shift -= 4) {
-      out.push_back(digits[(v >> shift) & 0xF]);
-    }
-  }
-  return out;
 }
 
 // ------------------------------------------------------ graph serializers ---
@@ -165,8 +144,12 @@ std::string schedule_fingerprint(const DiGraph& topology, const Fabric& fabric,
 
   feed_i64(buf, options.exact_tsmcf_limit);
   feed_i64(buf, options.path_diversity_threshold);
-  feed_u64(buf, static_cast<std::uint64_t>(options.mcf.master));
-  feed_u64(buf, static_cast<std::uint64_t>(options.mcf.child));
+  // 0 and 1 stand for the retired master and child modes' defaults (auto
+  // master, combinatorial children), the only values any pipeline ran with,
+  // so that every fingerprint keeps its bytes; exact_master_limit alone now
+  // picks the master tier.
+  feed_u64(buf, 0);
+  feed_u64(buf, 1);
   feed_i64(buf, options.mcf.exact_master_limit);
   feed_double(buf, options.mcf.fptas_epsilon);
   feed_i64(buf, options.mcf.lp.max_iterations);

@@ -1,13 +1,11 @@
 #include "failover/failure_domain.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <cstdio>
 #include <sstream>
-#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/fnv1a.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/spectral.hpp"
 
@@ -218,27 +216,10 @@ std::vector<FailureSignature> enumerate_failure_domain(
   return domain;
 }
 
-namespace {
-
-std::uint64_t fnv1a(std::string_view data, std::uint64_t seed) {
-  std::uint64_t h = seed ^ 0xcbf29ce484222325ULL;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 std::string failover_fingerprint(const std::string& base_fingerprint,
                                  const FailureSignature& sig) {
   const std::string canonical = base_fingerprint + "|failover|" + sig.to_string();
-  char buf[33];
-  std::snprintf(buf, sizeof(buf), "%016llx%016llx",
-                static_cast<unsigned long long>(fnv1a(canonical, 0)),
-                static_cast<unsigned long long>(fnv1a(canonical, 0x9e3779b97f4a7c15ULL)));
-  return buf;
+  return hex128(fnv1a(canonical, 0), fnv1a(canonical, 0x9e3779b97f4a7c15ULL));
 }
 
 }  // namespace a2a

@@ -4,12 +4,11 @@
 // variable bounds move (reduced costs do not depend on either), which is
 // exactly what the perturbed re-solve paths do: the Fig. 9 disabled-link
 // sweeps collapse capacities, schedule-cache revalidation shifts demands,
-// the decomposed master re-solves under new cut rhs, and the child LPs share
-// a shape with per-source rhs. The dual simplex iterates directly on such a
-// basis — each pivot exchanges the most-infeasible basic variable for a
-// nonbasic one chosen by the dual ratio test — so no phase-1/restoration
-// work is ever done and the iteration count scales with the size of the
-// perturbation, not the size of the LP.
+// and the decomposed master re-solves under new cut rhs. The dual simplex
+// iterates directly on such a basis — each pivot exchanges the
+// most-infeasible basic variable for a nonbasic one chosen by the dual ratio
+// test — so no phase-1/restoration work is ever done and the iteration
+// count scales with the size of the perturbation, not the size of the LP.
 //
 // Implementation notes:
 //   * leaving row: largest squared bound violation scaled by dual

@@ -513,20 +513,25 @@ void merge_failed_attempt(LpSolution& out, const SolverErrorContext& context) {
   // error context preserved. -1 fields mean the throw site had no context.
   if (context.iterations > 0) {
     out.iterations += context.iterations;
-    out.stats.iterations += context.iterations;
     if (std::string_view(context.phase) == "dual") {
       out.stats.dual_iterations += context.iterations;
     } else {
       out.stats.primal_iterations += context.iterations;
     }
-    A2A_COUNTER("lp.iterations")
-        .add(static_cast<std::uint64_t>(context.iterations));
   }
-  if (context.refactorizations > 0) {
-    out.stats.refactorizations += context.refactorizations;
-    A2A_COUNTER("lp.refactorizations")
-        .add(static_cast<std::uint64_t>(context.refactorizations));
-  }
+  const auto fold = [](long long work, long long& stat, obs::Counter& counter) {
+    if (work <= 0) return;
+    stat += work;
+    counter.add(static_cast<std::uint64_t>(work));
+  };
+  fold(context.iterations, out.stats.iterations, A2A_COUNTER("lp.iterations"));
+  fold(context.refactorizations, out.stats.refactorizations,
+       A2A_COUNTER("lp.refactorizations"));
+  fold(context.ft_updates, out.stats.ft_updates, A2A_COUNTER("lp.ft_updates"));
+  fold(context.ft_refusals, out.stats.ft_refusals,
+       A2A_COUNTER("lp.ft_refusals"));
+  fold(context.bland_episodes, out.stats.bland_episodes,
+       A2A_COUNTER("lp.bland_episodes"));
 }
 
 }  // namespace lp_detail

@@ -13,8 +13,8 @@
 //     feasibility restoration) or a bounded-variable DUAL simplex that
 //     iterates directly on a still-dual-feasible basis — the natural engine
 //     for re-solves whose rhs/bounds moved under an optimal basis (Fig. 9
-//     disabled-link sweeps, failover re-solves, child LPs). The tolerances
-//     are constants (kLp* below), not options;
+//     disabled-link sweeps, failover re-solves). The tolerances are
+//     constants (kLp* below), not options;
 //   * solve_lp_dense() — the original dense-inverse Dantzig solver, kept as
 //     the independent oracle the tests and fuzz_lp check solve_lp() against
 //     and as bench_lp's dense leg.
@@ -46,8 +46,8 @@ enum class LpVarStatus : unsigned char { kAtLower, kAtUpper, kBasic };
 /// A simplex basis: one status per structural variable and one per row (the
 /// row's slack). Produced by solve_lp() at the end of every solve; feeding it
 /// back as a warm start lets re-solves of the same-shaped LP (the Fig. 9
-/// disabled-link sweep, decomposed-MCF child LPs, repeated cache-miss
-/// pipeline runs) restart from a near-optimal basis instead of from scratch.
+/// disabled-link sweep, failover re-solves, repeated cache-miss pipeline
+/// runs) restart from a near-optimal basis instead of from scratch.
 struct LpBasis {
   std::vector<LpVarStatus> variables;
   std::vector<LpVarStatus> rows;
@@ -207,8 +207,8 @@ struct SimplexOptions {
 /// model's shape, and one rule picks how it is exploited:
 ///   * primal feasible — primal phase 2 (nothing to repair);
 ///   * primal infeasible and dual feasible (only rhs/bounds moved since it
-///     was optimal: Fig. 9 sweeps, failover re-solves, child LPs) — the dual
-///     simplex iterates on it directly;
+///     was optimal: Fig. 9 sweeps, failover re-solves) — the dual simplex
+///     iterates on it directly;
 ///   * neither — artificial-free primal restoration, then phase 2.
 /// A structurally broken, singular, or unusable basis, and any warm path
 /// that resists repair, falls back to the cold crash path.

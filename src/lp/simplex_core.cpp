@@ -302,7 +302,8 @@ void SimplexCore::refactorize() {
     // matrix, not the solve.
     throw SolverError(e.what(),
                       SolverErrorContext{iterations_, stats_.refactorizations,
-                                         phase_});
+                                         stats_.ft_updates, stats_.ft_refusals,
+                                         stats_.bland_episodes, phase_});
   }
   ++stats_.refactorizations;
   // x_B = B^-1 (b - A_N x_N).

@@ -202,75 +202,4 @@ GroupedFlowSolution solve_master_lp(const DiGraph& g,
   return out;
 }
 
-std::vector<std::vector<double>> solve_child_lp(
-    const DiGraph& g, const std::vector<NodeId>& terminals, int source_index,
-    const std::vector<double>& source_flow, double F,
-    const SimplexOptions& lp, LpBasis* warm, const DemandMatrix* demand) {
-  const int E = g.num_edges();
-  const int S = static_cast<int>(terminals.size());
-  A2A_REQUIRE(source_index >= 0 && source_index < S, "source index out of range");
-  if (demand != nullptr) {
-    A2A_REQUIRE(demand->num_terminals() == S,
-                "demand matrix size does not match terminal count");
-  }
-  A2A_REQUIRE(source_flow.size() == static_cast<std::size_t>(E),
-              "source flow vector size mismatch");
-  const NodeId src = terminals[static_cast<std::size_t>(source_index)];
-
-  LpModel model(Sense::kMinimize);
-  // Variables f[(s,d), e] for d over the other terminals; objective (10)
-  // minimizes total flow so the solver prunes slack circulation itself.
-  std::vector<int> dest_of_slot;
-  for (int d = 0; d < S; ++d) {
-    if (d == source_index) continue;
-    dest_of_slot.push_back(d);
-  }
-  const int D = static_cast<int>(dest_of_slot.size());
-  for (int slot = 0; slot < D; ++slot) {
-    for (int e = 0; e < E; ++e) model.add_variable(0.0, kInfinity, 1.0);
-  }
-  auto var = [&](int slot, int e) { return slot * E + e; };
-
-  // (11) per-edge cap = master's per-source flow.
-  for (int e = 0; e < E; ++e) {
-    const int row = model.add_row(
-        RowType::kLessEqual, source_flow[static_cast<std::size_t>(e)] + 1e-9);
-    for (int slot = 0; slot < D; ++slot) model.add_coefficient(row, var(slot, e), 1.0);
-  }
-  for (int slot = 0; slot < D; ++slot) {
-    const NodeId dst = terminals[static_cast<std::size_t>(dest_of_slot[static_cast<std::size_t>(slot)])];
-    // (12) conservation at u not in {src, dst}.
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (u == src || u == dst) continue;
-      const int row = model.add_row(RowType::kLessEqual, 0.0);
-      for (const EdgeId e : g.out_edges(u)) model.add_coefficient(row, var(slot, e), 1.0);
-      for (const EdgeId e : g.in_edges(u)) model.add_coefficient(row, var(slot, e), -1.0);
-    }
-    // (13) demand: in(dst) >= w(s,dst)·F (tiny slack for LP round-off).
-    const double w = demand == nullptr
-                         ? 1.0
-                         : demand->at(source_index,
-                                      dest_of_slot[static_cast<std::size_t>(slot)]);
-    const int demand_row = model.add_row(RowType::kGreaterEqual, w * F - 1e-9);
-    for (const EdgeId e : g.in_edges(dst)) {
-      model.add_coefficient(demand_row, var(slot, e), 1.0);
-    }
-  }
-
-  const LpSolution sol = solve_lp_warm(model, lp, warm);
-  if (!sol.optimal()) {
-    throw SolverError("child MCF LP failed: " + to_string(sol.status));
-  }
-  std::vector<std::vector<double>> out(static_cast<std::size_t>(S));
-  for (int slot = 0; slot < D; ++slot) {
-    auto& flows = out[static_cast<std::size_t>(dest_of_slot[static_cast<std::size_t>(slot)])];
-    flows.assign(static_cast<std::size_t>(E), 0.0);
-    for (int e = 0; e < E; ++e) {
-      const double v = sol.values[static_cast<std::size_t>(var(slot, e))];
-      flows[static_cast<std::size_t>(e)] = v > 1e-10 ? v : 0.0;
-    }
-  }
-  return out;
-}
-
 }  // namespace a2a

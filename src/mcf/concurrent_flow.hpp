@@ -109,16 +109,4 @@ struct GroupedFlowSolution {
     const SimplexOptions& lp = {}, LpBasis* warm = nullptr,
     const DemandMatrix* demand = nullptr);
 
-/// Exact child LP (eqs. 10–14) for one source: splits the master's
-/// per-source aggregate flow into per-destination flows at rate F.
-/// Returns flows indexed [destination terminal index][edge]; the source's
-/// own slot is left empty. Child LPs of different sources share their shape,
-/// so one source's final basis (`warm`, in/out) seeds the next source's
-/// solve. With `demand`, destination d's demand row asks for w(s,d) * F.
-[[nodiscard]] std::vector<std::vector<double>> solve_child_lp(
-    const DiGraph& g, const std::vector<NodeId>& terminals, int source_index,
-    const std::vector<double>& source_flow, double F,
-    const SimplexOptions& lp = {}, LpBasis* warm = nullptr,
-    const DemandMatrix* demand = nullptr);
-
 }  // namespace a2a

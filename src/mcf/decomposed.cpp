@@ -10,30 +10,6 @@
 
 namespace a2a {
 
-namespace {
-
-/// Master stage only (mode-dispatched).
-GroupedFlowSolution solve_master(const DiGraph& g,
-                                 const std::vector<NodeId>& terminals,
-                                 const DecomposedOptions& options,
-                                 LpBasis* master_warm,
-                                 const DemandMatrix* demand) {
-  MasterMode mode = options.master;
-  if (mode == MasterMode::kAuto) {
-    mode = static_cast<int>(terminals.size()) <= options.exact_master_limit
-               ? MasterMode::kExactLp
-               : MasterMode::kFptas;
-  }
-  if (mode == MasterMode::kExactLp) {
-    return solve_master_lp(g, terminals, options.lp, master_warm, demand);
-  }
-  FleischerOptions fo = options.fptas;
-  fo.epsilon = options.fptas_epsilon;
-  return fleischer_grouped(g, terminals, fo, demand);
-}
-
-}  // namespace
-
 LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
                                       const std::vector<NodeId>& terminals,
                                       const DecomposedOptions& options,
@@ -41,14 +17,20 @@ LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
                                       LpBasis* master_warm,
                                       const DemandMatrix* demand) {
   const auto t0 = std::chrono::steady_clock::now();
+  const int S = static_cast<int>(terminals.size());
+  // The master: the exact LP up to exact_master_limit terminals, the FPTAS
+  // beyond.
   const GroupedFlowSolution master = [&] {
-    A2A_TRACE_SPAN("mcf.master",
-                   std::to_string(terminals.size()) + " terminals");
-    return solve_master(g, terminals, options, master_warm, demand);
+    A2A_TRACE_SPAN("mcf.master", std::to_string(S) + " terminals");
+    if (S <= options.exact_master_limit) {
+      return solve_master_lp(g, terminals, options.lp, master_warm, demand);
+    }
+    FleischerOptions fo = options.fptas;
+    fo.epsilon = options.fptas_epsilon;
+    return fleischer_grouped(g, terminals, fo, demand);
   }();
   const auto t1 = std::chrono::steady_clock::now();
 
-  const int S = static_cast<int>(terminals.size());
   TerminalPairs pairs(terminals);
   LinkFlowSolution out;
   out.pairs = pairs;
@@ -65,24 +47,10 @@ LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
     }
   }
 
-  // The child LPs of all sources share one shape (same variable and row
-  // counts, different rhs), so the first solve's basis is a near-optimal
-  // seed for every other source — each parallel task takes a private copy.
-  LpBasis child_seed;
-  if (options.child == ChildMode::kLp && S > 1 && !silent[0]) {
-    const auto flows = solve_child_lp(g, terminals, 0, master.per_source[0], F,
-                                      options.lp, &child_seed, demand);
-    for (int di = 1; di < S; ++di) {
-      const int pair = pairs.index(0, di);
-      out.per_commodity[static_cast<std::size_t>(pair)] =
-          SparseFlow::from_dense(flows[static_cast<std::size_t>(di)]);
-    }
-  }
-
   ThreadPool::shared().parallel_for(static_cast<std::size_t>(S), [&](std::size_t si) {
     if (silent[si]) return;
     // Child solves run on pool workers; the span carries the worker's
-    // thread id, so traces show how child LPs spread across the pool.
+    // thread id, so traces show how the children spread across the pool.
     A2A_TRACE_SPAN("mcf.child", "source " + std::to_string(si));
     const NodeId src = terminals[si];
     std::vector<NodeId> sinks;
@@ -98,20 +66,6 @@ LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
       sink_weight.push_back(w);
     }
     if (sinks.empty()) return;
-    if (options.child == ChildMode::kLp) {
-      if (si == 0) return;  // solved above to produce the shared seed
-      LpBasis warm = child_seed;
-      const auto flows = solve_child_lp(g, terminals, static_cast<int>(si),
-                                        master.per_source[si], F, options.lp,
-                                        &warm, demand);
-      for (std::size_t k = 0; k < sinks.size(); ++k) {
-        const int di = sink_terminal_index[k];
-        const int pair = pairs.index(static_cast<int>(si), di);
-        out.per_commodity[static_cast<std::size_t>(pair)] =
-            SparseFlow::from_dense(flows[static_cast<std::size_t>(di)]);
-      }
-      return;
-    }
     // Combinatorial splitter: max-flow within the master's per-source flow,
     // sink-capped at w(s,d)·F, then flow decomposition.
     std::vector<double> sink_caps(sinks.size());

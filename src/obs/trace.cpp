@@ -109,13 +109,11 @@ void append_json_escaped(std::ostringstream& os, const std::string& s) {
 // ---- TraceSpan --------------------------------------------------------------
 
 TraceSpan::TraceSpan(const char* name) : name_(name) {
-#if A2A_OBS
   if (tracing_enabled()) {
     active_ = true;
     start_ns_ = session_relative_now_ns();
     ++tls_depth;
   }
-#endif
 }
 
 TraceSpan::TraceSpan(const char* name, std::string args) : TraceSpan(name) {
@@ -129,7 +127,6 @@ void TraceSpan::annotate(const std::string& text) {
 }
 
 TraceSpan::~TraceSpan() {
-#if A2A_OBS
   if (!active_) return;
   --tls_depth;
   // Spans still open when the session stops are discarded: their duration
@@ -143,11 +140,9 @@ TraceSpan::~TraceSpan() {
   ev.dur_ns = end_ns > start_ns_ ? end_ns - start_ns_ : 0;
   ev.depth = tls_depth;
   this_thread_ring().record(std::move(ev));
-#endif
 }
 
 void trace_instant(const char* name, std::string args) {
-#if A2A_OBS
   if (!tracing_enabled()) return;
   TraceEvent ev;
   ev.name = name;
@@ -156,16 +151,11 @@ void trace_instant(const char* name, std::string args) {
   ev.depth = tls_depth;
   ev.instant = true;
   this_thread_ring().record(std::move(ev));
-#else
-  (void)name;
-  (void)args;
-#endif
 }
 
 // ---- TraceSession -----------------------------------------------------------
 
 TraceSession::TraceSession() {
-#if A2A_OBS
   TraceRegistry& reg = TraceRegistry::global();
   std::lock_guard lock(reg.mutex);
   A2A_ASSERT(!reg.session_active,
@@ -180,29 +170,21 @@ TraceSession::TraceSession() {
   reg.session_active = true;
   reg.session_start_ns.store(steady_now_ns(), std::memory_order_relaxed);
   trace_detail::g_tracing_enabled.store(true, std::memory_order_release);
-#else
-  stopped_ = collected_ = true;
-#endif
 }
 
 TraceSession::~TraceSession() { stop(); }
 
 void TraceSession::stop() {
-#if A2A_OBS
   if (stopped_) return;
   stopped_ = true;
   trace_detail::g_tracing_enabled.store(false, std::memory_order_release);
   TraceRegistry& reg = TraceRegistry::global();
   std::lock_guard lock(reg.mutex);
   reg.session_active = false;
-#else
-  stopped_ = true;
-#endif
 }
 
 std::vector<TraceEvent> TraceSession::events() {
   stop();
-#if A2A_OBS
   if (!collected_) {
     collected_ = true;
     TraceRegistry& reg = TraceRegistry::global();
@@ -225,7 +207,6 @@ std::vector<TraceEvent> TraceSession::events() {
                 return a.dur_ns > b.dur_ns;  // parents before children.
               });
   }
-#endif
   return events_;
 }
 

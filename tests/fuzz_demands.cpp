@@ -18,6 +18,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <bit>
 
 #include "collectives/collective.hpp"
@@ -161,7 +162,7 @@ TEST(FuzzDemands, SolverTiersAgreeOnRandomDemandMatrices) {
     // Decomposed (grouped master LP + combinatorial children) must reach
     // the same optimum: grouping commodities by source loses nothing.
     DecomposedOptions options;
-    options.master = MasterMode::kExactLp;
+    options.exact_master_limit = std::numeric_limits<int>::max();
     const LinkFlowSolution decomposed =
         solve_decomposed_mcf(g, terminals, options, nullptr, nullptr, &demand);
     ASSERT_NEAR(decomposed.concurrent_flow, exact.concurrent_flow,

@@ -488,6 +488,37 @@ TEST(FuzzLp, DualWarmResolvesMatchColdOnPerturbedInstances) {
   }
 }
 
+/// Draw `i` of the rewarded-collapse family: a random network's link-MCF
+/// LP solved to optimality, then its capacities collapsed (the old basis
+/// loses primal feasibility) and commodity 0's flows rewarded (it loses dual
+/// feasibility too, unless every nonbasic flow of commodity 0 had reduced
+/// cost to spare).
+struct RewardedDraw {
+  LpSolution first;
+  LpModel perturbed;
+};
+
+RewardedDraw rewarded_collapse_draw(long long i) {
+  Rng rng(0x2E570AE0 + static_cast<std::uint64_t>(i));
+  DiGraph g(1);
+  (void)random_network_lp(rng, &g);  // draw a random graph shape
+  RewardedDraw draw;
+  draw.first = solve_lp(build_link_mcf_model(g, TerminalPairs(all_nodes(g))));
+  DiGraph shrunk = g;
+  const int hits = rng.next_int(1, 3);
+  for (int h = 0; h < hits; ++h) {
+    shrunk.set_capacity(static_cast<EdgeId>(rng.next_below(
+                            static_cast<std::uint64_t>(shrunk.num_edges()))),
+                        1e-6);
+  }
+  draw.perturbed =
+      build_link_mcf_model(shrunk, TerminalPairs(all_nodes(shrunk)));
+  for (int e = 0; e < shrunk.num_edges(); ++e) {
+    draw.perturbed.set_objective(link_mcf_var(shrunk.num_edges(), 0, e), 1e-3);
+  }
+  return draw;
+}
+
 TEST(FuzzLp, RestorationWarmResolvesMatchColdOnRewardedInstances) {
   const long long iters = std::max(1LL, fuzz_iterations() / 8);
   // Presolve off, so the probe core below sees exactly the model and basis
@@ -496,31 +527,14 @@ TEST(FuzzLp, RestorationWarmResolvesMatchColdOnRewardedInstances) {
   no_presolve.presolve = false;
   long long restored = 0;
   for (long long i = 0; i < iters; ++i) {
-    Rng rng(0x2E570AE0 + static_cast<std::uint64_t>(i));
-    DiGraph g(1);
-    (void)random_network_lp(rng, &g);  // draw a random graph shape
-    const LpSolution first =
-        solve_lp(build_link_mcf_model(g, TerminalPairs(all_nodes(g))));
-    ASSERT_TRUE(first.optimal()) << "instance " << i;
-    // Collapse capacities (the old basis loses primal feasibility) and
-    // reward commodity 0's flows (it loses dual feasibility too, unless
-    // every nonbasic flow of commodity 0 had reduced cost to spare).
-    DiGraph shrunk = g;
-    const int hits = rng.next_int(1, 3);
-    for (int h = 0; h < hits; ++h) {
-      shrunk.set_capacity(static_cast<EdgeId>(rng.next_below(
-                              static_cast<std::uint64_t>(shrunk.num_edges()))),
-                          1e-6);
-    }
-    LpModel perturbed =
-        build_link_mcf_model(shrunk, TerminalPairs(all_nodes(shrunk)));
-    for (int e = 0; e < shrunk.num_edges(); ++e) {
-      perturbed.set_objective(link_mcf_var(shrunk.num_edges(), 0, e), 1e-3);
-    }
-    const lp_detail::SimplexCore probe(perturbed, no_presolve, &first.basis);
+    const RewardedDraw draw = rewarded_collapse_draw(i);
+    ASSERT_TRUE(draw.first.optimal()) << "instance " << i;
+    const LpModel& perturbed = draw.perturbed;
+    const lp_detail::SimplexCore probe(perturbed, no_presolve,
+                                       &draw.first.basis);
     ASSERT_TRUE(probe.warm_started()) << "instance " << i;
     const LpSolution cold = solve_lp(perturbed);
-    const LpSolution warm = solve_lp(perturbed, no_presolve, &first.basis);
+    const LpSolution warm = solve_lp(perturbed, no_presolve, &draw.first.basis);
     ASSERT_TRUE(cold.optimal()) << "instance " << i;
     ASSERT_TRUE(warm.optimal()) << "instance " << i;
     ASSERT_NEAR(cold.objective, warm.objective,
@@ -540,6 +554,32 @@ TEST(FuzzLp, RestorationWarmResolvesMatchColdOnRewardedInstances) {
   }
   // Most draws must really take the restoration path, or the check is hollow.
   EXPECT_GT(restored, iters / 2);
+}
+
+/// Draw 769 of the rewarded-collapse family (outside the default sweep) is
+/// one whose restoration stalls on more than kLpDegenerateStreakLimit
+/// zero-step pivots in a row, so the repair must switch to Bland's rule to
+/// finish instead of handing the basis to a cold solve.
+TEST(FuzzLp, RestorationSwitchesToBlandOnADegenerateStreak) {
+  const RewardedDraw draw = rewarded_collapse_draw(769);
+  ASSERT_TRUE(draw.first.optimal());
+  SimplexOptions no_presolve;
+  no_presolve.presolve = false;
+  const lp_detail::SimplexCore probe(draw.perturbed, no_presolve,
+                                     &draw.first.basis);
+  ASSERT_TRUE(probe.warm_started());
+  ASSERT_TRUE(probe.needs_restoration());
+  ASSERT_FALSE(probe.dual_feasible());
+  const LpSolution cold = solve_lp(draw.perturbed);
+  const LpSolution warm =
+      solve_lp(draw.perturbed, no_presolve, &draw.first.basis);
+  ASSERT_TRUE(cold.optimal());
+  ASSERT_TRUE(warm.optimal());
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_FALSE(warm.stats.dual_used);
+  EXPECT_GT(warm.stats.bland_episodes, 0);
+  EXPECT_NEAR(warm.objective, cold.objective,
+              1e-6 * std::max(1.0, std::abs(cold.objective)));
 }
 
 }  // namespace

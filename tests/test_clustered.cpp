@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/algorithms.hpp"
 #include "graph/topologies.hpp"
 #include "mcf/bounds.hpp"
@@ -63,7 +65,7 @@ TEST(Clustered, ExternalBandwidthBoundsAllToAll) {
   // external topology alone. The aggregate bound makes that exact.
   const auto topo = make_clustered(make_ring(4), small_options());
   DecomposedOptions options;
-  options.master = MasterMode::kExactLp;
+  options.exact_master_limit = std::numeric_limits<int>::max();
   const auto sol = solve_decomposed_mcf(topo.graph, all_nodes(topo.graph), options);
   EXPECT_LE(sol.concurrent_flow,
             concurrent_flow_upper_bound(topo.graph) + 1e-6);
@@ -83,7 +85,7 @@ TEST(Clustered, StarvedInternalFabricBindsInstead) {
   starved.internal_capacity = 0.05;  // internal links weaker than external
   const auto topo = make_clustered(make_ring(4), starved);
   DecomposedOptions options;
-  options.master = MasterMode::kExactLp;
+  options.exact_master_limit = std::numeric_limits<int>::max();
   const auto rich = make_clustered(make_ring(4), small_options());
   const double f_starved =
       solve_decomposed_mcf(topo.graph, all_nodes(topo.graph), options).concurrent_flow;

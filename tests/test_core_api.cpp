@@ -30,7 +30,7 @@ TEST(CoreApi, MlFabricLargeTopologyUnrollsDecomposedMcf) {
   Fabric fabric = cpu_oneccl_fabric();
   fabric.injection_GBps = 100.0;  // no host bottleneck in this variant
   ToolchainOptions options;
-  options.mcf.master = MasterMode::kFptas;
+  options.mcf.exact_master_limit = 0;
   options.mcf.fptas_epsilon = 0.05;
   const auto result = generate_schedule(g, fabric, options);
   EXPECT_EQ(result.kind, ScheduleKind::kLinkUnrolled);
@@ -46,7 +46,7 @@ TEST(CoreApi, HostBottleneckTriggersAugmentation) {
   // 100 Gbps injection -> augmentation, F -> 2/27.
   const DiGraph g = make_torus({3, 3, 3});
   ToolchainOptions options;
-  options.mcf.master = MasterMode::kFptas;
+  options.mcf.exact_master_limit = 0;
   options.mcf.fptas_epsilon = 0.05;
   const auto result = generate_schedule(g, cpu_oneccl_fabric(), options);
   EXPECT_NE(result.notes.find("augmentation"), std::string::npos);

@@ -64,6 +64,21 @@ TEST(FailureSignature, FingerprintsAreDistinctAndStable) {
             failover_fingerprint(base, a));
 }
 
+/// Failover fingerprints name every fallback in a library on disk, so a
+/// change to their bytes silently orphans every library already written.
+TEST(Failover, FingerprintsAreStable) {
+  const DiGraph g = make_generalized_kautz(27, 4);
+  const std::string base =
+      schedule_fingerprint(g, forwarding_fabric(), ToolchainOptions{});
+  ASSERT_EQ(base, "8dc1ff93efc278e6fc57f9d17dcbd9bb");
+  EXPECT_EQ(failover_fingerprint(base, FailureSignature{}),
+            "310e6d8428b00996b630c98416eff305");
+  EXPECT_EQ(failover_fingerprint(base, FailureSignature::parse("e3", g)),
+            "8fc6cc6ca91872d5e0dd9be32ccd2bac");
+  EXPECT_EQ(failover_fingerprint(base, FailureSignature::parse("e3+e17+n2", g)),
+            "b760366cb6e02ace016dd161580b2289");
+}
+
 // ------------------------------------------------------ degraded views ---
 
 TEST(FailureDomain, DegradedTopologyRemapAndNodeKill) {

@@ -9,6 +9,8 @@
 //   * the Theorem-1 bound caps F.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/topologies.hpp"
 #include "mcf/bounds.hpp"
 #include "mcf/decomposed.hpp"
@@ -43,7 +45,7 @@ TEST_P(EndToEnd, LinkPipelineDeliversAndPerforms) {
   const DiGraph g = family_graph(GetParam());
   const auto nodes = all_nodes(g);
   DecomposedOptions options;
-  options.master = MasterMode::kExactLp;
+  options.exact_master_limit = std::numeric_limits<int>::max();
   const auto flows = solve_decomposed_mcf(g, nodes, options);
   const double f = flows.concurrent_flow;
   EXPECT_LE(f, concurrent_flow_upper_bound(g) + 1e-6) << g.summary();
@@ -68,7 +70,7 @@ TEST_P(EndToEnd, PathPipelineDeliversAndPerforms) {
   const DiGraph g = family_graph(GetParam());
   const auto nodes = all_nodes(g);
   DecomposedOptions options;
-  options.master = MasterMode::kExactLp;
+  options.exact_master_limit = std::numeric_limits<int>::max();
   const auto flows = solve_decomposed_mcf(g, nodes, options);
   const double f = flows.concurrent_flow;
 

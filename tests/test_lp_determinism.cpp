@@ -1,9 +1,9 @@
 // Determinism regression tests: the same instance must produce bit-identical
 // pivot sequences, objectives, values, and LpBasis exports run after run —
-// and for the decomposed solver whether its child loop runs on one thread
-// or across the shared pool, alone or next to concurrent solves — pinning
-// the deterministic tie-breaking and the deterministic partial-pricing
-// cursor.
+// and for the decomposed solver and the failover precompute whether their
+// loops run on one thread or across the shared pool, alone or next to
+// concurrent solves — pinning the deterministic tie-breaking and the
+// deterministic partial-pricing cursor.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,12 +14,14 @@
 #include <thread>
 
 #include "common/thread_pool.hpp"
+#include "failover/manager.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/topologies.hpp"
 #include "lp/simplex.hpp"
 #include "mcf/concurrent_flow.hpp"
 #include "mcf/decomposed.hpp"
 #include "mcf/timestepped.hpp"
+#include "runtime/fabric.hpp"
 
 namespace a2a {
 namespace {
@@ -105,12 +107,10 @@ TEST(LpDeterminism, PartialPricingCursorIsDeterministic) {
               1e-7 * std::max(1.0, std::abs(c.objective)));
 }
 
-/// The GenKautz(12,4) decomposed solve with child LPs.
-LinkFlowSolution gk12_child_lp_solve() {
+/// The default GenKautz(12,4) decomposed solve.
+LinkFlowSolution gk12_solve() {
   const DiGraph g = make_generalized_kautz(12, 4);
-  DecomposedOptions opts;
-  opts.child = ChildMode::kLp;
-  return solve_decomposed_mcf(g, all_nodes(g), opts);
+  return solve_decomposed_mcf(g, all_nodes(g));
 }
 
 /// The one-thread reference: issued from a task of the shared pool, the
@@ -118,7 +118,7 @@ LinkFlowSolution gk12_child_lp_solve() {
 LinkFlowSolution one_thread_reference() {
   LinkFlowSolution out;
   ThreadPool::shared().parallel_for(
-      1, [&](std::size_t) { out = gk12_child_lp_solve(); });
+      1, [&](std::size_t) { out = gk12_solve(); });
   return out;
 }
 
@@ -138,8 +138,43 @@ void expect_identical(const LinkFlowSolution& a, const LinkFlowSolution& b) {
 
 TEST(LpDeterminism, DecomposedSolveIsThreadCountInvariant) {
   const LinkFlowSolution one = one_thread_reference();
-  const LinkFlowSolution many = gk12_child_lp_solve();
+  const LinkFlowSolution many = gk12_solve();
   expect_identical(one, many);
+}
+
+/// Precomputes GenKautz(12,3)'s failure domain and returns, per signature,
+/// the envelope the library stores for it ("" when none). With
+/// `one_thread`, precompute() is issued from a task of the shared pool, so
+/// its loop — warm LP re-solves from the healthy basis — runs inline on
+/// that worker.
+std::vector<std::string> precomputed_envelopes(bool one_thread) {
+  FailoverManager mgr(make_generalized_kautz(12, 3), hpc_cerio_fabric());
+  const std::vector<FailureSignature> domain = mgr.enumerate_domain();
+  if (one_thread) {
+    ThreadPool::shared().parallel_for(
+        1, [&](std::size_t) { (void)mgr.precompute(domain); });
+  } else {
+    (void)mgr.precompute(domain);
+  }
+  std::vector<std::string> out;
+  for (const FailureSignature& sig : domain) {
+    const auto view = mgr.library().lookup_artifact(
+        failover_fingerprint(mgr.base_fingerprint(), sig));
+    out.emplace_back(view ? view->envelope : std::string_view{});
+  }
+  return out;
+}
+
+TEST(LpDeterminism, FailoverPrecomputeIsThreadCountInvariant) {
+  const std::vector<std::string> one = precomputed_envelopes(true);
+  const std::vector<std::string> many = precomputed_envelopes(false);
+  ASSERT_EQ(one.size(), many.size());
+  std::size_t stored = 0;
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    EXPECT_TRUE(one[i] == many[i]) << "signature " << i;
+    if (!one[i].empty()) ++stored;
+  }
+  EXPECT_GT(stored, 0u);
 }
 
 /// The process's thread count from /proc/self/status (-1 if unreadable).
@@ -174,7 +209,7 @@ TEST(LpDeterminism, ConcurrentSolvesShareOnePool) {
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&results, c] {
       for (int r = 0; r < kRounds; ++r) {
-        results[c].push_back(gk12_child_lp_solve());
+        results[c].push_back(gk12_solve());
       }
     });
   }

@@ -1,9 +1,11 @@
 // Decomposed MCF (§3.1.2): the headline equivalence — decomposition attains
-// the same optimal F as the original LP — plus feasibility of the recovered
-// per-commodity flows under both child solvers.
+// the same optimal F as the original LP — plus feasibility of the
+// per-commodity flows the combinatorial children recover.
 #include "mcf/decomposed.hpp"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "graph/topologies.hpp"
 
@@ -35,7 +37,7 @@ void check_per_commodity_feasible(const DiGraph& g, const LinkFlowSolution& sol)
 struct Case {
   const char* name;
   DiGraph graph;
-  double expected_f;  // < 0 when unknown
+  double expected_f;  // < 0: no closed form, compared with the link LP
 };
 
 std::vector<Case> cases() {
@@ -55,13 +57,17 @@ class DecomposedVsExact : public ::testing::TestWithParam<int> {};
 TEST_P(DecomposedVsExact, CombinatorialChildrenReachMasterOptimum) {
   Case c = cases()[static_cast<std::size_t>(GetParam())];
   DecomposedOptions options;
-  options.master = MasterMode::kExactLp;
-  options.child = ChildMode::kCombinatorial;
+  options.exact_master_limit = std::numeric_limits<int>::max();
   DecomposedTiming timing;
   const auto sol = solve_decomposed_mcf(c.graph, all_nodes(c.graph), options,
                                         &timing);
   if (c.expected_f > 0) {
     EXPECT_NEAR(sol.concurrent_flow, c.expected_f, 1e-5) << c.name;
+  } else {
+    // No closed form: the undecomposed link LP (eqs. 1-5) is the reference.
+    const double exact =
+        solve_link_mcf_exact(c.graph, all_nodes(c.graph)).concurrent_flow;
+    EXPECT_NEAR(sol.concurrent_flow, exact, 1e-6 * exact) << c.name;
   }
   check_per_commodity_feasible(c.graph, sol);
   EXPECT_GT(timing.master_seconds, 0.0);
@@ -70,25 +76,10 @@ TEST_P(DecomposedVsExact, CombinatorialChildrenReachMasterOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Cases, DecomposedVsExact, ::testing::Range(0, 6));
 
-TEST(Decomposed, ChildLpMatchesCombinatorial) {
-  const DiGraph g = make_hypercube(3);
-  DecomposedOptions lp_child;
-  lp_child.master = MasterMode::kExactLp;
-  lp_child.child = ChildMode::kLp;
-  DecomposedOptions comb_child;
-  comb_child.master = MasterMode::kExactLp;
-  comb_child.child = ChildMode::kCombinatorial;
-  const auto a = solve_decomposed_mcf(g, all_nodes(g), lp_child);
-  const auto b = solve_decomposed_mcf(g, all_nodes(g), comb_child);
-  EXPECT_NEAR(a.concurrent_flow, b.concurrent_flow, 1e-5);
-  check_per_commodity_feasible(g, a);
-  check_per_commodity_feasible(g, b);
-}
-
 TEST(Decomposed, FptasMasterWithinEpsilon) {
   const DiGraph g = make_torus({3, 3, 3});
   DecomposedOptions options;
-  options.master = MasterMode::kFptas;
+  options.exact_master_limit = 0;
   options.fptas_epsilon = 0.05;
   const auto sol = solve_decomposed_mcf(g, all_nodes(g), options);
   // Feasible (<= OPT) and within ~3*eps of the known optimum 1/9.
@@ -101,7 +92,7 @@ TEST(Decomposed, WorksOnPuncturedTorus) {
   Rng rng(5);
   const DiGraph g = puncture_edges(make_torus({3, 3, 3}), 3, rng);
   DecomposedOptions options;
-  options.master = MasterMode::kExactLp;
+  options.exact_master_limit = std::numeric_limits<int>::max();
   const auto sol = solve_decomposed_mcf(g, all_nodes(g), options);
   // Punctures can only hurt: F <= 1/9, but connectivity keeps F > 0.
   EXPECT_LE(sol.concurrent_flow, 1.0 / 9.0 + 1e-6);
@@ -109,10 +100,9 @@ TEST(Decomposed, WorksOnPuncturedTorus) {
   check_per_commodity_feasible(g, sol);
 }
 
-TEST(Decomposed, AutoModeSwitchesToFptasBeyondLimit) {
+TEST(Decomposed, MasterSwitchesToFptasBeyondLimit) {
   const DiGraph g = make_generalized_kautz(48, 4);
   DecomposedOptions options;
-  options.master = MasterMode::kAuto;
   options.exact_master_limit = 16;  // force the FPTAS branch
   options.fptas_epsilon = 0.05;
   const auto sol = solve_decomposed_mcf(g, all_nodes(g), options);

@@ -39,7 +39,6 @@ std::map<std::string, std::int64_t> snapshot_values() {
 }
 
 TEST(Metrics, CounterConcurrentHammering) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with A2A_OBS=0";
   obs::Counter& counter = MetricsRegistry::global().counter("test_obs.hammer");
   const std::uint64_t before = counter.value();
   constexpr int kThreads = 8;
@@ -74,7 +73,6 @@ TEST(Metrics, GaugeConcurrentAddSubBalances) {
 }
 
 TEST(Metrics, HistogramBucketsAndQuantiles) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with A2A_OBS=0";
   obs::Histogram& h = MetricsRegistry::global().histogram("test_obs.hist");
   h.reset();
   // 2^i ns lands in bucket i ([2^i, 2^(i+1)) by the bit-scan rule); 0 and 1
@@ -97,7 +95,6 @@ TEST(Metrics, HistogramBucketsAndQuantiles) {
 }
 
 TEST(Metrics, HistogramConcurrentCountsAreExact) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with A2A_OBS=0";
   obs::Histogram& h =
       MetricsRegistry::global().histogram("test_obs.hist_concurrent");
   h.reset();
@@ -127,7 +124,6 @@ TEST(Metrics, RegistryReturnsStableReferencesAndChecksKinds) {
 }
 
 TEST(Metrics, RuntimeDisableStopsUpdatesAndKeepsValues) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with A2A_OBS=0";
   obs::Counter& counter =
       MetricsRegistry::global().counter("test_obs.disable");
   counter.add(7);
@@ -160,7 +156,6 @@ TEST(Metrics, ToJsonIsWellFormedFlatObject) {
 }
 
 TEST(Trace, SpanNestingDepthsAndOrdering) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with A2A_OBS=0";
   TraceSession session;
   {
     TraceSpan outer("test_obs.outer");
@@ -186,7 +181,6 @@ TEST(Trace, SpanNestingDepthsAndOrdering) {
 }
 
 TEST(Trace, ThreadAttribution) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with A2A_OBS=0";
   TraceSession session;
   {
     TraceSpan main_span("test_obs.main_thread");
@@ -212,7 +206,6 @@ TEST(Trace, ThreadAttribution) {
 }
 
 TEST(Trace, AnnotateAppendsWithSeparator) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with A2A_OBS=0";
   TraceSession session;
   {
     TraceSpan span("test_obs.annotated");
@@ -226,7 +219,6 @@ TEST(Trace, AnnotateAppendsWithSeparator) {
 }
 
 TEST(Trace, ChromeJsonWellFormed) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with A2A_OBS=0";
   TraceSession session;
   {
     TraceSpan span("test_obs.chrome", "quote\" backslash\\ newline\n tab\t");
@@ -261,7 +253,6 @@ TEST(Trace, NoSessionMeansNoRecording) {
 }
 
 TEST(Trace, SessionClearsPriorEvents) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with A2A_OBS=0";
   {
     TraceSession first;
     TraceSpan span("test_obs.first_session");
@@ -275,7 +266,6 @@ TEST(Trace, SessionClearsPriorEvents) {
 }
 
 TEST(Obs, LpMetricDeltasAreDeterministicAcrossIdenticalSolves) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with A2A_OBS=0";
   const DiGraph g = make_generalized_kautz(8, 4);
   const LpModel model = build_link_mcf_model(g, TerminalPairs(all_nodes(g)));
   (void)solve_lp(model);  // settle one-time registrations
@@ -303,7 +293,6 @@ TEST(Obs, LpMetricDeltasAreDeterministicAcrossIdenticalSolves) {
 }
 
 TEST(Obs, SolveStatsMatchGlobalCounterDeltas) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "built with A2A_OBS=0";
   const DiGraph g = make_generalized_kautz(8, 4);
   const LpModel model = build_link_mcf_model(g, TerminalPairs(all_nodes(g)));
   const auto before = snapshot_values();

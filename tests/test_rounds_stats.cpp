@@ -127,7 +127,7 @@ TEST(Stats, LinkStatsMatchReferenceOnPipelinedUnroll) {
 PathSchedule torus_path_schedule() {
   const DiGraph g = make_torus({3, 3, 3});
   DecomposedOptions options;
-  options.master = MasterMode::kFptas;
+  options.exact_master_limit = 0;
   options.fptas_epsilon = 0.05;
   const auto flows = solve_decomposed_mcf(g, all_nodes(g), options);
   ChunkingOptions chunking;

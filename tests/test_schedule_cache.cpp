@@ -620,9 +620,7 @@ TEST(ScheduleCache, LookupArtifactServesMmapWithoutDecode) {
   EXPECT_EQ(again->mapping, mapped->mapping);
   EXPECT_FALSE(again->from_disk);
   EXPECT_EQ(cache.stats().memory_hits, 2u);
-  if (obs::compiled_in()) {
-    EXPECT_EQ(decode_calls(), decodes_before) << "byte lookups never decode";
-  }
+  EXPECT_EQ(decode_calls(), decodes_before) << "byte lookups never decode";
 
   EXPECT_FALSE(cache.lookup_artifact("absent").has_value());
 }
@@ -645,17 +643,13 @@ TEST(ScheduleCache, LookupDecodesAPromotedArtifactOnce) {
   const auto first = cache.lookup("fp");
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->concurrent_flow, schedule.concurrent_flow);
-  if (obs::compiled_in()) {
-    EXPECT_EQ(decode_calls(), before + 1);
-  }
+  EXPECT_EQ(decode_calls(), before + 1);
   EXPECT_EQ(cache.memory_bytes(),
             envelope_bytes + schedule_memory_bytes(*first));
   // ...so the second one is a copy, not a decode.
   before = decode_calls();
   ASSERT_TRUE(cache.lookup("fp").has_value());
-  if (obs::compiled_in()) {
-    EXPECT_EQ(decode_calls(), before);
-  }
+  EXPECT_EQ(decode_calls(), before);
   EXPECT_EQ(cache.stats().disk_hits, 1u);
   EXPECT_EQ(cache.stats().memory_hits, 2u);
 
@@ -664,9 +658,7 @@ TEST(ScheduleCache, LookupDecodesAPromotedArtifactOnce) {
   inserted.insert("fp", schedule);
   before = decode_calls();
   ASSERT_TRUE(inserted.lookup("fp").has_value());
-  if (obs::compiled_in()) {
-    EXPECT_EQ(decode_calls(), before);
-  }
+  EXPECT_EQ(decode_calls(), before);
 }
 
 TEST(ScheduleCache, FailedDecodeQuarantinesAndEvictsPromotedEntry) {

@@ -280,10 +280,8 @@ TEST(ScheduleBroker, RepeatHitsAreServedFromTheCacheMemoryTier) {
   // The hit shares the very buffer insert() stored: no second copy.
   EXPECT_EQ(hit.view.bytes, miss.view.bytes);
   EXPECT_EQ(std::string(hit.view.envelope), std::string(miss.view.envelope));
-  if (obs::compiled_in()) {
-    EXPECT_EQ(counter_value("service.hot_hits"), hot_before + 1);
-    EXPECT_EQ(counter_value("service.artifact_hits"), artifact_before);
-  }
+  EXPECT_EQ(counter_value("service.hot_hits"), hot_before + 1);
+  EXPECT_EQ(counter_value("service.artifact_hits"), artifact_before);
 }
 
 TEST(ScheduleBroker, DiskWriteFailureStillServesRepeatsAsHits) {

@@ -378,9 +378,7 @@ TEST(SimplexWarmStart, Fig9SweepScenarioOneDoesNotCollapse) {
       obs::MetricsRegistry::global().counter("lp.cold_retries");
   const std::uint64_t retries_before = retries.value();
   const auto warm = solve_path_mcf_exact(g, candidates, {}, &basis);
-  if (obs::compiled_in()) {
-    EXPECT_EQ(retries.value() - retries_before, 0u);
-  }
+  EXPECT_EQ(retries.value() - retries_before, 0u);
   const auto cold = solve_path_mcf_exact(g, candidates);
   EXPECT_NEAR(warm.concurrent_flow, cold.concurrent_flow, 1e-6);
 }
@@ -446,17 +444,15 @@ TEST(SimplexBoundFlip, BoxedNetworkOptimumViaFlipsOnly) {
   }
 }
 
-TEST(SimplexCycling, BealeExampleTerminatesAtOptimum) {
-  // Beale's classic cycling LP: Dantzig pricing with naive tie-breaking
-  // cycles forever on this fixture. The solver's anti-cycling machinery
-  // (degenerate-streak Bland fallback) must terminate at the known optimum
-  // z* = -1/20 at x = (1/25, 0, 1, 0).
+/// Beale's classic cycling LP: Dantzig pricing with naive tie-breaking
+/// cycles forever on it. `row1_rhs` and `x4_cost` default to Beale's 0 and 6.
+LpModel beale_lp(double row1_rhs = 0.0, double x4_cost = 6.0) {
   LpModel m(Sense::kMinimize);
   const int x1 = m.add_variable(0, kInfinity, -0.75);
   const int x2 = m.add_variable(0, kInfinity, 150.0);
   const int x3 = m.add_variable(0, kInfinity, -0.02);
-  const int x4 = m.add_variable(0, kInfinity, 6.0);
-  int r = m.add_row(RowType::kLessEqual, 0);
+  const int x4 = m.add_variable(0, kInfinity, x4_cost);
+  int r = m.add_row(RowType::kLessEqual, row1_rhs);
   m.add_coefficient(r, x1, 0.25);
   m.add_coefficient(r, x2, -60.0);
   m.add_coefficient(r, x3, -0.04);
@@ -467,58 +463,45 @@ TEST(SimplexCycling, BealeExampleTerminatesAtOptimum) {
   m.add_coefficient(r, x3, -0.02);
   m.add_coefficient(r, x4, 3.0);
   m.add_coefficient(m.add_row(RowType::kLessEqual, 1), x3, 1.0);
-  const LpSolution s = cross_check(m);
+  return m;
+}
+
+TEST(SimplexCycling, BealeExampleTerminatesAtOptimum) {
+  // The solver's anti-cycling machinery (degenerate-streak Bland fallback)
+  // must terminate at the known optimum z* = -1/20 at x = (1/25, 0, 1, 0).
+  const LpSolution s = cross_check(beale_lp());
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, -0.05, 1e-7);
-  EXPECT_NEAR(s.values[static_cast<std::size_t>(x1)], 0.04, 1e-7);
-  EXPECT_NEAR(s.values[static_cast<std::size_t>(x3)], 1.0, 1e-7);
+  EXPECT_NEAR(s.values[0], 0.04, 1e-7);
+  EXPECT_NEAR(s.values[2], 1.0, 1e-7);
 }
 
 TEST(SimplexCycling, BealeWarmRestorationSurvivesDegeneracy) {
-  // Re-solve Beale's LP from its own optimal basis after tightening the x3
-  // bound row: the restoration path starts on a massively degenerate vertex
-  // and must repair feasibility (via the Bland fallback if it stalls)
-  // rather than reporting a failed solve.
-  LpModel m(Sense::kMinimize);
-  const int x1 = m.add_variable(0, kInfinity, -0.75);
-  const int x2 = m.add_variable(0, kInfinity, 150.0);
-  const int x3 = m.add_variable(0, kInfinity, -0.02);
-  const int x4 = m.add_variable(0, kInfinity, 6.0);
-  int r = m.add_row(RowType::kLessEqual, 0);
-  m.add_coefficient(r, x1, 0.25);
-  m.add_coefficient(r, x2, -60.0);
-  m.add_coefficient(r, x3, -0.04);
-  m.add_coefficient(r, x4, 9.0);
-  r = m.add_row(RowType::kLessEqual, 0);
-  m.add_coefficient(r, x1, 0.5);
-  m.add_coefficient(r, x2, -90.0);
-  m.add_coefficient(r, x3, -0.02);
-  m.add_coefficient(r, x4, 3.0);
-  const int bound_row = m.add_row(RowType::kLessEqual, 1);
-  m.add_coefficient(bound_row, x3, 1.0);
-  const LpSolution first = solve_lp(m);
+  // Re-solve Beale's LP from its own optimal (degenerate) basis after
+  // tightening row 1 to -0.01, which drives a basic value out of bounds, and
+  // rewarding x4 (cost 6 -> -4.75), which flips its reduced cost. The basis
+  // is then primal and dual infeasible, so the warm rule must repair it
+  // with the primal's feasibility restoration rather than run the dual or
+  // drop it for a cold solve.
+  const LpSolution first = solve_lp(beale_lp());
   ASSERT_TRUE(first.optimal());
+  const LpModel perturbed = beale_lp(-0.01, -4.75);
+  // Presolve off, so the probe sees exactly the model and basis the warm
+  // solve starts from.
+  SimplexOptions no_presolve;
+  no_presolve.presolve = false;
+  const lp_detail::SimplexCore probe(perturbed, no_presolve, &first.basis);
+  ASSERT_TRUE(probe.warm_started());
+  ASSERT_TRUE(probe.needs_restoration());
+  ASSERT_FALSE(probe.dual_feasible());
 
-  LpModel tight(Sense::kMinimize);
-  (void)tight.add_variable(0, kInfinity, -0.75);
-  (void)tight.add_variable(0, kInfinity, 150.0);
-  (void)tight.add_variable(0, kInfinity, -0.02);
-  (void)tight.add_variable(0, kInfinity, 6.0);
-  r = tight.add_row(RowType::kLessEqual, 0);
-  tight.add_coefficient(r, x1, 0.25);
-  tight.add_coefficient(r, x2, -60.0);
-  tight.add_coefficient(r, x3, -0.04);
-  tight.add_coefficient(r, x4, 9.0);
-  r = tight.add_row(RowType::kLessEqual, 0);
-  tight.add_coefficient(r, x1, 0.5);
-  tight.add_coefficient(r, x2, -90.0);
-  tight.add_coefficient(r, x3, -0.02);
-  tight.add_coefficient(r, x4, 3.0);
-  tight.add_coefficient(tight.add_row(RowType::kLessEqual, 0.5), x3, 1.0);
-  const LpSolution cold = solve_lp(tight);
-  const LpSolution warm = solve_lp(tight, {}, &first.basis);
+  const LpSolution cold = solve_lp(perturbed);
+  const LpSolution warm = solve_lp(perturbed, no_presolve, &first.basis);
   ASSERT_TRUE(cold.optimal());
   ASSERT_TRUE(warm.optimal());
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_FALSE(warm.stats.dual_used);
+  EXPECT_GE(warm.iterations, 1);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
 }
 
@@ -694,12 +677,17 @@ TEST(SimplexDeadline, GenerousBudgetMatchesUnlimitedOptimum) {
               1e-6 * std::max(1.0, std::abs(full.objective)));
 }
 
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
 /// The cold retry end to end. Without the update-count backstop and the
 /// fill-growth trigger, the Forrest–Tomlin factors of the GenKautz(10,4)
 /// tsMCF LP drift until a refactorization finds the basis singular (with a
 /// leash of 2 000 they do not). solve_lp() must catch that and finish on
 /// the conservative retry (64-update leash, exact ratio tests) at the
-/// optimum.
+/// optimum, and account for the collapsed attempt's work as well as the
+/// retry's, in the returned stats and in the lp.* counters alike.
 TEST(SimplexColdRetry, RescuesACollapsedSolve) {
   const DiGraph g = make_generalized_kautz(10, 4);
   const LpModel model =
@@ -707,15 +695,30 @@ TEST(SimplexColdRetry, RescuesACollapsedSolve) {
   SimplexOptions reckless;
   reckless.ft_update_limit = 4000;
   reckless.refactor_fill_growth = 1e9;
-  const obs::Counter& retries =
-      obs::MetricsRegistry::global().counter("lp.cold_retries");
-  const std::uint64_t retries_before = retries.value();
+  const std::uint64_t retries_before = counter_value("lp.cold_retries");
+  const std::uint64_t iterations_before = counter_value("lp.iterations");
+  const std::uint64_t refactors_before = counter_value("lp.refactorizations");
+  const std::uint64_t ft_updates_before = counter_value("lp.ft_updates");
   const LpSolution s = solve_lp(model, reckless);
   ASSERT_TRUE(s.optimal());
   EXPECT_EQ(s.stats.cold_retries, 1);
-  if (obs::compiled_in()) {
-    EXPECT_EQ(retries.value() - retries_before, 1u);
-  }
+  EXPECT_EQ(counter_value("lp.cold_retries") - retries_before, 1u);
+  EXPECT_EQ(counter_value("lp.iterations") - iterations_before,
+            static_cast<std::uint64_t>(s.stats.iterations));
+  EXPECT_EQ(counter_value("lp.refactorizations") - refactors_before,
+            static_cast<std::uint64_t>(s.stats.refactorizations));
+  EXPECT_EQ(counter_value("lp.ft_updates") - ft_updates_before,
+            static_cast<std::uint64_t>(s.stats.ft_updates));
+  // The retry's configuration alone: the collapsed attempt's Forrest–Tomlin
+  // updates come on top of these.
+  SimplexOptions retry = reckless;
+  retry.ft_update_limit = 64;
+  retry.harris_ratio = false;
+  const LpSolution retry_alone = solve_lp(model, retry);
+  ASSERT_TRUE(retry_alone.optimal());
+  EXPECT_EQ(retry_alone.stats.cold_retries, 0);
+  EXPECT_GT(s.stats.ft_updates, retry_alone.stats.ft_updates);
+  EXPECT_GT(s.stats.iterations, retry_alone.stats.iterations);
   const LpSolution dense = solve_lp_dense(model);
   ASSERT_TRUE(dense.optimal());
   EXPECT_NEAR(s.objective, dense.objective, 1e-9 * std::abs(dense.objective));
@@ -726,20 +729,36 @@ TEST(SimplexDeadline, MergeFailedAttemptFoldsForensicsIntoStats) {
   out.iterations = 10;
   out.stats.iterations = 10;
   out.stats.primal_iterations = 10;
+  out.stats.ft_updates = 4;
   SolverErrorContext context;
   context.iterations = 7;
   context.refactorizations = 3;
+  context.ft_updates = 5;
+  context.ft_refusals = 2;
+  context.bland_episodes = 1;
   context.phase = "dual";
+  const std::uint64_t ft_updates_before = counter_value("lp.ft_updates");
+  const std::uint64_t ft_refusals_before = counter_value("lp.ft_refusals");
+  const std::uint64_t bland_before = counter_value("lp.bland_episodes");
   lp_detail::merge_failed_attempt(out, context);
   EXPECT_EQ(out.iterations, 17);
   EXPECT_EQ(out.stats.iterations, 17);
   EXPECT_EQ(out.stats.dual_iterations, 7);
   EXPECT_EQ(out.stats.primal_iterations, 10);
   EXPECT_EQ(out.stats.refactorizations, 3);
+  EXPECT_EQ(out.stats.ft_updates, 9);
+  EXPECT_EQ(out.stats.ft_refusals, 2);
+  EXPECT_EQ(out.stats.bland_episodes, 1);
+  EXPECT_EQ(counter_value("lp.ft_updates") - ft_updates_before, 5u);
+  EXPECT_EQ(counter_value("lp.ft_refusals") - ft_refusals_before, 2u);
+  EXPECT_EQ(counter_value("lp.bland_episodes") - bland_before, 1u);
   // -1 context fields mean "unknown" and must not subtract.
   lp_detail::merge_failed_attempt(out, SolverErrorContext{});
   EXPECT_EQ(out.iterations, 17);
   EXPECT_EQ(out.stats.refactorizations, 3);
+  EXPECT_EQ(out.stats.ft_updates, 9);
+  EXPECT_EQ(out.stats.ft_refusals, 2);
+  EXPECT_EQ(out.stats.bland_episodes, 1);
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ TEST(CtSimulator, RespectsInjectionCap) {
   // throughput at (N-1)m/T <= 12.5 * (N-1)/N... i.e. T >= (N-1)m/injection.
   const DiGraph g = make_torus({3, 3, 3});
   DecomposedOptions opts;
-  opts.master = MasterMode::kFptas;
+  opts.exact_master_limit = 0;
   opts.fptas_epsilon = 0.05;
   const auto flows = solve_decomposed_mcf(g, all_nodes(g), opts);
   const PathSchedule sched =

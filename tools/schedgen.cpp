@@ -464,11 +464,6 @@ int main(int argc, char** argv) {
 
   try {
     (void)codec_from_name(args.codec);  // reject bad --codec before any work
-    if ((!args.trace_file.empty() || !args.metrics_file.empty() || args.stats) &&
-        !obs::compiled_in()) {
-      std::cerr << "note: observability compiled out (A2A_OBS=0); trace and "
-                   "metrics output will be empty\n";
-    }
     // The trace session spans the whole invocation (generate, validate,
     // encode, cache, convert — whatever this run does); the flush below runs
     // on every successful exit path.
