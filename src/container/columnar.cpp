@@ -104,6 +104,7 @@ PathSchedule path_schedule_from_words(const DiGraph& g,
                                 words.size() - node_pos,
                 "route node list overruns word stream (len=", len, ")");
     A2A_REQUIRE(len != 1, "route with a single node is not a path");
+    if (len > 1) e.path.reserve(static_cast<std::size_t>(len - 1));
     for (std::int64_t j = 0; j + 1 < len; ++j) {
       const std::int64_t uw = words[node_pos + static_cast<std::size_t>(j)];
       const std::int64_t vw = words[node_pos + static_cast<std::size_t>(j) + 1];

@@ -176,26 +176,6 @@ std::string schedule_fingerprint(const DiGraph& topology, const Fabric& fabric,
   return hex128(fnv1a(buf, 0), fnv1a(buf, 0x9e3779b97f4a7c15ULL));
 }
 
-std::size_t schedule_memory_bytes(const GeneratedSchedule& s) {
-  std::size_t bytes = sizeof(GeneratedSchedule);
-  if (s.link.has_value()) {
-    bytes += sizeof(LinkSchedule) + s.link->transfers.size() * sizeof(Transfer);
-  }
-  if (s.path.has_value()) {
-    bytes += sizeof(PathSchedule) + s.path->entries.size() * sizeof(RouteEntry);
-    for (const RouteEntry& e : s.path->entries) {
-      bytes += e.path.size() * sizeof(EdgeId);
-    }
-  }
-  bytes += s.terminals.size() * sizeof(NodeId);
-  bytes += s.notes.size();
-  // Graph adjacency: the edge array plus one EdgeId per direction in the
-  // out/in adjacency lists.
-  bytes += static_cast<std::size_t>(s.schedule_graph.num_edges()) *
-           (sizeof(Edge) + 2 * sizeof(EdgeId));
-  return bytes;
-}
-
 // ------------------------------------------------------- entry envelope ---
 
 std::string generated_schedule_to_bytes(const GeneratedSchedule& schedule,
@@ -399,80 +379,78 @@ std::string ScheduleCache::entry_path(const std::string& fingerprint) const {
 
 std::optional<GeneratedSchedule> ScheduleCache::lookup(
     const std::string& fingerprint) {
-  auto hit = find(fingerprint, /*decode=*/true);
-  if (!hit.has_value()) return std::nullopt;
-  return std::move(hit->schedule);
+  obs::TraceSpan span("cache.lookup");
+  std::string path;
+  ArtifactView view = find(fingerprint, path, span);
+  std::optional<GeneratedSchedule> schedule;
+  if (view.valid()) {
+    // Decoded outside the mutex. Bytes that do not decode are a miss, not
+    // an error. std::exception, not just Error: a truncated or foreign
+    // payload can trip a length_error/bad_alloc in the decoder before the
+    // CRC rejects it.
+    try {
+      schedule = generated_schedule_from_bytes(view.envelope);
+    } catch (const std::exception&) {
+      discard_corrupt(fingerprint, path);
+      span.annotate("corrupt artifact quarantined");
+      view = ArtifactView{};
+    }
+  }
+  count_outcome(view, span);
+  return schedule;
 }
 
 std::optional<ArtifactView> ScheduleCache::lookup_artifact(
     const std::string& fingerprint) {
-  auto hit = find(fingerprint, /*decode=*/false);
-  if (!hit.has_value()) return std::nullopt;
-  return std::move(hit->view);
+  obs::TraceSpan span("cache.lookup_artifact");
+  std::string path;
+  ArtifactView view = find(fingerprint, path, span);
+  count_outcome(view, span);
+  if (!view.valid()) return std::nullopt;
+  return view;
 }
 
-std::optional<ScheduleCache::Hit> ScheduleCache::find(
-    const std::string& fingerprint, bool decode) {
-  obs::TraceSpan span(decode ? "cache.lookup" : "cache.lookup_artifact");
+ArtifactView ScheduleCache::find(const std::string& fingerprint,
+                                 std::string& path, obs::TraceSpan& span) {
   A2A_COUNTER("cache.lookups").inc();
-  ArtifactView view;
-  std::string path;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.lookups;
     if (const auto it = entries_.find(fingerprint); it != entries_.end()) {
-      Entry& entry = it->second;
-      lru_.splice(lru_.begin(), lru_, entry.lru_it);
-      if (!decode || entry.schedule.has_value()) {
-        ++stats_.memory_hits;
-        A2A_COUNTER("cache.memory_hits").inc();
-        span.annotate("memory hit");
-        return Hit{entry.view, decode ? entry.schedule : std::nullopt};
-      }
-      // Known bytes, unknown value: decoded below, outside the mutex.
-      view = entry.view;
-      path = entry.path;
+      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+      path = it->second.path;
+      return it->second.view;
     }
   }
-  // Disk I/O and decode happen outside the mutex so slow work never blocks
-  // other consumers' memory-tier hits.
-  const bool from_disk = !view.valid();
-  if (from_disk) view = open_disk(fingerprint, path, span);
+  // Disk I/O happens outside the mutex so slow work never blocks other
+  // consumers' memory-tier hits.
+  ArtifactView view = open_disk(fingerprint, path, span);
   if (view.valid()) {
-    std::optional<GeneratedSchedule> schedule;
-    if (decode) {
-      // A corrupt artifact is a miss, not an error. std::exception, not
-      // just Error: a truncated or foreign payload can trip a
-      // length_error/bad_alloc in the decoder before the CRC rejects it.
-      try {
-        schedule = generated_schedule_from_bytes(view.envelope);
-      } catch (const std::exception&) {
-        discard_corrupt(fingerprint, path);
-        span.annotate("corrupt artifact quarantined");
-        view = ArtifactView{};
-      }
-    }
-    if (view.valid()) {
+    {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (from_disk) {
-        ++stats_.disk_hits;
-        A2A_COUNTER("cache.disk_hits").inc();
-        span.annotate("disk hit");
-      } else {
-        ++stats_.memory_hits;
-        A2A_COUNTER("cache.memory_hits").inc();
-        span.annotate("memory hit (decoded)");
-      }
-      admit_locked(fingerprint, view, std::move(path), schedule);
-      view.from_disk = from_disk;
-      return Hit{std::move(view), std::move(schedule)};
+      admit_locked(fingerprint, view, path);
     }
+    view.from_disk = true;
   }
+  return view;
+}
+
+void ScheduleCache::count_outcome(const ArtifactView& view,
+                                  obs::TraceSpan& span) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  A2A_COUNTER("cache.misses").inc();
-  span.annotate("miss");
-  return std::nullopt;
+  if (!view.valid()) {
+    ++stats_.misses;
+    A2A_COUNTER("cache.misses").inc();
+    span.annotate("miss");
+  } else if (view.from_disk) {
+    ++stats_.disk_hits;
+    A2A_COUNTER("cache.disk_hits").inc();
+    span.annotate("disk hit");
+  } else {
+    ++stats_.memory_hits;
+    A2A_COUNTER("cache.memory_hits").inc();
+    span.annotate("memory hit");
+  }
 }
 
 ArtifactView ScheduleCache::open_disk(const std::string& fingerprint,
@@ -546,7 +524,7 @@ std::shared_ptr<const std::string> ScheduleCache::insert(
     view.bytes = bytes;
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.insertions;
-    admit_locked(fingerprint, std::move(view), {}, schedule);
+    admit_locked(fingerprint, std::move(view), {});
   }
   if (options_.disk_dir.empty()) return bytes;
   try {
@@ -713,23 +691,19 @@ void ScheduleCache::clear() {
 }
 
 void ScheduleCache::admit_locked(const std::string& fingerprint,
-                                 ArtifactView view, std::string path,
-                                 std::optional<GeneratedSchedule> schedule) {
+                                 ArtifactView view, std::string path) {
   // max_memory_bytes == 0 disables the memory tier outright. Without this
   // gate every insert and every disk hit would be admitted and then
   // immediately evicted by the budget sweep below (pure churn).
   if (options_.max_memory_bytes == 0) return;
   // Replace any previous version, so a hit cannot serve outdated data.
   drop_locked(fingerprint);
-  const std::size_t bytes =
-      view.envelope.size() +
-      (schedule.has_value() ? schedule_memory_bytes(*schedule) : 0);
+  const std::size_t bytes = view.envelope.size();
   // Larger than the whole budget: can never be resident.
   if (bytes <= options_.max_memory_bytes) {
     lru_.push_front(fingerprint);
     entries_.emplace(fingerprint,
-                     Entry{std::move(view), std::move(path),
-                           std::move(schedule), bytes, lru_.begin()});
+                     Entry{std::move(view), std::move(path), lru_.begin()});
     memory_bytes_ += bytes;
   }
   evict_over_budget_locked();
@@ -738,7 +712,7 @@ void ScheduleCache::admit_locked(const std::string& fingerprint,
 void ScheduleCache::drop_locked(const std::string& fingerprint) {
   const auto it = entries_.find(fingerprint);
   if (it == entries_.end()) return;
-  memory_bytes_ -= it->second.bytes;
+  memory_bytes_ -= it->second.view.envelope.size();
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
   A2A_GAUGE("cache.memory_bytes").set(static_cast<std::int64_t>(memory_bytes_));
@@ -747,7 +721,7 @@ void ScheduleCache::drop_locked(const std::string& fingerprint) {
 void ScheduleCache::evict_over_budget_locked() {
   while (memory_bytes_ > options_.max_memory_bytes) {
     const auto it = entries_.find(lru_.back());
-    memory_bytes_ -= it->second.bytes;
+    memory_bytes_ -= it->second.view.envelope.size();
     entries_.erase(it);
     lru_.pop_back();
     ++stats_.memory_evictions;

@@ -7,14 +7,13 @@
 // from two tiers:
 //
 //   * an in-memory LRU, the process's only store of served schedules. Each
-//     entry holds the artifact as an ArtifactView (the heap envelope
-//     insert() wrote, or the mmap of a disk object a lookup promoted) plus
-//     the decoded GeneratedSchedule once it is known, and is charged the
-//     envelope bytes plus schedule_memory_bytes() against one byte budget
-//     (schedules vary by 1000x in size; counting entries lets a handful of
-//     Fig. 10 monsters blow the heap). lookup_artifact() serves the bytes,
-//     lookup() the decoded value — decoding a promoted entry once and
-//     keeping the result — and both share one memory -> disk -> miss path.
+//     entry holds one form of a schedule, its artifact: an ArtifactView over
+//     the heap envelope insert() wrote, or over the mmap of a disk object a
+//     lookup promoted. It is charged its envelope bytes, the unit the disk
+//     tier counts too, against one byte budget (schedules vary by 1000x in
+//     size; counting entries lets a handful of Fig. 10 monsters blow the
+//     heap). lookup_artifact() serves the bytes and lookup() decodes them;
+//     both share one memory -> disk -> miss path.
 //   * an optional on-disk tier of SchedBin-based entry files, so a fleet of
 //     processes (or a restarted one) shares compiled artifacts. Disk
 //     entries are content-addressed: the artifact file is keyed by a hash
@@ -49,11 +48,10 @@ class TraceSpan;
 
 struct ScheduleCacheOptions {
   /// Byte budget for the in-memory LRU tier. An entry is charged its
-  /// envelope bytes plus, once decoded, schedule_memory_bytes(). 0 disables
-  /// the memory tier: every lookup goes to the disk tier (when configured)
-  /// and nothing is retained in memory — useful for memory-constrained
-  /// fleets sharing a disk cache. An entry larger than the whole budget is
-  /// never admitted.
+  /// envelope bytes. 0 disables the memory tier: every lookup goes to the
+  /// disk tier (when configured) and nothing is retained in memory — useful
+  /// for memory-constrained fleets sharing a disk cache. An entry larger
+  /// than the whole budget is never admitted.
   std::size_t max_memory_bytes = 256ULL << 20;
   /// Directory for the on-disk tier ("" disables it). Created on first use;
   /// holds `objects/` (content-addressed artifacts) and `refs/`
@@ -96,11 +94,6 @@ struct ScheduleCacheStats {
 
   [[nodiscard]] std::uint64_t hits() const { return memory_hits + disk_hits; }
 };
-
-/// Deterministic estimate of the resident bytes of a decoded schedule
-/// (vectors' elements, notes, graph adjacency): the decoded part of a memory
-/// entry's charge, exposed so callers can size budgets.
-[[nodiscard]] std::size_t schedule_memory_bytes(const GeneratedSchedule& s);
 
 /// Fingerprint of a generate_schedule() request: a 128-bit hash (32 hex
 /// chars) over the topology's canonical form (node count + sorted edge list
@@ -156,11 +149,10 @@ class ScheduleCache {
   ScheduleCache(const ScheduleCache&) = delete;
   ScheduleCache& operator=(const ScheduleCache&) = delete;
 
-  /// Returns the cached schedule for `fingerprint`, checking memory then
-  /// disk. An entry whose decoded value is not yet known (a disk hit, or an
-  /// entry lookup_artifact() promoted) is decoded once and the result kept
-  /// in the memory tier. An entry that fails to decode is evicted, its disk
-  /// object quarantined, and the call degrades to a miss.
+  /// Returns the cached schedule for `fingerprint`: lookup_artifact()'s
+  /// memory -> disk path, then a decode of the artifact's bytes outside the
+  /// mutex, on every call. An entry that fails to decode is evicted, its
+  /// disk object quarantined, and the call counts a miss.
   [[nodiscard]] std::optional<GeneratedSchedule> lookup(
       const std::string& fingerprint);
 
@@ -173,7 +165,7 @@ class ScheduleCache {
   [[nodiscard]] std::optional<ArtifactView> lookup_artifact(
       const std::string& fingerprint);
 
-  /// Stores `schedule` and its serialized envelope in the memory tier
+  /// Stores the serialized envelope of `schedule` in the memory tier
   /// (evicting LRU entries past the byte budget) and, when a disk_dir is
   /// configured, writes (or dedups against) the content-addressed artifact
   /// and its ref file; a failed write is counted in disk_errors, never
@@ -184,7 +176,7 @@ class ScheduleCache {
 
   [[nodiscard]] ScheduleCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
-  /// Bytes the memory tier is charged for (envelopes plus decoded values).
+  /// Bytes the memory tier is charged for: its resident envelopes.
   [[nodiscard]] std::size_t memory_bytes() const;
   void clear();  ///< drops the memory tier only; disk entries persist.
 
@@ -197,13 +189,15 @@ class ScheduleCache {
   [[nodiscard]] std::size_t disk_bytes() const;
 
  private:
-  struct Hit {
-    ArtifactView view;
-    std::optional<GeneratedSchedule> schedule;  ///< set when decoding.
-  };
-  /// The memory -> disk -> miss path lookup() (`decode`) and
-  /// lookup_artifact() share.
-  std::optional<Hit> find(const std::string& fingerprint, bool decode);
+  /// The memory -> disk path lookup() and lookup_artifact() share: the
+  /// memory tier's view, or else the disk object mapped and promoted into
+  /// the memory tier; an invalid view on a miss. `path` names the disk
+  /// object the view maps ("" for a heap envelope). Counts the lookup but
+  /// not its outcome: the caller counts that with count_outcome().
+  ArtifactView find(const std::string& fingerprint, std::string& path,
+                    obs::TraceSpan& span);
+  /// Counts a hit on the tier `view` came from, or a miss when it is invalid.
+  void count_outcome(const ArtifactView& view, obs::TraceSpan& span);
   /// Maps the disk object `fingerprint` resolves to (`path` names it), or
   /// returns an invalid view. Drops dangling refs and quarantines corrupt
   /// objects.
@@ -216,8 +210,7 @@ class ScheduleCache {
   void store_disk(const std::string& fingerprint, const std::string& bytes,
                   obs::TraceSpan& span);
   void admit_locked(const std::string& fingerprint, ArtifactView view,
-                    std::string path,
-                    std::optional<GeneratedSchedule> schedule);
+                    std::string path);
   void drop_locked(const std::string& fingerprint);
   void evict_over_budget_locked();
   void gc_disk();  ///< enforces max_disk_bytes; caller holds disk_mutex_.
@@ -227,10 +220,8 @@ class ScheduleCache {
   /// MRU-first list of fingerprints plus value map (classic LRU pairing).
   std::list<std::string> lru_;
   struct Entry {
-    ArtifactView view;
-    std::string path;  ///< disk object `view` maps; "" for heap envelopes.
-    std::optional<GeneratedSchedule> schedule;
-    std::size_t bytes = 0;  ///< envelope + decoded bytes charged.
+    ArtifactView view;  ///< charged view.envelope.size() bytes.
+    std::string path;   ///< disk object `view` maps; "" for heap envelopes.
     std::list<std::string>::iterator lru_it;
   };
   std::unordered_map<std::string, Entry> entries_;

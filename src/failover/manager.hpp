@@ -8,8 +8,9 @@
 // on each rung and falling through when it expires or fails:
 //
 //   1. precomputed hit   — library lookup by (healthy fingerprint,
-//                          signature); microseconds when the disk tier's
-//                          mmap'd SchedBin bytes are warm.
+//                          signature), which decodes the library's artifact
+//                          bytes (resident in its memory tier, or mmap'd
+//                          from its disk tier); well under a millisecond.
 //   2. dual-warm exact   — link failures keep the pMCF LP's shape (capacity
 //                          collapse), so the healthy optimal basis is still
 //                          dual feasible and a dual-simplex re-solve under

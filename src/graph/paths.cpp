@@ -2,20 +2,23 @@
 
 #include <set>
 #include <sstream>
-#include <unordered_set>
 
 namespace a2a {
 
 bool path_is_valid(const DiGraph& g, const Path& p, NodeId s, NodeId t) {
   if (p.empty()) return false;
   NodeId at = s;
-  std::unordered_set<NodeId> visited{s};
-  for (const EdgeId e : p) {
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const EdgeId e = p[i];
     if (e < 0 || e >= g.num_edges()) return false;
     const Edge& edge = g.edge(e);
     if (edge.from != at) return false;
     at = edge.to;
-    if (!visited.insert(at).second) return false;  // repeated node
+    // A repeated node is the source or the head of an earlier hop.
+    if (at == s) return false;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (g.edge(p[j]).to == at) return false;
+    }
   }
   return at == t;
 }

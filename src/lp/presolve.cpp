@@ -49,6 +49,8 @@ Presolve::Result Presolve::run(const LpModel& model) {
   std::vector<char> live_row(static_cast<std::size_t>(m), 1);
   eliminated_value_.assign(static_cast<std::size_t>(nv), 0.0);
   eliminated_at_upper_.assign(static_cast<std::size_t>(nv), 0);
+  lower_row_.assign(static_cast<std::size_t>(nv), -1);
+  upper_row_.assign(static_cast<std::size_t>(nv), -1);
 
   const double obj_sign = model.sense() == Sense::kMaximize ? -1.0 : 1.0;
   const auto eliminate = [&](int j, double v, bool at_upper) {
@@ -147,6 +149,8 @@ Presolve::Result Presolve::run(const LpModel& model) {
           }
           const double vc = std::clamp(v, lj, uj);
           lj = uj = vc;
+          lower_row_[static_cast<std::size_t>(j)] = r;
+          upper_row_[static_cast<std::size_t>(j)] = r;
           ++stats_.tightened_bounds;
         } else if (upper_side) {
           if (v < lj - scaled(ftol, lj)) {
@@ -156,6 +160,7 @@ Presolve::Result Presolve::run(const LpModel& model) {
           const double nb = std::max(v, lj);
           if (nb < uj) {
             uj = nb;
+            upper_row_[static_cast<std::size_t>(j)] = r;
             ++stats_.tightened_bounds;
           }
         } else {
@@ -166,6 +171,7 @@ Presolve::Result Presolve::run(const LpModel& model) {
           const double nb = std::min(v, uj);
           if (nb > lj) {
             lj = nb;
+            lower_row_[static_cast<std::size_t>(j)] = r;
             ++stats_.tightened_bounds;
           }
         }
@@ -238,9 +244,21 @@ bool Presolve::map_warm_basis(const LpBasis& full, LpBasis* out) const {
   LpBasis b;
   b.variables.reserve(static_cast<std::size_t>(reduced_.num_variables()));
   b.rows.reserve(static_cast<std::size_t>(reduced_.num_rows()));
+  const auto active = [&](int r) {
+    return r >= 0 && full.rows[static_cast<std::size_t>(r)] != LpVarStatus::kBasic;
+  };
   int basic = 0;
   for (int j = 0; j < orig_vars_; ++j) {
-    const LpVarStatus st = full.variables[static_cast<std::size_t>(j)];
+    LpVarStatus st = full.variables[static_cast<std::size_t>(j)];
+    // postsolve()'s lift in reverse: a basic column whose implied-bound row
+    // is active (nonbasic) sits at that bound.
+    if (st == LpVarStatus::kBasic) {
+      if (active(lower_row_[static_cast<std::size_t>(j)])) {
+        st = LpVarStatus::kAtLower;
+      } else if (active(upper_row_[static_cast<std::size_t>(j)])) {
+        st = LpVarStatus::kAtUpper;
+      }
+    }
     if (var_map_[static_cast<std::size_t>(j)] < 0) {
       // An eliminated variable that was basic takes a basis slot with it;
       // the projection cannot be square any more.
@@ -283,7 +301,11 @@ void Presolve::postsolve(const LpModel& original, const LpSolution& reduced_sol,
   out->objective = obj;
   // Full-model basis: eliminated columns nonbasic at the bound they were
   // parked on, dropped rows basic slack (their slack absorbs whatever the
-  // row's activity is — exactly the redundant/eliminated-row geometry).
+  // row's activity is — exactly the redundant/eliminated-row geometry). A
+  // column at a bound a singleton row implied is the exception: the
+  // original model may not have that bound, so the column is exported basic
+  // and the row, active there, nonbasic with its slack at zero. The swap is
+  // one for one, so the basis stays square.
   const bool have_reduced_basis =
       reduced_sol.basis.compatible(reduced_.num_variables(), reduced_.num_rows());
   out->basis.variables.assign(static_cast<std::size_t>(orig_vars_),
@@ -292,14 +314,22 @@ void Presolve::postsolve(const LpModel& original, const LpSolution& reduced_sol,
                          LpVarStatus::kBasic);
   for (int j = 0; j < orig_vars_; ++j) {
     const int rj = var_map_.empty() ? -1 : var_map_[static_cast<std::size_t>(j)];
+    LpVarStatus st = LpVarStatus::kAtLower;
     if (rj >= 0) {
-      if (have_reduced_basis) {
-        out->basis.variables[static_cast<std::size_t>(j)] =
-            reduced_sol.basis.variables[static_cast<std::size_t>(rj)];
-      }
+      if (!have_reduced_basis) continue;
+      st = reduced_sol.basis.variables[static_cast<std::size_t>(rj)];
     } else if (eliminated_at_upper_[static_cast<std::size_t>(j)] != 0) {
-      out->basis.variables[static_cast<std::size_t>(j)] = LpVarStatus::kAtUpper;
+      st = LpVarStatus::kAtUpper;
     }
+    const int implied_row =
+        st == LpVarStatus::kBasic       ? -1
+        : st == LpVarStatus::kAtUpper ? upper_row_[static_cast<std::size_t>(j)]
+                                        : lower_row_[static_cast<std::size_t>(j)];
+    if (implied_row >= 0) {
+      st = LpVarStatus::kBasic;
+      out->basis.rows[static_cast<std::size_t>(implied_row)] = LpVarStatus::kAtLower;
+    }
+    out->basis.variables[static_cast<std::size_t>(j)] = st;
   }
   for (int r = 0; r < orig_rows_; ++r) {
     const int rr = row_map_.empty() ? -1 : row_map_[static_cast<std::size_t>(r)];

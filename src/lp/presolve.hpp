@@ -22,8 +22,10 @@
 // same-shaped LPs of a Fig. 9 sweep reduce identically and warm bases thread
 // straight through — map_warm_basis() projects a full-model basis into the
 // reduced space, and postsolve() lifts the reduced solution AND basis back
-// (eliminated columns nonbasic at their bound, dropped rows basic slack), so
-// the exported basis always covers the full original model.
+// (eliminated columns nonbasic at their bound, dropped rows basic slack,
+// except that a column at a singleton row's implied bound is exported basic
+// with that row nonbasic), so the exported basis always covers the full
+// original model.
 #pragma once
 
 #include <vector>
@@ -61,16 +63,19 @@ class Presolve {
   [[nodiscard]] const LpModel& reduced() const { return reduced_; }
   [[nodiscard]] const PresolveStats& stats() const { return stats_; }
 
-  /// Projects a full-model warm basis into the reduced space. Returns false
-  /// (leaving *out untouched) when the basis does not transfer — wrong
-  /// shape, or an eliminated variable was basic so the projected basis
-  /// count no longer matches the reduced row count.
+  /// Projects a full-model warm basis into the reduced space; a basic
+  /// column whose implied-bound row is nonbasic maps to nonbasic at that
+  /// bound, the inverse of postsolve()'s lift. Returns false (leaving *out
+  /// untouched) when the basis does not transfer — wrong shape, or an
+  /// eliminated variable was basic so the projected basis count no longer
+  /// matches the reduced row count.
   [[nodiscard]] bool map_warm_basis(const LpBasis& full, LpBasis* out) const;
 
   /// Lifts a reduced-space solution back to the original model: values for
   /// eliminated variables, the objective recomputed against `original`, and
-  /// a full-model basis (dropped rows exported as basic slacks). Copies
-  /// status/iterations/timing from `reduced_sol`.
+  /// a full-model basis (dropped rows exported as basic slacks, except that
+  /// a column at the bound a singleton row implied is exported basic and
+  /// that row nonbasic). Copies status/iterations/timing from `reduced_sol`.
   void postsolve(const LpModel& original, const LpSolution& reduced_sol,
                  LpSolution* out) const;
 
@@ -83,6 +88,10 @@ class Presolve {
   std::vector<int> row_map_;  ///< original row -> reduced row, or -1.
   std::vector<double> eliminated_value_;  ///< per original var (when dead).
   std::vector<unsigned char> eliminated_at_upper_;
+  /// Per original var: the singleton row that set its lower / upper bound,
+  /// or -1 while the bound is the model's own.
+  std::vector<int> lower_row_;
+  std::vector<int> upper_row_;
 };
 
 }  // namespace a2a

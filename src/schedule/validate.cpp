@@ -128,8 +128,30 @@ ValidationResult validate_path_schedule(const DiGraph& g,
                 "demand matrix size does not match terminal count");
   }
   ValidationResult result;
-  std::map<std::pair<NodeId, NodeId>, double> weight_sum;
-  std::map<std::pair<NodeId, NodeId>, long long> chunk_sum;
+  // Per-commodity sums in a dense terminal-pair array, reached through each
+  // node's first position in `terminals` (a repeated terminal shares its
+  // first position's sums). Routes between non-terminals are ignored.
+  struct CommoditySum {
+    double weight = 0.0;
+    long long chunks = 0;
+    bool routed = false;
+  };
+  const int S = static_cast<int>(terminals.size());
+  std::vector<CommoditySum> sums(static_cast<std::size_t>(S) *
+                                 static_cast<std::size_t>(S));
+  std::vector<int> position(static_cast<std::size_t>(g.num_nodes()), -1);
+  for (int i = S - 1; i >= 0; --i) {
+    const NodeId t = terminals[static_cast<std::size_t>(i)];
+    if (t >= 0 && t < g.num_nodes()) position[static_cast<std::size_t>(t)] = i;
+  }
+  const auto sum_of = [&](NodeId s, NodeId d) -> CommoditySum* {
+    if (s < 0 || s >= g.num_nodes() || d < 0 || d >= g.num_nodes()) return nullptr;
+    const int si = position[static_cast<std::size_t>(s)];
+    const int di = position[static_cast<std::size_t>(d)];
+    if (si < 0 || di < 0) return nullptr;
+    return &sums[static_cast<std::size_t>(si) * static_cast<std::size_t>(S) +
+                 static_cast<std::size_t>(di)];
+  };
   for (const RouteEntry& r : schedule.entries) {
     if (!path_is_valid(g, r.path, r.src, r.dst)) {
       result.fail("invalid route for " + std::to_string(r.src) + "->" +
@@ -140,46 +162,49 @@ ValidationResult validate_path_schedule(const DiGraph& g,
       result.fail("non-positive route weight/chunks for " +
                   std::to_string(r.src) + "->" + std::to_string(r.dst));
     }
-    weight_sum[{r.src, r.dst}] += r.weight;
-    chunk_sum[{r.src, r.dst}] += r.num_chunks;
+    if (CommoditySum* sum = sum_of(r.src, r.dst)) {
+      sum->weight += r.weight;
+      sum->chunks += r.num_chunks;
+      sum->routed = true;
+    }
   }
   const double unit = schedule.chunk_unit.to_double();
-  const int S = static_cast<int>(terminals.size());
   for (int si = 0; si < S; ++si) {
     const NodeId s = terminals[static_cast<std::size_t>(si)];
     for (int di = 0; di < S; ++di) {
       const NodeId d = terminals[static_cast<std::size_t>(di)];
       if (s == d) continue;
       const double wd = demand == nullptr ? 1.0 : demand->at(si, di);
-      const auto w = weight_sum.find({s, d});
+      const CommoditySum* sum = sum_of(s, d);
+      const bool has_routes = sum != nullptr && sum->routed;
       if (wd <= 0.0) {
-        if (w != weight_sum.end()) {
+        if (has_routes) {
           result.fail("zero-demand commodity " + std::to_string(s) + "->" +
                       std::to_string(d) + " has routes");
         }
         continue;
       }
-      if (w == weight_sum.end()) {
+      if (!has_routes) {
         result.fail("commodity " + std::to_string(s) + "->" + std::to_string(d) +
                     " has no routes");
         continue;
       }
+      const double w = sum->weight;
       // Weight completeness: exact-unit tolerance without a demand matrix
       // (legacy contract), grid-snap tolerance with one.
       const double tol = demand == nullptr ? 1e-6 : demand_tol;
-      if (std::abs(w->second - wd) > tol) {
+      if (std::abs(w - wd) > tol) {
         result.fail("commodity " + std::to_string(s) + "->" + std::to_string(d) +
-                    " weights sum to " + std::to_string(w->second) +
+                    " weights sum to " + std::to_string(w) +
                     ", expected " + std::to_string(wd));
       }
       // Chunk-count consistency: chunks must account for the delivered
       // weight at the global unit, commodity by commodity — the unit-demand
       // assumption round(1/unit) no longer holds under weighted shards.
-      const auto expected_chunks =
-          static_cast<long long>(std::llround(w->second / unit));
-      if (chunk_sum[{s, d}] != expected_chunks) {
+      const auto expected_chunks = static_cast<long long>(std::llround(w / unit));
+      if (sum->chunks != expected_chunks) {
         result.fail("commodity " + std::to_string(s) + "->" + std::to_string(d) +
-                    " ships " + std::to_string(chunk_sum[{s, d}]) +
+                    " ships " + std::to_string(sum->chunks) +
                     " chunks, expected " + std::to_string(expected_chunks));
       }
     }

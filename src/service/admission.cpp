@@ -69,8 +69,7 @@ ServiceReply AdmissionQueue::serve(const DiGraph& topology,
                       "miss queue full (" + std::to_string(pending_) +
                           " in service)");
       }
-      if (deadline_s > 0.0 && options_.shed_safety > 0.0 &&
-          ewma_synth_seconds_ > options_.shed_safety * deadline_s) {
+      if (deadline_s > 0.0 && ewma_synth_seconds_ > deadline_s) {
         A2A_COUNTER("service.shed_deadline").inc();
         return finish(ServiceOutcome::kShedDeadline,
                       "deadline unmeetable: recent syntheses average " +

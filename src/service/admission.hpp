@@ -36,10 +36,6 @@ struct AdmissionOptions {
   std::size_t max_pending = 64;
   /// Deadline applied when a request carries none. <= 0: no deadline.
   double default_deadline_ms = 0.0;
-  /// Shed when ewma_synth_seconds > shed_safety * remaining budget. Values
-  /// below 1 shed more eagerly; 0 disables upfront shedding (the deadline
-  /// still bounds the synthesis itself).
-  double shed_safety = 1.0;
 };
 
 enum class ServiceOutcome {

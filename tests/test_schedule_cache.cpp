@@ -56,10 +56,9 @@ GeneratedSchedule make_sized(int transfers, int tag) {
   return s;
 }
 
-/// What the memory tier charges for an entry insert() stores: its envelope
-/// plus its decoded schedule.
+/// What the memory tier charges for an entry insert() stores: its envelope.
 std::size_t charge(const GeneratedSchedule& s) {
-  return generated_schedule_to_bytes(s).size() + schedule_memory_bytes(s);
+  return generated_schedule_to_bytes(s).size();
 }
 
 /// A disk_dir nested below a regular file: every directory creation and
@@ -625,40 +624,30 @@ TEST(ScheduleCache, LookupArtifactServesMmapWithoutDecode) {
   EXPECT_FALSE(cache.lookup_artifact("absent").has_value());
 }
 
-TEST(ScheduleCache, LookupDecodesAPromotedArtifactOnce) {
+TEST(ScheduleCache, MemoryTierChargesEnvelopeBytesOnly) {
   const TempDir dir;
   ScheduleCacheOptions options;
   options.disk_dir = dir.path.string();
   const GeneratedSchedule schedule = make_sized(80, 6);
-  {
-    ScheduleCache writer(options);
-    writer.insert("fp", schedule);
-  }
-  // A fresh cache promotes the disk object through the byte path...
   ScheduleCache cache(options);
-  ASSERT_TRUE(cache.lookup_artifact("fp").has_value());
-  const std::size_t envelope_bytes = cache.memory_bytes();
-  // ...the first decoded lookup decodes it once and keeps the value...
-  std::uint64_t before = decode_calls();
-  const auto first = cache.lookup("fp");
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->concurrent_flow, schedule.concurrent_flow);
-  EXPECT_EQ(decode_calls(), before + 1);
-  EXPECT_EQ(cache.memory_bytes(),
-            envelope_bytes + schedule_memory_bytes(*first));
-  // ...so the second one is a copy, not a decode.
-  before = decode_calls();
-  ASSERT_TRUE(cache.lookup("fp").has_value());
-  EXPECT_EQ(decode_calls(), before);
-  EXPECT_EQ(cache.stats().disk_hits, 1u);
-  EXPECT_EQ(cache.stats().memory_hits, 2u);
+  const auto bytes = cache.insert("fp", schedule);
+  EXPECT_EQ(cache.memory_bytes(), bytes->size());
+  const auto hit = cache.lookup("fp");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->concurrent_flow, schedule.concurrent_flow);
+  EXPECT_EQ(cache.memory_bytes(), bytes->size()) << "no decoded value is kept";
 
-  // insert() hands the cache the decoded value: lookup() never decodes.
-  ScheduleCache inserted;
-  inserted.insert("fp", schedule);
-  before = decode_calls();
-  ASSERT_TRUE(inserted.lookup("fp").has_value());
-  EXPECT_EQ(decode_calls(), before);
+  // A disk object a lookup() promotes is charged the same bytes, and every
+  // later lookup() decodes them again.
+  ScheduleCache fresh(options);
+  ASSERT_TRUE(fresh.lookup("fp").has_value());
+  EXPECT_EQ(fresh.stats().disk_hits, 1u);
+  EXPECT_EQ(fresh.memory_bytes(), bytes->size());
+  const std::uint64_t before = decode_calls();
+  ASSERT_TRUE(fresh.lookup("fp").has_value());
+  EXPECT_EQ(decode_calls(), before + 1);
+  EXPECT_EQ(fresh.stats().memory_hits, 1u);
+  EXPECT_EQ(fresh.memory_bytes(), bytes->size());
 }
 
 TEST(ScheduleCache, FailedDecodeQuarantinesAndEvictsPromotedEntry) {
@@ -680,8 +669,11 @@ TEST(ScheduleCache, FailedDecodeQuarantinesAndEvictsPromotedEntry) {
     f.seekp(12);
     f.put('\xEE');
   }
+  const ScheduleCacheStats before = cache.stats();
   EXPECT_FALSE(cache.lookup("fp").has_value());
   EXPECT_EQ(cache.stats().disk_corrupt, 1u);
+  EXPECT_EQ(cache.stats().misses, before.misses + 1);
+  EXPECT_EQ(cache.stats().hits(), before.hits()) << "a failed decode is no hit";
   EXPECT_EQ(cache.size(), 0u) << "the memory entry is evicted at once";
   EXPECT_EQ(cache.memory_bytes(), 0u);
   EXPECT_FALSE(fs::exists(path));

@@ -478,14 +478,14 @@ TEST(SimplexCycling, BealeExampleTerminatesAtOptimum) {
 
 TEST(SimplexCycling, BealeWarmRestorationSurvivesDegeneracy) {
   // Re-solve Beale's LP from its own optimal (degenerate) basis after
-  // tightening row 1 to -0.01, which drives a basic value out of bounds, and
+  // tightening row 1 to -0.04, which drives a basic value out of bounds, and
   // rewarding x4 (cost 6 -> -4.75), which flips its reduced cost. The basis
   // is then primal and dual infeasible, so the warm rule must repair it
   // with the primal's feasibility restoration rather than run the dual or
   // drop it for a cold solve.
   const LpSolution first = solve_lp(beale_lp());
   ASSERT_TRUE(first.optimal());
-  const LpModel perturbed = beale_lp(-0.01, -4.75);
+  const LpModel perturbed = beale_lp(-0.04, -4.75);
   // Presolve off, so the probe sees exactly the model and basis the warm
   // solve starts from.
   SimplexOptions no_presolve;
@@ -503,6 +503,31 @@ TEST(SimplexCycling, BealeWarmRestorationSurvivesDegeneracy) {
   EXPECT_FALSE(warm.stats.dual_used);
   EXPECT_GE(warm.iterations, 1);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
+}
+
+TEST(SimplexCycling, PresolvedBealeBasisIsOptimalWithAndWithoutPresolve) {
+  // Presolve turns Beale's singleton row x3 <= 1 into a bound, and x3 sits
+  // on it at the optimum. The exported basis must make x3 basic and row 3
+  // nonbasic: the model has no upper bound on x3 to hold it at 1.
+  const LpModel beale = beale_lp();
+  const LpSolution first = solve_lp(beale);
+  ASSERT_TRUE(first.optimal());
+  EXPECT_EQ(first.basis.variables[2], LpVarStatus::kBasic);
+  EXPECT_EQ(first.basis.rows[2], LpVarStatus::kAtLower);
+  SimplexOptions no_presolve;
+  no_presolve.presolve = false;
+  const lp_detail::SimplexCore probe(beale, no_presolve, &first.basis);
+  ASSERT_TRUE(probe.warm_started());
+  EXPECT_FALSE(probe.needs_restoration());
+  EXPECT_TRUE(probe.dual_feasible());
+  for (const SimplexOptions& options : {SimplexOptions{}, no_presolve}) {
+    SCOPED_TRACE(options.presolve ? "presolve on" : "presolve off");
+    const LpSolution again = solve_lp(beale, options, &first.basis);
+    ASSERT_TRUE(again.optimal());
+    EXPECT_TRUE(again.warm_started);
+    EXPECT_EQ(again.iterations, 0);
+    EXPECT_NEAR(again.objective, first.objective, 1e-9);
+  }
 }
 
 // ---- dual simplex ----------------------------------------------------------

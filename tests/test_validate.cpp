@@ -9,7 +9,9 @@
 #include <optional>
 #include <sstream>
 #include <tuple>
+#include <unordered_set>
 
+#include "collectives/collective.hpp"
 #include "collectives/demand.hpp"
 #include "common/random.hpp"
 #include "core/api.hpp"
@@ -17,6 +19,7 @@
 #include "graph/topologies.hpp"
 #include "mcf/concurrent_flow.hpp"
 #include "mcf/decomposed.hpp"
+#include "runtime/fabric.hpp"
 #include "schedule/compile_link.hpp"
 
 namespace a2a {
@@ -523,6 +526,257 @@ TEST(ValidateLink, MatchesMapGroupedReferenceOnValidAndMutatedSchedules) {
       LinkSchedule shuffled = c.schedule;
       rng.shuffle(shuffled.transfers);
       expect_same_verdict(c, shuffled, &blocks3, "checked against block:3, shuffled");
+    }
+  }
+}
+
+// ---- path validator against a map-grouped reference ------------------------
+
+/// Reference route check: a simple s->t walk, its nodes kept in a hash set.
+bool reference_path_is_valid(const DiGraph& g, const Path& p, NodeId s, NodeId t) {
+  if (p.empty()) return false;
+  NodeId at = s;
+  std::unordered_set<NodeId> visited{s};
+  for (const EdgeId e : p) {
+    if (e < 0 || e >= g.num_edges()) return false;
+    const Edge& edge = g.edge(e);
+    if (edge.from != at) return false;
+    at = edge.to;
+    if (!visited.insert(at).second) return false;
+  }
+  return at == t;
+}
+
+/// Reference path validator: sums weights and chunks per commodity in two
+/// std::maps keyed by (src, dst). validate_path_schedule must reach the same
+/// verdict with the same errors in the same order.
+ValidationResult reference_validate_path(const DiGraph& g, const PathSchedule& schedule,
+                                         const std::vector<NodeId>& terminals,
+                                         const DemandMatrix* demand,
+                                         double demand_tol = 2.2e-2) {
+  ValidationResult result;
+  std::map<std::pair<NodeId, NodeId>, double> weight_sum;
+  std::map<std::pair<NodeId, NodeId>, long long> chunk_sum;
+  for (const RouteEntry& r : schedule.entries) {
+    if (!reference_path_is_valid(g, r.path, r.src, r.dst)) {
+      result.fail("invalid route for " + std::to_string(r.src) + "->" +
+                  std::to_string(r.dst));
+      continue;
+    }
+    if (r.weight <= 0.0 || r.num_chunks <= 0) {
+      result.fail("non-positive route weight/chunks for " +
+                  std::to_string(r.src) + "->" + std::to_string(r.dst));
+    }
+    weight_sum[{r.src, r.dst}] += r.weight;
+    chunk_sum[{r.src, r.dst}] += r.num_chunks;
+  }
+  const double unit = schedule.chunk_unit.to_double();
+  const int S = static_cast<int>(terminals.size());
+  for (int si = 0; si < S; ++si) {
+    const NodeId s = terminals[static_cast<std::size_t>(si)];
+    for (int di = 0; di < S; ++di) {
+      const NodeId d = terminals[static_cast<std::size_t>(di)];
+      if (s == d) continue;
+      const double wd = demand == nullptr ? 1.0 : demand->at(si, di);
+      const auto w = weight_sum.find({s, d});
+      if (wd <= 0.0) {
+        if (w != weight_sum.end()) {
+          result.fail("zero-demand commodity " + std::to_string(s) + "->" +
+                      std::to_string(d) + " has routes");
+        }
+        continue;
+      }
+      if (w == weight_sum.end()) {
+        result.fail("commodity " + std::to_string(s) + "->" + std::to_string(d) +
+                    " has no routes");
+        continue;
+      }
+      const double tol = demand == nullptr ? 1e-6 : demand_tol;
+      if (std::abs(w->second - wd) > tol) {
+        result.fail("commodity " + std::to_string(s) + "->" + std::to_string(d) +
+                    " weights sum to " + std::to_string(w->second) +
+                    ", expected " + std::to_string(wd));
+      }
+      const auto expected_chunks =
+          static_cast<long long>(std::llround(w->second / unit));
+      if (chunk_sum[{s, d}] != expected_chunks) {
+        result.fail("commodity " + std::to_string(s) + "->" + std::to_string(d) +
+                    " ships " + std::to_string(chunk_sum[{s, d}]) +
+                    " chunks, expected " + std::to_string(expected_chunks));
+      }
+    }
+  }
+  return result;
+}
+
+/// A valid path schedule from the pipeline, with the demand it was built for.
+struct PathCase {
+  std::string name;
+  DiGraph graph;
+  std::vector<NodeId> terminals;
+  std::optional<DemandMatrix> demand;
+  PathSchedule schedule;
+
+  [[nodiscard]] const DemandMatrix* demand_ptr() const {
+    return demand ? &*demand : nullptr;
+  }
+};
+
+std::vector<PathCase> path_cases() {
+  // Threshold 0 forces the MCF-extP branch; 512 keeps pMCF where the path
+  // diversity is low.
+  const std::vector<std::tuple<std::string, DiGraph, const char*, long long>> runs = {
+      {"hypercube3 pMCF", make_hypercube(3), "uniform", 512},
+      {"torus3x2 pMCF", make_torus({3, 2}), "block:3", 512},
+      {"torus3x2 MCF-extP", make_torus({3, 2}), "zipf:0.6", 0},
+      {"genkautz8_2 MCF-extP", make_generalized_kautz(8, 2), "uniform", 0},
+  };
+  std::vector<PathCase> cases;
+  for (const auto& [name, g, spec, threshold] : runs) {
+    ToolchainOptions options;
+    options.path_diversity_threshold = threshold;
+    options.workload.demand = DemandSpec::parse(spec);
+    const GeneratedSchedule result = generate_schedule(g, hpc_cerio_fabric(), options);
+    PathCase c{name + " " + spec, result.schedule_graph, result.terminals, std::nullopt,
+               *result.path};
+    if (!options.workload.is_default()) {
+      c.demand = effective_demand(options.workload, static_cast<int>(c.terminals.size()));
+    }
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+/// Both path validators' verdicts on `sched` must agree; returns the verdict.
+bool expect_same_path_verdict(const PathCase& c, const PathSchedule& sched,
+                              const std::vector<NodeId>& terminals,
+                              const DemandMatrix* demand, const std::string& label) {
+  SCOPED_TRACE(c.name + ": " + label);
+  const ValidationResult want = reference_validate_path(c.graph, sched, terminals, demand);
+  const ValidationResult got = validate_path_schedule(c.graph, sched, terminals, demand);
+  EXPECT_EQ(got.ok, want.ok);
+  EXPECT_EQ(got.errors.size(), want.errors.size());
+  EXPECT_TRUE(got.errors == want.errors)
+      << "first error: " << (got.errors.empty() ? "" : got.errors.front())
+      << " | reference: " << (want.errors.empty() ? "" : want.errors.front());
+  return got.ok;
+}
+
+TEST(ValidatePath, MatchesMapGroupedReferenceOnValidAndMutatedSchedules) {
+  Rng rng(0xA7B5C0DE);
+  const DemandMatrix blocks3 = DemandSpec::parse("block:3").instantiate(6);
+  struct Mutation {
+    std::string label;
+    std::optional<bool> valid;  ///< the verdict it must get; nullopt: either
+    std::function<void(const PathCase&, PathSchedule&)> apply;
+  };
+  auto pick = [&](const PathSchedule& s) {
+    return static_cast<std::size_t>(rng.next_below(s.entries.size()));
+  };
+  const std::vector<Mutation> mutations = {
+      {"unchanged", true, [](const PathCase&, PathSchedule&) {}},
+      {"shuffled", true, [&](const PathCase&, PathSchedule& s) { rng.shuffle(s.entries); }},
+      {"dropped route", false,
+       [&](const PathCase&, PathSchedule& s) {
+         s.entries.erase(s.entries.begin() + static_cast<std::ptrdiff_t>(pick(s)));
+       }},
+      {"duplicated route", false,
+       [&](const PathCase&, PathSchedule& s) { s.entries.push_back(s.entries[pick(s)]); }},
+      {"re-weighted by half", std::nullopt,
+       [&](const PathCase&, PathSchedule& s) { s.entries[pick(s)].weight *= 1.5; }},
+      {"re-weighted by a shard", false,
+       [&](const PathCase&, PathSchedule& s) { s.entries[pick(s)].weight += 1.0; }},
+      {"zero weight", false,
+       [&](const PathCase&, PathSchedule& s) { s.entries[pick(s)].weight = 0.0; }},
+      {"zero chunks", false,
+       [&](const PathCase&, PathSchedule& s) { s.entries[pick(s)].num_chunks = 0; }},
+      {"one chunk more", false,
+       [&](const PathCase&, PathSchedule& s) { ++s.entries[pick(s)].num_chunks; }},
+      {"hop off the chain", false,
+       [&](const PathCase& c, PathSchedule& s) {
+         for (int tries = 0; tries < 100; ++tries) {
+           RouteEntry& r = s.entries[pick(s)];
+           const std::size_t k = static_cast<std::size_t>(rng.next_below(r.path.size()));
+           const auto e = static_cast<EdgeId>(
+               rng.next_below(static_cast<std::uint64_t>(c.graph.num_edges())));
+           const NodeId from = k == 0 ? r.src : c.graph.edge(r.path[k - 1]).to;
+           if (c.graph.edge(e).from == from) continue;
+           r.path[k] = e;
+           return;
+         }
+       }},
+      {"edge id out of range", false,
+       [&](const PathCase& c, PathSchedule& s) {
+         RouteEntry& r = s.entries[pick(s)];
+         r.path[static_cast<std::size_t>(rng.next_below(r.path.size()))] =
+             rng.next_below(2) == 0 ? -1 : c.graph.num_edges();
+       }},
+      {"route cut short", false,
+       [&](const PathCase&, PathSchedule& s) {
+         for (int tries = 0; tries < 100; ++tries) {
+           RouteEntry& r = s.entries[pick(s)];
+           if (r.path.size() < 2) continue;
+           r.path.pop_back();
+           return;
+         }
+       }},
+      {"looping route", false,
+       [&](const PathCase& c, PathSchedule& s) {
+         // Step out to a neighbour and back before hop k: the walk is still
+         // contiguous and ends at dst, but revisits hop k's tail, which is
+         // the source (k == 0) or the head of an earlier hop.
+         for (int tries = 0; tries < 100; ++tries) {
+           RouteEntry& r = s.entries[pick(s)];
+           const std::size_t k = static_cast<std::size_t>(rng.next_below(r.path.size()));
+           const NodeId tail = c.graph.edge(r.path[k]).from;
+           const auto& out = c.graph.out_edges(tail);
+           const EdgeId step = out[static_cast<std::size_t>(rng.next_below(out.size()))];
+           const EdgeId back = c.graph.find_edge(c.graph.edge(step).to, tail);
+           if (back < 0) continue;
+           const std::vector<EdgeId> detour = {step, back};
+           r.path.insert(r.path.begin() + static_cast<std::ptrdiff_t>(k), detour.begin(),
+                         detour.end());
+           return;
+         }
+       }},
+  };
+  for (const PathCase& c : path_cases()) {
+    ASSERT_TRUE(
+        validate_path_schedule(c.graph, c.schedule, c.terminals, c.demand_ptr()).ok)
+        << c.name;
+    // A repeated terminal shares its first position's sums; a terminal left
+    // out makes its routes ignored.
+    std::vector<NodeId> repeated = c.terminals;
+    repeated.push_back(c.terminals[1]);
+    const std::vector<NodeId> fewer(c.terminals.begin(), c.terminals.end() - 1);
+    const int S = static_cast<int>(c.terminals.size());
+    const DemandMatrix ones = DemandMatrix::uniform(S);
+    for (const Mutation& m : mutations) {
+      for (int round = 0; round < 3; ++round) {
+        PathSchedule mutant = c.schedule;
+        m.apply(c, mutant);
+        const bool ok = expect_same_path_verdict(c, mutant, c.terminals, c.demand_ptr(),
+                                                 m.label);
+        if (m.valid) {
+          EXPECT_EQ(ok, *m.valid) << c.name << ": " << m.label;
+        }
+        expect_same_path_verdict(c, mutant, c.terminals, &ones, m.label + ", unit demand");
+        expect_same_path_verdict(c, mutant, repeated, nullptr, m.label + ", repeated terminal");
+        expect_same_path_verdict(c, mutant, fewer, nullptr, m.label + ", one terminal fewer");
+        if (S == 6) {
+          expect_same_path_verdict(c, mutant, c.terminals, &blocks3,
+                                   m.label + ", checked against block:3");
+        }
+      }
+    }
+    if (!c.demand) {
+      EXPECT_TRUE(expect_same_path_verdict(c, c.schedule, c.terminals, &ones, "unit demand"));
+      EXPECT_TRUE(expect_same_path_verdict(c, c.schedule, fewer, nullptr, "one terminal fewer"));
+    }
+    if (S == 6) {
+      const bool ok = expect_same_path_verdict(c, c.schedule, c.terminals, &blocks3,
+                                               "checked against block:3");
+      EXPECT_EQ(ok, c.name.ends_with("block:3")) << c.name;
     }
   }
 }
