@@ -11,7 +11,8 @@
 //
 // --smoke is the CI gate: GenKautz(27,4) only, and it additionally asserts
 // the weight-1 contract — a zipf:0 workload (non-default spec, unit weights)
-// must reproduce the default uniform pipeline byte-for-byte.
+// must reproduce the default uniform pipeline byte-for-byte. --json PATH
+// appends a BENCH_collectives.json record; without it nothing is written.
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -174,7 +175,7 @@ bool weight_one_matches_uniform(const DiGraph& g, const Fabric& fabric) {
 int main(int argc, char** argv) {
   using namespace a2a;
   bool smoke = false;
-  std::string json_path = "BENCH_collectives.json";
+  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];

@@ -16,7 +16,8 @@
 // --smoke gates the robustness contract for CI: every served schedule must
 // validate, the precomputed-hit path must serve under 1 ms (median), and
 // the deadline may be overshot by at most the validation cost (plus
-// scheduling noise). Appends a record to BENCH_failover.json.
+// scheduling noise). --json PATH appends a BENCH_failover.json record;
+// without it nothing is written.
 #include "bench_util.hpp"
 
 #include <algorithm>
@@ -175,7 +176,7 @@ void stream_json(std::ostringstream& js, const StreamResult& s) {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool large = false;
-  std::string json_path = "BENCH_failover.json";
+  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     else if (std::strcmp(argv[i], "--large") == 0) large = true;

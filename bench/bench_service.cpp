@@ -17,7 +17,8 @@
 // --smoke gates the service SLOs for CI: hit p50 < 1 ms, K identical
 // concurrent misses collapse to exactly one synthesis, and zero requests
 // dropped while schedulable (no deadline, queue not full => everything must
-// be kServed). Appends a record to BENCH_service.json.
+// be kServed). --json PATH appends a BENCH_service.json record; without it
+// nothing is written.
 #include "bench_util.hpp"
 
 #include <algorithm>
@@ -113,7 +114,7 @@ void lat_json(std::ostringstream& js, const char* name, const LatStats& st) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_service.json";
+  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];

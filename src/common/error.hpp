@@ -38,6 +38,8 @@ struct SolverErrorContext {
   long long ft_updates = -1;        ///< accepted Forrest–Tomlin updates.
   long long ft_refusals = -1;       ///< refused Forrest–Tomlin updates.
   long long bland_episodes = -1;    ///< switches to Bland's rule.
+  long long degenerate_pivots = -1;   ///< zero-step pivots.
+  long long column_priced_rows = -1;  ///< column-wise pivot rows.
   const char* phase = "";  ///< "phase1", "primal", "dual", "restore", ...
 };
 

@@ -79,8 +79,9 @@ struct FailureDomainOptions {
 /// LP-shape-preserving view of the failure: every healthy edge kept, failed
 /// capacities collapsed to `collapsed_capacity`. A pMCF model built on this
 /// graph has identical rows/columns to the healthy model, so the healthy
-/// optimal basis stays dual feasible and a dual-simplex re-solve converges
-/// in a handful of pivots.
+/// optimal basis stays dual feasible and a dual-simplex re-solve needs no
+/// phase 1 — on GenKautz(27,4), 379–1 145 pivots after a single-link
+/// collapse and 648–1 352 after a two-link one, against 5 821 cold.
 [[nodiscard]] DiGraph collapsed_topology(const DiGraph& g,
                                          const FailureSignature& sig,
                                          double collapsed_capacity = 1e-7);

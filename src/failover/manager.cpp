@@ -254,7 +254,8 @@ bool FailoverManager::exact_resolve(const DegradedView& view, double budget_s,
   if (view.sig.nodes.empty()) {
     // Link-only failure: the collapsed model has the healthy model's exact
     // shape, so the healthy optimal basis is dual feasible under the
-    // capacity perturbation — re-solve dual-warm in a few pivots.
+    // capacity perturbation — re-solve dual-warm, with no phase 1 (on
+    // GenKautz(27,4) 379–1 145 pivots for one link, 648–1 352 for two).
     const DiGraph collapsed = collapsed_topology(healthy_, view.sig);
     LpBasis basis = healthy_basis_;
     const PathMcfSolution sol =

@@ -14,10 +14,12 @@
 //   2. dual-warm exact   — link failures keep the pMCF LP's shape (capacity
 //                          collapse), so the healthy optimal basis is still
 //                          dual feasible and a dual-simplex re-solve under
-//                          SimplexOptions::time_limit_s is typically a few
-//                          pivots. Node failures re-solve cold on the
-//                          degraded fabric, same budget. Only an OPTIMAL
-//                          outcome is served (and added to the library).
+//                          SimplexOptions::time_limit_s needs no phase 1
+//                          (on GenKautz(27,4) 648–1 352 pivots, about
+//                          0.1 s, for a two-link failure). Node failures re-solve
+//                          cold on the degraded fabric, same budget. Only an
+//                          OPTIMAL outcome is served (and added to the
+//                          library).
 //   3. FPTAS anytime     — Fleischer on the degraded candidate set, epsilon
 //                          picked from the remaining budget, phase-boundary
 //                          cutoff as a backstop. Approximate but feasible.

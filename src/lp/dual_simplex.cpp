@@ -14,11 +14,16 @@
 //   * leaving row: largest squared bound violation scaled by dual
 //     Devex-style row weights (the dual analog of Devex pricing), computed
 //     from the maintained basic values;
-//   * dual ratio test: over the BTRAN'd pivot row, restricted to nonbasic
-//     columns whose reduced-cost sign stays feasible; boxed columns whose
-//     ratio is passed are BOUND-FLIPPED instead of entering (the
-//     bound-flipping ratio test), absorbing part of the infeasibility and
-//     lengthening the dual step;
+//   * pivot row: compute_pivot_row() (simplex_core.cpp), column-wise over
+//     the nonbasic columns when rho is dense, as it is on most pMCF pivots;
+//   * dual ratio test: over the pivot row, restricted to nonbasic columns
+//     whose reduced-cost sign stays feasible; boxed columns whose ratio is
+//     passed are BOUND-FLIPPED instead of entering (the bound-flipping ratio
+//     test), absorbing part of the infeasibility and lengthening the dual
+//     step. select_dual_entering() walks the candidates in (ratio, larger
+//     |a_rj|, index) order without sorting them: one linear pass finds the
+//     first, a heap orders the rest only while the walk passes boxed
+//     columns, and the Harris pass is linear over the rest;
 //   * anti-cycling: a degenerate-step streak switches to Bland-style lowest
 //     index selection, mirroring the primal loop;
 //   * the loop never declares kInfeasible itself: when no entering column
@@ -89,12 +94,7 @@ LpStatus SimplexCore::iterate_dual() {
   std::vector<double> accum(static_cast<std::size_t>(num_vars()), 0.0);
   std::vector<int> touched;
   touched.reserve(256);
-  struct Candidate {
-    int j;
-    double ratio;
-    double row_value;  ///< a_rj (sign included, pre-normalization).
-  };
-  std::vector<Candidate> candidates;
+  std::vector<DualCandidate> candidates;
   std::vector<int> flips;
   dual_weight_.assign(static_cast<std::size_t>(m_), 1.0);
   const double ftol = kLpFeasibilityTol;
@@ -161,7 +161,7 @@ LpStatus SimplexCore::iterate_dual() {
     }
     const int leaving = basic_[static_cast<std::size_t>(leaving_row)];
 
-    // ---- pivot row rho' A through the CSR mirror ------------------------
+    // ---- pivot row rho' A ------------------------------------------------
     clear_accum();
     compute_pivot_row(leaving_row, rho, accum, touched);
 
@@ -172,21 +172,20 @@ LpStatus SimplexCore::iterate_dual() {
     // ratio bounds the step.
     candidates.clear();
     for (const int j : touched) {
-      if (state_[static_cast<std::size_t>(j)] == VarState::kBasic) continue;
+      const auto sj = static_cast<std::size_t>(j);
+      if (state_[sj] == VarState::kBasic) continue;
       if (fixed(j)) continue;
-      const double arj = accum[static_cast<std::size_t>(j)];
+      const double arj = accum[sj];
       const double at = sigma * arj;
       double ratio;
-      if (state_[static_cast<std::size_t>(j)] == VarState::kAtLower &&
-          at > kLpPivotTol) {
-        ratio = std::max(d_[static_cast<std::size_t>(j)], 0.0) / at;
-      } else if (state_[static_cast<std::size_t>(j)] == VarState::kAtUpper &&
-                 at < -kLpPivotTol) {
-        ratio = std::max(-d_[static_cast<std::size_t>(j)], 0.0) / (-at);
+      if (state_[sj] == VarState::kAtLower && at > kLpPivotTol) {
+        ratio = std::max(d_[sj], 0.0) / at;
+      } else if (state_[sj] == VarState::kAtUpper && at < -kLpPivotTol) {
+        ratio = std::max(-d_[sj], 0.0) / (-at);
       } else {
         continue;
       }
-      candidates.push_back({j, ratio, arj});
+      candidates.push_back({j, ratio, arj, up_[sj] - lo_[sj]});
     }
     if (candidates.empty()) {
       // Dual unbounded (primal infeasible) — or drift faking it. Verify on
@@ -200,94 +199,15 @@ LpStatus SimplexCore::iterate_dual() {
       }
       return LpStatus::kIterationLimit;
     }
-    if (bland) {
-      std::sort(candidates.begin(), candidates.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  return a.ratio != b.ratio ? a.ratio < b.ratio : a.j < b.j;
-                });
-    } else {
-      // Ratio ties (rampant on dual-degenerate MCF bases, where most
-      // reduced costs are exactly zero) break toward the larger pivot
-      // magnitude: numerically safest and absorbs the most infeasibility.
-      std::sort(candidates.begin(), candidates.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  if (a.ratio != b.ratio) return a.ratio < b.ratio;
-                  const double am = std::abs(a.row_value);
-                  const double bm = std::abs(b.row_value);
-                  return am != bm ? am > bm : a.j < b.j;
-                });
-    }
-
-    // ---- bound-flipping walk over the sorted ratios ---------------------
-    // A boxed candidate whose whole range cannot absorb the remaining
-    // infeasibility is passed over (its absorption credited) and the walk
-    // continues; the first candidate that can close the gap — or any
-    // unboxed one — enters the basis. Passed candidates whose ratio is
-    // STRICTLY below the entering ratio really are crossed by the dual
-    // step and must flip to their other bound (their reduced-cost sign
-    // requirement swaps); ratio ties with the entering column are NOT
-    // flipped — at a degenerate (zero) dual step a flip buys nothing and
-    // thrashes back the next pivot.
-    flips.clear();
-    int entering = -1;
-    double entering_ratio = 0.0;
-    double remaining = violation;
-    std::size_t passed = 0;
-    for (const Candidate& c : candidates) {
-      const double range = up_[static_cast<std::size_t>(c.j)] -
-                           lo_[static_cast<std::size_t>(c.j)];
-      const double absorb = std::abs(c.row_value) * range;
-      if (!bland && range < kInfinity && remaining - absorb > ftol) {
-        ++passed;
-        remaining -= absorb;
-        continue;
-      }
-      entering = c.j;
-      entering_ratio = c.ratio;
-      break;
-    }
-    if (options_.harris_ratio && !bland && entering >= 0) {
-      // Harris two-pass refinement over the unflipped tail: pass 1 relaxes
-      // each candidate's ratio by the dual feasibility tolerance scaled by
-      // its pivot; pass 2 enters the LARGEST pivot whose exact ratio fits
-      // under that relaxed bound. Candidates crossed within the window keep
-      // a tolerance-bounded dual infeasibility (clamped to zero in later
-      // ratio tests and polished by the primal at the end) — the standard
-      // Harris trade of a whisker of dual feasibility for pivot stability.
-      const double dtol = kLpOptimalityTol;
-      double theta_rel = kInfinity;
-      for (std::size_t c = passed; c < candidates.size(); ++c) {
-        theta_rel = std::min(
-            theta_rel,
-            candidates[c].ratio + dtol / std::abs(candidates[c].row_value));
-      }
-      double best_piv = std::abs(candidates[passed].row_value);
-      for (std::size_t c = passed + 1; c < candidates.size(); ++c) {
-        if (candidates[c].ratio > theta_rel) continue;
-        const double piv = std::abs(candidates[c].row_value);
-        if (piv <= best_piv) continue;
-        // Keep the absorption walk's vetting: a boxed candidate whose whole
-        // range cannot close the remaining infeasibility would re-create
-        // the violation it is meant to fix — only unboxed columns or ones
-        // wide enough to absorb `remaining` may displace the walk's choice.
-        const double range = up_[static_cast<std::size_t>(candidates[c].j)] -
-                             lo_[static_cast<std::size_t>(candidates[c].j)];
-        if (range < kInfinity && piv * range < remaining - ftol) continue;
-        best_piv = piv;
-        entering = candidates[c].j;
-        entering_ratio = candidates[c].ratio;
-      }
-    }
+    const int entering =
+        select_dual_entering(candidates, violation, bland,
+                             options_.harris_ratio, flips)
+            .j;
     if (entering < 0) {
       // Even flipping every candidate cannot restore the row: primal
       // infeasible territory — let the primal fallback decide.
       clear_accum();
       return LpStatus::kIterationLimit;
-    }
-    for (std::size_t c = 0; c < passed; ++c) {
-      if (candidates[c].ratio < entering_ratio - kLpDropTol) {
-        flips.push_back(candidates[c].j);
-      }
     }
     const double a_rq = accum[static_cast<std::size_t>(entering)];
     const double theta_d = d_[static_cast<std::size_t>(entering)] / a_rq;
@@ -393,12 +313,126 @@ LpStatus SimplexCore::iterate_dual() {
     if (std::abs(theta_d) > kLpDropTol) {
       degenerate_streak = 0;
       bland = false;
-    } else if (++degenerate_streak > kLpDegenerateStreakLimit) {
-      if (!bland) ++stats_.bland_episodes;
-      bland = true;
+    } else {
+      ++stats_.degenerate_pivots;
+      if (++degenerate_streak > kLpDegenerateStreakLimit) {
+        if (!bland) ++stats_.bland_episodes;
+        bland = true;
+      }
     }
   }
   return LpStatus::kIterationLimit;
+}
+
+DualEntering select_dual_entering(std::vector<DualCandidate>& candidates,
+                                  double violation, bool bland, bool harris,
+                                  std::vector<int>& flips) {
+  flips.clear();
+  DualEntering out;
+  if (candidates.empty()) return out;
+  // Walk order: ascending ratio. Ratio ties (rampant on dual-degenerate MCF
+  // bases, where most reduced costs are exactly zero) go to the larger
+  // pivot magnitude — numerically safest, and it absorbs the most
+  // infeasibility — then to the lower index; under Bland's rule straight
+  // to the lower index. Indices are unique, so the order is total.
+  const auto walks_before = [bland](const DualCandidate& a,
+                                    const DualCandidate& b) {
+    if (a.ratio != b.ratio) return a.ratio < b.ratio;
+    if (!bland) {
+      const double am = std::abs(a.row_value);
+      const double bm = std::abs(b.row_value);
+      if (am != bm) return am > bm;
+    }
+    return a.j < b.j;
+  };
+  const auto walks_after = [&](const DualCandidate& a, const DualCandidate& b) {
+    return walks_before(b, a);
+  };
+  std::size_t first = 0;
+  for (std::size_t c = 1; c < candidates.size(); ++c) {
+    if (walks_before(candidates[c], candidates[first])) first = c;
+  }
+  std::swap(candidates[0], candidates[first]);
+
+  // ---- bound-flipping walk in walk order --------------------------------
+  // A boxed candidate whose whole range cannot absorb the remaining
+  // infeasibility is passed over (its absorption credited) and the walk
+  // continues; the first candidate that can close the gap — or any unboxed
+  // one — enters the basis. candidates[0] is the one under the walk; the
+  // rest of [0, tail) is what the walk has not reached, as a min-heap in
+  // walk order built only once the walk passes a candidate; passed
+  // candidates are parked in [tail, size) in reverse walk order.
+  const double ftol = kLpFeasibilityTol;
+  double remaining = violation;
+  std::size_t tail = candidates.size();
+  bool heap_built = false;
+  for (;;) {
+    const DualCandidate& c = candidates[0];
+    const double absorb = std::abs(c.row_value) * c.range;
+    if (bland || c.range >= kInfinity || !(remaining - absorb > ftol)) {
+      out = {c.j, c.ratio};
+      break;
+    }
+    remaining -= absorb;
+    // Even flipping every candidate cannot restore the row.
+    if (tail == 1) return out;
+    if (!heap_built) {
+      std::make_heap(candidates.begin() + 1, candidates.begin() + tail,
+                     walks_after);
+      heap_built = true;
+    }
+    std::pop_heap(candidates.begin() + 1, candidates.begin() + tail,
+                  walks_after);
+    --tail;
+    std::swap(candidates[0], candidates[tail]);
+  }
+
+  if (harris && !bland) {
+    // Harris two-pass refinement over the unflipped tail: pass 1 relaxes
+    // each candidate's ratio by the dual feasibility tolerance scaled by
+    // its pivot; pass 2 enters the LARGEST pivot whose exact ratio fits
+    // under that relaxed bound, ties to the earliest in walk order.
+    // Candidates crossed within the window keep a tolerance-bounded dual
+    // infeasibility (clamped to zero in later ratio tests and polished by
+    // the primal at the end) — the standard Harris trade of a whisker of
+    // dual feasibility for pivot stability.
+    const double dtol = kLpOptimalityTol;
+    double theta_rel = kInfinity;
+    for (std::size_t c = 0; c < tail; ++c) {
+      theta_rel = std::min(
+          theta_rel,
+          candidates[c].ratio + dtol / std::abs(candidates[c].row_value));
+    }
+    std::size_t best = 0;
+    double best_piv = std::abs(candidates[0].row_value);
+    for (std::size_t c = 1; c < tail; ++c) {
+      const DualCandidate& cand = candidates[c];
+      if (cand.ratio > theta_rel) continue;
+      const double piv = std::abs(cand.row_value);
+      if (piv < best_piv) continue;
+      if (piv == best_piv && !walks_before(cand, candidates[best])) continue;
+      // Keep the absorption walk's vetting: a boxed candidate whose whole
+      // range cannot close the remaining infeasibility would re-create the
+      // violation it is meant to fix — only unboxed columns or ones wide
+      // enough to absorb `remaining` may displace the walk's choice.
+      if (cand.range < kInfinity && piv * cand.range < remaining - ftol) continue;
+      best = c;
+      best_piv = piv;
+    }
+    out = {candidates[best].j, candidates[best].ratio};
+  }
+
+  // Passed candidates whose ratio is STRICTLY below the entering ratio
+  // really are crossed by the dual step and flip to their other bound (their
+  // reduced-cost sign requirement swaps); ratio ties with the entering
+  // column are NOT flipped — at a degenerate (zero) dual step a flip buys
+  // nothing and thrashes back the next pivot.
+  for (std::size_t c = candidates.size(); c-- > tail;) {
+    if (candidates[c].ratio < out.ratio - kLpDropTol) {
+      flips.push_back(candidates[c].j);
+    }
+  }
+  return out;
 }
 
 }  // namespace a2a::lp_detail

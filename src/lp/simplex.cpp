@@ -191,6 +191,7 @@ bool SimplexCore::restore_feasibility() {
       // A degenerate streak used to abort restoration here (surfacing as a
       // spurious solve failure); switching to Bland's rule breaks the cycle
       // and lets the repair finish. The pivot budget remains the backstop.
+      ++stats_.degenerate_pivots;
       if (++degenerate_streak > kLpDegenerateStreakLimit) {
         if (!bland) ++stats_.bland_episodes;
         bland = true;
@@ -248,6 +249,8 @@ LpStatus SimplexCore::iterate_primal() {
   while (iterations_ < options_.max_iterations) {
     if (time_exceeded()) return LpStatus::kTimeLimit;
     // ---- pricing: Devex on maintained reduced costs -------------------
+    // score_ holds each column's Devex score (zero when it cannot enter),
+    // so pricing is an argmax: the first index holding the largest score.
     // Wide models (the 50k-column pMCF masters) use sectioned PARTIAL
     // pricing: scan rotating windows of the column range and stop at the
     // first window holding an attractive candidate, so a pivot prices a
@@ -255,48 +258,41 @@ LpStatus SimplexCore::iterate_primal() {
     // deterministic, preserving run-to-run pivot sequences.
     if (bland) recompute_reduced_costs();
     int entering = -1;
-    int direction = +1;
     double best_score = 0.0;
     const int nv = num_vars();
-    const auto price = [&](int j) {
-      const VarState st = state_[static_cast<std::size_t>(j)];
-      if (st == VarState::kBasic) return;
-      if (fixed(j)) return;
-      const double dj = d_[static_cast<std::size_t>(j)];
-      const double viol = st == VarState::kAtLower ? -dj : dj;
-      if (viol <= kLpOptimalityTol) return;
-      const double score = viol * viol / weight_[static_cast<std::size_t>(j)];
-      if (score > best_score) {
-        best_score = score;
-        entering = j;
-        direction = st == VarState::kAtLower ? +1 : -1;
+    const auto argmax = [&](int begin, int end) {
+      for (int j = begin; j < end; ++j) {
+        if (score_[static_cast<std::size_t>(j)] > best_score) {
+          best_score = score_[static_cast<std::size_t>(j)];
+          entering = j;
+        }
       }
     };
     if (bland) {
       for (int j = 0; j < nv; ++j) {  // lowest index wins — guarantees termination
-        const VarState st = state_[static_cast<std::size_t>(j)];
-        if (st == VarState::kBasic || fixed(j)) continue;
-        const double dj = d_[static_cast<std::size_t>(j)];
-        const double viol = st == VarState::kAtLower ? -dj : dj;
-        if (viol <= kLpOptimalityTol) continue;
-        entering = j;
-        direction = st == VarState::kAtLower ? +1 : -1;
-        break;
+        if (score_[static_cast<std::size_t>(j)] > 0.0) {
+          entering = j;
+          break;
+        }
       }
     } else if (options_.partial_pricing_threshold > 0 &&
                nv > options_.partial_pricing_threshold) {
       const int section = std::max(1024, nv / 16);
       int j = pricing_cursor_ < nv ? pricing_cursor_ : 0;
       for (int scanned = 0; scanned < nv && entering < 0;) {
-        const int stop = std::min(scanned + section, nv);
-        for (; scanned < stop; ++scanned, ++j) {
+        // One section: `count` columns from j on, wrapping past the end.
+        for (int count = std::min(section, nv - scanned); count > 0;) {
           if (j >= nv) j -= nv;
-          price(j);
+          const int run = std::min(count, nv - j);
+          argmax(j, j + run);
+          j += run;
+          count -= run;
+          scanned += run;
         }
       }
       if (entering >= 0) pricing_cursor_ = j >= nv ? j - nv : j;
     } else {
-      for (int j = 0; j < nv; ++j) price(j);
+      argmax(0, nv);
     }
     if (entering < 0) {
       // Maintained reduced costs can drift; confirm optimality on a fresh
@@ -306,6 +302,8 @@ LpStatus SimplexCore::iterate_primal() {
       freshly_priced = true;
       continue;
     }
+    const int direction =
+        state_[static_cast<std::size_t>(entering)] == VarState::kAtLower ? +1 : -1;
 
     // ---- FTRAN + exact reduced cost of the candidate ------------------
     compute_column(entering, alpha);
@@ -323,6 +321,7 @@ LpStatus SimplexCore::iterate_primal() {
       // removes the factor-update drift that causes the disagreement.
       ++iterations_;
       d_[static_cast<std::size_t>(entering)] = d_exact;
+      refresh_score(entering);
       if (++stale > 2) {
         refactorize();
         stale = 0;
@@ -445,10 +444,9 @@ LpStatus SimplexCore::iterate_primal() {
       x_nonbasic_value_[static_cast<std::size_t>(entering)] =
           direction > 0 ? up_[static_cast<std::size_t>(entering)]
                         : lo_[static_cast<std::size_t>(entering)];
+      refresh_score(entering);
     } else {
       const double alpha_r = alpha[static_cast<std::size_t>(leaving_row)];
-      // Pivot row rho' A through the CSR mirror: the only rows that touch
-      // a column are those where rho is nonzero.
       compute_pivot_row(leaving_row, rho, accum, touched);
       // Incremental reduced-cost and Devex weight maintenance.
       const double theta_d = d_exact / alpha_r;
@@ -468,6 +466,7 @@ LpStatus SimplexCore::iterate_primal() {
           weight_[static_cast<std::size_t>(j)] = candidate;
           if (candidate > 1e12) weights_blown = true;
         }
+        refresh_score(j);
       }
       const int leaving = basic_[static_cast<std::size_t>(leaving_row)];
       state_[static_cast<std::size_t>(leaving)] =
@@ -488,6 +487,13 @@ LpStatus SimplexCore::iterate_primal() {
       x_basic_[static_cast<std::size_t>(leaving_row)] = enter_value;
       if (weights_blown) {
         weight_.assign(static_cast<std::size_t>(num_vars()), 1.0);
+        for (int j = 0; j < num_vars(); ++j) refresh_score(j);
+      } else {
+        // The leaving column's new d_j never violates optimality (the
+        // ratio test's sign rule), so its score reads 0; refreshing it
+        // keeps score_ from depending on that.
+        refresh_score(leaving);
+        refresh_score(entering);
       }
       if (update_factors(leaving_row) ||
           std::abs(alpha_r) < kLpRefactorPivotTol) {
@@ -499,9 +505,12 @@ LpStatus SimplexCore::iterate_primal() {
     if (limit > 1e-10) {
       stall = 0;
       bland = false;
-    } else if (++stall > kLpStallLimit) {
-      if (!bland) ++stats_.bland_episodes;
-      bland = true;
+    } else {
+      ++stats_.degenerate_pivots;
+      if (++stall > kLpStallLimit) {
+        if (!bland) ++stats_.bland_episodes;
+        bland = true;
+      }
     }
   }
   return LpStatus::kIterationLimit;
@@ -532,6 +541,10 @@ void merge_failed_attempt(LpSolution& out, const SolverErrorContext& context) {
        A2A_COUNTER("lp.ft_refusals"));
   fold(context.bland_episodes, out.stats.bland_episodes,
        A2A_COUNTER("lp.bland_episodes"));
+  fold(context.degenerate_pivots, out.stats.degenerate_pivots,
+       A2A_COUNTER("lp.degenerate_pivots"));
+  fold(context.column_priced_rows, out.stats.column_priced_rows,
+       A2A_COUNTER("lp.column_priced_rows"));
 }
 
 }  // namespace lp_detail

@@ -75,6 +75,13 @@ struct LpStats {
   long long ft_refusals = 0;
   /// Transitions into Bland's rule (anti-cycling episodes), primal + dual.
   long long bland_episodes = 0;
+  /// Pivots that did not move the objective, by each loop's own zero-step
+  /// test: a primal step <= 1e-10 (the stall rule's), a restoration step
+  /// <= kLpDropTol, a dual step |theta_d| <= kLpDropTol.
+  long long degenerate_pivots = 0;
+  /// Pivot rows formed column-wise over the nonbasic columns (rho dense);
+  /// the rest went row-wise through the CSR mirror.
+  long long column_priced_rows = 0;
   bool dual_used = false;           ///< the dual simplex drove this solve.
   /// 1 when the first attempt threw SolverError (numerical collapse) and the
   /// solve finished on the cold conservative retry (Forrest–Tomlin with a
@@ -97,6 +104,8 @@ struct LpStats {
     ft_updates += other.ft_updates;
     ft_refusals += other.ft_refusals;
     bland_episodes += other.bland_episodes;
+    degenerate_pivots += other.degenerate_pivots;
+    column_priced_rows += other.column_priced_rows;
     dual_used = dual_used || other.dual_used;
     cold_retries += other.cold_retries;
     presolve_fixed_variables += other.presolve_fixed_variables;

@@ -75,10 +75,13 @@ void SimplexCore::build(const LpModel& model, const LpBasis* warm_start) {
     crash_basis();
   }
   csr_.build_from(cols_);
+  row_order_ = cols_.row_order();
+  touch_stamp_.assign(static_cast<std::size_t>(num_vars()), 0);
   work_cost_ = cost_;
   work_cost_.resize(static_cast<std::size_t>(num_vars()), 0.0);
   weight_.assign(static_cast<std::size_t>(num_vars()), 1.0);
   d_.assign(static_cast<std::size_t>(num_vars()), 0.0);
+  score_.assign(static_cast<std::size_t>(num_vars()), 0.0);
   if (warm_started_) {
     // try_warm_start already factored lu_ and computed x_basic_; only the
     // reduced costs remain (phase-2 costs — what both the dual-feasibility
@@ -265,14 +268,54 @@ void SimplexCore::compute_pivot_row(int row, std::vector<double>& rho,
   std::fill(rho.begin(), rho.end(), 0.0);
   rho[static_cast<std::size_t>(row)] = 1.0;
   btran_full(rho);
+  int live_rows = 0;
+  for (int i = 0; i < m_; ++i) {
+    if (std::abs(rho[i]) >= kLpDropTol) ++live_rows;
+  }
+  price_out(rho, accum, touched, live_rows >= kColumnPriceDensity * m_);
+}
+
+void SimplexCore::price_out(std::vector<double>& rho, std::vector<double>& accum,
+                            std::vector<int>& touched, bool column_wise) {
+  // A dropped rho_i adds (+-0) * a_ij to a column-wise sum, which leaves a
+  // sum that starts at +0 unchanged; the row-wise path skips row i.
+  for (double& ri : rho) {
+    if (std::abs(ri) < kLpDropTol) ri = 0.0;
+  }
   touched.clear();
+  if (column_wise) {
+    ++stats_.column_priced_rows;
+    for (int j = 0; j < num_vars(); ++j) {
+      if (state_[static_cast<std::size_t>(j)] == VarState::kBasic || fixed(j)) {
+        continue;
+      }
+      double sum = 0.0;
+      for (int k = cols_.col_begin(j); k < cols_.col_end(j); ++k) {
+        const int p = row_order_[static_cast<std::size_t>(k)];
+        sum += rho[static_cast<std::size_t>(cols_.entry_row(p))] *
+               cols_.entry_value(p);
+      }
+      if (sum != 0.0) {
+        accum[static_cast<std::size_t>(j)] = sum;
+        touched.push_back(j);
+      }
+    }
+    return;
+  }
+  if (++touch_epoch_ == 0) {  // wrapped: no stale stamp may match
+    std::fill(touch_stamp_.begin(), touch_stamp_.end(), 0);
+    touch_epoch_ = 1;
+  }
   for (int i = 0; i < m_; ++i) {
     const double ri = rho[i];
-    if (std::abs(ri) < kLpDropTol) continue;
+    if (ri == 0.0) continue;
     for (int k = csr_.row_begin(i); k < csr_.row_end(i); ++k) {
-      const int j = csr_.entry_col(k);
-      if (accum[static_cast<std::size_t>(j)] == 0.0) touched.push_back(j);
-      accum[static_cast<std::size_t>(j)] += ri * csr_.entry_value(k);
+      const auto j = static_cast<std::size_t>(csr_.entry_col(k));
+      if (touch_stamp_[j] != touch_epoch_) {
+        touch_stamp_[j] = touch_epoch_;
+        touched.push_back(static_cast<int>(j));
+      }
+      accum[j] += ri * csr_.entry_value(k);
     }
   }
 }
@@ -303,7 +346,9 @@ void SimplexCore::refactorize() {
     throw SolverError(e.what(),
                       SolverErrorContext{iterations_, stats_.refactorizations,
                                          stats_.ft_updates, stats_.ft_refusals,
-                                         stats_.bland_episodes, phase_});
+                                         stats_.bland_episodes,
+                                         stats_.degenerate_pivots,
+                                         stats_.column_priced_rows, phase_});
   }
   ++stats_.refactorizations;
   // x_B = B^-1 (b - A_N x_N).
@@ -321,7 +366,8 @@ void SimplexCore::refactorize() {
   recompute_reduced_costs();
 }
 
-/// d_j = c_j - y' A_j for every nonbasic j, with y = B^-T c_B.
+/// d_j = c_j - y' A_j for every nonbasic j, with y = B^-T c_B; refreshes
+/// every pricing score on the way.
 void SimplexCore::recompute_reduced_costs() {
   std::vector<double> y(static_cast<std::size_t>(m_));
   for (int i = 0; i < m_; ++i) {
@@ -331,13 +377,14 @@ void SimplexCore::recompute_reduced_costs() {
   for (int j = 0; j < num_vars(); ++j) {
     if (state_[j] == VarState::kBasic) {
       d_[j] = 0.0;
-      continue;
+    } else {
+      double dj = work_cost_[j];
+      for (int k = cols_.col_begin(j); k < cols_.col_end(j); ++k) {
+        dj -= y[static_cast<std::size_t>(cols_.entry_row(k))] * cols_.entry_value(k);
+      }
+      d_[j] = dj;
     }
-    double dj = work_cost_[j];
-    for (int k = cols_.col_begin(j); k < cols_.col_end(j); ++k) {
-      dj -= y[static_cast<std::size_t>(cols_.entry_row(k))] * cols_.entry_value(k);
-    }
-    d_[j] = dj;
+    refresh_score(j);
   }
 }
 
@@ -392,6 +439,10 @@ void SimplexCore::finish(LpSolution& out, const LpModel& model,
   A2A_COUNTER("lp.ft_refusals").add(static_cast<std::uint64_t>(stats_.ft_refusals));
   A2A_COUNTER("lp.bland_episodes")
       .add(static_cast<std::uint64_t>(stats_.bland_episodes));
+  A2A_COUNTER("lp.degenerate_pivots")
+      .add(static_cast<std::uint64_t>(stats_.degenerate_pivots));
+  A2A_COUNTER("lp.column_priced_rows")
+      .add(static_cast<std::uint64_t>(stats_.column_priced_rows));
   A2A_HISTOGRAM("lp.solve.seconds").observe_seconds(out.solve_seconds);
 }
 

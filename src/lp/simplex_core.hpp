@@ -1,11 +1,11 @@
 // Shared basis engine of the sparse revised simplex (internal header).
 //
 // SimplexCore owns everything the primal and dual iteration loops have in
-// common: the CSC/CSR constraint storage in standard form, variable bounds
-// and phase costs, the basis arrays, the sparse LU kept alive by
-// Forrest–Tomlin factor updates, warm-start basis import, reduced-cost
-// recomputation, and solution export. The two drivers live in separate
-// translation units:
+// common: the CSC constraint storage in standard form with its two mirrors
+// (CSR, and a row-order index) for the pivot row, variable bounds and phase
+// costs, the basis arrays, the sparse LU kept alive by Forrest–Tomlin factor
+// updates, warm-start basis import, reduced-cost recomputation, and solution
+// export. The two drivers live in separate translation units:
 //   * simplex.cpp      — run_primal(): two-phase primal simplex with Devex
 //     pricing, the bound-flip ratio test, and artificial-free feasibility
 //     restoration for warm bases whose basic values moved out of bounds;
@@ -30,6 +30,42 @@ namespace a2a::lp_detail {
 
 // Same underlying values as LpVarStatus so basis import/export is a cast.
 enum class VarState : unsigned char { kAtLower, kAtUpper, kBasic };
+
+/// Share of rows with |rho_i| >= kLpDropTol at or above which
+/// compute_pivot_row() forms rho' A column-wise over the nonbasic columns
+/// instead of row-wise through the CSR mirror. A fixed constant, not an
+/// option: both paths give the same bits, so it moves only time. Timed per
+/// row, the column-wise path wins from about 70% density on both the
+/// GenKautz(27,4) pMCF LP (most of whose rows are 80-100% dense) and the
+/// link-MCF master of a 3x3x2 torus (8% dense on average, under 3% of its
+/// rows above half), and loses below it.
+inline constexpr double kColumnPriceDensity = 0.7;
+
+/// One eligible column of the dual ratio test: a_rj (sign included), the
+/// dual step at which its reduced cost reaches zero, and up_j - lo_j.
+struct DualCandidate {
+  int j;
+  double ratio;
+  double row_value;
+  double range;
+};
+
+/// What the dual ratio test picked: the entering column (-1 when passing
+/// every candidate still leaves the row infeasible) and its ratio.
+struct DualEntering {
+  int j = -1;
+  double ratio = 0.0;
+};
+
+/// Bound-flipping dual ratio test with the Harris pass (dual_simplex.cpp)
+/// over `candidates`, which it reorders, for a leaving row `violation` past
+/// its bound. The boxed columns the dual step crosses are written to `flips`
+/// in walk order. Takes the entering column, ratio and flips that sorting
+/// every candidate by (ratio, larger |a_rj|, index) and walking the sorted
+/// list would take, without the sort.
+DualEntering select_dual_entering(std::vector<DualCandidate>& candidates,
+                                  double violation, bool bland, bool harris,
+                                  std::vector<int>& flips);
 
 class SimplexCore {
  public:
@@ -85,12 +121,20 @@ class SimplexCore {
   /// Forrest–Tomlin spike of column j is captured as a side effect, so a
   /// pivot on j can update the factors without re-solving.
   void compute_column(int j, std::vector<double>& alpha);
-  /// Row `row` of B^-1 A via rho = B^-T e_row and the CSR mirror: nonzeros
-  /// accumulate into `accum` (which must be all-zero on entry) with their
-  /// column indices appended to `touched` (cleared here first).
+  /// Row `row` of B^-1 A: rho = B^-T e_row, then price_out(), column-wise
+  /// when at least kColumnPriceDensity of rho's entries reach kLpDropTol.
   void compute_pivot_row(int row, std::vector<double>& rho,
                          std::vector<double>& accum,
                          std::vector<int>& touched);
+  /// rho' A. Zeroes the entries of `rho` below kLpDropTol, then sums either
+  /// column-wise over the nonbasic, non-fixed columns (through row_order_)
+  /// or row-wise over the rows left nonzero (CSR mirror). Both sum each
+  /// a_rj in ascending row order into `accum` (all-zero on entry) and list
+  /// j once in `touched` (cleared here first), so they give the same bits;
+  /// the row-wise path also lists basic, fixed and zero-sum columns, which
+  /// callers skip.
+  void price_out(std::vector<double>& rho, std::vector<double>& accum,
+                 std::vector<int>& touched, bool column_wise);
   /// Folds the pivot (the entering column whose spike the last
   /// compute_column() captured, basis position `row`) into the live
   /// factorization with a Forrest–Tomlin update of the LU factors. Returns
@@ -99,7 +143,21 @@ class SimplexCore {
   /// update count hit SimplexOptions::ft_update_limit.
   [[nodiscard]] bool update_factors(int row);
   void refactorize();
+  /// d_j for every column, and with it every primal pricing score.
   void recompute_reduced_costs();
+  /// score_[j] from the current d_j, weight_[j] and state: viol^2 / weight
+  /// for a nonbasic, non-fixed column whose reduced cost violates
+  /// optimality by more than kLpOptimalityTol, else 0. Called wherever one
+  /// of those changes, so that primal pricing is an argmax over score_.
+  void refresh_score(int j) {
+    const auto sj = static_cast<std::size_t>(j);
+    double score = 0.0;
+    if (state_[sj] != VarState::kBasic && !fixed(j)) {
+      const double viol = state_[sj] == VarState::kAtLower ? -d_[sj] : d_[sj];
+      if (viol > kLpOptimalityTol) score = viol * viol / weight_[sj];
+    }
+    score_[sj] = score;
+  }
 
   /// Cooperative deadline probe for the iteration loops. Rate-limited to one
   /// clock read per 64 calls (the first call always reads, so an
@@ -146,7 +204,12 @@ class SimplexCore {
   std::uint32_t deadline_probe_ = ~0u;  ///< ++ wraps to 0: first call probes.
 
   CscMatrix cols_;  ///< structural, slack, then artificial columns.
-  CsrMatrix csr_;
+  CsrMatrix csr_;   ///< row-wise pivot rows.
+  std::vector<int> row_order_;  ///< cols_.row_order(): column-wise pivot rows.
+  /// price_out()'s row-wise path lists column j at most once per call by
+  /// stamping it with that call's epoch.
+  std::vector<std::uint32_t> touch_stamp_;
+  std::uint32_t touch_epoch_ = 0;
   std::vector<double> lo_, up_, cost_, work_cost_;
   std::vector<double> rhs_, row_sign_;
 
@@ -163,6 +226,7 @@ class SimplexCore {
 
   std::vector<double> d_;       ///< maintained reduced costs (nonbasic).
   std::vector<double> weight_;  ///< Devex reference weights (primal, per column).
+  std::vector<double> score_;   ///< primal pricing score (refresh_score()).
   std::vector<double> dual_weight_;  ///< dual Devex weights (per basis row).
   int pricing_cursor_ = 0;  ///< partial-pricing scan position (primal).
 };

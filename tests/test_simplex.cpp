@@ -724,6 +724,8 @@ TEST(SimplexColdRetry, RescuesACollapsedSolve) {
   const std::uint64_t iterations_before = counter_value("lp.iterations");
   const std::uint64_t refactors_before = counter_value("lp.refactorizations");
   const std::uint64_t ft_updates_before = counter_value("lp.ft_updates");
+  const std::uint64_t degenerate_before = counter_value("lp.degenerate_pivots");
+  const std::uint64_t column_before = counter_value("lp.column_priced_rows");
   const LpSolution s = solve_lp(model, reckless);
   ASSERT_TRUE(s.optimal());
   EXPECT_EQ(s.stats.cold_retries, 1);
@@ -734,6 +736,10 @@ TEST(SimplexColdRetry, RescuesACollapsedSolve) {
             static_cast<std::uint64_t>(s.stats.refactorizations));
   EXPECT_EQ(counter_value("lp.ft_updates") - ft_updates_before,
             static_cast<std::uint64_t>(s.stats.ft_updates));
+  EXPECT_EQ(counter_value("lp.degenerate_pivots") - degenerate_before,
+            static_cast<std::uint64_t>(s.stats.degenerate_pivots));
+  EXPECT_EQ(counter_value("lp.column_priced_rows") - column_before,
+            static_cast<std::uint64_t>(s.stats.column_priced_rows));
   // The retry's configuration alone: the collapsed attempt's Forrest–Tomlin
   // updates come on top of these.
   SimplexOptions retry = reckless;
@@ -761,10 +767,14 @@ TEST(SimplexDeadline, MergeFailedAttemptFoldsForensicsIntoStats) {
   context.ft_updates = 5;
   context.ft_refusals = 2;
   context.bland_episodes = 1;
+  context.degenerate_pivots = 6;
+  context.column_priced_rows = 4;
   context.phase = "dual";
   const std::uint64_t ft_updates_before = counter_value("lp.ft_updates");
   const std::uint64_t ft_refusals_before = counter_value("lp.ft_refusals");
   const std::uint64_t bland_before = counter_value("lp.bland_episodes");
+  const std::uint64_t degenerate_before = counter_value("lp.degenerate_pivots");
+  const std::uint64_t column_before = counter_value("lp.column_priced_rows");
   lp_detail::merge_failed_attempt(out, context);
   EXPECT_EQ(out.iterations, 17);
   EXPECT_EQ(out.stats.iterations, 17);
@@ -774,9 +784,13 @@ TEST(SimplexDeadline, MergeFailedAttemptFoldsForensicsIntoStats) {
   EXPECT_EQ(out.stats.ft_updates, 9);
   EXPECT_EQ(out.stats.ft_refusals, 2);
   EXPECT_EQ(out.stats.bland_episodes, 1);
+  EXPECT_EQ(out.stats.degenerate_pivots, 6);
+  EXPECT_EQ(out.stats.column_priced_rows, 4);
   EXPECT_EQ(counter_value("lp.ft_updates") - ft_updates_before, 5u);
   EXPECT_EQ(counter_value("lp.ft_refusals") - ft_refusals_before, 2u);
   EXPECT_EQ(counter_value("lp.bland_episodes") - bland_before, 1u);
+  EXPECT_EQ(counter_value("lp.degenerate_pivots") - degenerate_before, 6u);
+  EXPECT_EQ(counter_value("lp.column_priced_rows") - column_before, 4u);
   // -1 context fields mean "unknown" and must not subtract.
   lp_detail::merge_failed_attempt(out, SolverErrorContext{});
   EXPECT_EQ(out.iterations, 17);
@@ -784,6 +798,8 @@ TEST(SimplexDeadline, MergeFailedAttemptFoldsForensicsIntoStats) {
   EXPECT_EQ(out.stats.ft_updates, 9);
   EXPECT_EQ(out.stats.ft_refusals, 2);
   EXPECT_EQ(out.stats.bland_episodes, 1);
+  EXPECT_EQ(out.stats.degenerate_pivots, 6);
+  EXPECT_EQ(out.stats.column_priced_rows, 4);
 }
 
 }  // namespace
