@@ -160,8 +160,10 @@ GeneratedSchedule synthesize_schedule(const DiGraph& topology,
   if (diversity <= options.path_diversity_threshold) {
     pipeline_span.annotate("solver=pMCF (path diversity " +
                            std::to_string(diversity) + " <= threshold)");
-    const PathSet candidates =
-        build_disjoint_path_set(topology, terminals, demand);
+    const PathSet candidates = [&] {
+      A2A_TRACE_SPAN("stage.paths", "link-disjoint candidates");
+      return build_disjoint_path_set(topology, terminals, demand);
+    }();
     if (n <= options.mcf.exact_master_limit) {
       const PathMcfSolution sol = [&] {
         A2A_TRACE_SPAN("stage.solve", "exact pMCF LP");
@@ -211,7 +213,10 @@ GeneratedSchedule synthesize_schedule(const DiGraph& topology,
     out.kind = ScheduleKind::kPathExtracted;
     out.notes += "decomposed MCF + widest-path extraction (MCF-extP)";
   }
-  out.vc_layers = assign_layers(topology, schedule, VcOrdering::kShortestFirst);
+  out.vc_layers = [&] {
+    A2A_TRACE_SPAN("stage.vc", "LASH-sequential layers");
+    return assign_layers(topology, schedule, VcOrdering::kShortestFirst);
+  }();
   if (out.vc_layers > options.vc_max_layers_warn) {
     out.notes += "; WARNING: needs " + std::to_string(out.vc_layers) + " VC layers";
   }

@@ -176,76 +176,79 @@ std::optional<Path> dijkstra_path(const DiGraph& g, NodeId s, NodeId t,
 
 std::vector<Path> edge_disjoint_paths(const DiGraph& g, NodeId s, NodeId t,
                                       int max_paths) {
+  return DisjointPathSearch(g).run(s, t, max_paths);
+}
+
+DisjointPathSearch::DisjointPathSearch(const DiGraph& g)
+    : g_(g),
+      seen_(static_cast<std::size_t>(g.num_nodes()), 0),
+      how_(static_cast<std::size_t>(g.num_nodes())),
+      queue_(static_cast<std::size_t>(g.num_nodes())),
+      used_(static_cast<std::size_t>(g.num_edges()), 0) {}
+
+std::vector<Path> DisjointPathSearch::run(NodeId s, NodeId t, int max_paths) {
   A2A_REQUIRE(s != t, "no paths from a node to itself");
+  for (const EdgeId e : touched_) used_[static_cast<std::size_t>(e)] = 0;
+  touched_.clear();
   // Unit-capacity max-flow via repeated BFS augmentation in the residual
-  // graph. residual[e] == true means the arc is still usable forward;
-  // used[e] == true means the arc carries flow (usable backward).
-  const std::size_t m = static_cast<std::size_t>(g.num_edges());
-  std::vector<bool> used(m, false);
+  // graph: forward over unused edges, backward over used ones.
+  const int cut = std::min(g_.out_degree(s), g_.in_degree(t));
+  const int limit = max_paths < 0 ? cut : std::min(cut, max_paths);
   int flow = 0;
-  const int limit = max_paths < 0 ? g.num_edges() : max_paths;
   while (flow < limit) {
-    // BFS over residual arcs: forward unused edges, backward used edges.
-    std::vector<std::pair<EdgeId, bool>> how(
-        static_cast<std::size_t>(g.num_nodes()), {-1, false});
-    std::vector<bool> seen(static_cast<std::size_t>(g.num_nodes()), false);
-    std::deque<NodeId> queue{s};
-    seen[static_cast<std::size_t>(s)] = true;
+    ++epoch_;
+    std::size_t head = 0, tail = 0;
+    queue_[tail++] = s;
+    seen_[static_cast<std::size_t>(s)] = epoch_;
     bool reached = false;
-    while (!queue.empty() && !reached) {
-      const NodeId u = queue.front();
-      queue.pop_front();
-      for (const EdgeId e : g.out_edges(u)) {
-        const NodeId v = g.edge(e).to;
-        if (!used[static_cast<std::size_t>(e)] && !seen[static_cast<std::size_t>(v)]) {
-          seen[static_cast<std::size_t>(v)] = true;
-          how[static_cast<std::size_t>(v)] = {e, true};
+    while (head < tail && !reached) {
+      const NodeId u = queue_[head++];
+      for (const EdgeId e : g_.out_edges(u)) {
+        const NodeId v = g_.edge(e).to;
+        if (!used_[static_cast<std::size_t>(e)] &&
+            seen_[static_cast<std::size_t>(v)] != epoch_) {
+          seen_[static_cast<std::size_t>(v)] = epoch_;
+          how_[static_cast<std::size_t>(v)] = {e, true};
           if (v == t) {
             reached = true;
             break;
           }
-          queue.push_back(v);
+          queue_[tail++] = v;
         }
       }
       if (reached) break;
-      for (const EdgeId e : g.in_edges(u)) {
-        const NodeId v = g.edge(e).from;
-        if (used[static_cast<std::size_t>(e)] && !seen[static_cast<std::size_t>(v)]) {
-          seen[static_cast<std::size_t>(v)] = true;
-          how[static_cast<std::size_t>(v)] = {e, false};
-          queue.push_back(v);
+      for (const EdgeId e : g_.in_edges(u)) {
+        const NodeId v = g_.edge(e).from;
+        if (used_[static_cast<std::size_t>(e)] &&
+            seen_[static_cast<std::size_t>(v)] != epoch_) {
+          seen_[static_cast<std::size_t>(v)] = epoch_;
+          how_[static_cast<std::size_t>(v)] = {e, false};
+          queue_[tail++] = v;
         }
       }
     }
     if (!reached) break;
     // Apply the augmenting path.
     for (NodeId at = t; at != s;) {
-      const auto [e, forward] = how[static_cast<std::size_t>(at)];
-      used[static_cast<std::size_t>(e)] = forward;
-      at = forward ? g.edge(e).from : g.edge(e).to;
+      const auto [e, forward] = how_[static_cast<std::size_t>(at)];
+      used_[static_cast<std::size_t>(e)] = forward;
+      if (forward) touched_.push_back(e);
+      at = forward ? g_.edge(e).from : g_.edge(e).to;
     }
     ++flow;
   }
-  // Decompose the used-edge set into paths by walking from s.
-  std::vector<std::vector<EdgeId>> used_out(static_cast<std::size_t>(g.num_nodes()));
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (used[static_cast<std::size_t>(e)]) {
-      used_out[static_cast<std::size_t>(g.edge(e).from)].push_back(e);
+  // Decompose the flow into paths by walking from s; out_edges() lists ids
+  // in ascending order, so the scan from its back meets the highest id first.
+  std::vector<Path> paths(static_cast<std::size_t>(flow));
+  for (Path& p : paths) {
+    for (NodeId at = s; at != t; at = g_.edge(p.back()).to) {
+      const auto& outs = g_.out_edges(at);
+      auto it = outs.rbegin();
+      while (it != outs.rend() && !used_[static_cast<std::size_t>(*it)]) ++it;
+      A2A_ASSERT(it != outs.rend(), "flow decomposition stuck at node ", at);
+      used_[static_cast<std::size_t>(*it)] = 0;
+      p.push_back(*it);
     }
-  }
-  std::vector<Path> paths;
-  for (int i = 0; i < flow; ++i) {
-    Path p;
-    NodeId at = s;
-    while (at != t) {
-      auto& outs = used_out[static_cast<std::size_t>(at)];
-      A2A_ASSERT(!outs.empty(), "flow decomposition stuck at node ", at);
-      const EdgeId e = outs.back();
-      outs.pop_back();
-      p.push_back(e);
-      at = g.edge(e).to;
-    }
-    paths.push_back(std::move(p));
   }
   return paths;
 }

@@ -1,6 +1,7 @@
 // Core graph algorithms shared by the MCF formulations and the baselines.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -58,10 +59,31 @@ struct DijkstraTree {
 
 /// Maximal set of pairwise edge-disjoint s->t paths (unit-capacity max-flow
 /// with BFS augmentation, then path decomposition). Used for the pMCF
-/// disjoint candidate sets (§3.1.4).
+/// disjoint candidate sets (§3.1.4). Augmentation stops at `max_paths`, at
+/// a BFS that misses t, or at the cut min(out_degree(s), in_degree(t)), so
+/// the BFS that could only fail is skipped. Each path leaves every node by
+/// its highest-id edge still carrying flow.
 [[nodiscard]] std::vector<Path> edge_disjoint_paths(const DiGraph& g, NodeId s,
                                                     NodeId t,
                                                     int max_paths = -1);
+
+/// edge_disjoint_paths on one graph (held by reference) with its buffers kept
+/// between calls: epoch-stamped BFS marks, a flat queue, and flow flags
+/// cleared only on the edges the last call set. One search serves all pairs.
+class DisjointPathSearch {
+ public:
+  explicit DisjointPathSearch(const DiGraph& g);
+  [[nodiscard]] std::vector<Path> run(NodeId s, NodeId t, int max_paths = -1);
+
+ private:
+  const DiGraph& g_;
+  std::vector<std::uint64_t> seen_;  ///< == epoch_ once this BFS reached the node.
+  std::uint64_t epoch_ = 0;
+  std::vector<std::pair<EdgeId, bool>> how_;  ///< arc into the node; forward?
+  std::vector<NodeId> queue_;
+  std::vector<unsigned char> used_;  ///< the edge carries flow.
+  std::vector<EdgeId> touched_;      ///< edges whose used_ flag was set.
+};
 
 /// Per-edge count of shortest s->t paths through each edge, divided by the
 /// total number of shortest paths — i.e. the fractional load EwSP places on

@@ -23,6 +23,7 @@ PathSet build_disjoint_path_set(const DiGraph& g,
                                 const DemandMatrix* demand) {
   check_demand_shape(demand, terminals);
   PathSet set;
+  DisjointPathSearch search(g);
   for (std::size_t si = 0; si < terminals.size(); ++si) {
     const NodeId s = terminals[si];
     for (std::size_t ti = 0; ti < terminals.size(); ++ti) {
@@ -32,7 +33,7 @@ PathSet build_disjoint_path_set(const DiGraph& g,
                            ? 1.0
                            : demand->at(static_cast<int>(si), static_cast<int>(ti));
       if (w <= 0.0) continue;
-      auto paths = edge_disjoint_paths(g, s, t);
+      auto paths = search.run(s, t);
       A2A_REQUIRE(!paths.empty(), "no path between terminals ", s, " and ", t);
       set.commodities.emplace_back(s, t);
       set.candidates.push_back(std::move(paths));

@@ -1,6 +1,7 @@
 #include "runtime/vc.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 namespace a2a {
@@ -8,56 +9,59 @@ namespace a2a {
 namespace {
 
 /// Channel-dependency graph: vertices are fabric edges; each route adds an
-/// arc between consecutive edges. Acyclicity via Kahn's algorithm.
+/// arc between consecutive edges, each checked by one DFS (see vc.hpp).
 class Cdg {
  public:
-  explicit Cdg(int num_edges) : adj_(static_cast<std::size_t>(num_edges)) {}
+  explicit Cdg(int num_edges)
+      : adj_(static_cast<std::size_t>(num_edges)),
+        mark_(static_cast<std::size_t>(num_edges), 0) {}
 
   /// Tentatively adds a route's transitions; returns false (and rolls back)
   /// if the CDG would become cyclic.
   bool try_add(const Path& route) {
-    std::vector<std::pair<int, int>> added;
+    added_.clear();
     for (std::size_t i = 0; i + 1 < route.size(); ++i) {
       const int a = route[i];
       const int b = route[i + 1];
       auto& succ = adj_[static_cast<std::size_t>(a)];
-      if (std::find(succ.begin(), succ.end(), b) == succ.end()) {
-        succ.push_back(b);
-        added.emplace_back(a, b);
+      if (std::find(succ.begin(), succ.end(), b) != succ.end()) continue;
+      if (reaches(b, a)) {
+        for (auto it = added_.rbegin(); it != added_.rend(); ++it) {
+          adj_[static_cast<std::size_t>(*it)].pop_back();
+        }
+        return false;
       }
+      succ.push_back(b);
+      added_.push_back(a);
     }
-    if (added.empty() || acyclic()) return true;
-    for (const auto& [a, b] : added) {
-      auto& succ = adj_[static_cast<std::size_t>(a)];
-      succ.erase(std::find(succ.begin(), succ.end(), b));
+    return true;
+  }
+
+ private:
+  /// True iff a path from -> ... -> to exists (from == to included).
+  bool reaches(int from, int to) {
+    ++epoch_;
+    stack_.assign(1, from);
+    mark_[static_cast<std::size_t>(from)] = epoch_;
+    while (!stack_.empty()) {
+      const int u = stack_.back();
+      stack_.pop_back();
+      if (u == to) return true;
+      for (const int v : adj_[static_cast<std::size_t>(u)]) {
+        if (mark_[static_cast<std::size_t>(v)] != epoch_) {
+          mark_[static_cast<std::size_t>(v)] = epoch_;
+          stack_.push_back(v);
+        }
+      }
     }
     return false;
   }
 
-  [[nodiscard]] bool acyclic() const {
-    const std::size_t n = adj_.size();
-    std::vector<int> indeg(n, 0);
-    for (const auto& succ : adj_) {
-      for (const int b : succ) ++indeg[static_cast<std::size_t>(b)];
-    }
-    std::vector<int> stack;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (indeg[i] == 0) stack.push_back(static_cast<int>(i));
-    }
-    std::size_t seen = 0;
-    while (!stack.empty()) {
-      const int u = stack.back();
-      stack.pop_back();
-      ++seen;
-      for (const int v : adj_[static_cast<std::size_t>(u)]) {
-        if (--indeg[static_cast<std::size_t>(v)] == 0) stack.push_back(v);
-      }
-    }
-    return seen == n;
-  }
-
- private:
   std::vector<std::vector<int>> adj_;
+  std::vector<std::uint64_t> mark_;  ///< == epoch_ once this DFS pushed the edge.
+  std::uint64_t epoch_ = 0;
+  std::vector<int> stack_;
+  std::vector<int> added_;  ///< tails of the arcs try_add() has added so far.
 };
 
 }  // namespace

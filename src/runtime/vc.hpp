@@ -7,6 +7,10 @@
 // DF-SSSP-style ordering. The paper's finding, reproduced by
 // bench_vc_layers: LASH-sequential needs <= 4 layers across all schedule
 // algorithms and topologies evaluated.
+//
+// A layer's CDG is acyclic before each route is tried, so each new arc a->b
+// of the route is checked by one DFS from b; if it reaches a, the route is
+// rolled back (incremental cycle detection, Pearce & Kelly, ACM JEA 2006).
 #pragma once
 
 #include <vector>
