@@ -3,9 +3,11 @@
 // sparse solver measured in two configurations: Forrest–Tomlin with exact
 // ratio tests (presolve, Harris and sectioned pricing off) and the full
 // default (FT + presolve + Harris + partial pricing) — plus the Fig. 9-style
-// disabled-link sweep comparing cold starts with warm starts from the
-// previous scenario's basis (the warm rule hands these rhs-only
-// perturbations to the dual simplex).
+// disabled-link sweep comparing three starts of each scenario's pMCF LP:
+// cold (the slack basis), crash (solve_path_mcf_exact without a basis,
+// which starts from the FPTAS crash) and warm (the previous scenario's
+// basis; the warm rule hands these rhs-only perturbations to the dual
+// simplex).
 //
 // Usage:
 //   bench_lp [--smoke] [--json PATH]
@@ -14,10 +16,11 @@
 // disagree on an objective beyond 1e-6 (dense vs FT-exact vs default), (b)
 // the sparse solver fails to beat the dense one on the largest smoke LP,
 // (c) the default loses to the FT-exact configuration on that LP, or (d)
-// the warm sweep changes an objective or needs more simplex iterations than
-// cold starts — so solver regressions fail CI loudly instead of rotting
-// silently. The full run checks (a) and (d). --json writes the measurements
-// as a BENCH_lp.json trajectory point.
+// the sweep's crash or warm legs change an objective, the warm legs need
+// more simplex iterations than the cold ones, or the crash legs need as
+// many — so solver regressions fail CI loudly instead of rotting silently.
+// The full run checks (a) and (d). --json writes the measurements as a
+// BENCH_lp.json trajectory point.
 #include "bench_util.hpp"
 
 #include <algorithm>
@@ -94,8 +97,10 @@ Comparison compare(const std::string& name, const LpModel& model) {
 struct WarmSweep {
   int scenarios = 0;
   double cold_seconds = 0.0;
+  double crash_seconds = 0.0;  ///< FPTAS crash + LP.
   double warm_seconds = 0.0;
   long long cold_iterations = 0;
+  long long crash_iterations = 0;
   long long warm_iterations = 0;
   bool objectives_match = true;
 };
@@ -158,18 +163,24 @@ int main(int argc, char** argv) {
     sweep.scenarios = static_cast<int>(scenarios.size());
     LpBasis warm;
     for (const DiGraph& g : scenarios) {
-      const auto cold = solve_path_mcf_exact(g, candidates);
+      const LpSolution cold = solve_lp(build_path_mcf_model(g, candidates));
+      const auto crash = solve_path_mcf_exact(g, candidates);
       const auto warm_sol = solve_path_mcf_exact(g, candidates, {}, &warm);
       sweep.cold_seconds += cold.solve_seconds;
+      sweep.crash_seconds += crash.solve_seconds;
       sweep.warm_seconds += warm_sol.solve_seconds;
-      sweep.cold_iterations += cold.lp_iterations;
+      sweep.cold_iterations += cold.iterations;
+      sweep.crash_iterations += crash.lp_iterations;
       sweep.warm_iterations += warm_sol.lp_iterations;
-      if (std::abs(cold.concurrent_flow - warm_sol.concurrent_flow) > 1e-6) {
+      if (!cold.optimal() ||
+          std::abs(cold.objective - crash.concurrent_flow) > 1e-6 ||
+          std::abs(cold.objective - warm_sol.concurrent_flow) > 1e-6) {
         sweep.objectives_match = false;
       }
     }
     std::cout << "  fig9_warm_sweep(" << sweep.scenarios << " scenarios): cold "
-              << sweep.cold_iterations << " it -> warm "
+              << sweep.cold_iterations << " it, crash "
+              << sweep.crash_iterations << " it, warm "
               << sweep.warm_iterations << " it\n\n";
   }
 
@@ -190,8 +201,10 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nFig. 9-style warm sweep (" << sweep.scenarios
             << " scenarios): cold " << sweep.cold_seconds << "s/"
-            << sweep.cold_iterations << " it, warm " << sweep.warm_seconds
-            << "s/" << sweep.warm_iterations << " it, objectives "
+            << sweep.cold_iterations << " it, crash " << sweep.crash_seconds
+            << "s/" << sweep.crash_iterations << " it, warm "
+            << sweep.warm_seconds << "s/" << sweep.warm_iterations
+            << " it, objectives "
             << (sweep.objectives_match ? "match" : "MISMATCH") << "\n";
 
   if (!json_path.empty()) {
@@ -214,8 +227,10 @@ int main(int argc, char** argv) {
     }
     js << "  ],\n  \"fig9_warm_sweep\": {\"scenarios\": " << sweep.scenarios
        << ", \"cold_seconds\": " << sweep.cold_seconds
+       << ", \"crash_seconds\": " << sweep.crash_seconds
        << ", \"warm_seconds\": " << sweep.warm_seconds
        << ", \"cold_iterations\": " << sweep.cold_iterations
+       << ", \"crash_iterations\": " << sweep.crash_iterations
        << ", \"warm_iterations\": " << sweep.warm_iterations
        << ", \"objectives_match\": " << (sweep.objectives_match ? "true" : "false")
        << "},\n  \"metrics\": " << metrics_snapshot_json() << "\n}\n";
@@ -233,12 +248,18 @@ int main(int argc, char** argv) {
     }
   }
   if (!sweep.objectives_match) {
-    std::cerr << "FAIL: warm-started sweep changed an objective\n";
+    std::cerr << "FAIL: crash- or warm-started sweep changed an objective\n";
     failed = true;
   }
   if (sweep.warm_iterations > sweep.cold_iterations) {
     std::cerr << "FAIL: warm starts took more simplex iterations ("
               << sweep.warm_iterations << ") than cold starts ("
+              << sweep.cold_iterations << ")\n";
+    failed = true;
+  }
+  if (sweep.crash_iterations >= sweep.cold_iterations) {
+    std::cerr << "FAIL: crash starts took no fewer simplex iterations ("
+              << sweep.crash_iterations << ") than cold starts ("
               << sweep.cold_iterations << ")\n";
     failed = true;
   }

@@ -8,8 +8,10 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "bench_commit.hpp"
 #include "common/table.hpp"
 #include "graph/topologies.hpp"
 #include "mcf/decomposed.hpp"
@@ -71,14 +73,27 @@ inline std::string human_bytes(double bytes) {
 /// `schedgen --metrics`.
 inline std::string metrics_snapshot_json() { return obs::metrics_json(); }
 
-/// Appends one JSON object `record` to the trajectory array at `json_path`.
-/// BENCH_*.json files are histories — an array of run records, one appended
-/// per invocation — so this splices into an existing array rather than
-/// truncating it. A legacy bare-object file is migrated as the array's first
-/// record; anything else at the path is replaced by a fresh array.
+/// What produced a record, as JSON members: the commit (bench_commit.hpp,
+/// written at build time by cmake/bench_commit.cmake), the compiler, the
+/// build type and the core count.
+inline std::string provenance_json() {
+  return "\"commit\": \"" A2A_BENCH_COMMIT "\", \"compiler\": \"" __VERSION__
+         "\", \"build_type\": \"" A2A_BENCH_BUILD_TYPE "\", \"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency());
+}
+
+/// Appends one JSON object `record` to the trajectory array at `json_path`,
+/// stamped with provenance_json() as its first members. BENCH_*.json files
+/// are histories — an array of run records, one appended per invocation —
+/// so this splices into an existing array rather than truncating it. A
+/// legacy bare-object file is migrated as the array's first record;
+/// anything else at the path is replaced by a fresh array.
 inline void append_bench_record(const std::string& json_path,
                                 std::string record) {
   while (!record.empty() && record.back() == '\n') record.pop_back();
+  if (!record.empty() && record.front() == '{') {
+    record.insert(1, "\n  " + provenance_json() + ",");
+  }
   std::string existing;
   {
     std::ifstream in(json_path);

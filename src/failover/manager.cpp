@@ -255,7 +255,7 @@ bool FailoverManager::exact_resolve(const DegradedView& view, double budget_s,
     // Link-only failure: the collapsed model has the healthy model's exact
     // shape, so the healthy optimal basis is dual feasible under the
     // capacity perturbation — re-solve dual-warm, with no phase 1 (on
-    // GenKautz(27,4) 379–1 145 pivots for one link, 648–1 352 for two).
+    // GenKautz(27,4) 252–901 pivots for one link, 654–1 110 for two).
     const DiGraph collapsed = collapsed_topology(healthy_, view.sig);
     LpBasis basis = healthy_basis_;
     const PathMcfSolution sol =
@@ -279,7 +279,8 @@ bool FailoverManager::exact_resolve(const DegradedView& view, double budget_s,
     return finish_result(view, weights, result);
   }
   // Node failures change the commodity set, so the healthy basis does not
-  // transfer; solve the degraded model cold under the same budget.
+  // transfer; solve the degraded model from its FPTAS crash start under the
+  // same budget.
   const PathMcfSolution sol =
       solve_path_mcf_budgeted(view.degraded, view.paths, lp);
   if (sol.status != LpStatus::kOptimal) return false;

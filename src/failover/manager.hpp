@@ -15,11 +15,13 @@
 //                          collapse), so the healthy optimal basis is still
 //                          dual feasible and a dual-simplex re-solve under
 //                          SimplexOptions::time_limit_s needs no phase 1
-//                          (on GenKautz(27,4) 648–1 352 pivots, about
-//                          0.1 s, for a two-link failure). Node failures re-solve
-//                          cold on the degraded fabric, same budget. Only an
-//                          OPTIMAL outcome is served (and added to the
-//                          library).
+//                          (on GenKautz(27,4), from the healthy optimum the
+//                          FPTAS crash start reaches, 654–1 110 pivots,
+//                          median 866, about 0.1 s, over 40 two-link
+//                          failures). Node failures re-solve the degraded
+//                          fabric from its own FPTAS crash basis, same
+//                          budget. Only an OPTIMAL outcome is served (and
+//                          added to the library).
 //   3. FPTAS anytime     — Fleischer on the degraded candidate set, epsilon
 //                          picked from the remaining budget, phase-boundary
 //                          cutoff as a backstop. Approximate but feasible.
@@ -70,7 +72,7 @@ struct FailoverOptions {
   /// basis for dual-warm online re-solves). false switches the baseline to
   /// the FPTAS at epsilon 0.02 — the right trade at fabric sizes where the
   /// exact master LP is minutes (Fig. 9's N=81): rung 2 then re-solves
-  /// cold within its budget instead of dual-warm.
+  /// from the FPTAS crash start within its budget instead of dual-warm.
   bool exact_healthy = true;
   FailureDomainOptions domain;
 };

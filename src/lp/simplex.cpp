@@ -549,11 +549,6 @@ void merge_failed_attempt(LpSolution& out, const SolverErrorContext& context) {
 
 }  // namespace lp_detail
 
-namespace {
-
-/// Shrinks a time budget by the time already spent since `start`. An
-/// exhausted budget clamps to a hair above zero (not to "unlimited"), so
-/// the next core's first deadline probe fires before any pivot.
 SimplexOptions with_remaining_budget(
     const SimplexOptions& options,
     std::chrono::steady_clock::time_point start) {
@@ -565,6 +560,8 @@ SimplexOptions with_remaining_budget(
   adjusted.time_limit_s = std::max(options.time_limit_s - elapsed, 1e-9);
   return adjusted;
 }
+
+namespace {
 
 /// The warm-start rule (see solve_lp()) on the model as given; presolve and
 /// the numerical-collapse fallback live in solve_lp().

@@ -20,6 +20,7 @@
 //     and as bench_lp's dense leg.
 #pragma once
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -231,6 +232,14 @@ struct SimplexOptions {
 [[nodiscard]] LpSolution solve_lp_warm(const LpModel& model,
                                        const SimplexOptions& options,
                                        LpBasis* warm);
+
+/// `options` with its time budget shrunk by the time spent since `start`,
+/// for a solve that follows other work under the same allowance. An
+/// exhausted budget clamps to a hair above zero (not to "unlimited"), so
+/// the next solve's first deadline probe fires before any pivot; options
+/// without a budget come back unchanged.
+[[nodiscard]] SimplexOptions with_remaining_budget(
+    const SimplexOptions& options, std::chrono::steady_clock::time_point start);
 
 /// Reference implementation: the original dense-inverse Dantzig simplex.
 /// Same statuses and objectives; no basis export and no warm starts. Kept

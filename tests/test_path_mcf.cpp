@@ -5,8 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <string>
+
+#include "collectives/demand.hpp"
+#include "failover/failure_domain.hpp"
 #include "graph/topologies.hpp"
 #include "mcf/concurrent_flow.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace a2a {
 namespace {
@@ -117,6 +126,191 @@ TEST(PathMcf, BuildDisjointThrowsOnDisconnectedTerminals) {
   g.add_edge(1, 0);
   g.add_edge(1, 2);
   EXPECT_THROW(build_disjoint_path_set(g, {0, 2}), InvalidArgument);
+}
+
+// ---- the FPTAS crash start --------------------------------------------------
+//
+// Without a caller's basis, solve_path_mcf_exact starts from a crash basis
+// built from a short FPTAS run. These check it against the slack start,
+// solve_lp() on the same model.
+
+/// F of the slack-start solve, and its pivots.
+struct SlackStart {
+  double f = 0.0;
+  long long iterations = 0;
+};
+
+SlackStart slack_start(const DiGraph& g, const PathSet& set) {
+  const LpSolution sol = solve_lp(build_path_mcf_model(g, set));
+  EXPECT_TRUE(sol.optimal());
+  return {sol.objective, sol.iterations};
+}
+
+bool same_bits(const std::vector<std::vector<double>>& a,
+               const std::vector<std::vector<double>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (a[k].size() != b[k].size() ||
+        std::memcmp(a[k].data(), b[k].data(), a[k].size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(PathMcfCrash, MatchesTheSlackStartOnGenKautz) {
+  for (const int n : {12, 16, 20, 27}) {
+    const DiGraph g = make_generalized_kautz(n, 4);
+    for (const char* spec : {"uniform", "zipf:0.6", "zipf:1.2", "block:3"}) {
+      SCOPED_TRACE("GenKautz(" + std::to_string(n) + ",4) " + spec);
+      const DemandMatrix demand = DemandSpec::parse(spec).instantiate(n);
+      const PathSet set = build_disjoint_path_set(g, all_nodes(g), &demand);
+      const SlackStart slack = slack_start(g, set);
+      const PathMcfSolution crash = solve_path_mcf_exact(g, set);
+      EXPECT_NEAR(crash.concurrent_flow, slack.f, 1e-8 * slack.f);
+      if (std::string(spec) == "uniform") {
+        EXPECT_LT(crash.lp_iterations, slack.iterations);
+      }
+    }
+  }
+}
+
+TEST(PathMcfCrash, MatchesTheSlackStartWithTwoLinksCollapsed) {
+  const DiGraph healthy = make_generalized_kautz(27, 4);
+  const PathSet set = build_disjoint_path_set(healthy, all_nodes(healthy));
+  FailureSignature sig;
+  sig.edges = {3, 17};
+  sig.normalize();
+  const DiGraph g = collapsed_topology(healthy, sig);
+  const SlackStart slack = slack_start(g, set);
+  const PathMcfSolution crash = solve_path_mcf_exact(g, set);
+  EXPECT_NEAR(crash.concurrent_flow, slack.f, 1e-8 * slack.f);
+}
+
+TEST(PathMcfCrash, ZeroCapacityEdgeKeepsTheSlackStart) {
+  // The FPTAS cannot price an edge without capacity; the exact solve still
+  // must, from the slack basis.
+  DiGraph g = make_generalized_kautz(12, 4);
+  const PathSet set = build_disjoint_path_set(g, all_nodes(g));
+  g.set_capacity(5, 0.0);
+  const SlackStart slack = slack_start(g, set);
+  const PathMcfSolution sol = solve_path_mcf_exact(g, set);
+  EXPECT_NEAR(sol.concurrent_flow, slack.f, 1e-8 * slack.f);
+  EXPECT_EQ(sol.lp_iterations, slack.iterations);
+}
+
+TEST(PathMcfCrash, StartsFromAPrimalFeasibleVertex) {
+  // Stopped before its first pivot, the solve reports the crash vertex: one
+  // candidate per commodity carries d_k·F, and no edge is over capacity.
+  const DiGraph g = make_generalized_kautz(27, 4);
+  for (const char* spec : {"uniform", "zipf:0.6"}) {
+    SCOPED_TRACE(spec);
+    const DemandMatrix demand = DemandSpec::parse(spec).instantiate(27);
+    const PathSet set = build_disjoint_path_set(g, all_nodes(g), &demand);
+    SimplexOptions lp;
+    lp.max_iterations = 0;
+    const PathMcfSolution start = solve_path_mcf_budgeted(g, set, lp);
+    EXPECT_EQ(start.status, LpStatus::kIterationLimit);
+    ASSERT_GT(start.concurrent_flow, 0.0);
+    std::vector<double> load(static_cast<std::size_t>(g.num_edges()), 0.0);
+    for (std::size_t k = 0; k < set.candidates.size(); ++k) {
+      const auto& w = start.weights[k];
+      EXPECT_EQ(std::count_if(w.begin(), w.end(), [](double v) { return v > 0.0; }), 1);
+      double total = 0.0;
+      for (std::size_t p = 0; p < w.size(); ++p) {
+        total += w[p];
+        for (const EdgeId e : set.candidates[k][p]) load[static_cast<std::size_t>(e)] += w[p];
+      }
+      EXPECT_NEAR(total, set.demand_of(k) * start.concurrent_flow, 1e-12);
+    }
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      EXPECT_LE(load[static_cast<std::size_t>(e)], g.edge(e).capacity * (1.0 + 1e-12));
+    }
+  }
+}
+
+TEST(PathMcfCrash, RepeatedSolvesAreBitIdentical) {
+  const DiGraph g = make_generalized_kautz(27, 4);
+  const PathSet set = build_disjoint_path_set(g, all_nodes(g));
+  LpBasis first_basis;
+  LpBasis second_basis;
+  const PathMcfSolution first = solve_path_mcf_exact(g, set, {}, &first_basis);
+  const PathMcfSolution second = solve_path_mcf_exact(g, set, {}, &second_basis);
+  EXPECT_EQ(first.lp_iterations, second.lp_iterations);
+  EXPECT_TRUE(same_bits(first.weights, second.weights));
+  ASSERT_FALSE(first_basis.empty());
+  EXPECT_TRUE(first_basis.variables == second_basis.variables);
+  EXPECT_TRUE(first_basis.rows == second_basis.rows);
+}
+
+TEST(PathMcfCrash, AllOnesDemandSolvesLikeNoDemand) {
+  const DiGraph g = make_generalized_kautz(16, 4);
+  const DemandMatrix ones = DemandMatrix::uniform(g.num_nodes());
+  const PathSet unit = build_disjoint_path_set(g, all_nodes(g));
+  const PathSet weighted = build_disjoint_path_set(g, all_nodes(g), &ones);
+  ASSERT_FALSE(weighted.demands.empty());
+  const PathMcfSolution a = solve_path_mcf_exact(g, unit);
+  const PathMcfSolution b = solve_path_mcf_exact(g, weighted);
+  EXPECT_EQ(std::memcmp(&a.concurrent_flow, &b.concurrent_flow, sizeof(double)), 0);
+  EXPECT_TRUE(same_bits(a.weights, b.weights));
+}
+
+TEST(PathMcfCrash, IsTracedInsideTheSolve) {
+  const DiGraph g = make_hypercube(3);
+  const PathSet set = build_disjoint_path_set(g, all_nodes(g));
+  obs::TraceSession session;
+  (void)solve_path_mcf_exact(g, set);
+  const auto events = session.events();
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [](const obs::TraceEvent& e) {
+    return std::string(e.name) == "mcf.crash";
+  }));
+}
+
+std::uint64_t crash_phases() {
+  return obs::MetricsRegistry::global().counter("mcf.crash_phases").value();
+}
+
+TEST(PathMcfCrash, BudgetSpentInTheCrashStopsBeforeTheLp) {
+  // The crash's FPTAS draws from the LP's wall-clock allowance and checks it
+  // at phase boundaries; one phase over GenKautz(27,4)'s 702 commodities
+  // takes far longer than this budget, so the FPTAS stops after it, and a
+  // crash that spent the budget seeds no LP.
+  const DiGraph g = make_generalized_kautz(27, 4);
+  const PathSet set = build_disjoint_path_set(g, all_nodes(g));
+  SimplexOptions lp;
+  lp.time_limit_s = 1e-6;
+  LpBasis basis;
+  const std::uint64_t before = crash_phases();
+  const PathMcfSolution cut = solve_path_mcf_budgeted(g, set, lp, &basis);
+  EXPECT_EQ(crash_phases() - before, 1u);
+  EXPECT_EQ(cut.status, LpStatus::kTimeLimit);
+  EXPECT_EQ(cut.lp_iterations, 0);
+  EXPECT_EQ(cut.concurrent_flow, 0.0);
+  for (const auto& w : cut.weights) {
+    EXPECT_TRUE(std::all_of(w.begin(), w.end(), [](double v) { return v == 0.0; }));
+  }
+  EXPECT_TRUE(basis.empty());
+  EXPECT_THROW((void)solve_path_mcf_exact(g, set, lp), SolverError);
+}
+
+TEST(PathMcfCrash, AmpleBudgetSolvesLikeNoBudget) {
+  // A budget the solve stays inside changes neither the crash nor the
+  // vertex: same FPTAS phases, pivots and weights, bit for bit.
+  const DiGraph g = make_generalized_kautz(16, 4);
+  const DemandMatrix demand = DemandSpec::parse("zipf:0.6").instantiate(16);
+  const PathSet set = build_disjoint_path_set(g, all_nodes(g), &demand);
+  std::uint64_t before = crash_phases();
+  const PathMcfSolution free_run = solve_path_mcf_exact(g, set);
+  const std::uint64_t free_phases = crash_phases() - before;
+  SimplexOptions lp;
+  lp.time_limit_s = 600.0;
+  before = crash_phases();
+  const PathMcfSolution budgeted = solve_path_mcf_budgeted(g, set, lp);
+  EXPECT_GT(free_phases, 1u);
+  EXPECT_EQ(crash_phases() - before, free_phases);
+  EXPECT_EQ(budgeted.status, LpStatus::kOptimal);
+  EXPECT_EQ(budgeted.lp_iterations, free_run.lp_iterations);
+  EXPECT_TRUE(same_bits(budgeted.weights, free_run.weights));
 }
 
 }  // namespace

@@ -358,10 +358,12 @@ TEST(SimplexWarmStart, McfEntryPointsRoundTripBases) {
 
 /// bench_lp's full-size Fig. 9 sweep: scenario 1 collapses one GenKautz(27,4)
 /// link drawn by Rng(4242). Warm-starting its primal solve from scenario 0's
-/// optimal basis once drove the basis numerically singular (elimination
-/// column 805 of 806) and cost a cold retry. The re-solve goes through the
-/// warm rule, the path failover runs. A tripwire for the LU's bump order,
-/// not a proof that warm solves never collapse.
+/// slack-start optimal basis once drove the basis numerically singular
+/// (elimination column 805 of 806) and cost a cold retry. The re-solve goes
+/// through the warm rule, the path failover runs. A tripwire for the LU's
+/// bump order, not a proof that warm solves never collapse. The twin starts
+/// from the optimum solve_path_mcf_exact reaches from its FPTAS crash, the
+/// basis failover re-solves now warm from.
 TEST(SimplexWarmStart, Fig9SweepScenarioOneDoesNotCollapse) {
   const DiGraph base = make_generalized_kautz(27, 4);
   const PathSet candidates = build_disjoint_path_set(base, all_nodes(base));
@@ -370,17 +372,25 @@ TEST(SimplexWarmStart, Fig9SweepScenarioOneDoesNotCollapse) {
   g.set_capacity(static_cast<EdgeId>(rng.next_below(
                      static_cast<std::uint64_t>(g.num_edges()))),
                  1e-6);
-
-  LpBasis basis;
-  (void)solve_path_mcf_exact(base, candidates, {}, &basis);
-  ASSERT_FALSE(basis.empty());
+  const LpSolution reference = solve_lp(build_path_mcf_model(g, candidates));
+  ASSERT_TRUE(reference.optimal());
   const obs::Counter& retries =
       obs::MetricsRegistry::global().counter("lp.cold_retries");
-  const std::uint64_t retries_before = retries.value();
-  const auto warm = solve_path_mcf_exact(g, candidates, {}, &basis);
-  EXPECT_EQ(retries.value() - retries_before, 0u);
-  const auto cold = solve_path_mcf_exact(g, candidates);
-  EXPECT_NEAR(warm.concurrent_flow, cold.concurrent_flow, 1e-6);
+  const auto expect_clean_resolve = [&](LpBasis basis) {
+    ASSERT_FALSE(basis.empty());
+    const std::uint64_t retries_before = retries.value();
+    const auto warm = solve_path_mcf_exact(g, candidates, {}, &basis);
+    EXPECT_EQ(retries.value() - retries_before, 0u);
+    EXPECT_NEAR(warm.concurrent_flow, reference.objective, 1e-6);
+  };
+
+  const LpSolution slack = solve_lp(build_path_mcf_model(base, candidates));
+  ASSERT_TRUE(slack.optimal());
+  expect_clean_resolve(slack.basis);
+
+  LpBasis crashed;
+  (void)solve_path_mcf_exact(base, candidates, {}, &crashed);
+  expect_clean_resolve(std::move(crashed));
 }
 
 // ---- degenerate and bound-flip pivot paths --------------------------------
