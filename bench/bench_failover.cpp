@@ -7,11 +7,11 @@
 // to produce a schedule that VALIDATES against the degraded topology:
 //
 //   * GenKautz(27, d=4): exact-baseline manager, single-link domain
-//     precomputed, then the event stream (hits, dual-warm re-solves, and —
+//     precomputed, then the event stream (hits, exact re-solves, and —
 //     under the deadline — FPTAS/degraded rungs).
-//   * GenKautz(81, d=8) [--large / full mode]: FPTAS-baseline manager (the
-//     exact master LP is minutes at this scale), no precompute — exercises
-//     the cold half of the ladder at production size.
+//   * GenKautz(81, d=8) [--large / full mode]: FPTAS-baseline manager (past
+//     exact_master_limit, where the exact LP is minutes), no precompute —
+//     exercises the cold half of the ladder at production size.
 //
 // --smoke gates the robustness contract for CI: every served schedule must
 // validate, the precomputed-hit path must serve under 1 ms (median), and
@@ -121,6 +121,8 @@ StreamResult drive_event_stream(FailoverManager& mgr, const DiGraph& g,
   return out;
 }
 
+/// Record keys per rung; "dual_warm_exact" names rung 2, the exact re-solve,
+/// as the earlier records of BENCH_failover.json do.
 const char* kRungNames[4] = {"hit", "dual_warm_exact", "fptas", "degraded"};
 
 std::string format_seconds(double s) {
@@ -246,7 +248,6 @@ int main(int argc, char** argv) {
     const DiGraph g81 = make_generalized_kautz(81, 8);
     std::cout << "\n" << g81.summary() << "\n";
     FailoverOptions opts81;
-    opts81.exact_healthy = false;  // exact master LP is minutes at N=81.
     opts81.domain.single_nodes = false;
     opts81.domain.top_k_link_pairs = 0;
     std::unique_ptr<FailoverManager> mgr81;

@@ -18,31 +18,23 @@ using namespace a2a::bench;
 namespace {
 
 /// The same Fig. 9 question asked of the exact LP: "disable" links by
-/// collapsing their capacity so the pMCF keeps its exact shape, then
-/// re-solve each scenario three ways: cold from the slack basis, from the
-/// FPTAS crash (solve_path_mcf_exact without a basis), and from the previous
-/// optimum. That basis stays dual feasible across the whole sweep (only
-/// capacities move), so the warm rule hands it to the dual simplex, which
-/// iterates on it directly — this is the production path for incremental
-/// failure analysis, where every scenario after the first costs a fraction
-/// of a cold solve.
+/// collapsing their capacity so the pMCF keeps its candidate set, then
+/// solve each scenario two ways: cold from the slack basis, and from the
+/// FPTAS crash (solve_path_mcf_exact), the start every production pMCF
+/// solve takes, failover's exact re-solves included.
 void exact_resolve_sweep() {
   std::cout << "\n--- exact pMCF re-solve sweep, GenKautz(27, d=4),"
-               " cold / crash / dual warm starts ---\n";
+               " cold / crash starts ---\n";
   const DiGraph base = make_generalized_kautz(27, 4);
   const auto nodes = all_nodes(base);
   const PathSet candidates = build_disjoint_path_set(base, nodes);
   Rng rng(777);
-  Table table({"disabled", "cold_s", "cold_it", "crash_s", "crash_it",
-               "dual_s", "dual_it", "F"});
+  Table table({"disabled", "cold_s", "cold_it", "crash_s", "crash_it", "F"});
   double cold_seconds = 0.0;
   double crash_seconds = 0.0;
-  double dual_seconds = 0.0;
   long long cold_iterations = 0;
   long long crash_iterations = 0;
-  long long dual_iterations = 0;
   bool objectives_match = true;
-  LpBasis warm;
   DiGraph g = base;
   // Past ~5 dead arcs (at this scale) some pair loses every disjoint
   // candidate and F collapses to zero (the LP goes trivial), so the sweep
@@ -58,15 +50,11 @@ void exact_resolve_sweep() {
     }
     const LpSolution cold = solve_lp(build_path_mcf_model(g, candidates));
     const auto crash = solve_path_mcf_exact(g, candidates);
-    const auto dual = solve_path_mcf_exact(g, candidates, {}, &warm);
     cold_seconds += cold.solve_seconds;
     crash_seconds += crash.solve_seconds;
-    dual_seconds += dual.solve_seconds;
     cold_iterations += cold.iterations;
     crash_iterations += crash.lp_iterations;
-    dual_iterations += dual.lp_iterations;
-    if (std::abs(cold.objective - crash.concurrent_flow) > 1e-6 ||
-        std::abs(cold.objective - dual.concurrent_flow) > 1e-6) {
+    if (std::abs(cold.objective - crash.concurrent_flow) > 1e-6) {
       objectives_match = false;
     }
     table.row()
@@ -75,14 +63,11 @@ void exact_resolve_sweep() {
         .cell(cold.iterations)
         .cell(crash.solve_seconds, 4)
         .cell(crash.lp_iterations)
-        .cell(dual.solve_seconds, 4)
-        .cell(dual.lp_iterations)
-        .cell(dual.concurrent_flow, 4);
+        .cell(crash.concurrent_flow, 4);
   }
   table.print(std::cout);
   std::cout << "totals: cold " << cold_seconds << "s/" << cold_iterations
             << " it, crash " << crash_seconds << "s/" << crash_iterations
-            << " it, dual-warm " << dual_seconds << "s/" << dual_iterations
             << " it, objectives "
             << (objectives_match ? "match" : "MISMATCH") << "\n";
 }

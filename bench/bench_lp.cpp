@@ -3,11 +3,9 @@
 // sparse solver measured in two configurations: Forrest–Tomlin with exact
 // ratio tests (presolve, Harris and sectioned pricing off) and the full
 // default (FT + presolve + Harris + partial pricing) — plus the Fig. 9-style
-// disabled-link sweep comparing three starts of each scenario's pMCF LP:
-// cold (the slack basis), crash (solve_path_mcf_exact without a basis,
-// which starts from the FPTAS crash) and warm (the previous scenario's
-// basis; the warm rule hands these rhs-only perturbations to the dual
-// simplex).
+// disabled-link sweep comparing two starts of each scenario's pMCF LP: cold
+// (the slack basis) and crash (solve_path_mcf_exact, which starts from the
+// FPTAS crash).
 //
 // Usage:
 //   bench_lp [--smoke] [--json PATH]
@@ -16,9 +14,9 @@
 // disagree on an objective beyond 1e-6 (dense vs FT-exact vs default), (b)
 // the sparse solver fails to beat the dense one on the largest smoke LP,
 // (c) the default loses to the FT-exact configuration on that LP, or (d)
-// the sweep's crash or warm legs change an objective, the warm legs need
-// more simplex iterations than the cold ones, or the crash legs need as
-// many — so solver regressions fail CI loudly instead of rotting silently.
+// the sweep's crash legs change an objective or need as many simplex
+// iterations as the cold ones — so solver regressions fail CI loudly
+// instead of rotting silently.
 // The full run checks (a) and (d). --json writes the measurements as a
 // BENCH_lp.json trajectory point.
 #include "bench_util.hpp"
@@ -94,14 +92,12 @@ Comparison compare(const std::string& name, const LpModel& model) {
   return c;
 }
 
-struct WarmSweep {
+struct Fig9Sweep {
   int scenarios = 0;
   double cold_seconds = 0.0;
   double crash_seconds = 0.0;  ///< FPTAS crash + LP.
-  double warm_seconds = 0.0;
   long long cold_iterations = 0;
   long long crash_iterations = 0;
-  long long warm_iterations = 0;
   bool objectives_match = true;
 };
 
@@ -139,8 +135,8 @@ int main(int argc, char** argv) {
               << comparisons.back().speedup() << "x\n";
   }
 
-  // ---- Fig. 9-style disabled-link sweep with warm starts ------------------
-  WarmSweep sweep;
+  // ---- Fig. 9-style disabled-link sweep: cold vs crash starts -------------
+  Fig9Sweep sweep;
   {
     const int n = smoke ? 12 : 27;
     const DiGraph base = make_generalized_kautz(n, 4);
@@ -149,9 +145,9 @@ int main(int argc, char** argv) {
     Rng rng(4242);
     std::vector<DiGraph> scenarios{base};
     for (int k = 1; k <= (smoke ? 3 : 8); ++k) {
-      // "Disable" k random links by collapsing their capacity: the LP keeps
-      // its exact shape, which is what makes warm starts across the sweep
-      // valid (the Fig. 9 bench itself removes arcs and rebuilds).
+      // "Disable" k random links by collapsing their capacity, so every
+      // scenario keeps the candidate set (the Fig. 9 bench itself removes
+      // arcs and rebuilds).
       DiGraph g = base;
       for (int hit = 0; hit < k; ++hit) {
         const EdgeId e = static_cast<EdgeId>(
@@ -161,27 +157,21 @@ int main(int argc, char** argv) {
       scenarios.push_back(std::move(g));
     }
     sweep.scenarios = static_cast<int>(scenarios.size());
-    LpBasis warm;
     for (const DiGraph& g : scenarios) {
       const LpSolution cold = solve_lp(build_path_mcf_model(g, candidates));
       const auto crash = solve_path_mcf_exact(g, candidates);
-      const auto warm_sol = solve_path_mcf_exact(g, candidates, {}, &warm);
       sweep.cold_seconds += cold.solve_seconds;
       sweep.crash_seconds += crash.solve_seconds;
-      sweep.warm_seconds += warm_sol.solve_seconds;
       sweep.cold_iterations += cold.iterations;
       sweep.crash_iterations += crash.lp_iterations;
-      sweep.warm_iterations += warm_sol.lp_iterations;
       if (!cold.optimal() ||
-          std::abs(cold.objective - crash.concurrent_flow) > 1e-6 ||
-          std::abs(cold.objective - warm_sol.concurrent_flow) > 1e-6) {
+          std::abs(cold.objective - crash.concurrent_flow) > 1e-6) {
         sweep.objectives_match = false;
       }
     }
-    std::cout << "  fig9_warm_sweep(" << sweep.scenarios << " scenarios): cold "
+    std::cout << "  fig9_sweep(" << sweep.scenarios << " scenarios): cold "
               << sweep.cold_iterations << " it, crash "
-              << sweep.crash_iterations << " it, warm "
-              << sweep.warm_iterations << " it\n\n";
+              << sweep.crash_iterations << " it\n\n";
   }
 
   // ---- report -------------------------------------------------------------
@@ -199,12 +189,10 @@ int main(int argc, char** argv) {
         .cell(c.objectives_match() ? "yes" : "NO");
   }
   table.print(std::cout);
-  std::cout << "\nFig. 9-style warm sweep (" << sweep.scenarios
+  std::cout << "\nFig. 9-style sweep (" << sweep.scenarios
             << " scenarios): cold " << sweep.cold_seconds << "s/"
             << sweep.cold_iterations << " it, crash " << sweep.crash_seconds
-            << "s/" << sweep.crash_iterations << " it, warm "
-            << sweep.warm_seconds << "s/" << sweep.warm_iterations
-            << " it, objectives "
+            << "s/" << sweep.crash_iterations << " it, objectives "
             << (sweep.objectives_match ? "match" : "MISMATCH") << "\n";
 
   if (!json_path.empty()) {
@@ -225,13 +213,11 @@ int main(int argc, char** argv) {
          << ", \"objective\": " << c.sparse_objective << "}"
          << (i + 1 < comparisons.size() ? ",\n" : "\n");
     }
-    js << "  ],\n  \"fig9_warm_sweep\": {\"scenarios\": " << sweep.scenarios
+    js << "  ],\n  \"fig9_sweep\": {\"scenarios\": " << sweep.scenarios
        << ", \"cold_seconds\": " << sweep.cold_seconds
        << ", \"crash_seconds\": " << sweep.crash_seconds
-       << ", \"warm_seconds\": " << sweep.warm_seconds
        << ", \"cold_iterations\": " << sweep.cold_iterations
        << ", \"crash_iterations\": " << sweep.crash_iterations
-       << ", \"warm_iterations\": " << sweep.warm_iterations
        << ", \"objectives_match\": " << (sweep.objectives_match ? "true" : "false")
        << "},\n  \"metrics\": " << metrics_snapshot_json() << "\n}\n";
     append_bench_record(json_path, js.str());
@@ -248,13 +234,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!sweep.objectives_match) {
-    std::cerr << "FAIL: crash- or warm-started sweep changed an objective\n";
-    failed = true;
-  }
-  if (sweep.warm_iterations > sweep.cold_iterations) {
-    std::cerr << "FAIL: warm starts took more simplex iterations ("
-              << sweep.warm_iterations << ") than cold starts ("
-              << sweep.cold_iterations << ")\n";
+    std::cerr << "FAIL: crash-started sweep changed an objective\n";
     failed = true;
   }
   if (sweep.crash_iterations >= sweep.cold_iterations) {

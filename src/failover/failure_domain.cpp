@@ -113,16 +113,6 @@ DiGraph degraded_topology(const DiGraph& g, const FailureSignature& sig,
   return g.without_edges(dead);
 }
 
-DiGraph collapsed_topology(const DiGraph& g, const FailureSignature& sig,
-                           double collapsed_capacity) {
-  A2A_REQUIRE(collapsed_capacity > 0.0, "collapsed capacity must be positive");
-  DiGraph out = g;
-  for (const EdgeId e : failed_edge_ids(g, sig)) {
-    out.set_capacity(e, collapsed_capacity);
-  }
-  return out;
-}
-
 std::vector<NodeId> surviving_terminals(const std::vector<NodeId>& terminals,
                                         const FailureSignature& sig) {
   std::vector<NodeId> out;

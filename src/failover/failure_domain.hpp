@@ -12,9 +12,7 @@
 // Degraded topologies keep the healthy graph's node ids (failed nodes stay
 // as isolated vertices) so signatures, schedules, and validators all speak
 // one id space; only edge ids shift, and degraded_topology reports the
-// old->new remap. collapsed_topology instead keeps EVERY edge and collapses
-// failed capacities to epsilon — the LP shape is unchanged, which is what
-// lets an online re-solve dual-warm-start from the healthy optimal basis.
+// old->new remap.
 #pragma once
 
 #include <string>
@@ -75,17 +73,6 @@ struct FailureDomainOptions {
 [[nodiscard]] DiGraph degraded_topology(const DiGraph& g,
                                         const FailureSignature& sig,
                                         std::vector<EdgeId>* old_to_new = nullptr);
-
-/// LP-shape-preserving view of the failure: every healthy edge kept, failed
-/// capacities collapsed to `collapsed_capacity`. A pMCF model built on this
-/// graph has identical rows/columns to the healthy model, so the healthy
-/// optimal basis stays dual feasible and a dual-simplex re-solve needs no
-/// phase 1 — on GenKautz(27,4), 252–901 pivots after a single-link
-/// collapse and 654–1 110 after a two-link one (40 random signatures each),
-/// against 844 from the FPTAS crash start and 5 821 from the slack basis.
-[[nodiscard]] DiGraph collapsed_topology(const DiGraph& g,
-                                         const FailureSignature& sig,
-                                         double collapsed_capacity = 1e-7);
 
 /// `terminals` minus the signature's failed nodes.
 [[nodiscard]] std::vector<NodeId> surviving_terminals(

@@ -30,8 +30,6 @@ constexpr double kDefaultDeadlineS = 0.25;
 constexpr double kExactBudgetFraction = 0.6;
 /// Fraction of the remaining budget rung 3 (FPTAS) may burn.
 constexpr double kFptasBudgetFraction = 0.8;
-/// FPTAS epsilon of the healthy baseline when exact_healthy is off.
-constexpr double kHealthyEpsilon = 0.02;
 /// Weight below which a healthy route is considered absent when the
 /// degraded reroute renormalizes (matches the LP's zero clamp).
 constexpr double kMinRouteWeight = 1e-9;
@@ -69,9 +67,8 @@ std::string to_string(FailoverRung rung) {
 /// Everything the online rungs share about one degraded fabric: the
 /// surviving graph, the healthy->degraded edge remap, and the candidate
 /// PathSet in DEGRADED edge ids (healthy candidates that survive, plus a
-/// shortest-path reroute for commodities that lost every candidate). Each
-/// candidate remembers its healthy (commodity, path) origin so LP weights
-/// solved on the healthy-shaped collapsed model can be carried over.
+/// shortest-path reroute for commodities that lost every candidate), with
+/// each candidate's healthy weight for the degraded reroute.
 struct FailoverManager::DegradedView {
   FailureSignature sig;
   DiGraph degraded{0};
@@ -79,9 +76,7 @@ struct FailoverManager::DegradedView {
   std::vector<NodeId> survivors;
   bool reachable = false;
   PathSet paths;                    ///< degraded-id candidates per commodity.
-  std::vector<int> healthy_commodity;              ///< per view commodity.
-  std::vector<std::vector<int>> healthy_candidate; ///< per candidate, -1 = reroute.
-  std::vector<std::vector<double>> healthy_seed;   ///< healthy weight, 0 = reroute.
+  std::vector<std::vector<double>> healthy_seed;  ///< healthy weight, 0 = reroute.
 };
 
 FailoverManager::FailoverManager(DiGraph healthy, Fabric fabric,
@@ -98,25 +93,25 @@ FailoverManager::FailoverManager(DiGraph healthy, Fabric fabric,
     terminals_[static_cast<std::size_t>(n)] = n;
   }
   healthy_paths_ = build_disjoint_path_set(healthy_, terminals_);
+  // The healthy baseline follows the pipeline's default options, the ones
+  // base_fingerprint_ is minted under: the exact pMCF up to
+  // exact_master_limit terminals and the FPTAS beyond (where the exact LP
+  // takes minutes). Fallbacks are compiled on the same chunking grid.
+  const ToolchainOptions toolchain;
   std::vector<std::vector<double>> weights;
   double flow = 0.0;
-  if (options_.exact_healthy) {
+  if (healthy_.num_nodes() <= toolchain.mcf.exact_master_limit) {
     const PathMcfSolution sol =
-        solve_path_mcf_exact(healthy_, healthy_paths_, {}, &healthy_basis_);
+        solve_path_mcf_exact(healthy_, healthy_paths_, toolchain.mcf.lp);
     weights = sol.weights;
     flow = sol.concurrent_flow;
   } else {
-    // FPTAS baseline: no basis to warm from, but ctor cost stays bounded at
-    // fabric sizes where the exact master LP is minutes.
-    FleischerOptions fo;
-    fo.epsilon = kHealthyEpsilon;
+    FleischerOptions fo = toolchain.mcf.fptas;
+    fo.epsilon = toolchain.mcf.fptas_epsilon;
     const PathFlowSolution sol = fleischer_paths(healthy_, healthy_paths_, fo);
     weights = sol.weights;
     flow = sol.concurrent_flow;
   }
-  // Fallbacks are compiled on the pipeline's default chunking grid, the
-  // options base_fingerprint_ is minted under.
-  const ToolchainOptions toolchain;
   healthy_schedule_.kind = ScheduleKind::kPathPMcf;
   healthy_schedule_.path = compile_path_schedule(healthy_, healthy_paths_,
                                                  weights, toolchain.chunking);
@@ -161,7 +156,6 @@ FailoverManager::DegradedView FailoverManager::make_view(
       continue;
     }
     std::vector<Path> candidates;
-    std::vector<int> origin;
     std::vector<double> seed;
     for (std::size_t p = 0; p < healthy_paths_.candidates[k].size(); ++p) {
       const Path& path = healthy_paths_.candidates[k][p];
@@ -178,7 +172,6 @@ FailoverManager::DegradedView FailoverManager::make_view(
       }
       if (!alive) continue;
       candidates.push_back(std::move(remapped));
-      origin.push_back(static_cast<int>(p));
       seed.push_back(healthy_weights_[k][p]);
     }
     if (candidates.empty()) {
@@ -187,13 +180,10 @@ FailoverManager::DegradedView FailoverManager::make_view(
       auto rerouted = dijkstra_path(view.degraded, src, dst, unit);
       A2A_ASSERT(rerouted.has_value(), "reachable pair without a path");
       candidates.push_back(std::move(*rerouted));
-      origin.push_back(-1);
       seed.push_back(0.0);
     }
     view.paths.commodities.emplace_back(src, dst);
     view.paths.candidates.push_back(std::move(candidates));
-    view.healthy_commodity.push_back(static_cast<int>(k));
-    view.healthy_candidate.push_back(std::move(origin));
     view.healthy_seed.push_back(std::move(seed));
   }
   return view;
@@ -249,38 +239,10 @@ bool FailoverManager::finish_result(const DegradedView& view,
 bool FailoverManager::exact_resolve(const DegradedView& view, double budget_s,
                                     FailoverResult& result) const {
   result.rung = FailoverRung::kDualWarmExact;
+  // Link, node and mixed failures alike: the degraded pMCF from its own
+  // FPTAS crash start, under the rung's budget.
   SimplexOptions lp;
   lp.time_limit_s = budget_s;
-  if (view.sig.nodes.empty()) {
-    // Link-only failure: the collapsed model has the healthy model's exact
-    // shape, so the healthy optimal basis is dual feasible under the
-    // capacity perturbation — re-solve dual-warm, with no phase 1 (on
-    // GenKautz(27,4) 252–901 pivots for one link, 654–1 110 for two).
-    const DiGraph collapsed = collapsed_topology(healthy_, view.sig);
-    LpBasis basis = healthy_basis_;
-    const PathMcfSolution sol =
-        solve_path_mcf_budgeted(collapsed, healthy_paths_, lp, &basis);
-    if (sol.status != LpStatus::kOptimal) return false;
-    // Carry the healthy-model weights onto the surviving candidates (dead
-    // candidates got starved by the collapsed capacity; whatever residue
-    // the tolerance left on them is dropped with the candidate).
-    std::vector<std::vector<double>> weights(view.paths.candidates.size());
-    for (std::size_t c = 0; c < view.paths.candidates.size(); ++c) {
-      const int hk = view.healthy_commodity[c];
-      weights[c].assign(view.paths.candidates[c].size(), 0.0);
-      for (std::size_t p = 0; p < weights[c].size(); ++p) {
-        const int hp = view.healthy_candidate[c][p];
-        if (hp >= 0) {
-          weights[c][p] = sol.weights[static_cast<std::size_t>(hk)]
-                                     [static_cast<std::size_t>(hp)];
-        }
-      }
-    }
-    return finish_result(view, weights, result);
-  }
-  // Node failures change the commodity set, so the healthy basis does not
-  // transfer; solve the degraded model from its FPTAS crash start under the
-  // same budget.
   const PathMcfSolution sol =
       solve_path_mcf_budgeted(view.degraded, view.paths, lp);
   if (sol.status != LpStatus::kOptimal) return false;

@@ -1,8 +1,8 @@
 // FailoverManager — deadline-bounded online re-scheduling.
 //
-// The manager owns a healthy fabric's schedule, its optimal LP basis, and a
-// library of precomputed fallback schedules (a ScheduleCache, so fallbacks
-// share the content-addressed disk tier and survive restarts). When a
+// The manager owns a healthy fabric's schedule and a library of
+// precomputed fallback schedules (a ScheduleCache, so fallbacks share the
+// content-addressed disk tier and survive restarts). When a
 // failure arrives, reschedule(signature, deadline) walks a ladder of
 // strategies ordered by quality, spending the remaining wall-clock budget
 // on each rung and falling through when it expires or fails:
@@ -11,17 +11,13 @@
 //                          signature), which decodes the library's artifact
 //                          bytes (resident in its memory tier, or mmap'd
 //                          from its disk tier); well under a millisecond.
-//   2. dual-warm exact   — link failures keep the pMCF LP's shape (capacity
-//                          collapse), so the healthy optimal basis is still
-//                          dual feasible and a dual-simplex re-solve under
-//                          SimplexOptions::time_limit_s needs no phase 1
-//                          (on GenKautz(27,4), from the healthy optimum the
-//                          FPTAS crash start reaches, 654–1 110 pivots,
-//                          median 866, about 0.1 s, over 40 two-link
-//                          failures). Node failures re-solve the degraded
-//                          fabric from its own FPTAS crash basis, same
-//                          budget. Only an OPTIMAL outcome is served (and
-//                          added to the library).
+//   2. exact re-solve    — the degraded fabric's pMCF LP from its own
+//                          FPTAS crash basis under
+//                          SimplexOptions::time_limit_s, for link, node and
+//                          mixed failures alike (on GenKautz(27,4), median
+//                          622 pivots and about 0.07 s over 144 two-link
+//                          failures). Only an OPTIMAL outcome is served
+//                          (and added to the library).
 //   3. FPTAS anytime     — Fleischer on the degraded candidate set, epsilon
 //                          picked from the remaining budget, phase-boundary
 //                          cutoff as a backstop. Approximate but feasible.
@@ -42,7 +38,6 @@
 #include "core/api.hpp"
 #include "core/schedule_cache.hpp"
 #include "failover/failure_domain.hpp"
-#include "lp/simplex.hpp"
 #include "mcf/fleischer.hpp"
 #include "runtime/fabric.hpp"
 
@@ -50,6 +45,7 @@ namespace a2a {
 
 enum class FailoverRung {
   kPrecomputedHit,
+  /// Rung 2, the exact re-solve (the name predates its crash start).
   kDualWarmExact,
   kFptasAnytime,
   kDegradedReroute,
@@ -68,12 +64,6 @@ struct FailoverOptions {
   /// Budget per signature during offline precompute — generous, this is
   /// the half that is allowed to be slow.
   double precompute_deadline_s = 30.0;
-  /// Solve the healthy baseline with the exact pMCF LP (keeps the optimal
-  /// basis for dual-warm online re-solves). false switches the baseline to
-  /// the FPTAS at epsilon 0.02 — the right trade at fabric sizes where the
-  /// exact master LP is minutes (Fig. 9's N=81): rung 2 then re-solves
-  /// from the FPTAS crash start within its budget instead of dual-warm.
-  bool exact_healthy = true;
   FailureDomainOptions domain;
 };
 
@@ -101,9 +91,11 @@ struct PrecomputeReport {
 
 class FailoverManager {
  public:
-  /// Solves the healthy fabric exactly (pMCF on link-disjoint candidates)
-  /// and seeds the library with it. Requires >= 2 nodes and a strongly
-  /// connected topology.
+  /// Solves the healthy fabric (pMCF on link-disjoint candidates) by the
+  /// pipeline's rule: the exact LP up to ToolchainOptions{}.mcf
+  /// .exact_master_limit nodes, the FPTAS at mcf.fptas_epsilon beyond. Seeds
+  /// the library with it. Requires >= 2 nodes and a strongly connected
+  /// topology.
   FailoverManager(DiGraph healthy, Fabric fabric, FailoverOptions options = {});
   ~FailoverManager();
 
@@ -123,11 +115,11 @@ class FailoverManager {
   /// domain options.
   [[nodiscard]] std::vector<FailureSignature> enumerate_domain() const;
 
-  /// Batch-synthesizes fallback schedules for `domain`, one signature per
-  /// iteration of a parallel_for on ThreadPool::shared() (dual-warm from the
-  /// healthy basis where the LP shape allows), and stores the validated
-  /// results in the library. Each task's own solve, compile, validate and
-  /// encode run serially on its worker.
+  /// Batch-synthesizes fallback schedules for `domain` with rung 2's exact
+  /// re-solve, one signature per iteration of a parallel_for on
+  /// ThreadPool::shared(), and stores the validated results in the library.
+  /// Each task's own solve, compile, validate and encode run serially on
+  /// its worker.
   PrecomputeReport precompute(const std::vector<FailureSignature>& domain);
 
   /// The online entry point: best valid schedule for the degraded fabric
@@ -156,7 +148,6 @@ class FailoverManager {
   std::vector<NodeId> terminals_;
   PathSet healthy_paths_;
   std::vector<std::vector<double>> healthy_weights_;
-  LpBasis healthy_basis_;
   GeneratedSchedule healthy_schedule_;
   std::string base_fingerprint_;
   std::unique_ptr<ScheduleCache> library_;

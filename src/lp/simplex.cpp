@@ -1,22 +1,20 @@
 // Primal driver of the sparse revised simplex and the solve_lp() dispatch.
 //
 // The basis engine (standard-form construction, warm-start import, sparse LU
-// with Forrest–Tomlin updates, reduced costs) lives in simplex_core.{hpp,cpp}
-// and is shared with the dual simplex (dual_simplex.cpp). This file owns:
+// with Forrest–Tomlin updates, reduced costs) lives in simplex_core.{hpp,cpp}.
+// This file owns:
 //   * run_primal() — two-phase primal simplex: Devex pricing with
 //     incrementally maintained reduced costs, a bound-flip ratio test, and
 //     artificial-free feasibility restoration for warm bases whose basic
 //     values moved out of bounds;
-//   * solve_lp() — the warm-start rule that picks the primal or the dual
-//     driver, with a cold primal re-solve as the fallback whenever a warm
-//     path resists repair.
+//   * solve_lp() — presolve, the warm start, and a cold re-solve as the
+//     fallback whenever a warm basis resists repair.
 #include "lp/simplex.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <string_view>
 
 #include "lp/presolve.hpp"
 #include "lp/simplex_core.hpp"
@@ -31,9 +29,9 @@ LpSolution SimplexCore::run_primal(const LpModel& model) {
   LpSolution out;
   out.warm_started = warm_started_;
   if (needs_restoration_) {
-    // Warm basis adopted with out-of-bound basic values (e.g. the Fig. 9
-    // sweep shrank capacities under the previous optimum). Artificial-free
-    // composite phase 1: drive the infeasibility sum to zero in place.
+    // Warm basis adopted with out-of-bound basic values (e.g. capacities
+    // shrank under the previous optimum). Artificial-free composite phase
+    // 1: drive the infeasibility sum to zero in place.
     phase_ = "restore";
     if (!restore_feasibility()) {
       // A deadline expiry mid-restoration is not a repair failure: report
@@ -520,14 +518,7 @@ void merge_failed_attempt(LpSolution& out, const SolverErrorContext& context) {
   // The failed core died before finish(), so neither its LpSolution stats
   // nor the global lp.* counters saw the work it did; fold in what the
   // error context preserved. -1 fields mean the throw site had no context.
-  if (context.iterations > 0) {
-    out.iterations += context.iterations;
-    if (std::string_view(context.phase) == "dual") {
-      out.stats.dual_iterations += context.iterations;
-    } else {
-      out.stats.primal_iterations += context.iterations;
-    }
-  }
+  if (context.iterations > 0) out.iterations += context.iterations;
   const auto fold = [](long long work, long long& stat, obs::Counter& counter) {
     if (work <= 0) return;
     stat += work;
@@ -563,40 +554,22 @@ SimplexOptions with_remaining_budget(
 
 namespace {
 
-/// The warm-start rule (see solve_lp()) on the model as given; presolve and
-/// the numerical-collapse fallback live in solve_lp().
+/// The warm start (see solve_lp()) on the model as given; presolve and the
+/// numerical-collapse fallback live in solve_lp().
 LpSolution solve_lp_direct(const LpModel& model, const SimplexOptions& options,
                            const LpBasis* warm_start) {
   const auto start = std::chrono::steady_clock::now();
   if (warm_start != nullptr) {
+    // A rejected basis (wrong shape or singular) leaves the solver sitting
+    // on the cold crash basis, so it runs rather than rebuilding an
+    // identical instance below.
     lp_detail::SimplexCore solver(model, options, warm_start);
-    if (!solver.warm_started()) {
-      // The basis was rejected (wrong shape or singular): the solver is
-      // already sitting on the cold crash basis, so run it rather than
-      // rebuilding an identical instance below.
-      return solver.run_primal(model);
-    }
-    // A primal-feasible basis skips phase 1 outright — nothing for the
-    // dual to improve on, so the dual runs only when the basic values moved
-    // out of bounds (the perturbed re-solve case) and the reduced costs
-    // kept their optimal signs.
-    if (solver.needs_restoration() && solver.dual_feasible()) {
-      LpSolution out = solver.run_dual(model);
-      if (out.status == LpStatus::kOptimal ||
-          out.status == LpStatus::kUnbounded ||
-          out.status == LpStatus::kTimeLimit) {
-        return out;
-      }
-      // The dual stalled (numerical drift or a genuinely infeasible
-      // instance it cannot certify); the cold primal is authoritative.
-    } else {
-      LpSolution out = solver.run_primal(model);
-      // An expired budget is terminal: the cold fallback below could not
-      // finish either, and the partial basis is the caller's answer.
-      if (out.status == LpStatus::kTimeLimit) return out;
-      if (!solver.warm_failed()) return out;
-      // The warm basis resisted repair; a cold solve is the reliable path.
-    }
+    LpSolution out = solver.run_primal(model);
+    // An expired budget is terminal: the cold fallback below could not
+    // finish either, and the partial basis is the caller's answer.
+    if (out.status == LpStatus::kTimeLimit) return out;
+    if (!solver.warm_failed()) return out;
+    // The warm basis resisted repair; a cold solve is the reliable path.
   }
   // The cold core draws from whatever the warm attempt left of the budget —
   // the deadline is absolute across the dispatch, not per core.

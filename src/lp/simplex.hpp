@@ -8,12 +8,8 @@
 //     sparse triangular solves, no dense inverse), Devex pricing (sectioned
 //     partial pricing on wide models) with incrementally maintained reduced
 //     costs, a Harris two-pass bound-flip ratio test, and optional warm
-//     starts from a prior basis.
-//     One rule picks the warm driver: the primal simplex (with in-place
-//     feasibility restoration) or a bounded-variable DUAL simplex that
-//     iterates directly on a still-dual-feasible basis — the natural engine
-//     for re-solves whose rhs/bounds moved under an optimal basis (Fig. 9
-//     disabled-link sweeps, failover re-solves). The tolerances are
+//     starts from a prior basis, which the primal simplex takes as it is or
+//     after an in-place feasibility restoration. The tolerances are
 //     constants (kLp* below), not options;
 //   * solve_lp_dense() — the original dense-inverse Dantzig solver, kept as
 //     the independent oracle the tests and fuzz_lp check solve_lp() against
@@ -46,9 +42,8 @@ enum class LpVarStatus : unsigned char { kAtLower, kAtUpper, kBasic };
 
 /// A simplex basis: one status per structural variable and one per row (the
 /// row's slack). Produced by solve_lp() at the end of every solve; feeding it
-/// back as a warm start lets re-solves of the same-shaped LP (the Fig. 9
-/// disabled-link sweep, failover re-solves, repeated cache-miss pipeline
-/// runs) restart from a near-optimal basis instead of from scratch.
+/// back as a warm start lets a re-solve of the same-shaped LP restart from
+/// a near-optimal basis instead of from scratch.
 struct LpBasis {
   std::vector<LpVarStatus> variables;
   std::vector<LpVarStatus> rows;
@@ -67,23 +62,21 @@ struct LpBasis {
 /// bench record and a live dashboard agree by construction.
 struct LpStats {
   long long iterations = 0;         ///< pivots across phases and retries.
-  long long primal_iterations = 0;  ///< pivots taken by the primal loops.
-  long long dual_iterations = 0;    ///< pivots taken by the dual simplex.
   long long refactorizations = 0;   ///< full LU factorizations of the basis.
   long long ft_updates = 0;         ///< accepted Forrest–Tomlin updates.
   /// FT updates refused transactionally (unstable spike diagonal) — each one
   /// forced a refactorization instead.
   long long ft_refusals = 0;
-  /// Transitions into Bland's rule (anti-cycling episodes), primal + dual.
+  /// Transitions into Bland's rule (anti-cycling episodes), restoration +
+  /// phase 1 + phase 2.
   long long bland_episodes = 0;
   /// Pivots that did not move the objective, by each loop's own zero-step
-  /// test: a primal step <= 1e-10 (the stall rule's), a restoration step
-  /// <= kLpDropTol, a dual step |theta_d| <= kLpDropTol.
+  /// test: a phase 1 or 2 step <= 1e-10 (the stall rule's), a restoration
+  /// step <= kLpDropTol.
   long long degenerate_pivots = 0;
   /// Pivot rows formed column-wise over the nonbasic columns (rho dense);
   /// the rest went row-wise through the CSR mirror.
   long long column_priced_rows = 0;
-  bool dual_used = false;           ///< the dual simplex drove this solve.
   /// 1 when the first attempt threw SolverError (numerical collapse) and the
   /// solve finished on the cold conservative retry (Forrest–Tomlin with a
   /// 64-update leash, Harris off).
@@ -99,15 +92,12 @@ struct LpStats {
   /// solves) into this one.
   void accumulate(const LpStats& other) {
     iterations += other.iterations;
-    primal_iterations += other.primal_iterations;
-    dual_iterations += other.dual_iterations;
     refactorizations += other.refactorizations;
     ft_updates += other.ft_updates;
     ft_refusals += other.ft_refusals;
     bland_episodes += other.bland_episodes;
     degenerate_pivots += other.degenerate_pivots;
     column_priced_rows += other.column_priced_rows;
-    dual_used = dual_used || other.dual_used;
     cold_retries += other.cold_retries;
     presolve_fixed_variables += other.presolve_fixed_variables;
     presolve_empty_columns += other.presolve_empty_columns;
@@ -154,26 +144,20 @@ inline constexpr double kLpDropTol = 1e-12;
 /// pivot is applied (the factor update it leaves behind is too
 /// ill-conditioned to keep).
 inline constexpr double kLpRefactorPivotTol = 1e-8;
-/// Degenerate (zero-step) pivots in a row before the restoration and dual
-/// loops switch to Bland's rule to break the cycle.
+/// Degenerate (zero-step) pivots in a row before the restoration loop
+/// switches to Bland's rule to break the cycle.
 inline constexpr int kLpDegenerateStreakLimit = 64;
-/// Relative cost perturbation the dual simplex applies to nonbasic columns
-/// (in their dual-feasible direction) before iterating, so that totally
-/// dual-degenerate warm bases — the norm for max-concurrent-flow optima —
-/// still make strict progress. Removed before the solution is reported; the
-/// primal polishes the residue.
-inline constexpr double kLpDualPerturb = 1e-5;
 
 struct SimplexOptions {
   long long max_iterations = 2'000'000;
   /// Wall-clock budget for the whole solve in seconds; 0 = unlimited. The
-  /// iteration loops (primal, dual, warm-basis restoration) check the clock
-  /// cooperatively every few pivots and end the solve with kTimeLimit —
-  /// exporting the best basis reached so far — instead of running on or
-  /// throwing. The budget is absolute across a solve_lp() call: presolve,
-  /// a failed warm attempt and the cold fallback all draw from the same
-  /// allowance, so a deadline-bounded caller overshoots by at most one
-  /// check interval plus one refactorization.
+  /// iteration loops (primal phases, warm-basis restoration) read the clock
+  /// before every pivot and end the solve with kTimeLimit — exporting the
+  /// best basis reached so far — instead of running on or throwing. The
+  /// budget is absolute across a solve_lp() call: presolve, a failed warm
+  /// attempt and the cold fallback all draw from the same allowance, so a
+  /// deadline-bounded caller overshoots by at most one pivot plus one
+  /// refactorization.
   double time_limit_s = 0.0;
   /// Hard backstop on Forrest–Tomlin updates between refactorizations.
   /// Fill growth and diagonal stability are the adaptive triggers, but the
@@ -196,9 +180,9 @@ struct SimplexOptions {
   /// bases thread through: they are mapped into the reduced space on entry
   /// and the exported basis covers the full original model.
   bool presolve = true;
-  /// Use Harris two-pass ratio tests (Harris 1973) in the primal and dual
-  /// loops: pass 1 computes the best ratio with bounds relaxed by the
-  /// feasibility/optimality tolerance, pass 2 picks the largest pivot among
+  /// Use the Harris two-pass ratio test (Harris 1973) in the primal loop:
+  /// pass 1 computes the best ratio with bounds relaxed by the feasibility
+  /// tolerance, pass 2 picks the largest pivot among
   /// candidates within that relaxed bound — trading a bounded, tolerance-
   /// sized constraint violation for numerically safer pivots and fewer
   /// degenerate stalls on MCF bases.
@@ -214,14 +198,10 @@ struct SimplexOptions {
 /// internal numerical failure (singular basis after refactorization).
 /// Infeasible/unbounded are reported via the status field. A non-null
 /// `warm_start` seeds the initial basis when it is compatible with the
-/// model's shape, and one rule picks how it is exploited:
-///   * primal feasible — primal phase 2 (nothing to repair);
-///   * primal infeasible and dual feasible (only rhs/bounds moved since it
-///     was optimal: Fig. 9 sweeps, failover re-solves) — the dual simplex
-///     iterates on it directly;
-///   * neither — artificial-free primal restoration, then phase 2.
-/// A structurally broken, singular, or unusable basis, and any warm path
-/// that resists repair, falls back to the cold crash path.
+/// model's shape: a primal-feasible basis goes straight into primal phase
+/// 2, a primal-infeasible one through artificial-free restoration first. A
+/// structurally broken or singular basis, and one that resists repair,
+/// falls back to the cold crash path.
 [[nodiscard]] LpSolution solve_lp(const LpModel& model,
                                   const SimplexOptions& options = {},
                                   const LpBasis* warm_start = nullptr);

@@ -27,9 +27,9 @@ SimplexCore::SimplexCore(const LpModel& model, const SimplexOptions& options,
 
 bool SimplexCore::time_exceeded() {
   if (!has_deadline_) return false;
-  if (time_expired_) return true;
-  if ((++deadline_probe_ & 63u) != 0) return false;
-  if (std::chrono::steady_clock::now() >= deadline_) time_expired_ = true;
+  if (!time_expired_ && std::chrono::steady_clock::now() >= deadline_) {
+    time_expired_ = true;
+  }
   return time_expired_;
 }
 
@@ -84,8 +84,8 @@ void SimplexCore::build(const LpModel& model, const LpBasis* warm_start) {
   score_.assign(static_cast<std::size_t>(num_vars()), 0.0);
   if (warm_started_) {
     // try_warm_start already factored lu_ and computed x_basic_; only the
-    // reduced costs remain (phase-2 costs — what both the dual-feasibility
-    // probe and a restoration-free phase 2 need).
+    // reduced costs remain (phase-2 costs, what a restoration-free phase 2
+    // prices with).
     recompute_reduced_costs();
   } else {
     refactorize();
@@ -95,9 +95,8 @@ void SimplexCore::build(const LpModel& model, const LpBasis* warm_start) {
 /// Attempts to adopt a previous basis: factorizable, with basic values then
 /// derived from the stored nonbasic statuses. Returns false — leaving no
 /// trace — when the basis is structurally broken or singular. Primal
-/// infeasibility of the derived values is recorded in needs_restoration_;
-/// the driver decides whether to repair it (primal) or iterate it away
-/// (dual).
+/// infeasibility of the derived values is recorded in needs_restoration_,
+/// and run_primal() repairs it before phase 2.
 bool SimplexCore::try_warm_start(const LpBasis& warm) {
   std::vector<VarState> state(static_cast<std::size_t>(num_vars()));
   std::vector<int> basic;
@@ -146,9 +145,8 @@ bool SimplexCore::try_warm_start(const LpBasis& warm) {
     }
   }
   // Adopt. A feasible start clamps round-off and skips phase 1 outright; an
-  // infeasible one (the model's rhs/bounds moved under the basis) is either
-  // repaired by artificial-free restoration before the primal phase 2 or
-  // handed to the dual simplex, which iterates on it directly.
+  // infeasible one (the model's rhs/bounds moved under the basis) is
+  // repaired by artificial-free restoration before the primal phase 2.
   state_ = std::move(state);
   basic_ = std::move(basic);
   x_nonbasic_value_ = std::move(xn);
@@ -225,20 +223,6 @@ double SimplexCore::phase_objective() const {
     }
   }
   return obj;
-}
-
-bool SimplexCore::dual_feasible() const {
-  // Warm bases from an optimal parent satisfy the sign conditions exactly
-  // when only rhs/bounds moved; a generous multiple of the optimality
-  // tolerance absorbs recomputation round-off without letting a genuinely
-  // dual-infeasible basis through.
-  const double tol = 16.0 * kLpOptimalityTol;
-  for (int j = 0; j < num_vars(); ++j) {
-    if (state_[j] == VarState::kBasic || fixed(j)) continue;
-    if (state_[j] == VarState::kAtLower && d_[j] < -tol) return false;
-    if (state_[j] == VarState::kAtUpper && d_[j] > tol) return false;
-  }
-  return true;
 }
 
 // ---- linear algebra ---------------------------------------------------------
@@ -424,9 +408,6 @@ void SimplexCore::finish(LpSolution& out, const LpModel& model,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   stats_.iterations = iterations_;
-  // Only the dual loop tracks its own pivots; everything else (phase 1,
-  // restoration, phase 2, the dual's primal polish) is primal work.
-  stats_.primal_iterations = iterations_ - stats_.dual_iterations;
   out.stats = stats_;
   // Push this core run's counters into the global metrics ONCE, here — the
   // iteration loops stay atomic-free. A warm-fail -> cold-retry solve runs

@@ -1,17 +1,13 @@
 // Shared basis engine of the sparse revised simplex (internal header).
 //
-// SimplexCore owns everything the primal and dual iteration loops have in
-// common: the CSC constraint storage in standard form with its two mirrors
-// (CSR, and a row-order index) for the pivot row, variable bounds and phase
-// costs, the basis arrays, the sparse LU kept alive by Forrest–Tomlin factor
-// updates, warm-start basis import, reduced-cost recomputation, and solution
-// export. The two drivers live in separate translation units:
-//   * simplex.cpp      — run_primal(): two-phase primal simplex with Devex
-//     pricing, the bound-flip ratio test, and artificial-free feasibility
-//     restoration for warm bases whose basic values moved out of bounds;
-//   * dual_simplex.cpp — run_dual(): bounded-variable dual simplex (leaving
-//     row by largest scaled primal infeasibility, dual ratio test with bound
-//     flipping) that adopts a dual-feasible warm basis with no phase-1 work.
+// SimplexCore owns the basis engine: the CSC constraint storage in
+// standard form with its two mirrors (CSR, and a row-order index) for the
+// pivot row, variable bounds and phase costs, the basis arrays, the sparse
+// LU kept alive by Forrest–Tomlin factor updates, warm-start basis import,
+// reduced-cost recomputation, and solution export (simplex_core.cpp). Its
+// driver, run_primal() in simplex.cpp, is the two-phase primal simplex with
+// Devex pricing, the bound-flip ratio test, and artificial-free feasibility
+// restoration for warm bases whose basic values moved out of bounds.
 //
 // Not part of the public API — include lp/simplex.hpp instead.
 #pragma once
@@ -41,32 +37,6 @@ enum class VarState : unsigned char { kAtLower, kAtUpper, kBasic };
 /// rows above half), and loses below it.
 inline constexpr double kColumnPriceDensity = 0.7;
 
-/// One eligible column of the dual ratio test: a_rj (sign included), the
-/// dual step at which its reduced cost reaches zero, and up_j - lo_j.
-struct DualCandidate {
-  int j;
-  double ratio;
-  double row_value;
-  double range;
-};
-
-/// What the dual ratio test picked: the entering column (-1 when passing
-/// every candidate still leaves the row infeasible) and its ratio.
-struct DualEntering {
-  int j = -1;
-  double ratio = 0.0;
-};
-
-/// Bound-flipping dual ratio test with the Harris pass (dual_simplex.cpp)
-/// over `candidates`, which it reorders, for a leaving row `violation` past
-/// its bound. The boxed columns the dual step crosses are written to `flips`
-/// in walk order. Takes the entering column, ratio and flips that sorting
-/// every candidate by (ratio, larger |a_rj|, index) and walking the sorted
-/// list would take, without the sort.
-DualEntering select_dual_entering(std::vector<DualCandidate>& candidates,
-                                  double violation, bool bland, bool harris,
-                                  std::vector<int>& flips);
-
 class SimplexCore {
  public:
   SimplexCore(const LpModel& model, const SimplexOptions& options,
@@ -81,23 +51,9 @@ class SimplexCore {
   /// (the instance's rhs/bounds moved under it).
   [[nodiscard]] bool needs_restoration() const { return needs_restoration_; }
 
-  /// True when the current reduced costs (phase-2 costs, already computed at
-  /// construction) have the optimal signs — every at-lower nonbasic has
-  /// d_j >= -tol and every at-upper nonbasic d_j <= tol. A basis that was
-  /// optimal before a pure rhs/bound perturbation always passes.
-  [[nodiscard]] bool dual_feasible() const;
-
   /// Two-phase primal simplex (phase 1 only from a cold crash basis; warm
   /// bases repair feasibility in place). Defined in simplex.cpp.
   LpSolution run_primal(const LpModel& model);
-
-  /// Bounded-variable dual simplex on the adopted warm basis. Must only be
-  /// called when warm_started() && dual_feasible(). Any outcome other than
-  /// kOptimal/kUnbounded means the caller should fall back to a cold primal
-  /// solve (the dual loop never declares infeasibility itself — drift could
-  /// fake it, and the primal is the authoritative oracle). Defined in
-  /// dual_simplex.cpp.
-  LpSolution run_dual(const LpModel& model);
 
  protected:
   // ---- construction helpers (simplex_core.cpp) ----------------------------
@@ -159,10 +115,10 @@ class SimplexCore {
     score_[sj] = score;
   }
 
-  /// Cooperative deadline probe for the iteration loops. Rate-limited to one
-  /// clock read per 64 calls (the first call always reads, so an
-  /// already-expired budget exits before any pivot); once it fires,
-  /// time_expired() stays true for the rest of this core's life.
+  /// Cooperative deadline probe for the iteration loops, called once per
+  /// pivot. Reads the clock on every call of a core with a budget (a read
+  /// costs tens of ns, a pMCF pivot tens of µs) and never without one; once
+  /// it fires, time_expired() stays true for the rest of this core's life.
   [[nodiscard]] bool time_exceeded();
   [[nodiscard]] bool time_expired() const { return time_expired_; }
 
@@ -174,9 +130,6 @@ class SimplexCore {
   // ---- drivers (simplex.cpp) ----------------------------------------------
   bool restore_feasibility();
   LpStatus iterate_primal();
-
-  // ---- drivers (dual_simplex.cpp) -----------------------------------------
-  LpStatus iterate_dual();
 
   const SimplexOptions options_;
   const int m_;
@@ -191,7 +144,7 @@ class SimplexCore {
   /// global `lp.*` metrics. Plain ints: the iteration loops never touch an
   /// atomic.
   LpStats stats_;
-  /// Which loop currently drives the engine ("phase1", "primal", "dual",
+  /// Which loop currently drives the engine ("phase1", "primal",
   /// "restore") — carried as context on SolverError when the basis goes
   /// singular.
   const char* phase_ = "build";
@@ -201,7 +154,6 @@ class SimplexCore {
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
   bool time_expired_ = false;
-  std::uint32_t deadline_probe_ = ~0u;  ///< ++ wraps to 0: first call probes.
 
   CscMatrix cols_;  ///< structural, slack, then artificial columns.
   CsrMatrix csr_;   ///< row-wise pivot rows.
@@ -227,7 +179,6 @@ class SimplexCore {
   std::vector<double> d_;       ///< maintained reduced costs (nonbasic).
   std::vector<double> weight_;  ///< Devex reference weights (primal, per column).
   std::vector<double> score_;   ///< primal pricing score (refresh_score()).
-  std::vector<double> dual_weight_;  ///< dual Devex weights (per basis row).
   int pricing_cursor_ = 0;  ///< partial-pricing scan position (primal).
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "collectives/demand.hpp"
 #include "graph/algorithms.hpp"
@@ -35,6 +36,37 @@ double initial_length_delta(double epsilon, int num_edges) {
   return std::max(raw, 1e-280);
 }
 
+/// The initial edge lengths delta / c_e and the dual sum_e c_e * l_e they
+/// start at. An edge without capacity gets an infinite length, so no route
+/// takes it, and adds nothing to the dual.
+struct InitialLengths {
+  std::vector<double> length;
+  double dual = 0.0;
+  bool zero_capacity = false;  ///< some edge has no capacity.
+};
+
+InitialLengths initial_lengths(const std::vector<double>& cap, double delta) {
+  InitialLengths out;
+  out.length.resize(cap.size());
+  for (std::size_t e = 0; e < cap.size(); ++e) {
+    if (cap[e] > 0.0) {
+      out.length[e] = delta / cap[e];
+      out.dual += cap[e] * out.length[e];
+    } else {
+      out.length[e] = std::numeric_limits<double>::infinity();
+      out.zero_capacity = true;
+    }
+  }
+  return out;
+}
+
+/// True when every edge of `path` has capacity.
+bool has_capacity(const Path& path, const std::vector<double>& cap) {
+  return std::all_of(path.begin(), path.end(), [&](EdgeId e) {
+    return cap[static_cast<std::size_t>(e)] > 0.0;
+  });
+}
+
 }  // namespace
 
 GroupedFlowSolution fleischer_grouped(const DiGraph& g,
@@ -56,15 +88,25 @@ GroupedFlowSolution fleischer_grouped(const DiGraph& g,
 
   std::vector<double> cap(m);
   for (std::size_t e = 0; e < m; ++e) cap[e] = g.edge(static_cast<int>(e)).capacity;
-  const double delta = initial_length_delta(eps, g.num_edges());
-  std::vector<double> length(m);
+  InitialLengths init = initial_lengths(cap, initial_length_delta(eps, g.num_edges()));
+  std::vector<double> length = std::move(init.length);
   // The dual value sum_e cap_e * length_e only ever grows (lengths are
   // multiplied by factors >= 1), so it is maintained incrementally at every
   // length update instead of re-summing all m edges per phase check.
-  double dual = 0.0;
-  for (std::size_t e = 0; e < m; ++e) {
-    length[e] = delta / cap[e];
-    dual += cap[e] * length[e];
+  double dual = init.dual;
+  if (init.zero_capacity) {
+    // A pair that only zero-capacity edges connect has no route at all.
+    for (int si = 0; si < S; ++si) {
+      const NodeId s = terminals[static_cast<std::size_t>(si)];
+      const DijkstraTree tree = dijkstra_tree(g, s, length);
+      for (int di = 0; di < S; ++di) {
+        if (di == si || (demand != nullptr && demand->at(si, di) <= 0.0)) continue;
+        const NodeId t = terminals[static_cast<std::size_t>(di)];
+        A2A_REQUIRE(std::isfinite(tree.dist[static_cast<std::size_t>(t)]),
+                    "terminal pair (", s, ", ", t,
+                    ") can only be served across zero-capacity edges");
+      }
+    }
   }
 
   std::vector<std::vector<double>> flow(
@@ -172,14 +214,10 @@ PathFlowSolution fleischer_paths(const DiGraph& g, const PathSet& paths,
 
   std::vector<double> cap(m);
   for (std::size_t e = 0; e < m; ++e) cap[e] = g.edge(static_cast<int>(e)).capacity;
-  const double delta = initial_length_delta(eps, g.num_edges());
-  std::vector<double> length(m);
+  InitialLengths init = initial_lengths(cap, initial_length_delta(eps, g.num_edges()));
+  std::vector<double> length = std::move(init.length);
   // Incrementally maintained dual sum_e cap_e * length_e (monotone growing).
-  double dual = 0.0;
-  for (std::size_t e = 0; e < m; ++e) {
-    length[e] = delta / cap[e];
-    dual += cap[e] * length[e];
-  }
+  double dual = init.dual;
 
   PathFlowSolution out;
   out.weights.resize(K);
@@ -190,6 +228,13 @@ PathFlowSolution fleischer_paths(const DiGraph& g, const PathSet& paths,
     A2A_REQUIRE(paths.demand_of(k) >= 0.0, "negative commodity demand");
     total_demand += paths.demand_of(k);
     out.weights[k].assign(paths.candidates[k].size(), 0.0);
+    if (!init.zero_capacity || paths.demand_of(k) <= 0.0) continue;
+    const auto& candidates = paths.candidates[k];
+    A2A_REQUIRE(std::any_of(candidates.begin(), candidates.end(),
+                            [&](const Path& p) { return has_capacity(p, cap); }),
+                "commodity ", k, " (", paths.commodities[k].first, ", ",
+                paths.commodities[k].second,
+                ") can only be served across zero-capacity edges");
   }
   A2A_REQUIRE(total_demand > 0.0, "path set carries no demand");
 

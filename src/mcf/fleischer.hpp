@@ -10,6 +10,10 @@
 // phase routes one unit of demand from a source to *every* sink along the
 // current shortest-path tree, so a phase costs one Dijkstra per source
 // instead of one per commodity.
+//
+// Both modes route no flow over an edge of capacity 0, and throw
+// InvalidArgument for a terminal pair or commodity with demand that only
+// such edges can serve.
 #pragma once
 
 #include <vector>

@@ -127,10 +127,11 @@ constexpr double kCrashEpsilon = 0.05;
 /// set by the most loaded edge, so it is a primal-feasible vertex and
 /// solve_lp() takes it straight into primal phase 2. Relies on
 /// build_path_mcf_model's layout: capacity rows edge by edge, then one
-/// demand row per commodity. An edge without capacity, which the FPTAS
-/// cannot price, gets an empty basis: the slack start. The FPTAS stops at
-/// its first phase boundary past `time_limit_s` (0 = none); the caller
-/// seeds no LP from a crash that ran that long.
+/// demand row per commodity. A graph with an edge without capacity gets an
+/// empty basis, the slack start: the FPTAS rejects a commodity whose every
+/// candidate crosses such an edge, which the LP solves (at F = 0). The
+/// FPTAS stops at its first phase boundary past `time_limit_s` (0 = none);
+/// the caller seeds no LP from a crash that ran that long.
 LpBasis fptas_crash_basis(const DiGraph& g, const PathSet& paths, int f_var,
                           double time_limit_s) {
   A2A_TRACE_SPAN("mcf.crash", "FPTAS crash basis");
@@ -174,8 +175,7 @@ LpBasis fptas_crash_basis(const DiGraph& g, const PathSet& paths, int f_var,
 }
 
 PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
-                                    const SimplexOptions& lp, LpBasis* warm,
-                                    bool throw_on_fail) {
+                                    const SimplexOptions& lp, bool throw_on_fail) {
   const std::size_t K = paths.commodities.size();
   int f_var = -1;
   const LpModel model = build_path_mcf_model(g, paths, &f_var);
@@ -184,27 +184,18 @@ PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
         .count();
   };
-  // Without a caller's basis, start from the FPTAS crash, under the same
-  // wall-clock allowance as the LP. A crash that used all of it (and so may
-  // have been cut short) seeds nothing: the solve reports kTimeLimit, and
-  // every vertex served comes from an FPTAS that ran to completion.
-  LpBasis crash;
-  LpBasis* seed = warm;
-  SimplexOptions options = lp;
-  bool out_of_time = false;
-  if (warm == nullptr || warm->empty()) {
-    crash = fptas_crash_basis(g, paths, f_var, lp.time_limit_s);
-    seed = &crash;
-    options = with_remaining_budget(lp, start);
-    out_of_time = lp.time_limit_s > 0.0 && seconds_since_start() >= lp.time_limit_s;
-  }
+  // Start from the FPTAS crash, under the same wall-clock allowance as the
+  // LP. A crash that used all of it (and so may have been cut short) seeds
+  // nothing: the solve reports kTimeLimit, and every vertex served comes
+  // from an FPTAS that ran to completion.
+  const LpBasis crash = fptas_crash_basis(g, paths, f_var, lp.time_limit_s);
   LpSolution sol;
-  if (out_of_time) {
+  if (lp.time_limit_s > 0.0 && seconds_since_start() >= lp.time_limit_s) {
     sol.status = LpStatus::kTimeLimit;
   } else {
-    sol = solve_lp_warm(model, options, seed);
+    sol = solve_lp(model, with_remaining_budget(lp, start),
+                   crash.empty() ? nullptr : &crash);
   }
-  if (seed == &crash && warm != nullptr && sol.optimal()) *warm = std::move(crash);
   if (throw_on_fail && !sol.optimal()) {
     throw SolverError("path MCF LP failed: " + to_string(sol.status));
   }
@@ -234,13 +225,13 @@ PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
 }  // namespace
 
 PathMcfSolution solve_path_mcf_exact(const DiGraph& g, const PathSet& paths,
-                                     const SimplexOptions& lp, LpBasis* warm) {
-  return solve_path_mcf_impl(g, paths, lp, warm, /*throw_on_fail=*/true);
+                                     const SimplexOptions& lp) {
+  return solve_path_mcf_impl(g, paths, lp, /*throw_on_fail=*/true);
 }
 
 PathMcfSolution solve_path_mcf_budgeted(const DiGraph& g, const PathSet& paths,
-                                        const SimplexOptions& lp, LpBasis* warm) {
-  return solve_path_mcf_impl(g, paths, lp, warm, /*throw_on_fail=*/false);
+                                        const SimplexOptions& lp) {
+  return solve_path_mcf_impl(g, paths, lp, /*throw_on_fail=*/false);
 }
 
 double max_link_load(const DiGraph& g, const PathSet& paths,

@@ -52,22 +52,18 @@ struct PathMcfSolution {
   /// with best-effort weights instead.
   LpStatus status = LpStatus::kOptimal;
 };
-/// A non-null, non-empty `warm` seeds the LP basis — the Fig. 9
-/// disabled-link sweep re-solves the same candidate set under perturbed
-/// capacities, so each step restarts near-optimal. A null or empty `warm`
-/// starts from a crash basis instead: a short FPTAS run (fleischer_paths at
-/// a fixed epsilon) picks each commodity's heaviest candidate, which with F
-/// and the slacks of all but the most loaded edge forms a primal-feasible
-/// vertex; on GenKautz(27,4) it takes 844 pivots where the slack start
-/// takes 5 821. The crash's time counts against
+/// Every solve starts from a crash basis: a short FPTAS run
+/// (fleischer_paths at a fixed epsilon) picks each commodity's heaviest
+/// candidate, which with F and the slacks of all but the most loaded edge
+/// forms a primal-feasible vertex; on GenKautz(27,4) it takes 844 pivots
+/// where the slack start takes 5 821. A graph with a zero-capacity edge
+/// starts from the slack basis instead. The crash's time counts against
 /// SimplexOptions::time_limit_s: its FPTAS stops there, and a crash that
 /// used the whole budget seeds no LP (kTimeLimit), so a vertex served never
-/// depends on timing. A non-null `warm` receives the final basis of an
-/// optimal solve.
+/// depends on timing.
 [[nodiscard]] PathMcfSolution solve_path_mcf_exact(const DiGraph& g,
                                                    const PathSet& paths,
-                                                   const SimplexOptions& lp = {},
-                                                   LpBasis* warm = nullptr);
+                                                   const SimplexOptions& lp = {});
 
 /// Deadline-tolerant variant for online re-scheduling: a non-optimal LP
 /// outcome (e.g. SimplexOptions::time_limit_s expired) is reported via
@@ -76,8 +72,7 @@ struct PathMcfSolution {
 /// infeasible or all-zero and need a downstream repair/validation pass.
 [[nodiscard]] PathMcfSolution solve_path_mcf_budgeted(const DiGraph& g,
                                                       const PathSet& paths,
-                                                      const SimplexOptions& lp = {},
-                                                      LpBasis* warm = nullptr);
+                                                      const SimplexOptions& lp = {});
 
 /// Max per-edge load if each commodity splits its demand (unit, or
 /// PathSet::demands when set) over its candidate paths with the given

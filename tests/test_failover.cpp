@@ -1,7 +1,7 @@
 // Failure-domain fallback library + deadline-bounded re-scheduling.
 //
 // Covers the offline half (signature algebra, domain enumeration, degraded
-// views), the online ladder (precomputed hit -> dual-warm exact -> FPTAS ->
+// views), the online ladder (precomputed hit -> exact re-solve -> FPTAS ->
 // degraded reroute), and the contract every rung shares: whatever is served
 // validates against the DEGRADED topology. Ends with a fault-injection
 // stream of failures and restorations — the miniature of bench_failover.
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -19,6 +20,7 @@
 #include "failover/failure_domain.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/topologies.hpp"
+#include "mcf/path_mcf.hpp"
 #include "runtime/fabric.hpp"
 #include "schedule/validate.hpp"
 
@@ -110,18 +112,6 @@ TEST(FailureDomain, DegradedTopologyRemapAndNodeKill) {
       EXPECT_EQ(degraded.edge(mapped).to, g.edge(e).to);
     }
   }
-}
-
-TEST(FailureDomain, CollapsedTopologyPreservesLpShape) {
-  const DiGraph g = make_generalized_kautz(12, 3);
-  FailureSignature sig;
-  sig.edges = {0, 7};
-  const DiGraph collapsed = collapsed_topology(g, sig, 1e-7);
-  EXPECT_EQ(collapsed.num_edges(), g.num_edges());
-  EXPECT_EQ(collapsed.num_nodes(), g.num_nodes());
-  EXPECT_DOUBLE_EQ(collapsed.edge(0).capacity, 1e-7);
-  EXPECT_DOUBLE_EQ(collapsed.edge(7).capacity, 1e-7);
-  EXPECT_DOUBLE_EQ(collapsed.edge(3).capacity, g.edge(3).capacity);
 }
 
 TEST(FailureDomain, EnumerationCoversSinglesAndRankedPairs) {
@@ -227,6 +217,79 @@ TEST(FailoverLadder, NodeFailureResolvesOnSurvivors) {
   EXPECT_TRUE(std::find(r.schedule.terminals.begin(),
                         r.schedule.terminals.end(),
                         4) == r.schedule.terminals.end());
+}
+
+/// The degraded fabric's candidate set as rung 2 builds it: each surviving
+/// commodity's healthy link-disjoint candidates that avoid every failed
+/// edge, or, when none does, its shortest surviving path.
+PathSet degraded_candidates(const DiGraph& healthy, const FailureSignature& sig,
+                            const DiGraph& degraded,
+                            const std::vector<EdgeId>& remap) {
+  const PathSet healthy_paths = build_disjoint_path_set(healthy, all_nodes(healthy));
+  const std::vector<double> unit(static_cast<std::size_t>(degraded.num_edges()), 1.0);
+  PathSet out;
+  for (std::size_t k = 0; k < healthy_paths.commodities.size(); ++k) {
+    const auto [src, dst] = healthy_paths.commodities[k];
+    if (std::count(sig.nodes.begin(), sig.nodes.end(), src) > 0 ||
+        std::count(sig.nodes.begin(), sig.nodes.end(), dst) > 0) {
+      continue;
+    }
+    std::vector<Path> candidates;
+    for (const Path& path : healthy_paths.candidates[k]) {
+      Path remapped;
+      for (const EdgeId e : path) remapped.push_back(remap[static_cast<std::size_t>(e)]);
+      if (std::count(remapped.begin(), remapped.end(), -1) == 0) {
+        candidates.push_back(std::move(remapped));
+      }
+    }
+    if (candidates.empty()) candidates.push_back(*dijkstra_path(degraded, src, dst, unit));
+    out.commodities.emplace_back(src, dst);
+    out.candidates.push_back(std::move(candidates));
+  }
+  return out;
+}
+
+// Rung 2 solves link and node failures alike from the degraded LP's own
+// crash start; either way it lands on the slack start's optimum.
+TEST(FailoverLadder, ExactRungMatchesTheSlackStartOnTheDegradedFabric) {
+  const DiGraph g = make_generalized_kautz(12, 3);
+  FailoverManager mgr(g, forwarding_fabric(), {});
+  FailureSignature two_links;
+  two_links.edges = {3, 17};
+  FailureSignature node;
+  node.nodes = {4};
+  for (FailureSignature sig : {two_links, node}) {
+    sig.normalize();
+    SCOPED_TRACE(sig.to_string());
+    const FailoverResult r = mgr.reschedule(sig, 5.0);
+    ASSERT_EQ(r.rung, FailoverRung::kDualWarmExact);
+    ASSERT_TRUE(r.validated);
+    std::vector<EdgeId> remap;
+    const DiGraph degraded = degraded_topology(g, sig, &remap);
+    const LpSolution slack =
+        solve_lp(build_path_mcf_model(degraded, degraded_candidates(g, sig, degraded, remap)));
+    ASSERT_TRUE(slack.optimal());
+    EXPECT_NEAR(r.schedule.concurrent_flow, slack.objective, 1e-9 * slack.objective);
+  }
+}
+
+// The healthy baseline takes the pipeline's own solver rule on both sides
+// of exact_master_limit: the exact pMCF at or below it, the FPTAS above.
+TEST(FailoverBaseline, MatchesThePipelineOnBothSidesOfTheExactLimit) {
+  const int limit = ToolchainOptions{}.mcf.exact_master_limit;
+  ASSERT_LT(12, limit);
+  ASSERT_GT(60, limit);
+  for (const int n : {12, 60}) {
+    SCOPED_TRACE("GenKautz(" + std::to_string(n) + ",4)");
+    const DiGraph g = make_generalized_kautz(n, 4);
+    const GeneratedSchedule pipeline =
+        synthesize_schedule(g, forwarding_fabric(), ToolchainOptions{});
+    ASSERT_EQ(pipeline.kind, ScheduleKind::kPathPMcf);
+    const FailoverManager mgr(g, forwarding_fabric(), {});
+    const double f = mgr.healthy_schedule().concurrent_flow;
+    EXPECT_EQ(std::memcmp(&f, &pipeline.concurrent_flow, sizeof f), 0)
+        << f << " vs " << pipeline.concurrent_flow;
+  }
 }
 
 TEST(FailoverLadder, VanishingDeadlineFallsToDegradedRerouteStillValid) {

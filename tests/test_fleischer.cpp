@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "graph/topologies.hpp"
 #include "mcf/path_mcf.hpp"
 
@@ -143,6 +146,86 @@ TEST(Fleischer, GroupedTimeLimitKeepsFeasibility) {
   const auto sol = fleischer_grouped(g, all_nodes(g), options);
   check_grouped_feasible(g, sol);
   EXPECT_GT(sol.concurrent_flow, 0.0);
+}
+
+// An edge of capacity 0 prices at +inf: neither entry point routes over it,
+// and the rest of the fabric still carries the flow.
+TEST(Fleischer, ZeroCapacityEdgeCarriesNoFlow) {
+  DiGraph g = make_generalized_kautz(12, 4);
+  const PathSet set = build_disjoint_path_set(g, all_nodes(g));
+  constexpr EdgeId kDead = 5;
+  g.set_capacity(kDead, 0.0);
+  const double exact = solve_path_mcf_exact(g, set).concurrent_flow;
+  EXPECT_NEAR(exact, 0.130435, 1e-6);
+
+  FleischerOptions options;
+  const auto paths = fleischer_paths(g, set, options);
+  EXPECT_GT(paths.concurrent_flow, 0.0);
+  EXPECT_GE(paths.concurrent_flow, exact * (1.0 - 3 * options.epsilon));
+  EXPECT_LE(paths.concurrent_flow, exact + 1e-6);
+  std::size_t dead_candidates = 0;
+  for (std::size_t k = 0; k < set.candidates.size(); ++k) {
+    for (std::size_t p = 0; p < set.candidates[k].size(); ++p) {
+      const Path& path = set.candidates[k][p];
+      if (std::find(path.begin(), path.end(), kDead) == path.end()) continue;
+      ++dead_candidates;
+      EXPECT_EQ(paths.weights[k][p], 0.0) << "commodity " << k;
+    }
+  }
+  EXPECT_GT(dead_candidates, 0u);
+
+  const auto grouped = fleischer_grouped(g, all_nodes(g), options);
+  EXPECT_GT(grouped.concurrent_flow, 0.0);
+  for (const auto& fs : grouped.per_source) {
+    EXPECT_EQ(fs[static_cast<std::size_t>(kDead)], 0.0);
+  }
+  check_grouped_feasible(g, grouped);
+}
+
+/// The message of the InvalidArgument `solve` throws ("" if none).
+template <typename Solve>
+std::string invalid_argument_message(Solve solve) {
+  try {
+    (void)solve();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Fleischer, DemandOnlyZeroCapacityEdgesServeIsRejected) {
+  DiGraph g = make_generalized_kautz(12, 4);
+  PathSet set = build_disjoint_path_set(g, all_nodes(g));
+  constexpr EdgeId kDead = 5;
+  g.set_capacity(kDead, 0.0);
+  // Leave one commodity only a candidate across the dead edge.
+  std::size_t victim = set.candidates.size();
+  for (std::size_t k = 0; k < set.candidates.size() && victim == set.candidates.size(); ++k) {
+    for (const Path& path : set.candidates[k]) {
+      if (std::find(path.begin(), path.end(), kDead) != path.end()) {
+        set.candidates[k] = {path};
+        victim = k;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(victim, set.candidates.size());
+  const std::string paths_error =
+      invalid_argument_message([&] { return fleischer_paths(g, set); });
+  EXPECT_NE(paths_error.find("commodity " + std::to_string(victim) + " ("),
+            std::string::npos)
+      << paths_error;
+
+  // Node 0's only way out has no capacity: nothing reaches (0, 1).
+  DiGraph line(3);
+  line.add_edge(0, 1, 0.0);
+  line.add_edge(1, 2);
+  line.add_edge(2, 1);
+  line.add_edge(1, 0);
+  const std::string grouped_error =
+      invalid_argument_message([&] { return fleischer_grouped(line, all_nodes(line)); });
+  EXPECT_NE(grouped_error.find("terminal pair (0, 1)"), std::string::npos)
+      << grouped_error;
 }
 
 TEST(Fleischer, GroupedWithTerminalSubset) {

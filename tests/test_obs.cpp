@@ -307,8 +307,6 @@ TEST(Obs, SolveStatsMatchGlobalCounterDeltas) {
   EXPECT_EQ(delta("lp.refactorizations"), sol.stats.refactorizations);
   EXPECT_EQ(delta("lp.ft_updates"), sol.stats.ft_updates);
   EXPECT_EQ(sol.iterations, sol.stats.iterations);
-  EXPECT_EQ(sol.stats.primal_iterations + sol.stats.dual_iterations,
-            sol.stats.iterations);
 }
 
 }  // namespace

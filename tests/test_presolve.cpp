@@ -179,7 +179,7 @@ TEST(Presolve, OnAndOffAgreeOnMcfModels) {
 TEST(Presolve, WarmBasisThreadsThroughPerturbedResolves) {
   // The Fig. 9 pattern under presolve: the reductions are structural, so
   // the full-model basis maps into every scenario's reduced space and the
-  // dual-warm re-solve stays cheaper than cold.
+  // warm re-solve stays cheaper than cold.
   const DiGraph base = make_generalized_kautz(10, 4);
   const auto nodes = all_nodes(base);
   LpBasis warm;

@@ -356,14 +356,12 @@ TEST(SimplexWarmStart, McfEntryPointsRoundTripBases) {
   EXPECT_EQ(b.lp_iterations, 0);
 }
 
-/// bench_lp's full-size Fig. 9 sweep: scenario 1 collapses one GenKautz(27,4)
-/// link drawn by Rng(4242). Warm-starting its primal solve from scenario 0's
-/// slack-start optimal basis once drove the basis numerically singular
-/// (elimination column 805 of 806) and cost a cold retry. The re-solve goes
-/// through the warm rule, the path failover runs. A tripwire for the LU's
-/// bump order, not a proof that warm solves never collapse. The twin starts
-/// from the optimum solve_path_mcf_exact reaches from its FPTAS crash, the
-/// basis failover re-solves now warm from.
+/// The full-size Fig. 9 sweep bench_lp once ran warm: scenario 1 collapses
+/// one GenKautz(27,4) link drawn by Rng(4242). Warm-starting its primal
+/// solve from scenario 0's slack-start optimal basis once drove the basis
+/// numerically singular (elimination column 805 of 806) and cost a cold
+/// retry. A tripwire for the LU's bump order under a warm re-solve, not a
+/// proof that warm solves never collapse.
 TEST(SimplexWarmStart, Fig9SweepScenarioOneDoesNotCollapse) {
   const DiGraph base = make_generalized_kautz(27, 4);
   const PathSet candidates = build_disjoint_path_set(base, all_nodes(base));
@@ -372,25 +370,19 @@ TEST(SimplexWarmStart, Fig9SweepScenarioOneDoesNotCollapse) {
   g.set_capacity(static_cast<EdgeId>(rng.next_below(
                      static_cast<std::uint64_t>(g.num_edges()))),
                  1e-6);
-  const LpSolution reference = solve_lp(build_path_mcf_model(g, candidates));
+  const LpModel model = build_path_mcf_model(g, candidates);
+  const LpSolution reference = solve_lp(model);
   ASSERT_TRUE(reference.optimal());
-  const obs::Counter& retries =
-      obs::MetricsRegistry::global().counter("lp.cold_retries");
-  const auto expect_clean_resolve = [&](LpBasis basis) {
-    ASSERT_FALSE(basis.empty());
-    const std::uint64_t retries_before = retries.value();
-    const auto warm = solve_path_mcf_exact(g, candidates, {}, &basis);
-    EXPECT_EQ(retries.value() - retries_before, 0u);
-    EXPECT_NEAR(warm.concurrent_flow, reference.objective, 1e-6);
-  };
-
   const LpSolution slack = solve_lp(build_path_mcf_model(base, candidates));
   ASSERT_TRUE(slack.optimal());
-  expect_clean_resolve(slack.basis);
-
-  LpBasis crashed;
-  (void)solve_path_mcf_exact(base, candidates, {}, &crashed);
-  expect_clean_resolve(std::move(crashed));
+  const obs::Counter& retries =
+      obs::MetricsRegistry::global().counter("lp.cold_retries");
+  const std::uint64_t retries_before = retries.value();
+  const LpSolution warm = solve_lp(model, {}, &slack.basis);
+  ASSERT_TRUE(warm.optimal());
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(retries.value() - retries_before, 0u);
+  EXPECT_NEAR(warm.objective, reference.objective, 1e-6);
 }
 
 // ---- degenerate and bound-flip pivot paths --------------------------------
@@ -490,9 +482,9 @@ TEST(SimplexCycling, BealeWarmRestorationSurvivesDegeneracy) {
   // Re-solve Beale's LP from its own optimal (degenerate) basis after
   // tightening row 1 to -0.04, which drives a basic value out of bounds, and
   // rewarding x4 (cost 6 -> -4.75), which flips its reduced cost. The basis
-  // is then primal and dual infeasible, so the warm rule must repair it
-  // with the primal's feasibility restoration rather than run the dual or
-  // drop it for a cold solve.
+  // is then primal and dual infeasible, so the warm start must repair it
+  // with the primal's feasibility restoration rather than drop it for a
+  // cold solve.
   const LpSolution first = solve_lp(beale_lp());
   ASSERT_TRUE(first.optimal());
   const LpModel perturbed = beale_lp(-0.04, -4.75);
@@ -503,14 +495,12 @@ TEST(SimplexCycling, BealeWarmRestorationSurvivesDegeneracy) {
   const lp_detail::SimplexCore probe(perturbed, no_presolve, &first.basis);
   ASSERT_TRUE(probe.warm_started());
   ASSERT_TRUE(probe.needs_restoration());
-  ASSERT_FALSE(probe.dual_feasible());
 
   const LpSolution cold = solve_lp(perturbed);
   const LpSolution warm = solve_lp(perturbed, no_presolve, &first.basis);
   ASSERT_TRUE(cold.optimal());
   ASSERT_TRUE(warm.optimal());
   EXPECT_TRUE(warm.warm_started);
-  EXPECT_FALSE(warm.stats.dual_used);
   EXPECT_GE(warm.iterations, 1);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
 }
@@ -529,7 +519,6 @@ TEST(SimplexCycling, PresolvedBealeBasisIsOptimalWithAndWithoutPresolve) {
   const lp_detail::SimplexCore probe(beale, no_presolve, &first.basis);
   ASSERT_TRUE(probe.warm_started());
   EXPECT_FALSE(probe.needs_restoration());
-  EXPECT_TRUE(probe.dual_feasible());
   for (const SimplexOptions& options : {SimplexOptions{}, no_presolve}) {
     SCOPED_TRACE(options.presolve ? "presolve on" : "presolve off");
     const LpSolution again = solve_lp(beale, options, &first.basis);
@@ -540,14 +529,14 @@ TEST(SimplexCycling, PresolvedBealeBasisIsOptimalWithAndWithoutPresolve) {
   }
 }
 
-// ---- dual simplex ----------------------------------------------------------
+// ---- warm re-solves of perturbed instances ----------------------------------
 
-/// The tentpole property: after tightening capacities under an optimal
-/// basis (the Fig. 9 move), the basis stays dual feasible and the dual
-/// simplex must reach the same optimum a cold solve finds, on every seed.
-class DualSimplexCapacitySweep : public ::testing::TestWithParam<int> {};
+/// After tightening capacities under an optimal basis (the Fig. 9 move), a
+/// warm re-solve must reach the same optimum a cold solve finds, on every
+/// seed.
+class SimplexWarmCapacitySweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(DualSimplexCapacitySweep, TightenedResolveMatchesCold) {
+TEST_P(SimplexWarmCapacitySweep, TightenedResolveMatchesCold) {
   Rng rng(static_cast<std::uint64_t>(500 + GetParam()));
   const DiGraph base = make_random_regular(8, 3, rng);
   const LpModel base_model =
@@ -564,28 +553,18 @@ TEST_P(DualSimplexCapacitySweep, TightenedResolveMatchesCold) {
   }
   const LpModel perturbed = build_link_mcf_model(g, TerminalPairs(all_nodes(g)));
   const LpSolution cold = solve_lp(perturbed);
-  const LpSolution dual = solve_lp(perturbed, {}, &first.basis);
+  const LpSolution warm = solve_lp(perturbed, {}, &first.basis);
   ASSERT_TRUE(cold.optimal());
-  ASSERT_TRUE(dual.optimal());
-  EXPECT_NEAR(dual.objective, cold.objective,
+  ASSERT_TRUE(warm.optimal());
+  EXPECT_NEAR(warm.objective, cold.objective,
               1e-6 * std::max(1.0, std::abs(cold.objective)));
-  // The warm rule: the dual drives the re-solve exactly when the tightened
-  // capacities push the old optimal basis out of primal feasibility (only
-  // the rhs moved, so it stays dual feasible).
-  SimplexOptions no_presolve;
-  no_presolve.presolve = false;
-  const lp_detail::SimplexCore probe(perturbed, no_presolve, &first.basis);
-  ASSERT_TRUE(probe.warm_started());
-  ASSERT_TRUE(probe.dual_feasible());
-  EXPECT_EQ(dual.stats.dual_used, probe.needs_restoration());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DualSimplexCapacitySweep, ::testing::Range(0, 10));
+INSTANTIATE_TEST_SUITE_P(Seeds, SimplexWarmCapacitySweep, ::testing::Range(0, 10));
 
-TEST(DualSimplex, BoundFlipHeavyBoxes) {
-  // Boxed LP whose re-solve shrinks the shared capacity: restoring
-  // feasibility in the dual requires crossing many boxed columns in the
-  // ratio test, exercising the bound-flipping walk.
+TEST(SimplexWarmStart, BoundFlipHeavyBoxes) {
+  // Boxed LP whose re-solve shrinks the shared capacity under the old
+  // optimum, which saturated 18 of 24 boxed columns.
   const int n = 24;
   LpModel m(Sense::kMaximize);
   const int cap = m.add_row(RowType::kLessEqual, 18.0);
@@ -605,23 +584,19 @@ TEST(DualSimplex, BoundFlipHeavyBoxes) {
     tight.add_coefficient(cap2, v, 1.0);
   }
   const LpSolution cold = solve_lp(tight);
-  const LpSolution dual = solve_lp(tight, {}, &first.basis);
+  const LpSolution warm = solve_lp(tight, {}, &first.basis);
   ASSERT_TRUE(cold.optimal());
-  ASSERT_TRUE(dual.optimal());
-  EXPECT_TRUE(dual.warm_started);
-  // Shrinking the capacity leaves the old basis primal infeasible and dual
-  // feasible, which is the dual's case.
-  EXPECT_TRUE(dual.stats.dual_used);
-  EXPECT_NEAR(dual.objective, cold.objective, 1e-7);
+  ASSERT_TRUE(warm.optimal());
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
   // The five highest-value columns fill the shrunk capacity.
-  EXPECT_NEAR(dual.objective, 5.0 + 0.002 * (23 + 22 + 21 + 20 + 19), 1e-6);
+  EXPECT_NEAR(warm.objective, 5.0 + 0.002 * (23 + 22 + 21 + 20 + 19), 1e-6);
 }
 
-TEST(DualSimplex, DualInfeasibleWarmBasisFallsBackToPrimal) {
+TEST(SimplexWarmStart, ObjectiveFlipResolveMatchesCold) {
   // Flip the objective after the first solve: the old basis keeps primal
-  // feasibility but its reduced costs have the wrong signs, so the warm rule
-  // must land on the primal path — transparently, with the same optimum a
-  // cold solve finds.
+  // feasibility but its reduced costs have the wrong signs, so phase 2
+  // starts from it and must reach the same optimum a cold solve finds.
   const DiGraph g = make_ring(5);
   LpModel model = build_link_mcf_model(g, TerminalPairs(all_nodes(g)));
   const LpSolution first = solve_lp(model);
@@ -635,11 +610,10 @@ TEST(DualSimplex, DualInfeasibleWarmBasisFallsBackToPrimal) {
   ASSERT_TRUE(cold.optimal());
   ASSERT_TRUE(warm.optimal());
   EXPECT_TRUE(warm.warm_started);
-  EXPECT_FALSE(warm.stats.dual_used);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
 }
 
-TEST(DualSimplex, TsMcfCapacityUpdateViaEntryPoint) {
+TEST(SimplexWarmStart, TsMcfCapacityUpdateViaEntryPoint) {
   // End-to-end through solve_tsmcf_exact: warm basis round-trips across a
   // capacity update with the objective a cold pipeline finds.
   const DiGraph g = make_ring(5);
@@ -651,9 +625,9 @@ TEST(DualSimplex, TsMcfCapacityUpdateViaEntryPoint) {
   DiGraph tight = g;
   tight.set_capacity(0, 0.5);
   const auto cold = solve_tsmcf_exact(tight, steps, all_nodes(tight));
-  const auto dual = solve_tsmcf_exact(tight, steps, all_nodes(tight), {}, &warm);
-  EXPECT_NEAR(dual.total_utilization, cold.total_utilization, 1e-6);
-  EXPECT_GE(dual.total_utilization, first.total_utilization - 1e-9);
+  const auto again = solve_tsmcf_exact(tight, steps, all_nodes(tight), {}, &warm);
+  EXPECT_NEAR(again.total_utilization, cold.total_utilization, 1e-6);
+  EXPECT_GE(again.total_utilization, first.total_utilization - 1e-9);
 }
 
 TEST(SimplexBoundFlip, FlipOnlySolveLeavesBasisUntouched) {
@@ -769,7 +743,6 @@ TEST(SimplexDeadline, MergeFailedAttemptFoldsForensicsIntoStats) {
   LpSolution out;
   out.iterations = 10;
   out.stats.iterations = 10;
-  out.stats.primal_iterations = 10;
   out.stats.ft_updates = 4;
   SolverErrorContext context;
   context.iterations = 7;
@@ -779,7 +752,7 @@ TEST(SimplexDeadline, MergeFailedAttemptFoldsForensicsIntoStats) {
   context.bland_episodes = 1;
   context.degenerate_pivots = 6;
   context.column_priced_rows = 4;
-  context.phase = "dual";
+  context.phase = "restore";
   const std::uint64_t ft_updates_before = counter_value("lp.ft_updates");
   const std::uint64_t ft_refusals_before = counter_value("lp.ft_refusals");
   const std::uint64_t bland_before = counter_value("lp.bland_episodes");
@@ -788,8 +761,6 @@ TEST(SimplexDeadline, MergeFailedAttemptFoldsForensicsIntoStats) {
   lp_detail::merge_failed_attempt(out, context);
   EXPECT_EQ(out.iterations, 17);
   EXPECT_EQ(out.stats.iterations, 17);
-  EXPECT_EQ(out.stats.dual_iterations, 7);
-  EXPECT_EQ(out.stats.primal_iterations, 10);
   EXPECT_EQ(out.stats.refactorizations, 3);
   EXPECT_EQ(out.stats.ft_updates, 9);
   EXPECT_EQ(out.stats.ft_refusals, 2);

@@ -1,13 +1,10 @@
 // Pins "same pivots": the sparse simplex's pivot rules must choose exactly
 // what the rules they replaced chose, bit for bit.
-//   * The dual ratio test's selection (select_dual_entering) against the
-//     sort-based selection it replaced, kept here as the reference: same
-//     entering column, same ratio, same flips in the same order.
 //   * The column-wise and row-wise pivot rows (SimplexCore::price_out)
 //     against each other and against a reference that sums each a_rj in
 //     ascending row order and skips rho entries below kLpDropTol.
-//   * The LpStats of four pMCF solves, read while the sort-based selection
-//     and the CSR-only pivot row were still in place.
+//   * The LpStats of two cold pMCF solves, read while the CSR-only pivot row
+//     was still in place.
 //   * What lp.degenerate_pivots and lp.column_priced_rows count.
 #include <gtest/gtest.h>
 
@@ -19,7 +16,6 @@
 #include <vector>
 
 #include "common/random.hpp"
-#include "failover/failure_domain.hpp"
 #include "graph/topologies.hpp"
 #include "lp/simplex.hpp"
 #include "lp/simplex_core.hpp"
@@ -30,9 +26,6 @@
 namespace a2a {
 namespace {
 
-using lp_detail::DualCandidate;
-using lp_detail::DualEntering;
-
 std::uint64_t bits(double d) {
   std::uint64_t u = 0;
   std::memcpy(&u, &d, sizeof u);
@@ -41,175 +34,6 @@ std::uint64_t bits(double d) {
 
 std::uint64_t counter_value(const char* name) {
   return obs::MetricsRegistry::global().counter(name).value();
-}
-
-// ---- dual ratio test --------------------------------------------------------
-
-struct ReferencePick {
-  DualEntering pick;
-  std::vector<int> flips;
-  std::size_t passed = 0;      ///< candidates the walk passed.
-  bool harris_moved = false;   ///< Harris replaced the walk's choice.
-};
-
-/// The dual ratio test as it was: sort every candidate, walk the sorted
-/// list, refine with Harris, then flip the passed candidates the step
-/// crosses.
-ReferencePick reference_select(std::vector<DualCandidate> candidates,
-                               double violation, bool bland, bool harris) {
-  if (bland) {
-    std::sort(candidates.begin(), candidates.end(),
-              [](const DualCandidate& a, const DualCandidate& b) {
-                return a.ratio != b.ratio ? a.ratio < b.ratio : a.j < b.j;
-              });
-  } else {
-    std::sort(candidates.begin(), candidates.end(),
-              [](const DualCandidate& a, const DualCandidate& b) {
-                if (a.ratio != b.ratio) return a.ratio < b.ratio;
-                const double am = std::abs(a.row_value);
-                const double bm = std::abs(b.row_value);
-                return am != bm ? am > bm : a.j < b.j;
-              });
-  }
-  ReferencePick out;
-  const double ftol = kLpFeasibilityTol;
-  int entering = -1;
-  double entering_ratio = 0.0;
-  double remaining = violation;
-  std::size_t passed = 0;
-  for (const DualCandidate& c : candidates) {
-    const double absorb = std::abs(c.row_value) * c.range;
-    if (!bland && c.range < kInfinity && remaining - absorb > ftol) {
-      ++passed;
-      remaining -= absorb;
-      continue;
-    }
-    entering = c.j;
-    entering_ratio = c.ratio;
-    break;
-  }
-  out.passed = passed;
-  if (harris && !bland && entering >= 0) {
-    const double dtol = kLpOptimalityTol;
-    double theta_rel = kInfinity;
-    for (std::size_t c = passed; c < candidates.size(); ++c) {
-      theta_rel = std::min(
-          theta_rel,
-          candidates[c].ratio + dtol / std::abs(candidates[c].row_value));
-    }
-    double best_piv = std::abs(candidates[passed].row_value);
-    for (std::size_t c = passed + 1; c < candidates.size(); ++c) {
-      if (candidates[c].ratio > theta_rel) continue;
-      const double piv = std::abs(candidates[c].row_value);
-      if (piv <= best_piv) continue;
-      const double range = candidates[c].range;
-      if (range < kInfinity && piv * range < remaining - ftol) continue;
-      best_piv = piv;
-      entering = candidates[c].j;
-      entering_ratio = candidates[c].ratio;
-      out.harris_moved = true;
-    }
-  }
-  if (entering < 0) return out;
-  for (std::size_t c = 0; c < passed; ++c) {
-    if (candidates[c].ratio < entering_ratio - kLpDropTol) {
-      out.flips.push_back(candidates[c].j);
-    }
-  }
-  out.pick = {entering, entering_ratio};
-  return out;
-}
-
-/// Candidates drawn from small value pools, so that ratios tie exactly and
-/// within the Harris window, |a_rj| ties, and boxed ranges are sometimes
-/// narrow enough for the walk to pass them and sometimes wide enough to stop
-/// it.
-std::vector<DualCandidate> random_candidates(Rng& rng) {
-  static const double kRatios[] = {0.0, 0.0, 0.5, 0.5, 0.5 + 1e-13,
-                                   0.5 + 2e-8, 1.0, 1.0 + 5e-8, 2.0};
-  static const double kPivots[] = {1e-8, 0.25, 1.0, 1.0, 3.0};
-  static const double kRanges[] = {0.1, 0.5, 1.0, 4.0};
-  const int n = rng.next_int(1, 40);
-  std::vector<int> ids(200);
-  std::iota(ids.begin(), ids.end(), 0);
-  rng.shuffle(ids);
-  std::vector<DualCandidate> out;
-  for (int c = 0; c < n; ++c) {
-    DualCandidate cand{};
-    cand.j = ids[static_cast<std::size_t>(c)];
-    cand.ratio = rng.next_below(5) == 0 ? 3.0 * rng.next_double()
-                                        : kRatios[rng.next_below(9)];
-    const double piv = rng.next_below(5) == 0 ? 0.1 + rng.next_double()
-                                              : kPivots[rng.next_below(5)];
-    cand.row_value = rng.next_below(2) == 0 ? piv : -piv;
-    cand.range = rng.next_below(3) == 0 ? kInfinity : kRanges[rng.next_below(4)];
-    out.push_back(cand);
-  }
-  return out;
-}
-
-TEST(DualRatioTest, MatchesTheSortBasedSelection) {
-  Rng rng(0xD0A1);
-  long long passed_some = 0;
-  long long stopped_at_boxed = 0;
-  long long exhausted = 0;
-  long long harris_moves = 0;
-  long long flipped = 0;
-  std::vector<int> flips;
-  for (int trial = 0; trial < 20000; ++trial) {
-    std::vector<DualCandidate> candidates = random_candidates(rng);
-    const double violation = 0.05 + 5.0 * rng.next_double();
-    const bool bland = rng.next_below(4) == 0;
-    const bool harris = rng.next_below(4) != 0;
-    const ReferencePick want =
-        reference_select(candidates, violation, bland, harris);
-    const DualEntering got = lp_detail::select_dual_entering(
-        candidates, violation, bland, harris, flips);
-    SCOPED_TRACE(::testing::Message() << "trial " << trial << " bland " << bland
-                                      << " harris " << harris);
-    ASSERT_EQ(got.j, want.pick.j);
-    ASSERT_EQ(bits(got.ratio), bits(want.pick.ratio));
-    ASSERT_EQ(flips, want.flips);
-    if (want.passed > 0) ++passed_some;
-    if (want.pick.j < 0) ++exhausted;
-    if (want.harris_moved) ++harris_moves;
-    if (!want.flips.empty()) ++flipped;
-    for (const DualCandidate& c : candidates) {
-      if (c.j == want.pick.j && c.range < kInfinity && !want.harris_moved) {
-        ++stopped_at_boxed;
-      }
-    }
-  }
-  // Every branch of the walk must actually be exercised.
-  EXPECT_GT(passed_some, 1000);
-  EXPECT_GT(stopped_at_boxed, 1000);
-  EXPECT_GT(exhausted, 100);
-  EXPECT_GT(harris_moves, 300);
-  EXPECT_GT(flipped, 500);
-}
-
-TEST(DualRatioTest, BreaksTiesLikeTheSortBasedSelection) {
-  // Equal ratios: the larger |a_rj| enters, and among equal |a_rj| the lower
-  // index — Harris included, since every candidate sits in its window.
-  std::vector<DualCandidate> tied = {{7, 0.0, -1.0, kInfinity},
-                                     {3, 0.0, 1.0, kInfinity},
-                                     {5, 0.0, 0.5, kInfinity}};
-  std::vector<int> flips;
-  for (const bool harris : {false, true}) {
-    std::vector<DualCandidate> c = tied;
-    EXPECT_EQ(lp_detail::select_dual_entering(c, 1.0, false, harris, flips).j, 3);
-  }
-  // Under Bland's rule |a_rj| plays no part: the lowest index enters.
-  std::vector<DualCandidate> c = tied;
-  EXPECT_EQ(lp_detail::select_dual_entering(c, 1.0, true, false, flips).j, 3);
-  c = {{7, 0.0, -3.0, kInfinity}, {9, 0.0, 1.0, kInfinity}};
-  EXPECT_EQ(lp_detail::select_dual_entering(c, 1.0, true, false, flips).j, 7);
-  // A narrow boxed column is passed and flipped; the next one enters.
-  c = {{4, 0.5, 2.0, kInfinity}, {2, 0.25, 1.0, 0.1}};
-  const DualEntering pick =
-      lp_detail::select_dual_entering(c, 1.0, false, false, flips);
-  EXPECT_EQ(pick.j, 4);
-  EXPECT_EQ(flips, std::vector<int>{2});
 }
 
 // ---- pivot row: column-wise vs row-wise -------------------------------------
@@ -357,8 +181,6 @@ TEST(PivotRowMirrors, ColumnAndRowWiseGiveTheSameBits) {
 
 struct PinnedStats {
   long long iterations;
-  long long primal_iterations;
-  long long dual_iterations;
   long long refactorizations;
   long long ft_updates;
   std::uint64_t objective_bits;
@@ -367,15 +189,13 @@ struct PinnedStats {
 void expect_pinned(const LpSolution& s, const PinnedStats& want) {
   ASSERT_TRUE(s.optimal());
   EXPECT_EQ(s.stats.iterations, want.iterations);
-  EXPECT_EQ(s.stats.primal_iterations, want.primal_iterations);
-  EXPECT_EQ(s.stats.dual_iterations, want.dual_iterations);
   EXPECT_EQ(s.stats.refactorizations, want.refactorizations);
   EXPECT_EQ(s.stats.ft_updates, want.ft_updates);
   EXPECT_EQ(bits(s.objective), want.objective_bits);
 }
 
 /// The GenKautz(n, d) pMCF LP over link-disjoint candidates, and the same
-/// LP with links 3 and 17 collapsed as failover re-solves it.
+/// LP with the capacity of links 3 and 17 collapsed to 1e-7.
 struct PmcfPair {
   LpModel healthy;
   LpModel collapsed;
@@ -384,33 +204,22 @@ struct PmcfPair {
 PmcfPair pmcf_pair(int n, int d) {
   const DiGraph g = make_generalized_kautz(n, d);
   const PathSet paths = build_disjoint_path_set(g, all_nodes(g));
-  FailureSignature sig;
-  sig.edges = {3, 17};
-  sig.normalize();
-  return {build_path_mcf_model(g, paths),
-          build_path_mcf_model(collapsed_topology(g, sig), paths)};
+  DiGraph collapsed = g;
+  for (const EdgeId e : {3, 17}) collapsed.set_capacity(e, 1e-7);
+  return {build_path_mcf_model(g, paths), build_path_mcf_model(collapsed, paths)};
 }
 
-/// Default options, presolve on: the cold solve, then the collapsed LP
-/// dual-warm from the cold basis. Read before the sort-free ratio test,
-/// the column-wise pivot row and argmax pricing went in; any change of a
-/// pivot shows here.
+/// Default options, presolve on: the cold solve from the slack basis. Read
+/// before the column-wise pivot row and argmax pricing went in; any change
+/// of a pivot shows here.
 TEST(PinnedLpStats, GenKautz12) {
   const PmcfPair lp = pmcf_pair(12, 3);
-  const LpSolution cold = solve_lp(lp.healthy);
-  expect_pinned(cold, {402, 402, 0, 13, 402, 0x3fc364d9364d9363ull});
-  const LpSolution warm = solve_lp(lp.collapsed, {}, &cold.basis);
-  EXPECT_TRUE(warm.stats.dual_used);
-  expect_pinned(warm, {122, 0, 122, 4, 122, 0x3fbc2ef90fd6d866ull});
+  expect_pinned(solve_lp(lp.healthy), {402, 13, 402, 0x3fc364d9364d9363ull});
 }
 
 TEST(PinnedLpStats, GenKautz27) {
   const PmcfPair lp = pmcf_pair(27, 4);
-  const LpSolution cold = solve_lp(lp.healthy);
-  expect_pinned(cold, {5821, 5821, 0, 77, 5821, 0x3fb0e97366227cafull});
-  const LpSolution warm = solve_lp(lp.collapsed, {}, &cold.basis);
-  EXPECT_TRUE(warm.stats.dual_used);
-  expect_pinned(warm, {1074, 8, 1066, 15, 1074, 0x3faeb68fb02a7d3aull});
+  expect_pinned(solve_lp(lp.healthy), {5821, 77, 5821, 0x3fb0e97366227cafull});
 }
 
 // ---- counters ---------------------------------------------------------------
@@ -432,13 +241,14 @@ TEST(PivotCounters, DegeneratePivotsAndColumnPricedRowsMatchTheirCounters) {
             static_cast<std::uint64_t>(cold.stats.degenerate_pivots));
   EXPECT_EQ(counter_value("lp.column_priced_rows") - column_before,
             static_cast<std::uint64_t>(cold.stats.column_priced_rows));
-  // The dual-warm re-solve: its cost perturbation keeps every dual step
-  // strictly positive, and its primal polish moves too.
+  // The collapsed LP warm from the cold basis: the primal's restoration,
+  // then phase 2.
   const std::uint64_t degenerate_mid = counter_value("lp.degenerate_pivots");
   const std::uint64_t column_mid = counter_value("lp.column_priced_rows");
   const LpSolution warm = solve_lp(lp.collapsed, {}, &cold.basis);
-  ASSERT_TRUE(warm.stats.dual_used);
-  EXPECT_EQ(warm.stats.degenerate_pivots, 0);
+  ASSERT_TRUE(warm.optimal());
+  ASSERT_TRUE(warm.warm_started);
+  EXPECT_GT(warm.stats.degenerate_pivots, 0);
   EXPECT_GT(warm.stats.column_priced_rows, 0);
   EXPECT_EQ(counter_value("lp.degenerate_pivots") - degenerate_mid,
             static_cast<std::uint64_t>(warm.stats.degenerate_pivots));
