@@ -37,6 +37,7 @@ namespace {
 
 struct RungStats {
   std::vector<double> seconds;
+  double flow_sum = 0.0;  ///< served F, summed over the events this rung served.
 
   void add(double s) { seconds.push_back(s); }
   [[nodiscard]] double mean() const {
@@ -44,6 +45,9 @@ struct RungStats {
     double sum = 0.0;
     for (const double s : seconds) sum += s;
     return sum / static_cast<double>(seconds.size());
+  }
+  [[nodiscard]] double mean_flow() const {
+    return seconds.empty() ? 0.0 : flow_sum / static_cast<double>(seconds.size());
   }
   [[nodiscard]] double percentile(double p) const {
     if (seconds.empty()) return 0.0;
@@ -109,7 +113,9 @@ StreamResult drive_event_stream(FailoverManager& mgr, const DiGraph& g,
 
     const FailoverResult r = mgr.reschedule(sig, deadline);
     ++out.served;
-    out.per_rung[static_cast<int>(r.rung)].add(r.elapsed_s);
+    RungStats& rung = out.per_rung[static_cast<int>(r.rung)];
+    rung.add(r.elapsed_s);
+    rung.flow_sum += r.schedule.concurrent_flow;
     // Re-validate independently: the bench trusts nothing the ladder says.
     const bool valid =
         r.schedule.path.has_value() &&
@@ -139,7 +145,7 @@ std::string format_seconds(double s) {
 
 void print_stream(const char* label, const StreamResult& s) {
   std::cout << "\n--- " << label << " ---\n";
-  Table table({"rung", "count", "mean", "min", "p50", "p99", "max"});
+  Table table({"rung", "count", "mean", "min", "p50", "p99", "max", "mean_F"});
   for (int rung = 0; rung < 4; ++rung) {
     const RungStats& st = s.per_rung[rung];
     table.row()
@@ -149,7 +155,8 @@ void print_stream(const char* label, const StreamResult& s) {
         .cell(format_seconds(st.min()))
         .cell(format_seconds(st.percentile(0.5)))
         .cell(format_seconds(st.percentile(0.99)))
-        .cell(format_seconds(st.max()));
+        .cell(format_seconds(st.max()))
+        .cell(st.mean_flow(), 6);
   }
   table.print(std::cout);
   std::cout << "served " << s.served << ", invalid " << s.invalid_served
@@ -168,7 +175,8 @@ void stream_json(std::ostringstream& js, const StreamResult& s) {
        << ", \"mean_s\": " << st.mean() << ", \"min_s\": " << st.min()
        << ", \"p50_s\": " << st.percentile(0.5)
        << ", \"p99_s\": " << st.percentile(0.99)
-       << ", \"max_s\": " << st.max() << "}" << (rung + 1 < 4 ? ", " : "");
+       << ", \"max_s\": " << st.max() << ", \"mean_F\": " << st.mean_flow()
+       << "}" << (rung + 1 < 4 ? ", " : "");
   }
   js << "}}";
 }

@@ -113,17 +113,6 @@ double DemandMatrix::col_sum(int di) const {
   return t;
 }
 
-std::vector<DemandMatrix::Entry> DemandMatrix::positive_entries() const {
-  std::vector<Entry> out;
-  for (int i = 0; i < n_; ++i) {
-    for (int j = 0; j < n_; ++j) {
-      const double w = at(i, j);
-      if (w > 0.0) out.push_back(Entry{i, j, w});
-    }
-  }
-  return out;
-}
-
 DemandSpec DemandSpec::parse(std::string_view spec) {
   DemandSpec out;
   const std::size_t colon = spec.find(':');

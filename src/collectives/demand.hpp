@@ -60,14 +60,6 @@ class DemandMatrix {
   [[nodiscard]] double row_sum(int si) const;
   [[nodiscard]] double col_sum(int di) const;
 
-  /// Sparse view: (si, di, weight) of every positive entry.
-  struct Entry {
-    int src = 0;
-    int dst = 0;
-    double weight = 0.0;
-  };
-  [[nodiscard]] std::vector<Entry> positive_entries() const;
-
  private:
   int n_ = 0;
   std::vector<double> weights_;  ///< row-major n x n, diagonal 0.

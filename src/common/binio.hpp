@@ -57,9 +57,4 @@ inline void put_i64(std::string& out, std::int64_t v) {
   return v;
 }
 
-[[nodiscard]] inline std::int64_t read_i64(std::string_view bytes,
-                                           std::size_t& pos) {
-  return static_cast<std::int64_t>(read_uint(bytes, pos, 8));
-}
-
 }  // namespace a2a::binio

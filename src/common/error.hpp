@@ -40,7 +40,7 @@ struct SolverErrorContext {
   long long bland_episodes = -1;    ///< switches to Bland's rule.
   long long degenerate_pivots = -1;   ///< zero-step pivots.
   long long column_priced_rows = -1;  ///< column-wise pivot rows.
-  const char* phase = "";  ///< "phase1", "primal", "restore", ...
+  const char* phase = "";  ///< "build", "phase1" or "primal".
 };
 
 /// Thrown by the LP solver for infeasible/unbounded models when the caller

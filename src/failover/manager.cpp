@@ -314,8 +314,12 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
     return serve("unschedulable");
   }
 
-  // Rung 2 — deadline-bounded exact re-solve.
-  {
+  // Rung 2 — deadline-bounded exact re-solve, under the rule the healthy
+  // baseline follows: the exact pMCF up to exact_master_limit terminals.
+  // Past it the LP cannot finish inside a deadline, and rung 3 gets the
+  // whole budget.
+  if (static_cast<int>(view.survivors.size()) <=
+      ToolchainOptions{}.mcf.exact_master_limit) {
     const double budget =
         (deadline - seconds_since(start)) * kExactBudgetFraction;
     if (budget > 1e-4 && exact_resolve(view, budget, result)) {

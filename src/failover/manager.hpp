@@ -17,7 +17,10 @@
 //                          mixed failures alike (on GenKautz(27,4), median
 //                          622 pivots and about 0.07 s over 144 two-link
 //                          failures). Only an OPTIMAL outcome is served
-//                          (and added to the library).
+//                          (and added to the library). Online, it runs only
+//                          up to ToolchainOptions{}.mcf.exact_master_limit
+//                          survivors, the healthy baseline's rule; past it
+//                          rung 3 gets the whole budget.
 //   3. FPTAS anytime     — Fleischer on the degraded candidate set, epsilon
 //                          picked from the remaining budget, phase-boundary
 //                          cutoff as a backstop. Approximate but feasible.
@@ -116,7 +119,8 @@ class FailoverManager {
   [[nodiscard]] std::vector<FailureSignature> enumerate_domain() const;
 
   /// Batch-synthesizes fallback schedules for `domain` with rung 2's exact
-  /// re-solve, one signature per iteration of a parallel_for on
+  /// re-solve at any size (its budget is precompute_deadline_s, not an
+  /// online deadline), one signature per iteration of a parallel_for on
   /// ThreadPool::shared(), and stores the validated results in the library.
   /// Each task's own solve, compile, validate and encode run serially on
   /// its worker.

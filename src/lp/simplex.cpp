@@ -4,11 +4,9 @@
 // with Forrest–Tomlin updates, reduced costs) lives in simplex_core.{hpp,cpp}.
 // This file owns:
 //   * run_primal() — two-phase primal simplex: Devex pricing with
-//     incrementally maintained reduced costs, a bound-flip ratio test, and
-//     artificial-free feasibility restoration for warm bases whose basic
-//     values moved out of bounds;
-//   * solve_lp() — presolve, the warm start, and a cold re-solve as the
-//     fallback whenever a warm basis resists repair.
+//     incrementally maintained reduced costs and a bound-flip ratio test;
+//   * solve_lp() — presolve, the one core per attempt, and the cold
+//     conservative retry after a numerical collapse.
 #include "lp/simplex.hpp"
 
 #include <algorithm>
@@ -28,27 +26,6 @@ LpSolution SimplexCore::run_primal(const LpModel& model) {
   const auto start = std::chrono::steady_clock::now();
   LpSolution out;
   out.warm_started = warm_started_;
-  if (needs_restoration_) {
-    // Warm basis adopted with out-of-bound basic values (e.g. capacities
-    // shrank under the previous optimum). Artificial-free composite phase
-    // 1: drive the infeasibility sum to zero in place.
-    phase_ = "restore";
-    if (!restore_feasibility()) {
-      // A deadline expiry mid-restoration is not a repair failure: report
-      // kTimeLimit with the basis as-is instead of sending the dispatch to
-      // a cold solve the budget can no longer pay for.
-      if (time_expired()) {
-        out.status = LpStatus::kTimeLimit;
-        finish(out, model, start);
-        return out;
-      }
-      warm_failed_ = true;
-      out.status = LpStatus::kIterationLimit;
-      finish(out, model, start);
-      return out;
-    }
-    needs_restoration_ = false;
-  }
   if (needs_phase1_) {
     phase_ = "phase1";
     set_phase_costs(/*phase1=*/true);
@@ -72,164 +49,6 @@ LpSolution SimplexCore::run_primal(const LpModel& model) {
   out.status = iterate_primal();
   finish(out, model, start);
   return out;
-}
-
-// ---- warm-start feasibility restoration -------------------------------------
-
-/// Artificial-free composite phase 1 from an adopted warm basis: minimizes
-/// the total bound violation of the basic variables with single-breakpoint
-/// steps (an infeasible basic leaves the moment it reaches its violated
-/// bound). Returns true when primal feasibility is reached; false hands
-/// the solve back to the cold crash path. Restoration is how a basis from
-/// a perturbed instance (shrunk capacities, shifted rhs) stays useful: a
-/// few repair pivots instead of a from-scratch phase 1. A degenerate-pivot
-/// streak switches pricing to Bland's rule (lowest eligible index) to break
-/// the cycle instead of abandoning the warm basis outright.
-bool SimplexCore::restore_feasibility() {
-  const double ftol = 16.0 * kLpFeasibilityTol;
-  std::vector<double> y(static_cast<std::size_t>(m_));
-  std::vector<double> alpha(static_cast<std::size_t>(m_));
-  const long long budget = 2000 + 2LL * m_;
-  int degenerate_streak = 0;
-  bool bland = false;
-  for (long long pivots = 0; pivots < budget; ++pivots) {
-    if (time_exceeded()) return false;  // run_primal reports kTimeLimit
-    // Infeasibility costs from the current basic values.
-    int violations = 0;
-    for (int i = 0; i < m_; ++i) {
-      const int j = basic_[static_cast<std::size_t>(i)];
-      if (x_basic_[i] < lo_[j] - ftol) {
-        y[i] = -1.0;
-        ++violations;
-      } else if (x_basic_[i] > up_[j] + ftol) {
-        y[i] = +1.0;
-        ++violations;
-      } else {
-        y[i] = 0.0;
-      }
-    }
-    if (violations == 0) {
-      for (int i = 0; i < m_; ++i) {
-        const int j = basic_[static_cast<std::size_t>(i)];
-        x_basic_[i] = std::clamp(x_basic_[i], lo_[j], up_[j]);
-      }
-      return true;
-    }
-    btran_full(y);
-    // Price on the restoration reduced costs -y'A_j (nonbasic costs are 0).
-    // Under Bland's rule the lowest-index improving column wins regardless
-    // of magnitude, which cannot cycle.
-    int entering = -1;
-    int direction = +1;
-    double best = kLpOptimalityTol;
-    for (int j = 0; j < num_vars(); ++j) {
-      if (state_[j] == VarState::kBasic) continue;
-      if (fixed(j)) continue;
-      double dj = 0.0;
-      for (int k = cols_.col_begin(j); k < cols_.col_end(j); ++k) {
-        dj -= y[static_cast<std::size_t>(cols_.entry_row(k))] * cols_.entry_value(k);
-      }
-      if (state_[j] == VarState::kAtLower && dj < -best) {
-        best = bland ? best : -dj;
-        entering = j;
-        direction = +1;
-      } else if (state_[j] == VarState::kAtUpper && dj > best) {
-        best = bland ? best : dj;
-        entering = j;
-        direction = -1;
-      }
-      if (bland && entering >= 0) break;
-    }
-    if (entering < 0) return false;  // locally stuck: cold restart decides
-
-    compute_column(entering, alpha);
-
-    // First-breakpoint ratio test. Feasible basics must stay in bounds;
-    // infeasible basics block only at the violated bound they are moving
-    // toward (where they pivot out feasible).
-    const double dir = static_cast<double>(direction);
-    double limit = up_[static_cast<std::size_t>(entering)] -
-                   lo_[static_cast<std::size_t>(entering)];
-    int leaving_row = -1;
-    bool leaving_to_upper = false;
-    for (int i = 0; i < m_; ++i) {
-      const double wi = dir * alpha[i];
-      if (std::abs(wi) <= kLpPivotTol) continue;
-      const int bj = basic_[static_cast<std::size_t>(i)];
-      const double xi = x_basic_[i];
-      double t = -1.0;
-      bool to_upper = false;
-      if (xi < lo_[bj] - ftol) {
-        if (wi < 0.0) {  // moving up toward its violated lower bound
-          t = (lo_[bj] - xi) / (-wi);
-          to_upper = false;
-        }
-      } else if (xi > up_[bj] + ftol) {
-        if (wi > 0.0) {  // moving down toward its violated upper bound
-          t = (xi - up_[bj]) / wi;
-          to_upper = true;
-        }
-      } else if (wi > 0.0) {
-        // Feasible basics may sit a hair outside a bound (within ftol);
-        // clamp so the step never goes negative.
-        t = std::max((xi - lo_[bj]) / wi, 0.0);
-        to_upper = false;
-      } else if (up_[bj] < kInfinity) {
-        t = std::max((up_[bj] - xi) / (-wi), 0.0);
-        to_upper = true;
-      }
-      if (t >= 0.0 && t < limit) {
-        limit = std::max(t, 0.0);
-        leaving_row = i;
-        leaving_to_upper = to_upper;
-      }
-    }
-    if (!std::isfinite(limit)) return false;
-    if (limit <= kLpDropTol) {
-      // A degenerate streak used to abort restoration here (surfacing as a
-      // spurious solve failure); switching to Bland's rule breaks the cycle
-      // and lets the repair finish. The pivot budget remains the backstop.
-      ++stats_.degenerate_pivots;
-      if (++degenerate_streak > kLpDegenerateStreakLimit) {
-        if (!bland) ++stats_.bland_episodes;
-        bland = true;
-      }
-    } else {
-      degenerate_streak = 0;
-      bland = false;
-    }
-
-    ++iterations_;
-    for (int i = 0; i < m_; ++i) x_basic_[i] -= limit * dir * alpha[i];
-    if (leaving_row < 0) {
-      state_[static_cast<std::size_t>(entering)] =
-          direction > 0 ? VarState::kAtUpper : VarState::kAtLower;
-      x_nonbasic_value_[static_cast<std::size_t>(entering)] =
-          direction > 0 ? up_[static_cast<std::size_t>(entering)]
-                        : lo_[static_cast<std::size_t>(entering)];
-      continue;
-    }
-    const double alpha_r = alpha[static_cast<std::size_t>(leaving_row)];
-    if (std::abs(alpha_r) < kLpPivotTol) return false;
-    const int leaving = basic_[static_cast<std::size_t>(leaving_row)];
-    state_[static_cast<std::size_t>(leaving)] =
-        leaving_to_upper ? VarState::kAtUpper : VarState::kAtLower;
-    x_nonbasic_value_[static_cast<std::size_t>(leaving)] =
-        leaving_to_upper ? up_[static_cast<std::size_t>(leaving)]
-                         : lo_[static_cast<std::size_t>(leaving)];
-    const double enter_value =
-        (direction > 0 ? lo_[static_cast<std::size_t>(entering)]
-                       : up_[static_cast<std::size_t>(entering)]) +
-        dir * limit;
-    basic_[static_cast<std::size_t>(leaving_row)] = entering;
-    state_[static_cast<std::size_t>(entering)] = VarState::kBasic;
-    x_basic_[static_cast<std::size_t>(leaving_row)] = enter_value;
-    if (update_factors(leaving_row) ||
-        std::abs(alpha_r) < kLpRefactorPivotTol) {
-      refactorize();
-    }
-  }
-  return false;
 }
 
 // ---- main loop --------------------------------------------------------------
@@ -554,30 +373,6 @@ SimplexOptions with_remaining_budget(
 
 namespace {
 
-/// The warm start (see solve_lp()) on the model as given; presolve and the
-/// numerical-collapse fallback live in solve_lp().
-LpSolution solve_lp_direct(const LpModel& model, const SimplexOptions& options,
-                           const LpBasis* warm_start) {
-  const auto start = std::chrono::steady_clock::now();
-  if (warm_start != nullptr) {
-    // A rejected basis (wrong shape or singular) leaves the solver sitting
-    // on the cold crash basis, so it runs rather than rebuilding an
-    // identical instance below.
-    lp_detail::SimplexCore solver(model, options, warm_start);
-    LpSolution out = solver.run_primal(model);
-    // An expired budget is terminal: the cold fallback below could not
-    // finish either, and the partial basis is the caller's answer.
-    if (out.status == LpStatus::kTimeLimit) return out;
-    if (!solver.warm_failed()) return out;
-    // The warm basis resisted repair; a cold solve is the reliable path.
-  }
-  // The cold core draws from whatever the warm attempt left of the budget —
-  // the deadline is absolute across the dispatch, not per core.
-  lp_detail::SimplexCore solver(model, with_remaining_budget(options, start),
-                                nullptr);
-  return solver.run_primal(model);
-}
-
 /// Presolve-reduced models recurse through solve_lp(); the depth guard keeps
 /// `lp.solves` counting user-visible solves, not engine invocations.
 thread_local int g_solve_depth = 0;
@@ -664,7 +459,9 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
     }
   }
   try {
-    return solve_lp_direct(model, options, warm_start);
+    // One core per attempt: it adopts `warm_start` or sits on the cold
+    // crash basis.
+    return lp_detail::SimplexCore(model, options, warm_start).run_primal(model);
   } catch (const SolverError& e) {
     // Numerical collapse: drift-poisoned pivots can steer the basis into
     // actual singularity (the refactorization throws). One cold retry on
@@ -677,7 +474,8 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
     safe.ft_update_limit = std::min(options.ft_update_limit, 64);
     safe.harris_ratio = false;
     A2A_COUNTER("lp.cold_retries").inc();
-    LpSolution out = solve_lp_direct(model, safe, nullptr);
+    LpSolution out =
+        lp_detail::SimplexCore(model, safe, nullptr).run_primal(model);
     out.stats.cold_retries = 1;
     lp_detail::merge_failed_attempt(out, e.context());
     return out;

@@ -8,8 +8,7 @@
 //     sparse triangular solves, no dense inverse), Devex pricing (sectioned
 //     partial pricing on wide models) with incrementally maintained reduced
 //     costs, a Harris two-pass bound-flip ratio test, and optional warm
-//     starts from a prior basis, which the primal simplex takes as it is or
-//     after an in-place feasibility restoration. The tolerances are
+//     starts from a caller's primal-feasible basis. The tolerances are
 //     constants (kLp* below), not options;
 //   * solve_lp_dense() — the original dense-inverse Dantzig solver, kept as
 //     the independent oracle the tests and fuzz_lp check solve_lp() against
@@ -43,7 +42,7 @@ enum class LpVarStatus : unsigned char { kAtLower, kAtUpper, kBasic };
 /// A simplex basis: one status per structural variable and one per row (the
 /// row's slack). Produced by solve_lp() at the end of every solve; feeding it
 /// back as a warm start lets a re-solve of the same-shaped LP restart from
-/// a near-optimal basis instead of from scratch.
+/// it instead of from scratch, as long as it is still primal feasible.
 struct LpBasis {
   std::vector<LpVarStatus> variables;
   std::vector<LpVarStatus> rows;
@@ -67,12 +66,11 @@ struct LpStats {
   /// FT updates refused transactionally (unstable spike diagonal) — each one
   /// forced a refactorization instead.
   long long ft_refusals = 0;
-  /// Transitions into Bland's rule (anti-cycling episodes), restoration +
-  /// phase 1 + phase 2.
+  /// Transitions into Bland's rule (anti-cycling episodes), phase 1 +
+  /// phase 2.
   long long bland_episodes = 0;
-  /// Pivots that did not move the objective, by each loop's own zero-step
-  /// test: a phase 1 or 2 step <= 1e-10 (the stall rule's), a restoration
-  /// step <= kLpDropTol.
+  /// Pivots that did not move the objective: a phase 1 or 2 step <= 1e-10
+  /// (the stall rule's zero-step test).
   long long degenerate_pivots = 0;
   /// Pivot rows formed column-wise over the nonbasic columns (rho dense);
   /// the rest went row-wise through the CSR mirror.
@@ -115,8 +113,7 @@ struct LpSolution {
   double solve_seconds = 0.0;
   /// Final basis (sparse solver only); reusable via solve_lp()'s warm start.
   LpBasis basis;
-  /// True when a supplied warm-start basis was actually used (it can be
-  /// rejected when incompatible, singular, or primal infeasible).
+  /// True when a supplied warm-start basis was adopted (see solve_lp()).
   bool warm_started = false;
   /// Engine statistics for this solve (see LpStats).
   LpStats stats;
@@ -144,20 +141,16 @@ inline constexpr double kLpDropTol = 1e-12;
 /// pivot is applied (the factor update it leaves behind is too
 /// ill-conditioned to keep).
 inline constexpr double kLpRefactorPivotTol = 1e-8;
-/// Degenerate (zero-step) pivots in a row before the restoration loop
-/// switches to Bland's rule to break the cycle.
-inline constexpr int kLpDegenerateStreakLimit = 64;
 
 struct SimplexOptions {
   long long max_iterations = 2'000'000;
   /// Wall-clock budget for the whole solve in seconds; 0 = unlimited. The
-  /// iteration loops (primal phases, warm-basis restoration) read the clock
-  /// before every pivot and end the solve with kTimeLimit — exporting the
-  /// best basis reached so far — instead of running on or throwing. The
-  /// budget is absolute across a solve_lp() call: presolve, a failed warm
-  /// attempt and the cold fallback all draw from the same allowance, so a
-  /// deadline-bounded caller overshoots by at most one pivot plus one
-  /// refactorization.
+  /// primal phases read the clock before every pivot and end the solve
+  /// with kTimeLimit — exporting the best basis reached so far — instead of
+  /// running on or throwing. The budget is absolute across a solve_lp()
+  /// call: presolve, a collapsed attempt and its cold retry all draw from
+  /// the same allowance, so a deadline-bounded caller overshoots by at most
+  /// one pivot plus one refactorization.
   double time_limit_s = 0.0;
   /// Hard backstop on Forrest–Tomlin updates between refactorizations.
   /// Fill growth and diagonal stability are the adaptive triggers, but the
@@ -197,18 +190,17 @@ struct SimplexOptions {
 /// Solves `model` with the sparse revised simplex; throws SolverError only on
 /// internal numerical failure (singular basis after refactorization).
 /// Infeasible/unbounded are reported via the status field. A non-null
-/// `warm_start` seeds the initial basis when it is compatible with the
-/// model's shape: a primal-feasible basis goes straight into primal phase
-/// 2, a primal-infeasible one through artificial-free restoration first. A
-/// structurally broken or singular basis, and one that resists repair,
-/// falls back to the cold crash path.
+/// `warm_start` is adopted, straight into primal phase 2, when it fits the
+/// model's shape, factorizes and is primal feasible; any other basis is
+/// ignored and the solve starts cold from the slack crash.
 [[nodiscard]] LpSolution solve_lp(const LpModel& model,
                                   const SimplexOptions& options = {},
                                   const LpBasis* warm_start = nullptr);
 
 /// Warm-start protocol shared by every MCF entry point: seeds from `*warm`
 /// when it is non-null and non-empty, and writes the final basis back on an
-/// optimal solve so the caller's next same-shaped LP restarts near-optimal.
+/// optimal solve, so the caller's next same-shaped LP restarts from it when
+/// it is still primal feasible.
 [[nodiscard]] LpSolution solve_lp_warm(const LpModel& model,
                                        const SimplexOptions& options,
                                        LpBasis* warm);

@@ -84,19 +84,18 @@ void SimplexCore::build(const LpModel& model, const LpBasis* warm_start) {
   score_.assign(static_cast<std::size_t>(num_vars()), 0.0);
   if (warm_started_) {
     // try_warm_start already factored lu_ and computed x_basic_; only the
-    // reduced costs remain (phase-2 costs, what a restoration-free phase 2
-    // prices with).
+    // reduced costs remain (phase-2 costs, what phase 2 prices with).
     recompute_reduced_costs();
   } else {
     refactorize();
   }
 }
 
-/// Attempts to adopt a previous basis: factorizable, with basic values then
-/// derived from the stored nonbasic statuses. Returns false — leaving no
-/// trace — when the basis is structurally broken or singular. Primal
-/// infeasibility of the derived values is recorded in needs_restoration_,
-/// and run_primal() repairs it before phase 2.
+/// Attempts to adopt a previous basis: factorizable, and primal feasible
+/// once the basic values are derived from the stored nonbasic statuses.
+/// Returns false — leaving no trace, so build() crashes cold — when the
+/// basis is structurally broken, singular, or puts a basic value out of its
+/// bounds (the model's rhs or bounds moved under it).
 bool SimplexCore::try_warm_start(const LpBasis& warm) {
   std::vector<VarState> state(static_cast<std::size_t>(num_vars()));
   std::vector<int> basic;
@@ -135,28 +134,22 @@ bool SimplexCore::try_warm_start(const LpBasis& warm) {
   }
   lu_.ftran(residual, lu_scratch_);
   const double tol = 16.0 * kLpFeasibilityTol;
-  bool feasible = true;
   for (int i = 0; i < m_; ++i) {
     const int j = basic[static_cast<std::size_t>(i)];
     if (residual[i] < lo_[j] - tol * std::max(1.0, std::abs(lo_[j])) ||
         residual[i] > up_[j] + tol * std::max(1.0, std::abs(up_[j]))) {
-      feasible = false;
-      break;
+      return false;
     }
   }
-  // Adopt. A feasible start clamps round-off and skips phase 1 outright; an
-  // infeasible one (the model's rhs/bounds moved under the basis) is
-  // repaired by artificial-free restoration before the primal phase 2.
+  // Adopt: clamp the round-off and skip phase 1 outright.
   state_ = std::move(state);
   basic_ = std::move(basic);
   x_nonbasic_value_ = std::move(xn);
   x_basic_.resize(static_cast<std::size_t>(m_));
   for (int i = 0; i < m_; ++i) {
     const int j = basic_[static_cast<std::size_t>(i)];
-    x_basic_[i] = feasible ? std::clamp(residual[i], lo_[j], up_[j])
-                           : residual[i];
+    x_basic_[i] = std::clamp(residual[i], lo_[j], up_[j]);
   }
-  needs_restoration_ = !feasible;
   return true;
 }
 
@@ -389,8 +382,8 @@ void SimplexCore::finish(LpSolution& out, const LpModel& model,
   }
   out.objective = obj;
   // Export the basis for warm starts. An artificial still basic (at zero,
-  // on a redundant row) is represented by marking that row basic; the
-  // re-import repair path handles the rare degenerate cases.
+  // on a redundant row) is represented by marking that row basic; a
+  // re-import that this leaves singular or infeasible starts cold.
   out.basis.variables.resize(static_cast<std::size_t>(n_structural_));
   for (int j = 0; j < n_structural_; ++j) {
     out.basis.variables[j] = static_cast<LpVarStatus>(state_[j]);
@@ -410,9 +403,8 @@ void SimplexCore::finish(LpSolution& out, const LpModel& model,
   stats_.iterations = iterations_;
   out.stats = stats_;
   // Push this core run's counters into the global metrics ONCE, here — the
-  // iteration loops stay atomic-free. A warm-fail -> cold-retry solve runs
-  // two cores and pushes both; the metrics report total work done, the
-  // per-solve LpStats report what the returned solution cost.
+  // iteration loops stay atomic-free. A collapsed attempt never gets here;
+  // merge_failed_attempt() pushes its work beside the cold retry's.
   A2A_COUNTER("lp.iterations").add(static_cast<std::uint64_t>(stats_.iterations));
   A2A_COUNTER("lp.refactorizations")
       .add(static_cast<std::uint64_t>(stats_.refactorizations));

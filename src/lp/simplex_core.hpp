@@ -6,8 +6,9 @@
 // LU kept alive by Forrest–Tomlin factor updates, warm-start basis import,
 // reduced-cost recomputation, and solution export (simplex_core.cpp). Its
 // driver, run_primal() in simplex.cpp, is the two-phase primal simplex with
-// Devex pricing, the bound-flip ratio test, and artificial-free feasibility
-// restoration for warm bases whose basic values moved out of bounds.
+// Devex pricing and the bound-flip ratio test. A caller's basis is adopted
+// only when it is primal feasible, and then starts phase 2; any other basis
+// leaves the core on the cold slack crash.
 //
 // Not part of the public API — include lp/simplex.hpp instead.
 #pragma once
@@ -44,15 +45,10 @@ class SimplexCore {
 
   /// True when the supplied warm-start basis was adopted.
   [[nodiscard]] bool warm_started() const { return warm_started_; }
-  /// True when a warm-start basis was adopted but the primal path's
-  /// feasibility restoration failed — the caller should re-solve cold.
-  [[nodiscard]] bool warm_failed() const { return warm_failed_; }
-  /// True when the adopted warm basis has basic values outside their bounds
-  /// (the instance's rhs/bounds moved under it).
-  [[nodiscard]] bool needs_restoration() const { return needs_restoration_; }
 
-  /// Two-phase primal simplex (phase 1 only from a cold crash basis; warm
-  /// bases repair feasibility in place). Defined in simplex.cpp.
+  /// Two-phase primal simplex (phase 1 only from a cold crash basis that
+  /// needed artificials; an adopted basis starts phase 2). Defined in
+  /// simplex.cpp.
   LpSolution run_primal(const LpModel& model);
 
  protected:
@@ -118,35 +114,30 @@ class SimplexCore {
   /// Cooperative deadline probe for the iteration loops, called once per
   /// pivot. Reads the clock on every call of a core with a budget (a read
   /// costs tens of ns, a pMCF pivot tens of µs) and never without one; once
-  /// it fires, time_expired() stays true for the rest of this core's life.
+  /// it fires, it stays true for the rest of this core's life.
   [[nodiscard]] bool time_exceeded();
-  [[nodiscard]] bool time_expired() const { return time_expired_; }
 
   /// Writes values, objective, basis, iteration count and wall time into
   /// `out` from the current state.
   void finish(LpSolution& out, const LpModel& model,
               std::chrono::steady_clock::time_point start);
 
-  // ---- drivers (simplex.cpp) ----------------------------------------------
-  bool restore_feasibility();
+  // ---- driver (simplex.cpp) -----------------------------------------------
   LpStatus iterate_primal();
 
   const SimplexOptions options_;
   const int m_;
   int n_structural_ = 0;
   bool needs_phase1_ = false;
-  bool needs_restoration_ = false;
   bool warm_started_ = false;
-  bool warm_failed_ = false;
   long long iterations_ = 0;
   /// Engine counters for this core's run, exported via finish() into
   /// LpSolution::stats and pushed once (there, not per event) into the
   /// global `lp.*` metrics. Plain ints: the iteration loops never touch an
   /// atomic.
   LpStats stats_;
-  /// Which loop currently drives the engine ("phase1", "primal",
-  /// "restore") — carried as context on SolverError when the basis goes
-  /// singular.
+  /// Which loop currently drives the engine ("build", "phase1", "primal") —
+  /// carried as context on SolverError when the basis goes singular.
   const char* phase_ = "build";
 
   /// Wall-clock budget (SimplexOptions::time_limit_s), armed at

@@ -177,24 +177,29 @@ LpBasis fptas_crash_basis(const DiGraph& g, const PathSet& paths, int f_var,
 PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
                                     const SimplexOptions& lp, bool throw_on_fail) {
   const std::size_t K = paths.commodities.size();
-  int f_var = -1;
-  const LpModel model = build_path_mcf_model(g, paths, &f_var);
   const auto start = std::chrono::steady_clock::now();
   const auto seconds_since_start = [start] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
         .count();
   };
-  // Start from the FPTAS crash, under the same wall-clock allowance as the
-  // LP. A crash that used all of it (and so may have been cut short) seeds
-  // nothing: the solve reports kTimeLimit, and every vertex served comes
-  // from an FPTAS that ran to completion.
-  const LpBasis crash = fptas_crash_basis(g, paths, f_var, lp.time_limit_s);
+  const auto budget_spent = [&] {
+    return lp.time_limit_s > 0.0 && seconds_since_start() >= lp.time_limit_s;
+  };
+  // The model build, the FPTAS crash and the LP share one wall-clock
+  // allowance. Once the build or the crash has used it all (a crash may
+  // then have been cut short), no LP runs: the solve reports kTimeLimit,
+  // and every vertex served comes from an FPTAS that ran to completion.
+  int f_var = -1;
+  const LpModel model = build_path_mcf_model(g, paths, &f_var);
   LpSolution sol;
-  if (lp.time_limit_s > 0.0 && seconds_since_start() >= lp.time_limit_s) {
-    sol.status = LpStatus::kTimeLimit;
-  } else {
-    sol = solve_lp(model, with_remaining_budget(lp, start),
-                   crash.empty() ? nullptr : &crash);
+  sol.status = LpStatus::kTimeLimit;
+  if (!budget_spent()) {
+    const LpBasis crash = fptas_crash_basis(
+        g, paths, f_var, with_remaining_budget(lp, start).time_limit_s);
+    if (!budget_spent()) {
+      sol = solve_lp(model, with_remaining_budget(lp, start),
+                     crash.empty() ? nullptr : &crash);
+    }
   }
   if (throw_on_fail && !sol.optimal()) {
     throw SolverError("path MCF LP failed: " + to_string(sol.status));

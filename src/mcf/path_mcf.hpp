@@ -46,7 +46,8 @@ struct PathMcfSolution {
   double concurrent_flow = 0.0;
   std::vector<std::vector<double>> weights;  ///< [commodity][candidate].
   long long lp_iterations = 0;
-  double solve_seconds = 0.0;  ///< the crash's FPTAS (if run) plus the LP.
+  /// The model build, the crash's FPTAS (if run) and the LP.
+  double solve_seconds = 0.0;
   /// LP outcome. Always kOptimal from solve_path_mcf_exact (it throws
   /// otherwise); the budgeted variant reports kTimeLimit / kIterationLimit
   /// with best-effort weights instead.
@@ -57,10 +58,10 @@ struct PathMcfSolution {
 /// candidate, which with F and the slacks of all but the most loaded edge
 /// forms a primal-feasible vertex; on GenKautz(27,4) it takes 844 pivots
 /// where the slack start takes 5 821. A graph with a zero-capacity edge
-/// starts from the slack basis instead. The crash's time counts against
-/// SimplexOptions::time_limit_s: its FPTAS stops there, and a crash that
-/// used the whole budget seeds no LP (kTimeLimit), so a vertex served never
-/// depends on timing.
+/// starts from the slack basis instead. The model build and the crash
+/// count against SimplexOptions::time_limit_s: the crash's FPTAS gets what
+/// the build left, and a build or crash that used the whole budget seeds no
+/// LP (kTimeLimit), so a vertex served never depends on timing.
 [[nodiscard]] PathMcfSolution solve_path_mcf_exact(const DiGraph& g,
                                                    const PathSet& paths,
                                                    const SimplexOptions& lp = {});

@@ -216,16 +216,4 @@ void print_metrics_table(std::ostream& os) {
   table.print(os);
 }
 
-void MetricsRegistry::reset_all() {
-  Impl& im = impl();
-  std::lock_guard lock(im.mutex);
-  for (auto& [name, slot] : im.slots) {
-    switch (slot.kind) {
-      case MetricKind::kCounter: slot.counter->reset(); break;
-      case MetricKind::kGauge: slot.gauge->reset(); break;
-      case MetricKind::kHistogram: slot.histogram->reset(); break;
-    }
-  }
-}
-
 }  // namespace a2a::obs

@@ -47,7 +47,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -68,7 +67,6 @@ class Gauge {
   [[nodiscard]] std::int64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -153,10 +151,6 @@ class MetricsRegistry {
   /// histograms expand to "<name>.count", "<name>.sum_ns", "<name>.p50_ns",
   /// "<name>.p99_ns". Always a valid JSON document, even when empty.
   [[nodiscard]] std::string to_json() const;
-
-  /// Zeroes every registered metric (names stay registered). For benches and
-  /// tests that diff per-run deltas.
-  void reset_all();
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;

@@ -10,8 +10,10 @@
 //   * FT + presolve;
 //   * FT + Harris;
 //   * the full default (FT + presolve + Harris), sectioned pricing forced;
-//   * a warm re-solve of a capacity-collapsed instance vs its cold solve;
-//   * a warm re-solve with perturbed rhs AND objective vs cold;
+//   * a warm re-solve of a capacity-collapsed instance, whose primal
+//     infeasible basis must be rejected: bit-identical to its cold solve;
+//   * a warm re-solve with a perturbed objective, whose primal-feasible
+//     basis must be adopted, vs cold;
 //   * an EXACT rational tableau simplex (Bland's rule, Rational arithmetic)
 //     on the small all-integer instances, where "identical objective" means
 //     equality against the exact optimum, not solver-vs-solver agreement.
@@ -23,16 +25,19 @@
 // derive from the instance index, so any failure reproduces standalone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <vector>
 
+#include "common/matrix.hpp"
 #include "common/random.hpp"
 #include "common/rational.hpp"
 #include "graph/digraph.hpp"
+#include "lp/lu.hpp"
 #include "lp/simplex.hpp"
-#include "lp/simplex_core.hpp"
+#include "lp_same_solve.hpp"
 #include "mcf/concurrent_flow.hpp"
 
 namespace a2a {
@@ -372,6 +377,62 @@ LpModel random_network_lp(Rng& rng, DiGraph* graph_out) {
   return ::testing::AssertionSuccess();
 }
 
+/// Largest bound violation of the basic solution `basis` defines on
+/// `model`, computed with the dense LU (lp/lu.hpp), apart from the sparse
+/// engine's import: nonbasic columns at their bounds, then x_B = B^-1
+/// (b - A_N x_N). Row r's slack has coefficient +1 (-1 on a >= row) and
+/// bounds [0, inf), [0, 0] on an equality row. Infinite for a basis that is
+/// not square or is singular, which the import rejects too.
+double basic_violation(const LpModel& model, const LpBasis& basis) {
+  const int n = model.num_variables();
+  const int m = model.num_rows();
+  const auto lower = [&](int j) { return j < n ? model.lower(j) : 0.0; };
+  const auto upper = [&](int j) {
+    if (j < n) return model.upper(j);
+    return model.row_type(j - n) == RowType::kEqual ? 0.0 : kInfinity;
+  };
+  Matrix b_matrix(static_cast<std::size_t>(m), static_cast<std::size_t>(m));
+  std::vector<double> x(static_cast<std::size_t>(m));
+  for (int r = 0; r < m; ++r) x[static_cast<std::size_t>(r)] = model.rhs(r);
+  std::vector<int> basic;
+  for (int j = 0; j < n + m; ++j) {
+    std::vector<LpModel::Entry> column;
+    if (j < n) {
+      column = model.column(j);
+    } else {
+      const int r = j - n;
+      column.push_back({r, model.row_type(r) == RowType::kGreaterEqual ? -1.0 : 1.0});
+    }
+    const LpVarStatus status = j < n ? basis.variables[static_cast<std::size_t>(j)]
+                                     : basis.rows[static_cast<std::size_t>(j - n)];
+    if (status == LpVarStatus::kBasic) {
+      if (static_cast<int>(basic.size()) == m) return kInfinity;
+      for (const auto& e : column) {
+        b_matrix(static_cast<std::size_t>(e.row), basic.size()) += e.value;
+      }
+      basic.push_back(j);
+      continue;
+    }
+    const double at = status == LpVarStatus::kAtUpper && upper(j) < kInfinity
+                          ? upper(j)
+                          : lower(j);
+    for (const auto& e : column) x[static_cast<std::size_t>(e.row)] -= e.value * at;
+  }
+  if (static_cast<int>(basic.size()) != m) return kInfinity;
+  try {
+    LuFactorization(std::move(b_matrix)).solve(x);
+  } catch (const SolverError&) {
+    return kInfinity;
+  }
+  double worst = 0.0;
+  for (int i = 0; i < m; ++i) {
+    const int j = basic[static_cast<std::size_t>(i)];
+    const double xi = x[static_cast<std::size_t>(i)];
+    worst = std::max({worst, lower(j) - xi, xi - upper(j)});
+  }
+  return worst;
+}
+
 struct SolverPath {
   const char* name;
   SimplexOptions options;
@@ -458,6 +519,7 @@ TEST(FuzzLp, AllSolverPathsAgreeOnRandomInstances) {
 
 TEST(FuzzLp, WarmResolvesMatchColdOnCollapsedInstances) {
   const long long iters = std::max(1LL, fuzz_iterations() / 8);
+  long long rejected = 0;
   for (long long i = 0; i < iters; ++i) {
     Rng rng(0xD00DA000 + static_cast<std::uint64_t>(i));
     DiGraph g(1);
@@ -481,97 +543,62 @@ TEST(FuzzLp, WarmResolvesMatchColdOnCollapsedInstances) {
     const LpSolution again = solve_lp(perturbed, {}, &warm);
     ASSERT_TRUE(cold.optimal()) << "instance " << i;
     ASSERT_TRUE(again.optimal()) << "instance " << i;
+    // The dense oracle says whether the collapse left the old basis primal
+    // infeasible; the tolerance band around the import's own test is
+    // skipped, not guessed.
+    const double violation = basic_violation(perturbed, warm);
+    if (violation > 1e-4) {
+      // One rule: an infeasible basis is ignored, and the solve is cold.
+      ASSERT_FALSE(again.warm_started) << "instance " << i;
+      ASSERT_TRUE(same_solve(again, cold)) << "instance " << i;
+      ++rejected;
+    } else if (violation < 1e-9) {
+      ASSERT_TRUE(again.warm_started) << "instance " << i;
+    }
     ASSERT_NEAR(cold.objective, again.objective,
                 1e-6 * std::max(1.0, std::abs(cold.objective)))
         << "instance " << i;
     ASSERT_TRUE(feasible(perturbed, again.values)) << "instance " << i;
   }
+  // Most collapses must really leave the basis infeasible, or the check is
+  // hollow.
+  EXPECT_GT(rejected, iters / 2);
 }
 
-/// Draw `i` of the rewarded-collapse family: a random network's link-MCF
-/// LP solved to optimality, then its capacities collapsed (the old basis
-/// loses primal feasibility) and commodity 0's flows rewarded (it loses dual
-/// feasibility too, unless every nonbasic flow of commodity 0 had reduced
-/// cost to spare).
-struct RewardedDraw {
-  LpSolution first;
-  LpModel perturbed;
-};
-
-RewardedDraw rewarded_collapse_draw(long long i) {
-  Rng rng(0x2E570AE0 + static_cast<std::uint64_t>(i));
-  DiGraph g(1);
-  (void)random_network_lp(rng, &g);  // draw a random graph shape
-  RewardedDraw draw;
-  draw.first = solve_lp(build_link_mcf_model(g, TerminalPairs(all_nodes(g))));
-  DiGraph shrunk = g;
-  const int hits = rng.next_int(1, 3);
-  for (int h = 0; h < hits; ++h) {
-    shrunk.set_capacity(static_cast<EdgeId>(rng.next_below(
-                            static_cast<std::uint64_t>(shrunk.num_edges()))),
-                        1e-6);
-  }
-  draw.perturbed =
-      build_link_mcf_model(shrunk, TerminalPairs(all_nodes(shrunk)));
-  for (int e = 0; e < shrunk.num_edges(); ++e) {
-    draw.perturbed.set_objective(link_mcf_var(shrunk.num_edges(), 0, e), 1e-3);
-  }
-  return draw;
-}
-
-TEST(FuzzLp, RestorationWarmResolvesMatchColdOnRewardedInstances) {
+TEST(FuzzLp, WarmResolvesMatchColdOnRewardedInstances) {
+  // A random network's link-MCF LP solved to optimality, then commodity
+  // 0's flows rewarded: the old basis stays primal feasible but loses dual
+  // feasibility (unless every nonbasic flow of commodity 0 had reduced cost
+  // to spare), the crash start's own situation. It must be adopted on every
+  // draw and reach the cold optimum.
   const long long iters = std::max(1LL, fuzz_iterations() / 8);
-  // Presolve off, so the probe core below sees exactly the model and basis
-  // the warm solve starts from.
   SimplexOptions no_presolve;
   no_presolve.presolve = false;
-  long long restored = 0;
+  long long pivoted = 0;
   for (long long i = 0; i < iters; ++i) {
-    const RewardedDraw draw = rewarded_collapse_draw(i);
-    ASSERT_TRUE(draw.first.optimal()) << "instance " << i;
-    const LpModel& perturbed = draw.perturbed;
-    const lp_detail::SimplexCore probe(perturbed, no_presolve,
-                                       &draw.first.basis);
-    ASSERT_TRUE(probe.warm_started()) << "instance " << i;
-    const LpSolution cold = solve_lp(perturbed);
-    const LpSolution warm = solve_lp(perturbed, no_presolve, &draw.first.basis);
+    Rng rng(0x2E570AE0 + static_cast<std::uint64_t>(i));
+    DiGraph g(1);
+    (void)random_network_lp(rng, &g);  // draw a random graph shape
+    LpModel rewarded = build_link_mcf_model(g, TerminalPairs(all_nodes(g)));
+    const LpSolution first = solve_lp(rewarded);
+    ASSERT_TRUE(first.optimal()) << "instance " << i;
+    for (int e = 0; e < g.num_edges(); ++e) {
+      rewarded.set_objective(link_mcf_var(g.num_edges(), 0, e), 1e-3);
+    }
+    const LpSolution cold = solve_lp(rewarded);
+    const LpSolution warm = solve_lp(rewarded, no_presolve, &first.basis);
     ASSERT_TRUE(cold.optimal()) << "instance " << i;
     ASSERT_TRUE(warm.optimal()) << "instance " << i;
+    ASSERT_TRUE(warm.warm_started) << "instance " << i;
     ASSERT_NEAR(cold.objective, warm.objective,
                 1e-6 * std::max(1.0, std::abs(cold.objective)))
         << "instance " << i;
-    ASSERT_TRUE(feasible(perturbed, warm.values)) << "instance " << i;
-    // The warm start must repair the old basis (restoration first when it
-    // is primal infeasible), not drop it.
-    ASSERT_TRUE(warm.warm_started) << "instance " << i;
-    if (probe.needs_restoration()) ++restored;
+    ASSERT_TRUE(feasible(rewarded, warm.values)) << "instance " << i;
+    if (warm.iterations > 0) ++pivoted;
   }
-  // Most draws must really take the restoration path, or the check is hollow.
-  EXPECT_GT(restored, iters / 2);
-}
-
-/// Draw 769 of the rewarded-collapse family (outside the default sweep) is
-/// one whose restoration stalls on more than kLpDegenerateStreakLimit
-/// zero-step pivots in a row, so the repair must switch to Bland's rule to
-/// finish instead of handing the basis to a cold solve.
-TEST(FuzzLp, RestorationSwitchesToBlandOnADegenerateStreak) {
-  const RewardedDraw draw = rewarded_collapse_draw(769);
-  ASSERT_TRUE(draw.first.optimal());
-  SimplexOptions no_presolve;
-  no_presolve.presolve = false;
-  const lp_detail::SimplexCore probe(draw.perturbed, no_presolve,
-                                     &draw.first.basis);
-  ASSERT_TRUE(probe.warm_started());
-  ASSERT_TRUE(probe.needs_restoration());
-  const LpSolution cold = solve_lp(draw.perturbed);
-  const LpSolution warm =
-      solve_lp(draw.perturbed, no_presolve, &draw.first.basis);
-  ASSERT_TRUE(cold.optimal());
-  ASSERT_TRUE(warm.optimal());
-  EXPECT_TRUE(warm.warm_started);
-  EXPECT_GT(warm.stats.bland_episodes, 0);
-  EXPECT_NEAR(warm.objective, cold.objective,
-              1e-6 * std::max(1.0, std::abs(cold.objective)));
+  // Most draws must really start dual infeasible, or phase 2 has nothing
+  // to do.
+  EXPECT_GT(pivoted, iters / 2);
 }
 
 }  // namespace

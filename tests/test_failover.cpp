@@ -21,6 +21,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/topologies.hpp"
 #include "mcf/path_mcf.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/fabric.hpp"
 #include "schedule/validate.hpp"
 
@@ -290,6 +291,28 @@ TEST(FailoverBaseline, MatchesThePipelineOnBothSidesOfTheExactLimit) {
     EXPECT_EQ(std::memcmp(&f, &pipeline.concurrent_flow, sizeof f), 0)
         << f << " vs " << pipeline.concurrent_flow;
   }
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+// Online, rung 2 takes the baseline's rule too: past exact_master_limit
+// survivors its LP cannot finish inside a deadline, so the FPTAS rung gets
+// the whole budget, with no crash run and no LP solved first.
+TEST(FailoverLadder, PastTheExactLimitTheFptasRungServesWithoutAnLp) {
+  const DiGraph g = make_generalized_kautz(60, 4);
+  ASSERT_GT(g.num_nodes(), ToolchainOptions{}.mcf.exact_master_limit);
+  FailoverManager mgr(g, forwarding_fabric(), {});
+  FailureSignature sig;
+  sig.edges = {3, 17};
+  const std::uint64_t crash_before = counter_value("mcf.crash_phases");
+  const std::uint64_t solves_before = counter_value("lp.solves");
+  const FailoverResult r = mgr.reschedule(sig, 0.25);
+  EXPECT_EQ(r.rung, FailoverRung::kFptasAnytime);
+  EXPECT_TRUE(r.validated);
+  EXPECT_EQ(counter_value("mcf.crash_phases"), crash_before);
+  EXPECT_EQ(counter_value("lp.solves"), solves_before);
 }
 
 TEST(FailoverLadder, VanishingDeadlineFallsToDegradedRerouteStillValid) {

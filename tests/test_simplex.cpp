@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "lp_same_solve.hpp"
+
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "lp/simplex_core.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/topologies.hpp"
 #include "mcf/concurrent_flow.hpp"
-#include "mcf/path_mcf.hpp"
 #include "mcf/timestepped.hpp"
 #include "obs/metrics.hpp"
 
@@ -356,35 +357,6 @@ TEST(SimplexWarmStart, McfEntryPointsRoundTripBases) {
   EXPECT_EQ(b.lp_iterations, 0);
 }
 
-/// The full-size Fig. 9 sweep bench_lp once ran warm: scenario 1 collapses
-/// one GenKautz(27,4) link drawn by Rng(4242). Warm-starting its primal
-/// solve from scenario 0's slack-start optimal basis once drove the basis
-/// numerically singular (elimination column 805 of 806) and cost a cold
-/// retry. A tripwire for the LU's bump order under a warm re-solve, not a
-/// proof that warm solves never collapse.
-TEST(SimplexWarmStart, Fig9SweepScenarioOneDoesNotCollapse) {
-  const DiGraph base = make_generalized_kautz(27, 4);
-  const PathSet candidates = build_disjoint_path_set(base, all_nodes(base));
-  DiGraph g = base;
-  Rng rng(4242);
-  g.set_capacity(static_cast<EdgeId>(rng.next_below(
-                     static_cast<std::uint64_t>(g.num_edges()))),
-                 1e-6);
-  const LpModel model = build_path_mcf_model(g, candidates);
-  const LpSolution reference = solve_lp(model);
-  ASSERT_TRUE(reference.optimal());
-  const LpSolution slack = solve_lp(build_path_mcf_model(base, candidates));
-  ASSERT_TRUE(slack.optimal());
-  const obs::Counter& retries =
-      obs::MetricsRegistry::global().counter("lp.cold_retries");
-  const std::uint64_t retries_before = retries.value();
-  const LpSolution warm = solve_lp(model, {}, &slack.basis);
-  ASSERT_TRUE(warm.optimal());
-  EXPECT_TRUE(warm.warm_started);
-  EXPECT_EQ(retries.value() - retries_before, 0u);
-  EXPECT_NEAR(warm.objective, reference.objective, 1e-6);
-}
-
 // ---- degenerate and bound-flip pivot paths --------------------------------
 
 TEST(SimplexDegenerate, AssignmentProblemHeavilyDegenerate) {
@@ -447,14 +419,14 @@ TEST(SimplexBoundFlip, BoxedNetworkOptimumViaFlipsOnly) {
 }
 
 /// Beale's classic cycling LP: Dantzig pricing with naive tie-breaking
-/// cycles forever on it. `row1_rhs` and `x4_cost` default to Beale's 0 and 6.
-LpModel beale_lp(double row1_rhs = 0.0, double x4_cost = 6.0) {
+/// cycles forever on it.
+LpModel beale_lp() {
   LpModel m(Sense::kMinimize);
   const int x1 = m.add_variable(0, kInfinity, -0.75);
   const int x2 = m.add_variable(0, kInfinity, 150.0);
   const int x3 = m.add_variable(0, kInfinity, -0.02);
-  const int x4 = m.add_variable(0, kInfinity, x4_cost);
-  int r = m.add_row(RowType::kLessEqual, row1_rhs);
+  const int x4 = m.add_variable(0, kInfinity, 6.0);
+  int r = m.add_row(RowType::kLessEqual, 0);
   m.add_coefficient(r, x1, 0.25);
   m.add_coefficient(r, x2, -60.0);
   m.add_coefficient(r, x3, -0.04);
@@ -478,33 +450,6 @@ TEST(SimplexCycling, BealeExampleTerminatesAtOptimum) {
   EXPECT_NEAR(s.values[2], 1.0, 1e-7);
 }
 
-TEST(SimplexCycling, BealeWarmRestorationSurvivesDegeneracy) {
-  // Re-solve Beale's LP from its own optimal (degenerate) basis after
-  // tightening row 1 to -0.04, which drives a basic value out of bounds, and
-  // rewarding x4 (cost 6 -> -4.75), which flips its reduced cost. The basis
-  // is then primal and dual infeasible, so the warm start must repair it
-  // with the primal's feasibility restoration rather than drop it for a
-  // cold solve.
-  const LpSolution first = solve_lp(beale_lp());
-  ASSERT_TRUE(first.optimal());
-  const LpModel perturbed = beale_lp(-0.04, -4.75);
-  // Presolve off, so the probe sees exactly the model and basis the warm
-  // solve starts from.
-  SimplexOptions no_presolve;
-  no_presolve.presolve = false;
-  const lp_detail::SimplexCore probe(perturbed, no_presolve, &first.basis);
-  ASSERT_TRUE(probe.warm_started());
-  ASSERT_TRUE(probe.needs_restoration());
-
-  const LpSolution cold = solve_lp(perturbed);
-  const LpSolution warm = solve_lp(perturbed, no_presolve, &first.basis);
-  ASSERT_TRUE(cold.optimal());
-  ASSERT_TRUE(warm.optimal());
-  EXPECT_TRUE(warm.warm_started);
-  EXPECT_GE(warm.iterations, 1);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
-}
-
 TEST(SimplexCycling, PresolvedBealeBasisIsOptimalWithAndWithoutPresolve) {
   // Presolve turns Beale's singleton row x3 <= 1 into a bound, and x3 sits
   // on it at the optimum. The exported basis must make x3 basic and row 3
@@ -518,7 +463,6 @@ TEST(SimplexCycling, PresolvedBealeBasisIsOptimalWithAndWithoutPresolve) {
   no_presolve.presolve = false;
   const lp_detail::SimplexCore probe(beale, no_presolve, &first.basis);
   ASSERT_TRUE(probe.warm_started());
-  EXPECT_FALSE(probe.needs_restoration());
   for (const SimplexOptions& options : {SimplexOptions{}, no_presolve}) {
     SCOPED_TRACE(options.presolve ? "presolve on" : "presolve off");
     const LpSolution again = solve_lp(beale, options, &first.basis);
@@ -564,7 +508,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimplexWarmCapacitySweep, ::testing::Range(0, 10
 
 TEST(SimplexWarmStart, BoundFlipHeavyBoxes) {
   // Boxed LP whose re-solve shrinks the shared capacity under the old
-  // optimum, which saturated 18 of 24 boxed columns.
+  // optimum, which saturated 18 of 24 boxed columns. The old basis is then
+  // primal infeasible, so the warm solve rejects it and is the cold solve.
   const int n = 24;
   LpModel m(Sense::kMaximize);
   const int cap = m.add_row(RowType::kLessEqual, 18.0);
@@ -587,7 +532,8 @@ TEST(SimplexWarmStart, BoundFlipHeavyBoxes) {
   const LpSolution warm = solve_lp(tight, {}, &first.basis);
   ASSERT_TRUE(cold.optimal());
   ASSERT_TRUE(warm.optimal());
-  EXPECT_TRUE(warm.warm_started);
+  EXPECT_FALSE(warm.warm_started);
+  EXPECT_TRUE(same_solve(warm, cold));
   EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
   // The five highest-value columns fill the shrunk capacity.
   EXPECT_NEAR(warm.objective, 5.0 + 0.002 * (23 + 22 + 21 + 20 + 19), 1e-6);
@@ -752,7 +698,7 @@ TEST(SimplexDeadline, MergeFailedAttemptFoldsForensicsIntoStats) {
   context.bland_episodes = 1;
   context.degenerate_pivots = 6;
   context.column_priced_rows = 4;
-  context.phase = "restore";
+  context.phase = "primal";
   const std::uint64_t ft_updates_before = counter_value("lp.ft_updates");
   const std::uint64_t ft_refusals_before = counter_value("lp.ft_refusals");
   const std::uint64_t bland_before = counter_value("lp.bland_episodes");
