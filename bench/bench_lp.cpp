@@ -32,6 +32,7 @@
 #include "graph/algorithms.hpp"
 #include "mcf/path_mcf.hpp"
 #include "mcf/timestepped.hpp"
+#include "reference/dense_simplex.hpp"
 
 using namespace a2a;
 using namespace a2a::bench;

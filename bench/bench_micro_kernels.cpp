@@ -6,10 +6,10 @@
 #include "common/random.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/topologies.hpp"
-#include "lp/lu.hpp"
 #include "mcf/concurrent_flow.hpp"
 #include "mcf/extraction.hpp"
 #include "mcf/fleischer.hpp"
+#include "reference/lu.hpp"
 
 namespace {
 

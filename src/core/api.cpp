@@ -116,7 +116,7 @@ GeneratedSchedule synthesize_schedule(const DiGraph& topology,
         A2A_TRACE_SPAN("stage.solve", "exact tsMCF LP, " +
                                           std::to_string(steps) + " steps");
         return solve_tsmcf_exact(graph, steps, terminals, options.mcf.lp,
-                                 nullptr, demand);
+                                 demand);
       }();
       out.kind = ScheduleKind::kLinkTsMcf;
       out.link = [&] {
@@ -184,6 +184,9 @@ GeneratedSchedule synthesize_schedule(const DiGraph& topology,
         A2A_TRACE_SPAN("stage.solve", "Fleischer FPTAS");
         return fleischer_paths(topology, candidates, fo);
       }();
+      // A schedule cut short by a budget is never served: the fingerprint
+      // does not carry the budget, so it would be cached as the schedule.
+      if (sol.timed_out) throw SolverError("pMCF FPTAS failed: time-limit");
       schedule = [&] {
         A2A_TRACE_SPAN("stage.compile", "path schedule");
         return compile_path_schedule(topology, candidates, sol.weights,

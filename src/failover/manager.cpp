@@ -193,9 +193,10 @@ bool FailoverManager::finish_result(const DegradedView& view,
                                     const std::vector<std::vector<double>>& weights,
                                     FailoverResult& result) const {
   // Defensive repair before compiling: clamp negatives, and give a
-  // commodity whose weights all vanished (an expired solve, or the LP
-  // starving a collapsed path) its shortest candidate at weight 1 — the
-  // compile-side snap renormalizes per commodity anyway.
+  // commodity without weight its shortest candidate at weight 1 — the
+  // compile-side snap renormalizes per commodity anyway. Only rung 4's
+  // healthy seeds can leave one, when every healthy candidate that carried
+  // weight died.
   std::vector<std::vector<double>> repaired = weights;
   for (std::size_t k = 0; k < repaired.size(); ++k) {
     double total = 0.0;
@@ -240,13 +241,18 @@ bool FailoverManager::exact_resolve(const DegradedView& view, double budget_s,
                                     FailoverResult& result) const {
   result.rung = FailoverRung::kDualWarmExact;
   // Link, node and mixed failures alike: the degraded pMCF from its own
-  // FPTAS crash start, under the rung's budget.
+  // FPTAS crash start, under the rung's budget. Only an optimum is served;
+  // a solve the budget cut short (or any other failure) throws, and the
+  // rung falls through.
   SimplexOptions lp;
   lp.time_limit_s = budget_s;
-  const PathMcfSolution sol =
-      solve_path_mcf_budgeted(view.degraded, view.paths, lp);
-  if (sol.status != LpStatus::kOptimal) return false;
-  return finish_result(view, sol.weights, result);
+  std::vector<std::vector<double>> weights;
+  try {
+    weights = solve_path_mcf_exact(view.degraded, view.paths, lp).weights;
+  } catch (const Error&) {
+    return false;
+  }
+  return finish_result(view, weights, result);
 }
 
 FailoverResult FailoverManager::reschedule(const FailureSignature& sig,

@@ -482,14 +482,6 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
   }
 }
 
-LpSolution solve_lp_warm(const LpModel& model, const SimplexOptions& options,
-                         LpBasis* warm) {
-  const LpBasis* seed = warm != nullptr && !warm->empty() ? warm : nullptr;
-  LpSolution sol = solve_lp(model, options, seed);
-  if (warm != nullptr && sol.optimal()) *warm = sol.basis;
-  return sol;
-}
-
 std::string to_string(LpStatus status) {
   switch (status) {
     case LpStatus::kOptimal: return "optimal";

@@ -1,18 +1,15 @@
 // Bounded-variable two-phase revised simplex.
 //
 // This is the exact solver behind the MCF formulations (the role MOSEK plays
-// in the paper). Two implementations share this interface:
-//   * solve_lp() — the production sparse revised simplex: a presolve/
-//     postsolve layer (lp/presolve.hpp), CSC constraint storage, sparse-LU
-//     basis factors kept alive with Forrest–Tomlin updates (FTRAN/BTRAN are
-//     sparse triangular solves, no dense inverse), Devex pricing (sectioned
-//     partial pricing on wide models) with incrementally maintained reduced
-//     costs, a Harris two-pass bound-flip ratio test, and optional warm
-//     starts from a caller's primal-feasible basis. The tolerances are
-//     constants (kLp* below), not options;
-//   * solve_lp_dense() — the original dense-inverse Dantzig solver, kept as
-//     the independent oracle the tests and fuzz_lp check solve_lp() against
-//     and as bench_lp's dense leg.
+// in the paper): solve_lp(), a sparse revised simplex with a presolve/
+// postsolve layer (lp/presolve.hpp), CSC constraint storage, sparse-LU basis
+// factors kept alive with Forrest–Tomlin updates (FTRAN/BTRAN are sparse
+// triangular solves, no dense inverse), Devex pricing (sectioned partial
+// pricing on wide models) with incrementally maintained reduced costs, a
+// Harris two-pass bound-flip ratio test, and optional warm starts from a
+// caller's primal-feasible basis. The tolerances are constants (kLp*
+// below), not options. The tests check it against a dense reference solver
+// kept outside the library (tests/reference/dense_simplex.hpp).
 #pragma once
 
 #include <chrono>
@@ -31,8 +28,7 @@ enum class LpStatus {
   /// The cooperative wall-clock budget (SimplexOptions::time_limit_s)
   /// expired mid-solve. The solution carries the best basis reached so far
   /// (values, objective and an exportable basis), not a certificate of
-  /// anything — deadline-bounded re-solves (src/failover/) inspect it and
-  /// decide whether the partial answer is worth serving.
+  /// anything; every MCF entry point throws SolverError on it.
   kTimeLimit,
 };
 
@@ -197,14 +193,6 @@ struct SimplexOptions {
                                   const SimplexOptions& options = {},
                                   const LpBasis* warm_start = nullptr);
 
-/// Warm-start protocol shared by every MCF entry point: seeds from `*warm`
-/// when it is non-null and non-empty, and writes the final basis back on an
-/// optimal solve, so the caller's next same-shaped LP restarts from it when
-/// it is still primal feasible.
-[[nodiscard]] LpSolution solve_lp_warm(const LpModel& model,
-                                       const SimplexOptions& options,
-                                       LpBasis* warm);
-
 /// `options` with its time budget shrunk by the time spent since `start`,
 /// for a solve that follows other work under the same allowance. An
 /// exhausted budget clamps to a hair above zero (not to "unlimited"), so
@@ -212,13 +200,6 @@ struct SimplexOptions {
 /// without a budget come back unchanged.
 [[nodiscard]] SimplexOptions with_remaining_budget(
     const SimplexOptions& options, std::chrono::steady_clock::time_point start);
-
-/// Reference implementation: the original dense-inverse Dantzig simplex.
-/// Same statuses and objectives; no basis export and no warm starts. Kept
-/// as the independent oracle the tests and fuzz_lp check solve_lp against;
-/// of `options` it reads only max_iterations.
-[[nodiscard]] LpSolution solve_lp_dense(const LpModel& model,
-                                        const SimplexOptions& options = {});
 
 [[nodiscard]] std::string to_string(LpStatus status);
 

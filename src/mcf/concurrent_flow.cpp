@@ -101,7 +101,7 @@ LpModel build_link_mcf_model(const DiGraph& g, const TerminalPairs& pairs,
 
 LinkFlowSolution solve_link_mcf_exact(const DiGraph& g,
                                       const std::vector<NodeId>& terminals,
-                                      const SimplexOptions& lp, LpBasis* warm,
+                                      const SimplexOptions& lp,
                                       const DemandMatrix* demand) {
   A2A_REQUIRE(terminals.size() >= 2, "need at least two terminals");
   TerminalPairs pairs(terminals);
@@ -111,7 +111,7 @@ LinkFlowSolution solve_link_mcf_exact(const DiGraph& g,
   const LpModel model = build_link_mcf_model(g, pairs, &f_var, demand);
   auto var = [&](int k, int e) { return link_mcf_var(E, k, e); };
 
-  const LpSolution sol = solve_lp_warm(model, lp, warm);
+  const LpSolution sol = solve_lp(model, lp);
   if (!sol.optimal()) {
     throw SolverError("link MCF LP failed: " + to_string(sol.status));
   }
@@ -133,7 +133,7 @@ LinkFlowSolution solve_link_mcf_exact(const DiGraph& g,
 
 GroupedFlowSolution solve_master_lp(const DiGraph& g,
                                     const std::vector<NodeId>& terminals,
-                                    const SimplexOptions& lp, LpBasis* warm,
+                                    const SimplexOptions& lp,
                                     const DemandMatrix* demand) {
   A2A_REQUIRE(terminals.size() >= 2, "need at least two terminals");
   const int E = g.num_edges();
@@ -181,7 +181,7 @@ GroupedFlowSolution solve_master_lp(const DiGraph& g,
     }
   }
 
-  const LpSolution sol = solve_lp_warm(model, lp, warm);
+  const LpSolution sol = solve_lp(model, lp);
   if (!sol.optimal()) {
     throw SolverError("master MCF LP failed: " + to_string(sol.status));
   }

@@ -67,6 +67,9 @@ struct GroupedFlowSolution {
   std::vector<std::vector<double>> per_source;
   double solve_seconds = 0.0;
   long long lp_iterations = 0;
+  /// fleischer_grouped stopped on FleischerOptions::time_limit_s before the
+  /// stopping rule (the exact master throws instead).
+  bool timed_out = false;
 };
 
 /// All nodes of g as the terminal set.
@@ -91,22 +94,19 @@ struct GroupedFlowSolution {
                                            int* f_var = nullptr,
                                            const DemandMatrix* demand = nullptr);
 
-/// Exact link-based MCF (eqs. 1–5). Tractable only at small N (the point of
-/// Fig. 7); throws SolverError if the LP fails numerically. A non-null
-/// `warm` is used as the LP starting basis when non-empty and is overwritten
-/// with the final basis, so sweeps over perturbed instances (Fig. 9) restart
-/// near-optimal. F is per unit demand: commodity k receives w_k * F.
+/// Exact link-based MCF (eqs. 1–5), solved from the slack basis. Tractable
+/// only at small N (the point of Fig. 7); throws SolverError naming the LP
+/// status on any outcome but an optimum. F is per unit demand: commodity k
+/// receives w_k * F.
 [[nodiscard]] LinkFlowSolution solve_link_mcf_exact(
     const DiGraph& g, const std::vector<NodeId>& terminals,
-    const SimplexOptions& lp = {}, LpBasis* warm = nullptr,
-    const DemandMatrix* demand = nullptr);
+    const SimplexOptions& lp = {}, const DemandMatrix* demand = nullptr);
 
-/// Exact master LP (eqs. 6–9): grouped source-rooted commodities. Warm-start
-/// semantics as in solve_link_mcf_exact(). With `demand`, the grouped
+/// Exact master LP (eqs. 6–9): grouped source-rooted commodities, solved
+/// and reported as in solve_link_mcf_exact(). With `demand`, the grouped
 /// conservation row (eq. 8) requires w(s,u) * F net inflow at terminal u.
 [[nodiscard]] GroupedFlowSolution solve_master_lp(
     const DiGraph& g, const std::vector<NodeId>& terminals,
-    const SimplexOptions& lp = {}, LpBasis* warm = nullptr,
-    const DemandMatrix* demand = nullptr);
+    const SimplexOptions& lp = {}, const DemandMatrix* demand = nullptr);
 
 }  // namespace a2a

@@ -14,7 +14,7 @@ LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
                                       const std::vector<NodeId>& terminals,
                                       const DecomposedOptions& options,
                                       DecomposedTiming* timing,
-                                      LpBasis* master_warm,
+                                      LpBasis* /*master_warm*/,
                                       const DemandMatrix* demand) {
   const auto t0 = std::chrono::steady_clock::now();
   const int S = static_cast<int>(terminals.size());
@@ -23,11 +23,15 @@ LinkFlowSolution solve_decomposed_mcf(const DiGraph& g,
   const GroupedFlowSolution master = [&] {
     A2A_TRACE_SPAN("mcf.master", std::to_string(S) + " terminals");
     if (S <= options.exact_master_limit) {
-      return solve_master_lp(g, terminals, options.lp, master_warm, demand);
+      return solve_master_lp(g, terminals, options.lp, demand);
     }
     FleischerOptions fo = options.fptas;
     fo.epsilon = options.fptas_epsilon;
-    return fleischer_grouped(g, terminals, fo, demand);
+    GroupedFlowSolution approx = fleischer_grouped(g, terminals, fo, demand);
+    if (approx.timed_out) {
+      throw SolverError("decomposed MCF master FPTAS failed: time-limit");
+    }
+    return approx;
   }();
   const auto t1 = std::chrono::steady_clock::now();
 

@@ -37,13 +37,13 @@ struct DecomposedTiming {
 
 /// Full decomposed solve: returns per-commodity link flows at the common
 /// rate F (the reported F is min(master F, weakest delivered commodity) and
-/// equals the master F up to tolerance). A non-null `master_warm` seeds the
-/// exact-LP master basis and receives the final one, so repeated pipeline
-/// runs over the same fabric shape (cache misses, sweeps) restart
-/// near-optimal. With a non-null `demand`, F is the common rate per unit
-/// demand (sink d of source s receives w(s,d)·F); zero-weight sinks are
-/// dropped from their source's child problem and silent sources skip the
-/// child stage entirely.
+/// equals the master F up to tolerance). A master cut short by its budget
+/// (options.lp.time_limit_s for the LP, options.fptas.time_limit_s for the
+/// FPTAS) throws SolverError naming "time-limit". `master_warm` is unused
+/// and may be null; it is kept so existing callers compile unchanged. With a
+/// non-null `demand`, F is the common rate per unit demand (sink d of
+/// source s receives w(s,d)·F); zero-weight sinks are dropped from their
+/// source's child problem and silent sources skip the child stage entirely.
 [[nodiscard]] LinkFlowSolution solve_decomposed_mcf(
     const DiGraph& g, const std::vector<NodeId>& terminals,
     const DecomposedOptions& options = {}, DecomposedTiming* timing = nullptr,

@@ -120,9 +120,13 @@ GroupedFlowSolution fleischer_grouped(const DiGraph& g,
   requested.reserve(m);
 
   long long phases = 0;
+  bool timed_out = false;
   while (dual < 1.0 && phases < options.max_phases) {
     // >= 1 phase always runs: the rescale needs some flow (mu > 0).
-    if (phases > 0 && phase_deadline_hit(options, start)) break;
+    if (phases > 0 && phase_deadline_hit(options, start)) {
+      timed_out = true;
+      break;
+    }
     ++phases;
     for (int si = 0; si < S; ++si) {
       const NodeId s = terminals[static_cast<std::size_t>(si)];
@@ -191,6 +195,7 @@ GroupedFlowSolution fleischer_grouped(const DiGraph& g,
   GroupedFlowSolution out;
   out.terminals = terminals;
   out.concurrent_flow = static_cast<double>(phases) / mu;
+  out.timed_out = timed_out;
   out.per_source = std::move(flow);
   for (auto& fs : out.per_source) {
     for (auto& f : fs) f /= mu;
@@ -239,9 +244,13 @@ PathFlowSolution fleischer_paths(const DiGraph& g, const PathSet& paths,
   A2A_REQUIRE(total_demand > 0.0, "path set carries no demand");
 
   long long phases = 0;
+  bool timed_out = false;
   while (dual < 1.0 && phases < options.max_phases) {
     // >= 1 phase always runs: the rescale needs some flow (mu > 0).
-    if (phases > 0 && phase_deadline_hit(options, start)) break;
+    if (phases > 0 && phase_deadline_hit(options, start)) {
+      timed_out = true;
+      break;
+    }
     ++phases;
     for (std::size_t k = 0; k < K; ++k) {
       double demand = paths.demand_of(k);
@@ -294,6 +303,7 @@ PathFlowSolution fleischer_paths(const DiGraph& g, const PathSet& paths,
     for (auto& v : w) v /= mu;
   }
   out.phases = phases;
+  out.timed_out = timed_out;
   out.solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

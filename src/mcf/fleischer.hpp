@@ -31,7 +31,7 @@ struct FleischerOptions {
   /// boundaries only — the congestion rescale makes the flow accumulated by
   /// *completed* phases feasible, so stopping there keeps the anytime
   /// guarantee (a weaker F, never an invalid flow). At least one phase
-  /// always runs.
+  /// always runs. A solve cut short by it sets its result's `timed_out`.
   double time_limit_s = 0.0;
 };
 
@@ -65,6 +65,8 @@ struct PathFlowSolution {
   std::vector<std::vector<double>> weights;     ///< [commodity][candidate].
   long long phases = 0;
   double solve_seconds = 0.0;
+  /// Stopped on FleischerOptions::time_limit_s before the stopping rule.
+  bool timed_out = false;
 };
 
 [[nodiscard]] PathFlowSolution fleischer_paths(const DiGraph& g,

@@ -13,6 +13,12 @@ namespace a2a {
 
 namespace {
 
+/// FPTAS accuracy of the crash start (fptas_crash_basis). The crash only
+/// needs each commodity's dominant candidate, and a looser epsilon finds it
+/// in fewer phases; measured over GenKautz(16..56, 4) (README, "Crash
+/// start").
+constexpr double kCrashEpsilon = 0.05;
+
 void check_demand_shape(const DemandMatrix* demand,
                         const std::vector<NodeId>& terminals) {
   if (demand == nullptr) return;
@@ -112,26 +118,17 @@ LpModel build_path_mcf_model(const DiGraph& g, const PathSet& paths, int* f_var)
   return model;
 }
 
-namespace {
-
-/// FPTAS accuracy of the crash start below. The crash only needs each
-/// commodity's dominant candidate, and a looser epsilon finds it in fewer
-/// phases; measured over GenKautz(16..56, 4) (README, "Crash start").
-constexpr double kCrashEpsilon = 0.05;
-
-/// Crash basis for the pMCF LP (Bixby, ORSA J. Comput. 1992) seeded from an
-/// approximate solution (Megiddo, ORSA J. Comput. 1991): each commodity's
-/// heaviest FPTAS candidate is basic, and so is F; every demand row is
-/// tight; every capacity slack is basic except the most loaded edge's. The
-/// basic solution routes d_k·F on each commodity's one basic path, with F
-/// set by the most loaded edge, so it is a primal-feasible vertex and
-/// solve_lp() takes it straight into primal phase 2. Relies on
-/// build_path_mcf_model's layout: capacity rows edge by edge, then one
-/// demand row per commodity. A graph with an edge without capacity gets an
-/// empty basis, the slack start: the FPTAS rejects a commodity whose every
-/// candidate crosses such an edge, which the LP solves (at F = 0). The
-/// FPTAS stops at its first phase boundary past `time_limit_s` (0 = none);
-/// the caller seeds no LP from a crash that ran that long.
+/// A crash basis (Bixby, ORSA J. Comput. 1992) seeded from an approximate
+/// solution (Megiddo, ORSA J. Comput. 1991): each commodity's heaviest
+/// FPTAS candidate is basic, and so is F; every demand row is tight; every
+/// capacity slack is basic except the most loaded edge's. The basic
+/// solution routes d_k·F on each commodity's one basic path, with F set by
+/// the most loaded edge, so it is a primal-feasible vertex and solve_lp()
+/// takes it straight into primal phase 2. Relies on build_path_mcf_model's
+/// layout: capacity rows edge by edge, then one demand row per commodity.
+/// The FPTAS rejects a commodity whose every candidate crosses an edge
+/// without capacity, which the LP solves (at F = 0), hence the slack start
+/// there.
 LpBasis fptas_crash_basis(const DiGraph& g, const PathSet& paths, int f_var,
                           double time_limit_s) {
   A2A_TRACE_SPAN("mcf.crash", "FPTAS crash basis");
@@ -174,9 +171,8 @@ LpBasis fptas_crash_basis(const DiGraph& g, const PathSet& paths, int f_var,
   return basis;
 }
 
-PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
-                                    const SimplexOptions& lp, bool throw_on_fail) {
-  const std::size_t K = paths.commodities.size();
+PathMcfSolution solve_path_mcf_exact(const DiGraph& g, const PathSet& paths,
+                                     const SimplexOptions& lp) {
   const auto start = std::chrono::steady_clock::now();
   const auto seconds_since_start = [start] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -187,8 +183,9 @@ PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
   };
   // The model build, the FPTAS crash and the LP share one wall-clock
   // allowance. Once the build or the crash has used it all (a crash may
-  // then have been cut short), no LP runs: the solve reports kTimeLimit,
-  // and every vertex served comes from an FPTAS that ran to completion.
+  // then have been cut short), no LP runs and the solve throws
+  // "time-limit": every vertex served comes from an FPTAS that ran to
+  // completion.
   int f_var = -1;
   const LpModel model = build_path_mcf_model(g, paths, &f_var);
   LpSolution sol;
@@ -201,42 +198,23 @@ PathMcfSolution solve_path_mcf_impl(const DiGraph& g, const PathSet& paths,
                      crash.empty() ? nullptr : &crash);
     }
   }
-  if (throw_on_fail && !sol.optimal()) {
+  if (!sol.optimal()) {
     throw SolverError("path MCF LP failed: " + to_string(sol.status));
   }
   PathMcfSolution out;
-  out.status = sol.status;
-  out.weights.resize(K);
-  for (std::size_t k = 0; k < K; ++k) {
-    out.weights[k].assign(paths.candidates[k].size(), 0.0);
-  }
-  // A solve aborted before its first basis export carries no values; leave
-  // the zero weights for the caller's repair pass in that case.
-  if (sol.values.size() > static_cast<std::size_t>(f_var)) {
-    out.concurrent_flow = sol.values[static_cast<std::size_t>(f_var)];
-    std::size_t var = 0;  // (commodity, candidate) order, as built
-    for (std::size_t k = 0; k < K; ++k) {
-      for (std::size_t p = 0; p < paths.candidates[k].size(); ++p) {
-        const double v = sol.values[var++];
-        out.weights[k][p] = v > 1e-10 ? v : 0.0;
-      }
+  out.concurrent_flow = sol.values[static_cast<std::size_t>(f_var)];
+  out.weights.resize(paths.candidates.size());
+  std::size_t var = 0;  // (commodity, candidate) order, as built
+  for (std::size_t k = 0; k < paths.candidates.size(); ++k) {
+    out.weights[k].resize(paths.candidates[k].size());
+    for (double& w : out.weights[k]) {
+      const double v = sol.values[var++];
+      w = v > 1e-10 ? v : 0.0;
     }
   }
   out.lp_iterations = sol.iterations;
   out.solve_seconds = seconds_since_start();
   return out;
-}
-
-}  // namespace
-
-PathMcfSolution solve_path_mcf_exact(const DiGraph& g, const PathSet& paths,
-                                     const SimplexOptions& lp) {
-  return solve_path_mcf_impl(g, paths, lp, /*throw_on_fail=*/true);
-}
-
-PathMcfSolution solve_path_mcf_budgeted(const DiGraph& g, const PathSet& paths,
-                                        const SimplexOptions& lp) {
-  return solve_path_mcf_impl(g, paths, lp, /*throw_on_fail=*/false);
 }
 
 double max_link_load(const DiGraph& g, const PathSet& paths,

@@ -41,6 +41,16 @@ namespace a2a {
 [[nodiscard]] LpModel build_path_mcf_model(const DiGraph& g, const PathSet& paths,
                                            int* f_var = nullptr);
 
+/// The crash basis solve_path_mcf_exact starts from, for the model
+/// build_path_mcf_model builds (F at `f_var`); exposed so tests can read the
+/// crash vertex. A short FPTAS run (fleischer_paths at a fixed epsilon,
+/// stopped at its first phase boundary past `time_limit_s`, 0 = none) picks
+/// each commodity's heaviest candidate, which with F and the slacks of all
+/// but the most loaded edge forms a primal-feasible vertex. A graph with a
+/// zero-capacity edge gets an empty basis, the slack start.
+[[nodiscard]] LpBasis fptas_crash_basis(const DiGraph& g, const PathSet& paths,
+                                        int f_var, double time_limit_s = 0.0);
+
 /// Exact path-based MCF LP. Result weights align with `paths.candidates`.
 struct PathMcfSolution {
   double concurrent_flow = 0.0;
@@ -48,32 +58,16 @@ struct PathMcfSolution {
   long long lp_iterations = 0;
   /// The model build, the crash's FPTAS (if run) and the LP.
   double solve_seconds = 0.0;
-  /// LP outcome. Always kOptimal from solve_path_mcf_exact (it throws
-  /// otherwise); the budgeted variant reports kTimeLimit / kIterationLimit
-  /// with best-effort weights instead.
-  LpStatus status = LpStatus::kOptimal;
 };
-/// Every solve starts from a crash basis: a short FPTAS run
-/// (fleischer_paths at a fixed epsilon) picks each commodity's heaviest
-/// candidate, which with F and the slacks of all but the most loaded edge
-/// forms a primal-feasible vertex; on GenKautz(27,4) it takes 844 pivots
-/// where the slack start takes 5 821. A graph with a zero-capacity edge
-/// starts from the slack basis instead. The model build and the crash
+/// Every solve starts from fptas_crash_basis(); on GenKautz(27,4) it takes
+/// 844 pivots where the slack start takes 5 821. Returns an optimum or
+/// throws SolverError naming the LP status. The model build and the crash
 /// count against SimplexOptions::time_limit_s: the crash's FPTAS gets what
 /// the build left, and a build or crash that used the whole budget seeds no
-/// LP (kTimeLimit), so a vertex served never depends on timing.
+/// LP and throws "time-limit", so a vertex served never depends on timing.
 [[nodiscard]] PathMcfSolution solve_path_mcf_exact(const DiGraph& g,
                                                    const PathSet& paths,
                                                    const SimplexOptions& lp = {});
-
-/// Deadline-tolerant variant for online re-scheduling: a non-optimal LP
-/// outcome (e.g. SimplexOptions::time_limit_s expired) is reported via
-/// `status` instead of thrown, with whatever primal values the solver
-/// reached. Callers must check `status` — non-optimal weights may be
-/// infeasible or all-zero and need a downstream repair/validation pass.
-[[nodiscard]] PathMcfSolution solve_path_mcf_budgeted(const DiGraph& g,
-                                                      const PathSet& paths,
-                                                      const SimplexOptions& lp = {});
 
 /// Max per-edge load if each commodity splits its demand (unit, or
 /// PathSet::demands when set) over its candidate paths with the given

@@ -109,7 +109,7 @@ LpModel build_tsmcf_model(const DiGraph& g, int steps,
 
 TsMcfSolution solve_tsmcf_exact(const DiGraph& g, int steps,
                                 const std::vector<NodeId>& terminals,
-                                const SimplexOptions& lp, LpBasis* warm,
+                                const SimplexOptions& lp,
                                 const DemandMatrix* demand) {
   TerminalPairs pairs(terminals);
   const int K = pairs.count();
@@ -118,7 +118,7 @@ TsMcfSolution solve_tsmcf_exact(const DiGraph& g, int steps,
   const LpModel model = build_tsmcf_model(g, steps, pairs, &u_var, demand);
   auto var = [&](int k, int e, int t) { return tsmcf_var(E, steps, k, e, t); };
 
-  const LpSolution sol = solve_lp_warm(model, lp, warm);
+  const LpSolution sol = solve_lp(model, lp);
   if (!sol.optimal()) {
     throw SolverError("tsMCF LP failed: " + to_string(sol.status));
   }

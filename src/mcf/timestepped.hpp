@@ -55,13 +55,11 @@ struct TsMcfSolution {
 /// Exact tsMCF. The LP grows as O(K * E * steps) variables, so this is for
 /// small fabrics (the paper's N=8/N=27 testbeds; N=27 already requires the
 /// decomposed path-unrolled pipeline in schedule/compile_link.hpp).
-/// `steps` must be >= diameter(g). A non-null `warm` is used as the LP
-/// starting basis when non-empty and receives the final basis, letting
-/// repeated solves on the same fabric shape skip phase 1.
+/// `steps` must be >= diameter(g). Solved from the slack basis; throws
+/// SolverError naming the LP status on any outcome but an optimum.
 [[nodiscard]] TsMcfSolution solve_tsmcf_exact(const DiGraph& g, int steps,
                                               const std::vector<NodeId>& terminals,
                                               const SimplexOptions& lp = {},
-                                              LpBasis* warm = nullptr,
                                               const DemandMatrix* demand = nullptr);
 
 }  // namespace a2a

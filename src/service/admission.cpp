@@ -89,9 +89,10 @@ ServiceReply AdmissionQueue::serve(const DiGraph& topology,
       }
     } pending_guard{this};
 
-    // Thread the remaining budget into the pipeline's cooperative
-    // time-limit so the synthesis gives up AT the deadline rather than
-    // being abandoned by it. A caller-set tighter limit wins.
+    // Thread the remaining budget into the pipeline's cooperative time
+    // limits, the LP's and the FPTAS's, so the synthesis gives up AT the
+    // deadline rather than being abandoned by it. A caller-set tighter
+    // limit wins.
     double remaining_s = 0.0;
     if (deadline_s > 0.0) {
       remaining_s = deadline_s - elapsed();
@@ -99,9 +100,9 @@ ServiceReply AdmissionQueue::serve(const DiGraph& topology,
         A2A_COUNTER("service.shed_deadline").inc();
         return finish(ServiceOutcome::kShedDeadline, "deadline expired");
       }
-      if (options.mcf.lp.time_limit_s <= 0.0 ||
-          options.mcf.lp.time_limit_s > remaining_s) {
-        options.mcf.lp.time_limit_s = remaining_s;
+      for (double* limit :
+           {&options.mcf.lp.time_limit_s, &options.mcf.fptas.time_limit_s}) {
+        if (*limit <= 0.0 || *limit > remaining_s) *limit = remaining_s;
       }
     }
 
@@ -121,9 +122,9 @@ ServiceReply AdmissionQueue::serve(const DiGraph& topology,
     A2A_HISTOGRAM("service.miss_seconds").observe_seconds(elapsed());
     return finish(ServiceOutcome::kServed);
   } catch (const SolverError& e) {
-    // The cooperative time-limit surfaces as a SolverError naming
-    // "time-limit" (LpStatus::kTimeLimit's to_string); with a deadline set
-    // that is a shed, not a pipeline failure.
+    // The cooperative time limits surface as a SolverError naming
+    // "time-limit" (LpStatus::kTimeLimit's to_string, or an FPTAS cut
+    // short); with a deadline set that is a shed, not a pipeline failure.
     const bool timed_out =
         std::string_view(e.what()).find("time-limit") != std::string_view::npos;
     if (deadline_s > 0.0 && (timed_out || elapsed() >= deadline_s)) {

@@ -12,9 +12,11 @@
 //     spending seconds of LP time to blow the deadline anyway helps no one,
 //     least of all the requests queued behind it.
 //   * deadline-bounded synthesis: an admitted miss gets its remaining
-//     budget threaded into SimplexOptions::time_limit_s, so the pipeline
-//     itself gives up at the deadline (the PR 7 cooperative time-limit
-//     machinery), and a coalesced wait is bounded by the same budget.
+//     budget threaded into SimplexOptions::time_limit_s and
+//     FleischerOptions::time_limit_s, so the pipeline itself gives up at
+//     the deadline on the LP and the FPTAS branches alike, and a coalesced
+//     wait is bounded by the same budget. A synthesis cut short is shed,
+//     never served or cached.
 //
 // Every outcome is counted (`service.*`) and latency-histogrammed.
 #pragma once

@@ -60,9 +60,9 @@ class ScheduleBroker {
   /// Full path: try_lookup, then coalesced synthesis on miss. `budget_s`
   /// bounds a COALESCED waiter's wait (<= 0: wait forever); the leader's
   /// own synthesis is bounded by whatever deadline the caller threaded into
-  /// options.mcf.lp.time_limit_s. Throws SolverError when the wait or the
-  /// synthesis exceeds its budget, and rethrows leader failures to every
-  /// waiter.
+  /// options.mcf.lp.time_limit_s and options.mcf.fptas.time_limit_s. Throws
+  /// SolverError when the wait or the synthesis exceeds its budget, and
+  /// rethrows leader failures to every waiter.
   [[nodiscard]] BrokerResult request(const std::string& fingerprint,
                                      const DiGraph& topology,
                                      const Fabric& fabric,

@@ -155,7 +155,7 @@ TEST(FuzzDemands, SolverTiersAgreeOnRandomDemandMatrices) {
 
     // Reference: the exact link MCF with weighted demand rows.
     const LinkFlowSolution exact =
-        solve_link_mcf_exact(g, terminals, {}, nullptr, &demand);
+        solve_link_mcf_exact(g, terminals, {}, &demand);
     ASSERT_GT(exact.concurrent_flow, 0.0);
     check_weighted_feasible(g, exact, demand);
 
@@ -220,18 +220,29 @@ TEST(FuzzDemands, UnitWeightLinkScheduleIsByteIdenticalToDefault) {
             link_schedule_to_xml(*weighted.link));
 }
 
+/// exact_master_limit picks the pMCF and master solvers: the exact LP at the
+/// default, the FPTAS at 0. The weight-1 contract holds on both.
+const int kMasterLimits[] = {ToolchainOptions{}.mcf.exact_master_limit, 0};
+
 TEST(FuzzDemands, UnitWeightPathScheduleIsByteIdenticalToDefault) {
   const DiGraph g = make_generalized_kautz(12, 3);
   const Fabric fabric = hpc_cerio_fabric();
-  const GeneratedSchedule base = generate_schedule(g, fabric);
-  const GeneratedSchedule weighted =
-      generate_schedule(g, fabric, unit_zipf_workload());
-  ASSERT_TRUE(base.path.has_value());
-  ASSERT_TRUE(weighted.path.has_value());
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(base.concurrent_flow),
-            std::bit_cast<std::uint64_t>(weighted.concurrent_flow));
-  EXPECT_EQ(path_schedule_to_xml(g, *base.path),
-            path_schedule_to_xml(g, *weighted.path));
+  for (const int limit : kMasterLimits) {
+    SCOPED_TRACE(::testing::Message() << "exact_master_limit " << limit);
+    ToolchainOptions base_options;
+    base_options.mcf.exact_master_limit = limit;
+    ToolchainOptions weighted_options = unit_zipf_workload();
+    weighted_options.mcf.exact_master_limit = limit;
+    const GeneratedSchedule base = generate_schedule(g, fabric, base_options);
+    const GeneratedSchedule weighted =
+        generate_schedule(g, fabric, weighted_options);
+    ASSERT_TRUE(base.path.has_value());
+    ASSERT_TRUE(weighted.path.has_value());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(base.concurrent_flow),
+              std::bit_cast<std::uint64_t>(weighted.concurrent_flow));
+    EXPECT_EQ(path_schedule_to_xml(g, *base.path),
+              path_schedule_to_xml(g, *weighted.path));
+  }
 }
 
 TEST(FuzzDemands, UnitWeightUnrolledScheduleIsByteIdenticalToDefault) {
@@ -239,20 +250,25 @@ TEST(FuzzDemands, UnitWeightUnrolledScheduleIsByteIdenticalToDefault) {
   const DiGraph g = make_hypercube(3);
   Fabric fabric = gpu_mscl_fabric();
   fabric.injection_GBps = 100.0;  // skip augmentation: pure solver diff
-  ToolchainOptions base_options;
-  base_options.exact_tsmcf_limit = 4;  // force the decomposed branch
-  ToolchainOptions weighted_options = unit_zipf_workload();
-  weighted_options.exact_tsmcf_limit = 4;
-  const GeneratedSchedule base = generate_schedule(g, fabric, base_options);
-  const GeneratedSchedule weighted =
-      generate_schedule(g, fabric, weighted_options);
-  ASSERT_TRUE(base.link.has_value());
-  ASSERT_TRUE(weighted.link.has_value());
-  EXPECT_EQ(base.kind, ScheduleKind::kLinkUnrolled);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(base.concurrent_flow),
-            std::bit_cast<std::uint64_t>(weighted.concurrent_flow));
-  EXPECT_EQ(link_schedule_to_xml(*base.link),
-            link_schedule_to_xml(*weighted.link));
+  for (const int limit : kMasterLimits) {
+    SCOPED_TRACE(::testing::Message() << "exact_master_limit " << limit);
+    ToolchainOptions base_options;
+    base_options.exact_tsmcf_limit = 4;  // force the decomposed branch
+    base_options.mcf.exact_master_limit = limit;
+    ToolchainOptions weighted_options = unit_zipf_workload();
+    weighted_options.exact_tsmcf_limit = 4;
+    weighted_options.mcf.exact_master_limit = limit;
+    const GeneratedSchedule base = generate_schedule(g, fabric, base_options);
+    const GeneratedSchedule weighted =
+        generate_schedule(g, fabric, weighted_options);
+    ASSERT_TRUE(base.link.has_value());
+    ASSERT_TRUE(weighted.link.has_value());
+    EXPECT_EQ(base.kind, ScheduleKind::kLinkUnrolled);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(base.concurrent_flow),
+              std::bit_cast<std::uint64_t>(weighted.concurrent_flow));
+    EXPECT_EQ(link_schedule_to_xml(*base.link),
+              link_schedule_to_xml(*weighted.link));
+  }
 }
 
 }  // namespace

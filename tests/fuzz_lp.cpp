@@ -31,14 +31,15 @@
 #include <optional>
 #include <vector>
 
-#include "common/matrix.hpp"
 #include "common/random.hpp"
 #include "common/rational.hpp"
 #include "graph/digraph.hpp"
-#include "lp/lu.hpp"
 #include "lp/simplex.hpp"
 #include "lp_same_solve.hpp"
 #include "mcf/concurrent_flow.hpp"
+#include "reference/dense_simplex.hpp"
+#include "reference/lu.hpp"
+#include "reference/matrix.hpp"
 
 namespace a2a {
 namespace {
@@ -378,8 +379,8 @@ LpModel random_network_lp(Rng& rng, DiGraph* graph_out) {
 }
 
 /// Largest bound violation of the basic solution `basis` defines on
-/// `model`, computed with the dense LU (lp/lu.hpp), apart from the sparse
-/// engine's import: nonbasic columns at their bounds, then x_B = B^-1
+/// `model`, computed with the dense LU (reference/lu.hpp), apart from the
+/// sparse engine's import: nonbasic columns at their bounds, then x_B = B^-1
 /// (b - A_N x_N). Row r's slack has coefficient +1 (-1 on a >= row) and
 /// bounds [0, inf), [0, 0] on an equality row. Infinite for a basis that is
 /// not square or is singular, which the import rejects too.
@@ -525,9 +526,9 @@ TEST(FuzzLp, WarmResolvesMatchColdOnCollapsedInstances) {
     DiGraph g(1);
     (void)random_network_lp(rng, &g);  // draw a random graph shape
     const LpModel base = build_link_mcf_model(g, TerminalPairs(all_nodes(g)));
-    LpBasis warm;
-    const LpSolution first = solve_lp_warm(base, {}, &warm);
+    const LpSolution first = solve_lp(base);
     ASSERT_TRUE(first.optimal()) << "instance " << i;
+    const LpBasis warm = first.basis;
     // Perturb: collapse one or two capacities (rhs only), then cross-check
     // the warm re-solve against cold.
     DiGraph shrunk = g;

@@ -4,14 +4,14 @@
 // pricing. It is the independent oracle: test_simplex, test_forrest_tomlin
 // and fuzz_lp check every shipped solve_lp() path against it (most fuzz_lp
 // families have no other), and bench_lp times it as the dense leg.
-#include "lp/simplex.hpp"
+#include "reference/dense_simplex.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 
-#include "common/matrix.hpp"
-#include "lp/lu.hpp"
+#include "reference/lu.hpp"
+#include "reference/matrix.hpp"
 
 namespace a2a {
 

@@ -1,4 +1,4 @@
-#include "lp/lu.hpp"
+#include "reference/lu.hpp"
 
 #include <cmath>
 

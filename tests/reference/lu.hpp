@@ -1,10 +1,10 @@
 // Dense LU factorization with partial pivoting — the refactorization kernel
-// of the revised simplex basis.
+// of the dense reference simplex's basis.
 #pragma once
 
 #include <vector>
 
-#include "common/matrix.hpp"
+#include "reference/matrix.hpp"
 
 namespace a2a {
 

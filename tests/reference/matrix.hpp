@@ -1,7 +1,8 @@
-// Dense row-major matrix used by the LP solver's basis kernel.
+// Dense row-major matrix used by the dense reference simplex's basis kernel.
 //
 // Deliberately minimal: the simplex implementation needs storage, row
-// operations, and matrix-vector products; everything else lives in lp/lu.
+// operations, and matrix-vector products; everything else lives in
+// reference/lu.
 #pragma once
 
 #include <cstddef>

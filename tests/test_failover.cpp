@@ -380,6 +380,30 @@ TEST(FailoverPrecompute, DomainBatchStoresValidatedFallbacks) {
   EXPECT_EQ(hits, report.stored);
 }
 
+TEST(FailoverPrecompute, VanishingBudgetCountsEverySignatureFailed) {
+  // No exact solve meets the budget: each throws, and precompute counts its
+  // signature failed, stores nothing and throws nothing itself.
+  const DiGraph g = make_generalized_kautz(10, 3);
+  FailoverOptions opts;
+  opts.domain.single_nodes = false;
+  opts.domain.top_k_link_pairs = 2;
+  opts.domain.spectral_pool = 4;
+  opts.domain.spectral_iters = 32;
+  opts.precompute_deadline_s = 1e-9;
+  FailoverManager mgr(g, forwarding_fabric(), opts);
+
+  const std::vector<FailureSignature> domain = mgr.enumerate_domain();
+  ASSERT_FALSE(domain.empty());
+  const std::uint64_t inserted = mgr.library().stats().insertions;
+  PrecomputeReport report;
+  ASSERT_NO_THROW(report = mgr.precompute(domain));
+  EXPECT_EQ(report.attempted, domain.size());
+  EXPECT_EQ(report.stored, 0u);
+  EXPECT_GT(report.failed, 0u);
+  EXPECT_EQ(report.failed + report.skipped_disconnected, report.attempted);
+  EXPECT_EQ(mgr.library().stats().insertions, inserted);
+}
+
 TEST(FailoverPrecompute, DiskLibrarySurvivesManagerRestart) {
   const DiGraph g = make_generalized_kautz(10, 3);
   const fs::path dir =

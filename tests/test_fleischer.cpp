@@ -125,6 +125,7 @@ TEST(Fleischer, TinyTimeLimitStillYieldsFeasibleFlow) {
   FleischerOptions options;
   options.time_limit_s = 1e-9;
   const auto sol = fleischer_paths(g, set, options);
+  EXPECT_TRUE(sol.timed_out);
   EXPECT_GT(sol.concurrent_flow, 0.0);
   std::vector<double> load(static_cast<std::size_t>(g.num_edges()), 0.0);
   for (std::size_t k = 0; k < sol.weights.size(); ++k) {
@@ -144,6 +145,7 @@ TEST(Fleischer, GroupedTimeLimitKeepsFeasibility) {
   FleischerOptions options;
   options.time_limit_s = 1e-9;
   const auto sol = fleischer_grouped(g, all_nodes(g), options);
+  EXPECT_TRUE(sol.timed_out);
   check_grouped_feasible(g, sol);
   EXPECT_GT(sol.concurrent_flow, 0.0);
 }
@@ -160,6 +162,7 @@ TEST(Fleischer, ZeroCapacityEdgeCarriesNoFlow) {
 
   FleischerOptions options;
   const auto paths = fleischer_paths(g, set, options);
+  EXPECT_FALSE(paths.timed_out);
   EXPECT_GT(paths.concurrent_flow, 0.0);
   EXPECT_GE(paths.concurrent_flow, exact * (1.0 - 3 * options.epsilon));
   EXPECT_LE(paths.concurrent_flow, exact + 1e-6);

@@ -15,6 +15,7 @@
 #include "lp_same_solve.hpp"
 #include "mcf/concurrent_flow.hpp"
 #include "mcf/timestepped.hpp"
+#include "reference/dense_simplex.hpp"
 
 namespace a2a {
 namespace {
@@ -206,10 +207,10 @@ TEST(ForrestTomlin, WarmResolveMatchesCold) {
   const DiGraph base = make_generalized_kautz(10, 4);
   const auto nodes = all_nodes(base);
   const SimplexOptions o = no_presolve();
-  LpBasis warm;
   const LpSolution first =
-      solve_lp_warm(build_link_mcf_model(base, TerminalPairs(nodes)), o, &warm);
+      solve_lp(build_link_mcf_model(base, TerminalPairs(nodes)), o);
   ASSERT_TRUE(first.optimal());
+  const LpBasis warm = first.basis;
   DiGraph g = base;
   Rng rng(99);
   for (int hit = 0; hit < 3; ++hit) {

@@ -2,15 +2,15 @@
 
 #include <algorithm>
 
-#include "common/matrix.hpp"
 #include "common/random.hpp"
 #include "graph/topologies.hpp"
-#include "lp/lu.hpp"
 #include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
 #include "lp/sparse_lu.hpp"
 #include "mcf/concurrent_flow.hpp"
 #include "mcf/path_mcf.hpp"
+#include "reference/lu.hpp"
+#include "reference/matrix.hpp"
 
 namespace a2a {
 namespace {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "graph/topologies.hpp"
 
@@ -86,6 +87,21 @@ TEST(Decomposed, FptasMasterWithinEpsilon) {
   EXPECT_LE(sol.concurrent_flow, 1.0 / 9.0 + 1e-6);
   EXPECT_GE(sol.concurrent_flow, (1.0 / 9.0) * (1.0 - 0.15));
   check_per_commodity_feasible(g, sol);
+}
+
+TEST(Decomposed, FptasMasterCutShortByItsBudgetThrows) {
+  // An FPTAS master stopped on its time limit is weaker than its epsilon
+  // promises; like an LP master cut short, it throws instead of answering.
+  const DiGraph g = make_torus({3, 3, 3});
+  DecomposedOptions options;
+  options.exact_master_limit = 0;
+  options.fptas.time_limit_s = 1e-9;
+  try {
+    (void)solve_decomposed_mcf(g, all_nodes(g), options);
+    FAIL() << "a 1 ns budget was met";
+  } catch (const SolverError& e) {
+    EXPECT_NE(std::string(e.what()).find("time-limit"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Decomposed, WorksOnPuncturedTorus) {

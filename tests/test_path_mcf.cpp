@@ -94,18 +94,18 @@ TEST(PathMcf, ShortestSetTruncationFlagOnTorus) {
   EXPECT_TRUE(truncated);  // tori have many shortest paths (§3.1.4)
 }
 
-TEST(PathMcf, BudgetedSolveReportsTimeLimitInsteadOfThrowing) {
+TEST(PathMcf, BudgetedSolveThrowsTimeLimit) {
+  // A budget the solve cannot meet yields no answer at all: the error names
+  // the LP status, which the service maps to a deadline shed.
   const DiGraph g = make_torus({3, 3});
   const PathSet set = build_disjoint_path_set(g, all_nodes(g));
   SimplexOptions lp;
   lp.time_limit_s = 1e-9;
-  const auto sol = solve_path_mcf_budgeted(g, set, lp);
-  EXPECT_EQ(sol.status, LpStatus::kTimeLimit);
-  // Weights stay shaped like the candidate set even when the solve was cut
-  // off before any value was produced (callers repair, not crash).
-  ASSERT_EQ(sol.weights.size(), set.commodities.size());
-  for (std::size_t k = 0; k < sol.weights.size(); ++k) {
-    EXPECT_EQ(sol.weights[k].size(), set.candidates[k].size());
+  try {
+    (void)solve_path_mcf_exact(g, set, lp);
+    FAIL() << "a 1 ns budget was met";
+  } catch (const SolverError& e) {
+    EXPECT_NE(std::string(e.what()).find("time-limit"), std::string::npos) << e.what();
   }
 }
 
@@ -114,8 +114,7 @@ TEST(PathMcf, BudgetedSolveMatchesExactWithGenerousBudget) {
   const PathSet set = build_disjoint_path_set(g, all_nodes(g));
   SimplexOptions lp;
   lp.time_limit_s = 30.0;
-  const auto sol = solve_path_mcf_budgeted(g, set, lp);
-  EXPECT_EQ(sol.status, LpStatus::kOptimal);
+  const auto sol = solve_path_mcf_exact(g, set, lp);
   EXPECT_NEAR(sol.concurrent_flow, 0.25, 1e-5);
 }
 
@@ -197,28 +196,35 @@ TEST(PathMcfCrash, ZeroCapacityEdgeKeepsTheSlackStart) {
 }
 
 TEST(PathMcfCrash, StartsFromAPrimalFeasibleVertex) {
-  // Stopped before its first pivot, the solve reports the crash vertex: one
+  // Stopped before its first pivot, the LP reports the crash vertex: one
   // candidate per commodity carries d_k·F, and no edge is over capacity.
   const DiGraph g = make_generalized_kautz(27, 4);
   for (const char* spec : {"uniform", "zipf:0.6"}) {
     SCOPED_TRACE(spec);
     const DemandMatrix demand = DemandSpec::parse(spec).instantiate(27);
     const PathSet set = build_disjoint_path_set(g, all_nodes(g), &demand);
-    SimplexOptions lp;
-    lp.max_iterations = 0;
-    const PathMcfSolution start = solve_path_mcf_budgeted(g, set, lp);
+    int f_var = -1;
+    const LpModel model = build_path_mcf_model(g, set, &f_var);
+    const LpBasis crash = fptas_crash_basis(g, set, f_var);
+    const LpSolution start = solve_lp(model, {.max_iterations = 0}, &crash);
     EXPECT_EQ(start.status, LpStatus::kIterationLimit);
-    ASSERT_GT(start.concurrent_flow, 0.0);
+    EXPECT_TRUE(start.warm_started);
+    const double f = start.values[static_cast<std::size_t>(f_var)];
+    ASSERT_GT(f, 0.0);
     std::vector<double> load(static_cast<std::size_t>(g.num_edges()), 0.0);
+    std::size_t var = 0;  // (commodity, candidate) order, as built
     for (std::size_t k = 0; k < set.candidates.size(); ++k) {
-      const auto& w = start.weights[k];
-      EXPECT_EQ(std::count_if(w.begin(), w.end(), [](double v) { return v > 0.0; }), 1);
+      int carrying = 0;
       double total = 0.0;
-      for (std::size_t p = 0; p < w.size(); ++p) {
-        total += w[p];
-        for (const EdgeId e : set.candidates[k][p]) load[static_cast<std::size_t>(e)] += w[p];
+      for (const Path& path : set.candidates[k]) {
+        const double v = start.values[var++];
+        const double w = v > 1e-10 ? v : 0.0;  // the weights solve_path_mcf_exact reports
+        carrying += w > 0.0 ? 1 : 0;
+        total += w;
+        for (const EdgeId e : path) load[static_cast<std::size_t>(e)] += w;
       }
-      EXPECT_NEAR(total, set.demand_of(k) * start.concurrent_flow, 1e-12);
+      EXPECT_EQ(carrying, 1);
+      EXPECT_NEAR(total, set.demand_of(k) * f, 1e-12);
     }
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       EXPECT_LE(load[static_cast<std::size_t>(e)], g.edge(e).capacity * (1.0 + 1e-12));
@@ -261,29 +267,24 @@ TEST(PathMcfCrash, IsTracedInsideTheSolve) {
   }));
 }
 
-std::uint64_t crash_phases() {
-  return obs::MetricsRegistry::global().counter("mcf.crash_phases").value();
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
 }
 
 TEST(PathMcfCrash, BudgetSpentInTheBuildRunsNoCrash) {
   // The model build, the crash's FPTAS and the LP share one wall-clock
   // allowance. Building GenKautz(27,4)'s pMCF model takes far longer than
-  // this budget, so the solve stops before the crash runs a phase and
-  // seeds no LP.
+  // this budget, so the solve stops before the crash runs a phase, seeds
+  // no LP and throws.
   const DiGraph g = make_generalized_kautz(27, 4);
   const PathSet set = build_disjoint_path_set(g, all_nodes(g));
   SimplexOptions lp;
   lp.time_limit_s = 1e-9;
-  const std::uint64_t before = crash_phases();
-  const PathMcfSolution cut = solve_path_mcf_budgeted(g, set, lp);
-  EXPECT_EQ(crash_phases(), before);
-  EXPECT_EQ(cut.status, LpStatus::kTimeLimit);
-  EXPECT_EQ(cut.lp_iterations, 0);
-  EXPECT_EQ(cut.concurrent_flow, 0.0);
-  for (const auto& w : cut.weights) {
-    EXPECT_TRUE(std::all_of(w.begin(), w.end(), [](double v) { return v == 0.0; }));
-  }
+  const std::uint64_t phases_before = counter_value("mcf.crash_phases");
+  const std::uint64_t pivots_before = counter_value("lp.iterations");
   EXPECT_THROW((void)solve_path_mcf_exact(g, set, lp), SolverError);
+  EXPECT_EQ(counter_value("mcf.crash_phases"), phases_before);
+  EXPECT_EQ(counter_value("lp.iterations"), pivots_before);
 }
 
 TEST(PathMcfCrash, AmpleBudgetSolvesLikeNoBudget) {
@@ -292,16 +293,15 @@ TEST(PathMcfCrash, AmpleBudgetSolvesLikeNoBudget) {
   const DiGraph g = make_generalized_kautz(16, 4);
   const DemandMatrix demand = DemandSpec::parse("zipf:0.6").instantiate(16);
   const PathSet set = build_disjoint_path_set(g, all_nodes(g), &demand);
-  std::uint64_t before = crash_phases();
+  std::uint64_t before = counter_value("mcf.crash_phases");
   const PathMcfSolution free_run = solve_path_mcf_exact(g, set);
-  const std::uint64_t free_phases = crash_phases() - before;
+  const std::uint64_t free_phases = counter_value("mcf.crash_phases") - before;
   SimplexOptions lp;
   lp.time_limit_s = 600.0;
-  before = crash_phases();
-  const PathMcfSolution budgeted = solve_path_mcf_budgeted(g, set, lp);
+  before = counter_value("mcf.crash_phases");
+  const PathMcfSolution budgeted = solve_path_mcf_exact(g, set, lp);
   EXPECT_GT(free_phases, 1u);
-  EXPECT_EQ(crash_phases() - before, free_phases);
-  EXPECT_EQ(budgeted.status, LpStatus::kOptimal);
+  EXPECT_EQ(counter_value("mcf.crash_phases") - before, free_phases);
   EXPECT_EQ(budgeted.lp_iterations, free_run.lp_iterations);
   EXPECT_TRUE(same_bits(budgeted.weights, free_run.weights));
 }

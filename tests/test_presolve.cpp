@@ -184,10 +184,9 @@ TEST(Presolve, WarmBasisThreadsThroughPerturbedResolves) {
   // solve rejects it and the warm re-solve is the cold one, bit for bit.
   const DiGraph base = make_generalized_kautz(10, 4);
   const auto nodes = all_nodes(base);
-  LpBasis warm;
-  const LpSolution first = solve_lp_warm(
-      build_link_mcf_model(base, TerminalPairs(nodes)), {}, &warm);
+  const LpSolution first = solve_lp(build_link_mcf_model(base, TerminalPairs(nodes)));
   ASSERT_TRUE(first.optimal());
+  const LpBasis warm = first.basis;
   Rng rng(4242);
   DiGraph g = base;
   for (int hit = 0; hit < 2; ++hit) {
@@ -197,8 +196,7 @@ TEST(Presolve, WarmBasisThreadsThroughPerturbedResolves) {
   }
   const LpModel perturbed = build_link_mcf_model(g, TerminalPairs(nodes));
   const LpSolution cold = solve_lp(perturbed);
-  LpBasis warm_copy = warm;
-  const LpSolution resolved = solve_lp_warm(perturbed, {}, &warm_copy);
+  const LpSolution resolved = solve_lp(perturbed, {}, &warm);
   ASSERT_TRUE(cold.optimal());
   ASSERT_TRUE(resolved.optimal());
   EXPECT_FALSE(resolved.warm_started);

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -377,6 +378,36 @@ TEST(AdmissionQueue, ExpiredDeadlineIsShedNotFailed) {
   const auto reply = admit.serve(topo, fabric, fresh_options(), 1e-3);
   EXPECT_EQ(reply.outcome, service::ServiceOutcome::kShedDeadline);
   EXPECT_FALSE(reply.error.empty());
+}
+
+TEST(AdmissionQueue, DeadlineBoundsAnFptasMissAndCachesNothing) {
+  // GenKautz(60,4) on Cerio is past exact_master_limit, so its pMCF runs
+  // the FPTAS, which must stop on the request's budget as the LP does. The
+  // miss is shed, and nothing cut short by the budget is cached under the
+  // fingerprint, which does not carry the budget.
+  ScheduleCache cache;
+  service::ScheduleBroker broker(&cache, nullptr);
+  service::AdmissionQueue admit(&broker);
+  const DiGraph topo = make_generalized_kautz(60, 4);
+  const Fabric fabric = hpc_cerio_fabric();
+  const ToolchainOptions options;
+  const auto shed = admit.serve(topo, fabric, options, 5.0);
+  EXPECT_EQ(shed.outcome, service::ServiceOutcome::kShedDeadline);
+  EXPECT_NE(shed.error.find("time-limit"), std::string::npos) << shed.error;
+  EXPECT_EQ(cache.stats().insertions, 0u);
+  EXPECT_FALSE(cache.lookup(shed.fingerprint).has_value());
+
+  // The same key without a deadline is served, with the F a fresh
+  // synthesis finds.
+  const auto served = admit.serve(topo, fabric, options);
+  ASSERT_EQ(served.outcome, service::ServiceOutcome::kServed);
+  EXPECT_FALSE(served.hit);
+  const auto cached = cache.lookup(served.fingerprint);
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(cached->kind, ScheduleKind::kPathPMcf);
+  const GeneratedSchedule fresh = synthesize_schedule(topo, fabric, options);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cached->concurrent_flow),
+            std::bit_cast<std::uint64_t>(fresh.concurrent_flow));
 }
 
 TEST(AdmissionQueue, UnmeetableDeadlineIsShedUpfrontViaEwma) {

@@ -12,6 +12,7 @@
 #include "mcf/concurrent_flow.hpp"
 #include "mcf/timestepped.hpp"
 #include "obs/metrics.hpp"
+#include "reference/dense_simplex.hpp"
 
 namespace a2a {
 namespace {
@@ -347,16 +348,6 @@ TEST(SimplexWarmStart, IncompatibleBasisFallsBackToCold) {
   EXPECT_NEAR(sol.objective, solve_lp(big).objective, 1e-9);
 }
 
-TEST(SimplexWarmStart, McfEntryPointsRoundTripBases) {
-  const DiGraph g = make_hypercube(3);
-  LpBasis warm;
-  const auto a = solve_link_mcf_exact(g, all_nodes(g), {}, &warm);
-  EXPECT_FALSE(warm.empty());
-  const auto b = solve_link_mcf_exact(g, all_nodes(g), {}, &warm);
-  EXPECT_NEAR(a.concurrent_flow, b.concurrent_flow, 1e-9);
-  EXPECT_EQ(b.lp_iterations, 0);
-}
-
 // ---- degenerate and bound-flip pivot paths --------------------------------
 
 TEST(SimplexDegenerate, AssignmentProblemHeavilyDegenerate) {
@@ -557,23 +548,6 @@ TEST(SimplexWarmStart, ObjectiveFlipResolveMatchesCold) {
   ASSERT_TRUE(warm.optimal());
   EXPECT_TRUE(warm.warm_started);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
-}
-
-TEST(SimplexWarmStart, TsMcfCapacityUpdateViaEntryPoint) {
-  // End-to-end through solve_tsmcf_exact: warm basis round-trips across a
-  // capacity update with the objective a cold pipeline finds.
-  const DiGraph g = make_ring(5);
-  const int steps = diameter(g) + 1;
-  LpBasis warm;
-  const auto first = solve_tsmcf_exact(g, steps, all_nodes(g), {}, &warm);
-  ASSERT_FALSE(warm.empty());
-
-  DiGraph tight = g;
-  tight.set_capacity(0, 0.5);
-  const auto cold = solve_tsmcf_exact(tight, steps, all_nodes(tight));
-  const auto again = solve_tsmcf_exact(tight, steps, all_nodes(tight), {}, &warm);
-  EXPECT_NEAR(again.total_utilization, cold.total_utilization, 1e-6);
-  EXPECT_GE(again.total_utilization, first.total_utilization - 1e-9);
 }
 
 TEST(SimplexBoundFlip, FlipOnlySolveLeavesBasisUntouched) {

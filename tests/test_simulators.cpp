@@ -5,8 +5,8 @@
 #include "graph/topologies.hpp"
 #include "mcf/decomposed.hpp"
 #include "mcf/timestepped.hpp"
+#include "reference/event_sim.hpp"
 #include "runtime/ct_simulator.hpp"
-#include "runtime/event_sim.hpp"
 #include "runtime/sf_simulator.hpp"
 #include "schedule/compile_link.hpp"
 #include "schedule/compile_path.hpp"
