@@ -1,8 +1,9 @@
 // SchedBin container study — size and (de)serialization throughput vs the
 // §4 XML dialect across the Fig. 10 topology families, the v2 dict codec vs
 // rle/delta on Fig. 3/4-style schedules, mmap chunk reads vs whole-file
-// slurps, plus the schedule cache's effect on repeat generate_schedule()
-// calls.
+// slurps, the schedule cache's effect on repeat generate_schedule() calls,
+// and (full runs only) the envelope encode/decode of a 1.3M-transfer link
+// schedule.
 //
 //   bench_container                 full sweep
 //   bench_container --smoke         one small case + hard assertions (CI
@@ -11,14 +12,16 @@
 //                                   touches a fraction of the file. Nonzero
 //                                   exit on violation.
 //   bench_container --json PATH     append a BENCH_container.json trajectory
-//                                   record (headline ratios + the metrics
-//                                   registry snapshot for the run).
+//                                   record (headline ratios, the link
+//                                   envelope leg + the metrics registry
+//                                   snapshot for the run).
 #include "bench_util.hpp"
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "collectives/demand.hpp"
 #include "container/schedbin.hpp"
 #include "core/api.hpp"
 #include "core/schedule_cache.hpp"
@@ -256,12 +259,53 @@ int main(int argc, char** argv) {
             << cache.stats().misses << " misses ("
             << cache.memory_bytes() / 1024 << " KiB resident)\n";
 
+  // The largest link artifact the benchmark workloads serve: torus 3x3x2 on
+  // oneCCL under zipf:0.6 demand, pipelined into ~1.3M timed transfers.
+  std::string link_leg;
+  if (!smoke) {
+    std::cout << "\n=== link envelope: torus 3x3x2, oneCCL, zipf:0.6 ===\n\n";
+    ToolchainOptions link_options;
+    link_options.workload.demand = DemandSpec::parse("zipf:0.6");
+    const GeneratedSchedule link = synthesize_schedule(
+        make_torus({3, 3, 2}), cpu_oneccl_fabric(), link_options);
+    const std::string envelope = generated_schedule_to_bytes(link);
+    const SchedBinInfo info =
+        schedbin_inspect(parse_schedule_envelope(envelope).schedbin());
+    const auto best_of_5 = [](auto&& fn) {
+      double best = 1e30;
+      for (int rep = 0; rep < 5; ++rep) best = std::min(best, timed(fn));
+      return best;
+    };
+    const double encode_s =
+        best_of_5([&] { (void)generated_schedule_to_bytes(link); });
+    const double decode_s =
+        best_of_5([&] { (void)generated_schedule_from_bytes(envelope); });
+    Table link_table({"transfers", "chunks", "frame bytes", "encode s",
+                      "decode s"});
+    link_table.row()
+        .cell(static_cast<long long>(link.link->transfers.size()))
+        .cell(static_cast<long long>(info.num_chunks))
+        .cell(static_cast<long long>(info.total_bytes))
+        .cell(encode_s, 4)
+        .cell(decode_s, 4);
+    link_table.print(std::cout);
+    std::ostringstream js;
+    js << ",\n  \"link_torus18_zipf06\": {\"transfers\": "
+       << link.link->transfers.size() << ", \"chunks\": " << info.num_chunks
+       << ", \"frame_bytes\": " << info.total_bytes
+       << ", \"envelope_bytes\": " << envelope.size()
+       << ", \"encode_best_of_5_s\": " << encode_s
+       << ", \"decode_best_of_5_s\": " << decode_s << "}";
+    link_leg = js.str();
+  }
+
   if (!json_path.empty()) {
     std::ostringstream js;
     js << "{\n  \"benchmark\": \"bench_container\",\n  \"mode\": \""
        << (smoke ? "smoke" : "full")
        << "\",\n  \"worst_xml_delta_ratio\": " << worst_ratio
        << ",\n  \"worst_delta_dict_gain\": " << worst_dict_gain
+       << link_leg
        << ",\n  \"cache_hits\": " << cache.stats().hits()
        << ",\n  \"cache_misses\": " << cache.stats().misses
        << ",\n  \"failures\": " << failures

@@ -1,7 +1,6 @@
 #include "container/codec.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/binio.hpp"
 #include "common/varint.hpp"
@@ -106,24 +105,20 @@ void decode_delta(const char* data, std::size_t size, std::int64_t* out,
 
 }  // namespace
 
-std::vector<std::int64_t> build_dictionary(const std::int64_t* words,
-                                           std::size_t count,
-                                           std::size_t max_entries) {
-  std::unordered_map<std::int64_t, std::uint64_t> freq;
-  freq.reserve(count / 4 + 16);
-  std::size_t i = 0;
-  while (i < count) {
-    // A run counts once: the run-length field already collapses it, so a
-    // word earns a dictionary slot by recurring across the frame, not by
-    // sitting in one long run (which rle/delta handle for free).
-    std::size_t run = 1;
-    while (i + run < count && words[i + run] == words[i]) ++run;
-    ++freq[words[i]];
-    i += run;
+void DictionaryBuilder::add(const std::int64_t* words, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    if (started_ && words[i] == last_) continue;  // the run goes on
+    ++runs_[words[i]];
+    last_ = words[i];
+    started_ = true;
   }
+}
+
+std::vector<std::int64_t> DictionaryBuilder::build(
+    std::size_t max_entries) const {
   std::vector<std::pair<std::int64_t, std::uint64_t>> repeated;
-  repeated.reserve(freq.size());
-  for (const auto& [value, n] : freq) {
+  repeated.reserve(runs_.size());
+  for (const auto& [value, n] : runs_) {
     if (n >= 2) repeated.push_back({value, n});
   }
   std::sort(repeated.begin(), repeated.end(),

@@ -7,12 +7,13 @@
 // dict codec adds a per-frame dictionary of repeated words (route weights,
 // rational denominators, hot node ids recur across chunks) so that a
 // repeated 8-to-10-byte value costs 1–3 bytes per occurrence. Each codec
-// maps a span of words to bytes and back; chunking, checksumming and
-// threading live one layer up in schedbin.cpp.
+// maps a span of words to bytes and back; chunking and checksumming live one
+// layer up in schedbin.cpp, which walks the chunks on the calling thread.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -43,12 +44,26 @@ struct DictView {
   std::size_t size = 0;
 };
 
-/// Builds the frame dictionary for the dict codec: every word occurring at
-/// least twice in [words, words + count), ordered by (frequency desc, value
-/// asc) for determinism, truncated to `max_entries`.
-[[nodiscard]] std::vector<std::int64_t> build_dictionary(
-    const std::int64_t* words, std::size_t count,
-    std::size_t max_entries = kSchedBinMaxDictEntries);
+/// Builds the frame dictionary for the dict codec from the frame's words,
+/// fed in order one slice at a time. A run of equal words counts once,
+/// however the slices cut it: the run-length field already collapses it, so
+/// a word earns a slot by recurring across the frame, not by sitting in one
+/// long run (which rle/delta handle for free).
+class DictionaryBuilder {
+ public:
+  /// Counts the runs in the frame's next `count` words.
+  void add(const std::int64_t* words, std::size_t count);
+
+  /// Every word with at least two runs, ordered by (runs desc, value asc)
+  /// for determinism, truncated to `max_entries`.
+  [[nodiscard]] std::vector<std::int64_t> build(
+      std::size_t max_entries = kSchedBinMaxDictEntries) const;
+
+ private:
+  std::unordered_map<std::int64_t, std::uint64_t> runs_;
+  bool started_ = false;
+  std::int64_t last_ = 0;  ///< the word before this slice, once started_.
+};
 
 /// Reusable dict-codec encoder: owns the value -> token index built from a
 /// dictionary once per frame and shared across every chunk's encode.

@@ -1,55 +1,88 @@
 #include "container/columnar.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "graph/paths.hpp"
 
 namespace a2a {
 
-std::vector<std::int64_t> link_schedule_to_words(const LinkSchedule& schedule) {
-  const std::size_t t = schedule.transfers.size();
-  std::vector<std::int64_t> words(kLinkColumns * t);
-  for (std::size_t i = 0; i < t; ++i) {
-    const Transfer& tr = schedule.transfers[i];
-    words[0 * t + i] = tr.chunk.src;
-    words[1 * t + i] = tr.chunk.dst;
-    words[2 * t + i] = tr.chunk.lo.num();
-    words[3 * t + i] = tr.chunk.lo.den();
-    words[4 * t + i] = tr.chunk.hi.num();
-    words[5 * t + i] = tr.chunk.hi.den();
-    words[6 * t + i] = tr.from;
-    words[7 * t + i] = tr.to;
-    words[8 * t + i] = tr.step;
+namespace {
+
+/// Calls fn(column, first transfer, n, offset in the slice) for each column
+/// segment of words [lo, lo + count) of a stream over `t` transfers.
+template <typename Fn>
+void for_each_column_segment(std::size_t t, std::size_t lo, std::size_t count,
+                             Fn&& fn) {
+  // Compare against the words left, not lo + count, which a wild count
+  // would wrap into a false pass.
+  A2A_REQUIRE(lo <= kLinkColumns * t && count <= kLinkColumns * t - lo,
+              "link word slice [", lo, ", +", count, ") overruns ", t,
+              " transfers");
+  const std::size_t end = lo + count;
+  for (std::size_t pos = lo; pos < end;) {
+    const std::size_t row = pos % t;
+    const std::size_t n = std::min(t - row, end - pos);
+    fn(pos / t, row, n, pos - lo);
+    pos += n;
   }
-  return words;
 }
 
-LinkSchedule link_schedule_from_words(const std::vector<std::int64_t>& words,
-                                      int num_nodes, int num_steps,
-                                      std::size_t record_count) {
-  // Divide, don't multiply: `kLinkColumns * record_count` wraps for a
-  // hostile 64-bit record count, turning a mismatch into a false pass (and
-  // the resize below into a wild allocation).
-  A2A_REQUIRE(record_count <= words.size() / kLinkColumns &&
-                  words.size() == kLinkColumns * record_count,
-              "link word stream has ", words.size(), " words for ",
-              record_count, " records");
-  LinkSchedule out;
-  out.num_nodes = num_nodes;
-  out.num_steps = num_steps;
-  out.transfers.resize(record_count);
-  const std::size_t t = record_count;
-  for (std::size_t i = 0; i < t; ++i) {
-    Transfer& tr = out.transfers[i];
-    tr.chunk.src = static_cast<NodeId>(words[0 * t + i]);
-    tr.chunk.dst = static_cast<NodeId>(words[1 * t + i]);
-    tr.chunk.lo = Rational(words[2 * t + i], words[3 * t + i]);
-    tr.chunk.hi = Rational(words[4 * t + i], words[5 * t + i]);
-    tr.from = static_cast<NodeId>(words[6 * t + i]);
-    tr.to = static_cast<NodeId>(words[7 * t + i]);
-    tr.step = static_cast<int>(words[8 * t + i]);
-  }
-  return out;
+}  // namespace
+
+void link_words_gather(const LinkSchedule& schedule, std::size_t lo,
+                       std::size_t count, std::int64_t* out) {
+  using Row = const Transfer&;
+  const auto segment = [&](std::size_t column, std::size_t row, std::size_t n,
+                           std::size_t at) {
+    const Transfer* tr = schedule.transfers.data() + row;
+    const auto gather = [&](auto field) {
+      for (std::size_t i = 0; i < n; ++i) out[at + i] = field(tr[i]);
+    };
+    switch (column) {
+      case 0: gather([](Row x) { return x.chunk.src; }); break;
+      case 1: gather([](Row x) { return x.chunk.dst; }); break;
+      case 2: gather([](Row x) { return x.chunk.lo.num(); }); break;
+      case 3: gather([](Row x) { return x.chunk.lo.den(); }); break;
+      case 4: gather([](Row x) { return x.chunk.hi.num(); }); break;
+      case 5: gather([](Row x) { return x.chunk.hi.den(); }); break;
+      case 6: gather([](Row x) { return x.from; }); break;
+      case 7: gather([](Row x) { return x.to; }); break;
+      default: gather([](Row x) { return x.step; }); break;
+    }
+  };
+  for_each_column_segment(schedule.transfers.size(), lo, count, segment);
+}
+
+void link_words_scatter(const std::int64_t* words, std::size_t lo,
+                        std::size_t count, LinkSchedule& schedule) {
+  using Row = Transfer&;
+  using Word = std::int64_t;
+  const auto segment = [&](std::size_t column, std::size_t row, std::size_t n,
+                           std::size_t at) {
+    Transfer* tr = schedule.transfers.data() + row;
+    const auto scatter = [&](auto field) {
+      for (std::size_t i = 0; i < n; ++i) field(tr[i], words[at + i]);
+    };
+    // A numerator waits in its rational as num/1 (not normalized) until its
+    // denominator, a later column, completes it.
+    switch (column) {
+      case 0: scatter([](Row x, Word v) { x.chunk.src = NodeId(v); }); break;
+      case 1: scatter([](Row x, Word v) { x.chunk.dst = NodeId(v); }); break;
+      case 2: scatter([](Row x, Word v) { x.chunk.lo = Rational(v); }); break;
+      case 3:
+        scatter([](Row x, Word v) { x.chunk.lo = Rational(x.chunk.lo.num(), v); });
+        break;
+      case 4: scatter([](Row x, Word v) { x.chunk.hi = Rational(v); }); break;
+      case 5:
+        scatter([](Row x, Word v) { x.chunk.hi = Rational(x.chunk.hi.num(), v); });
+        break;
+      case 6: scatter([](Row x, Word v) { x.from = NodeId(v); }); break;
+      case 7: scatter([](Row x, Word v) { x.to = NodeId(v); }); break;
+      default: scatter([](Row x, Word v) { x.step = int(v); }); break;
+    }
+  };
+  for_each_column_segment(schedule.transfers.size(), lo, count, segment);
 }
 
 std::vector<std::int64_t> path_schedule_to_words(const DiGraph& g,
@@ -78,7 +111,8 @@ PathSchedule path_schedule_from_words(const DiGraph& g,
                                       const std::vector<std::int64_t>& words,
                                       int num_nodes, const Rational& chunk_unit,
                                       std::size_t record_count) {
-  // Divide, don't multiply: see link_schedule_from_words.
+  // Divide, don't multiply: `kPathColumns * record_count` wraps for a
+  // hostile 64-bit record count, turning a mismatch into a false pass.
   A2A_REQUIRE(record_count <= words.size() / kPathColumns,
               "path word stream has ", words.size(), " words for ",
               record_count, " records");

@@ -1,8 +1,12 @@
 #include "container/schedbin.hpp"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/binio.hpp"
@@ -83,10 +87,36 @@ void append_header(std::string& out, SchedBinKind kind, std::uint16_t version,
   put_u32(out, num_chunks);
 }
 
+/// A frame's payload word stream, read in order one slice at a time:
+/// read(lo, count) returns words [lo, lo + count), valid until the next
+/// read.
+struct WordSource {
+  std::size_t size = 0;
+  std::function<const std::int64_t*(std::size_t lo, std::size_t count)> read;
+};
+
+/// A source over words the caller already holds (path frames, convert).
+WordSource vector_source(const std::vector<std::int64_t>& words) {
+  return {words.size(), [&words](std::size_t lo, std::size_t) {
+            return words.data() + lo;
+          }};
+}
+
+/// A source over a link schedule's columns (columnar.hpp's column view),
+/// gathered into one slice-sized buffer: nothing holds the whole stream.
+WordSource link_source(const LinkSchedule& schedule) {
+  return {kLinkColumns * schedule.transfers.size(),
+          [&schedule, buf = std::vector<std::int64_t>()](
+              std::size_t lo, std::size_t count) mutable {
+            buf.resize(count);
+            link_words_gather(schedule, lo, count, buf.data());
+            return static_cast<const std::int64_t*>(buf.data());
+          }};
+}
+
 std::string encode_container(SchedBinKind kind, int num_nodes, int num_steps,
                              const Rational& chunk_unit,
-                             std::uint64_t record_count,
-                             const std::vector<std::int64_t>& words,
+                             std::uint64_t record_count, WordSource words,
                              const SchedBinOptions& options) {
   A2A_REQUIRE(options.version == kSchedBinVersion1 ||
                   options.version == kSchedBinVersion2,
@@ -102,19 +132,26 @@ std::string encode_container(SchedBinKind kind, int num_nodes, int num_steps,
   A2A_REQUIRE(v2 || options.metadata.empty(),
               "v1 frames cannot carry metadata — write version 2");
   check_metadata_limits(options.metadata);
-  const std::size_t chunks = chunk_count(words.size(), options.chunk_words);
+  const std::size_t chunks = chunk_count(words.size, options.chunk_words);
   obs::TraceSpan span("stage.encode",
                       std::string(codec_name(options.codec)) + ", " +
                           std::to_string(chunks) + " chunks");
   const auto encode_start = std::chrono::steady_clock::now();
   A2A_COUNTER("schedbin.encode.calls").inc();
-  A2A_COUNTER("schedbin.encode.raw_bytes").add(words.size() * 8);
+  A2A_COUNTER("schedbin.encode.raw_bytes").add(words.size * 8);
   const auto finish_encode_metrics = [&](const std::string& frame) {
     A2A_COUNTER("schedbin.encode.encoded_bytes").add(frame.size());
     A2A_HISTOGRAM("schedbin.encode.seconds")
         .observe_seconds(std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - encode_start)
                              .count());
+  };
+
+  const auto read_chunk = [&](std::size_t c) {
+    const std::size_t lo = c * options.chunk_words;
+    const std::size_t count =
+        std::min<std::size_t>(words.size - lo, options.chunk_words);
+    return std::span<const std::int64_t>(words.read(lo, count), count);
   };
 
   // The dict codec builds one dictionary over the whole frame, then every
@@ -124,7 +161,12 @@ std::string encode_container(SchedBinKind kind, int num_nodes, int num_steps,
   std::vector<std::int64_t> dict;
   std::unique_ptr<DictEncoder> dict_encoder;
   if (options.codec == SchedBinCodec::kDict) {
-    dict = build_dictionary(words.data(), words.size());
+    DictionaryBuilder builder;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const auto chunk = read_chunk(c);
+      builder.add(chunk.data(), chunk.size());
+    }
+    dict = builder.build();
     dict_encoder =
         std::make_unique<DictEncoder>(DictView{dict.data(), dict.size()});
   }
@@ -133,10 +175,9 @@ std::string encode_container(SchedBinKind kind, int num_nodes, int num_steps,
   std::vector<std::string> payloads(chunks);
   std::vector<SchedBinCodec> chunk_codecs(chunks, options.codec);
   const auto compress_one = [&](std::size_t c) {
-    const std::size_t lo = c * options.chunk_words;
-    const std::size_t hi = std::min(words.size(), lo + options.chunk_words);
-    const std::int64_t* span = words.data() + lo;
-    const std::size_t count = hi - lo;
+    const auto chunk = read_chunk(c);
+    const std::int64_t* span = chunk.data();
+    const std::size_t count = chunk.size();
     if (options.codec != SchedBinCodec::kDict) {
       encode_words(options.codec, span, count, payloads[c]);
       return;
@@ -193,7 +234,7 @@ std::string encode_container(SchedBinKind kind, int num_nodes, int num_steps,
   if (!v2) {
     out.reserve(kHeaderBytes + chunks * kDirEntryBytesV1 + payload_bytes);
     append_header(out, kind, kSchedBinVersion1, options.codec, num_nodes,
-                  num_steps, chunk_unit, record_count, words.size(),
+                  num_steps, chunk_unit, record_count, words.size,
                   options.chunk_words, static_cast<std::uint32_t>(chunks));
     for (const std::string& p : payloads) {
       put_u32(out, static_cast<std::uint32_t>(p.size()));
@@ -207,7 +248,7 @@ std::string encode_container(SchedBinKind kind, int num_nodes, int num_steps,
   out.reserve(kHeaderBytes + payload_bytes + chunks * kDirEntryBytesV2 +
               dict.size() * 4 + kFooterBytes + 64);
   append_header(out, kind, kSchedBinVersion2, options.codec, num_nodes,
-                num_steps, chunk_unit, record_count, words.size(),
+                num_steps, chunk_unit, record_count, words.size,
                 options.chunk_words, static_cast<std::uint32_t>(chunks));
   for (const std::string& p : payloads) out.append(p);
 
@@ -466,8 +507,9 @@ ParsedContainer parse_container(std::string_view bytes,
   return pc;
 }
 
-/// CRC-checks and decodes chunk `c` of a parsed container into
-/// words[lo, hi). The only bytes touched are the chunk's own payload.
+/// CRC-checks and decodes chunk `c` of a parsed container into `out`, which
+/// has room for the chunk's words. The only bytes touched are the chunk's
+/// own payload.
 void decode_chunk_at(std::string_view bytes, const ParsedContainer& pc,
                      std::size_t c, std::int64_t* out) {
   const SchedBinInfo& info = pc.info;
@@ -486,16 +528,14 @@ void decode_chunk_at(std::string_view bytes, const ParsedContainer& pc,
   }
 }
 
-std::vector<std::int64_t> decode_payload(std::string_view bytes,
-                                         const ParsedContainer& pc) {
-  const SchedBinInfo& info = pc.info;
+/// Runs `decode_chunks`, a whole-payload decode, inside the schedbin.decode
+/// span and counts it in the schedbin.decode.* metrics.
+template <typename Fn>
+void counted_decode(const SchedBinInfo& info, Fn&& decode_chunks) {
   A2A_TRACE_SPAN("schedbin.decode",
                  std::to_string(info.num_chunks) + " chunks");
   const auto decode_start = std::chrono::steady_clock::now();
-  std::vector<std::int64_t> words(info.word_count);
-  for (std::size_t c = 0; c < info.num_chunks; ++c) {
-    decode_chunk_at(bytes, pc, c, words.data() + c * info.chunk_words);
-  }
+  decode_chunks();
   A2A_COUNTER("schedbin.decode.calls").inc();
   A2A_COUNTER("schedbin.decode.payload_bytes").add(info.payload_bytes);
   A2A_COUNTER("schedbin.decode.decoded_bytes").add(info.word_count * 8);
@@ -503,7 +543,87 @@ std::vector<std::int64_t> decode_payload(std::string_view bytes,
       .observe_seconds(std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - decode_start)
                            .count());
+}
+
+/// The whole word stream, for path frames and transcoding.
+std::vector<std::int64_t> decode_payload(std::string_view bytes,
+                                         const ParsedContainer& pc) {
+  const SchedBinInfo& info = pc.info;
+  std::vector<std::int64_t> words(info.word_count);
+  counted_decode(info, [&] {
+    for (std::size_t c = 0; c < info.num_chunks; ++c) {
+      decode_chunk_at(bytes, pc, c, words.data() + c * info.chunk_words);
+    }
+  });
   return words;
+}
+
+/// Transfers per block of the link decode: 224 KiB of transfers, so a
+/// block's cache lines stay resident while all nine columns fill them.
+constexpr std::size_t kLinkRowBlock = 4096;
+
+/// Decodes the payload into the transfers a block of rows at a time, all
+/// nine columns per block, so each transfer's cache lines are written once
+/// rather than once per column. Each column reads from the decoded chunk
+/// its rows lie in, shared with any column in the same chunk: at most nine
+/// chunks, and never more than the stream's own words, are held at once. A
+/// chunk that spans columns is decoded again when no column still holds it.
+LinkSchedule decode_link(std::string_view bytes, const ParsedContainer& pc) {
+  const SchedBinInfo& info = pc.info;
+  A2A_REQUIRE(info.kind == SchedBinKind::kLink, "not a link-schedule SchedBin");
+  // Divide, don't multiply: `kLinkColumns * record_count` wraps for a
+  // hostile 64-bit record count, turning a mismatch into a false pass (and
+  // the resize below into a wild allocation). The decode budget already
+  // bounds word_count, and so the transfers.
+  A2A_REQUIRE(info.record_count <= info.word_count / kLinkColumns &&
+                  info.word_count == kLinkColumns * info.record_count,
+              "link word stream has ", info.word_count, " words for ",
+              info.record_count, " records");
+  LinkSchedule out;
+  out.num_nodes = info.num_nodes;
+  out.num_steps = info.num_steps;
+  out.transfers.resize(static_cast<std::size_t>(info.record_count));
+  const std::size_t t = out.transfers.size();
+  const std::size_t chunk_words = info.chunk_words;
+
+  struct Column {
+    std::size_t chunk = SIZE_MAX;  ///< the chunk `words` holds.
+    std::shared_ptr<std::vector<std::int64_t>> words;
+  };
+  std::array<Column, kLinkColumns> columns;
+  const auto load = [&](Column& column, std::size_t c) {
+    column.chunk = c;
+    for (const Column& other : columns) {
+      if (&other != &column && other.chunk == c) {
+        column.words = other.words;
+        return;
+      }
+    }
+    if (!column.words || column.words.use_count() > 1) {
+      column.words = std::make_shared<std::vector<std::int64_t>>();
+    }
+    const std::size_t lo = c * chunk_words;
+    column.words->resize(
+        std::min<std::size_t>(info.word_count - lo, chunk_words));
+    decode_chunk_at(bytes, pc, c, column.words->data());
+  };
+  counted_decode(info, [&] {
+    for (std::size_t row = 0; row < t; row += kLinkRowBlock) {
+      const std::size_t rows = std::min(kLinkRowBlock, t - row);
+      for (std::size_t col = 0; col < kLinkColumns; ++col) {
+        Column& column = columns[col];
+        for (std::size_t w = col * t + row, end = w + rows; w < end;) {
+          const std::size_t c = w / chunk_words;
+          if (column.chunk != c) load(column, c);
+          const std::size_t lo = c * chunk_words;
+          const std::size_t n = std::min(end, lo + chunk_words) - w;
+          link_words_scatter(column.words->data() + (w - lo), w, n, out);
+          w += n;
+        }
+      }
+    }
+  });
+  return out;
 }
 
 }  // namespace
@@ -512,26 +632,22 @@ std::string link_schedule_to_schedbin(const LinkSchedule& schedule,
                                       const SchedBinOptions& options) {
   return encode_container(SchedBinKind::kLink, schedule.num_nodes,
                           schedule.num_steps, Rational(0),
-                          schedule.transfers.size(),
-                          link_schedule_to_words(schedule), options);
+                          schedule.transfers.size(), link_source(schedule),
+                          options);
 }
 
 LinkSchedule link_schedule_from_schedbin(std::string_view bytes,
                                          std::uint64_t max_decoded_bytes) {
-  const ParsedContainer pc = parse_container(bytes, max_decoded_bytes);
-  A2A_REQUIRE(pc.info.kind == SchedBinKind::kLink,
-              "not a link-schedule SchedBin");
-  const std::vector<std::int64_t> words = decode_payload(bytes, pc);
-  return link_schedule_from_words(words, pc.info.num_nodes, pc.info.num_steps,
-                                  static_cast<std::size_t>(pc.info.record_count));
+  return decode_link(bytes, parse_container(bytes, max_decoded_bytes));
 }
 
 std::string path_schedule_to_schedbin(const DiGraph& g,
                                       const PathSchedule& schedule,
                                       const SchedBinOptions& options) {
+  const std::vector<std::int64_t> words = path_schedule_to_words(g, schedule);
   return encode_container(SchedBinKind::kPath, schedule.num_nodes, 0,
                           schedule.chunk_unit, schedule.entries.size(),
-                          path_schedule_to_words(g, schedule), options);
+                          vector_source(words), options);
 }
 
 PathSchedule path_schedule_from_schedbin(const DiGraph& g,
@@ -567,8 +683,8 @@ std::string schedbin_convert(std::string_view bytes, SchedBinOptions options,
     options.metadata = pc.info.metadata;
   }
   return encode_container(pc.info.kind, pc.info.num_nodes, pc.info.num_steps,
-                          pc.info.chunk_unit, pc.info.record_count, words,
-                          options);
+                          pc.info.chunk_unit, pc.info.record_count,
+                          vector_source(words), options);
 }
 
 // ------------------------------------------------------------- the reader ---
@@ -659,11 +775,10 @@ std::vector<std::int64_t> SchedBinReader::decode_all() const {
 }
 
 LinkSchedule SchedBinReader::read_link() const {
-  const SchedBinInfo& info = impl_->pc.info;
-  A2A_REQUIRE(info.kind == SchedBinKind::kLink, "not a link-schedule SchedBin");
-  return link_schedule_from_words(decode_all(), info.num_nodes,
-                                  info.num_steps,
-                                  static_cast<std::size_t>(info.record_count));
+  LinkSchedule out = decode_link(impl_->bytes, impl_->pc);
+  impl_->payload_read.fetch_add(impl_->pc.info.payload_bytes,
+                                std::memory_order_relaxed);
+  return out;
 }
 
 PathSchedule SchedBinReader::read_path(const DiGraph& g) const {

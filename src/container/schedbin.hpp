@@ -7,6 +7,9 @@
 // chunked-frame design of Blosc2: a fixed header and independently
 // compressed chunks, each guarded by a CRC-32, so a reader decodes only the
 // chunks it needs. Encode and decode walk the chunks on the calling thread.
+// A link schedule's words never exist as one whole-frame array: encode
+// gathers them from the transfers one chunk at a time, and decode fills the
+// transfers a block of rows at a time from at most one chunk per column.
 //
 // Format v1 layout (all integers little-endian):
 //

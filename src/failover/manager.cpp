@@ -270,13 +270,14 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
   const std::string fp =
       failover_fingerprint(base_fingerprint_, result.signature);
 
-  auto serve = [&](const char* counter) -> FailoverResult& {
+  // Stamps the latency of the rung that serves; every return then names
+  // `result` itself, so it is moved out, never copied.
+  const auto serve = [&](const char* counter) {
     result.elapsed_s = seconds_since(start);
     obs::MetricsRegistry::global()
         .histogram("failover.time_to_valid." + std::string(counter))
         .observe_seconds(result.elapsed_s);
     A2A_HISTOGRAM("failover.time_to_valid").observe_seconds(result.elapsed_s);
-    return result;
   };
 
   // Rung 1 — precomputed hit. Validation needs only the degraded graph and
@@ -296,7 +297,8 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
       result.schedule.from_cache = true;
       result.validated = true;
       A2A_COUNTER("failover.hit").inc();
-      return serve("hit");
+      serve("hit");
+      return result;
     }
     // A library entry that no longer validates (e.g. stale topology) is
     // ignored; the online ladder takes over.
@@ -317,7 +319,8 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
     result.schedule.schedule_graph = view.degraded;
     result.schedule.notes = result.notes;
     A2A_COUNTER("failover.unschedulable").inc();
-    return serve("unschedulable");
+    serve("unschedulable");
+    return result;
   }
 
   // Rung 2 — deadline-bounded exact re-solve, under the rule the healthy
@@ -331,7 +334,8 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
     if (budget > 1e-4 && exact_resolve(view, budget, result)) {
       library_->insert(fp, result.schedule);
       A2A_COUNTER("failover.exact").inc();
-      return serve("exact");
+      serve("exact");
+      return result;
     }
   }
 
@@ -349,7 +353,8 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
         result.rung = FailoverRung::kFptasAnytime;
         if (finish_result(view, sol.weights, result)) {
           A2A_COUNTER("failover.fptas").inc();
-          return serve("fptas");
+          serve("fptas");
+          return result;
         }
       } catch (const Error&) {
         // Fall through to the last rung.
@@ -364,7 +369,8 @@ FailoverResult FailoverManager::reschedule(const FailureSignature& sig,
   const bool ok = finish_result(view, view.healthy_seed, result);
   A2A_COUNTER("failover.degraded").inc();
   if (!ok) A2A_COUNTER("failover.validation_failures").inc();
-  return serve("degraded");
+  serve("degraded");
+  return result;
 }
 
 PrecomputeReport FailoverManager::precompute(

@@ -9,7 +9,9 @@
 // orphaning every artifact in the fleet's caches.
 #pragma once
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -40,6 +42,16 @@ inline LinkSchedule random_link_schedule(Rng& rng, int transfers) {
     s.transfers.push_back(t);
   }
   return s;
+}
+
+/// Sorts `s`'s transfers into compile order (step, then source), so the step
+/// and src columns hold runs.
+inline void sort_in_compile_order(LinkSchedule& s) {
+  std::stable_sort(s.transfers.begin(), s.transfers.end(),
+                   [](const Transfer& a, const Transfer& b) {
+                     return std::tie(a.step, a.chunk.src) <
+                            std::tie(b.step, b.chunk.src);
+                   });
 }
 
 /// A random path schedule on `g` whose routes are real random walks, so the
@@ -108,6 +120,19 @@ inline std::vector<CorpusFrame> corpus_frames() {
     o.codec = SchedBinCodec::kDelta;
     o.chunk_words = 512;
     add("link_v2_delta_multichunk.schedbin", link_schedule_to_schedbin(big, o));
+  }
+  {
+    // 256-word chunks cut the 9 × 1500-word stream mid-column and cut runs
+    // of the step and src columns, which the frame dictionary must count
+    // once each: counted once per chunk, they would reorder 58 of its 767
+    // entries.
+    Rng sorted_rng(105);
+    LinkSchedule sorted = random_link_schedule(sorted_rng, 1500);
+    sort_in_compile_order(sorted);
+    SchedBinOptions o;
+    o.codec = SchedBinCodec::kDict;
+    o.chunk_words = 256;
+    add("link_v2_dict_multichunk.schedbin", link_schedule_to_schedbin(sorted, o));
   }
   {
     LinkSchedule empty;

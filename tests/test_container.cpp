@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/binio.hpp"
 #include "common/crc32.hpp"
 #include "common/random.hpp"
@@ -10,6 +12,7 @@
 #include "graph/topologies.hpp"
 #include "mcf/decomposed.hpp"
 #include "mcf/timestepped.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/vc.hpp"
 #include "schedule/compile_link.hpp"
 #include "schedule/compile_path.hpp"
@@ -318,9 +321,11 @@ TEST(SchedBin, PathDecodeRejectsNonEdgeRoute) {
 
 /// Builds a syntactically well-formed v1 link-kind container from raw
 /// parts: header fields as given, one directory entry + CRC per payload.
+/// The record count defaults to the one the word count implies.
 std::string forge_container(SchedBinCodec codec, std::uint64_t word_count,
                             std::uint32_t chunk_words,
-                            const std::vector<std::string>& payloads) {
+                            const std::vector<std::string>& payloads,
+                            std::optional<std::uint64_t> record_count = {}) {
   std::string out;
   out.append(kSchedBinMagic, sizeof(kSchedBinMagic));
   binio::put_u16(out, kSchedBinVersion1);
@@ -328,7 +333,7 @@ std::string forge_container(SchedBinCodec codec, std::uint64_t word_count,
   out.push_back(static_cast<char>(codec));
   binio::put_u32(out, 4);   // num_nodes
   binio::put_u32(out, 1);   // num_steps
-  binio::put_u64(out, word_count / 9);  // record_count (immaterial here)
+  binio::put_u64(out, record_count.value_or(word_count / 9));
   binio::put_u64(out, word_count);
   binio::put_u64(out, 0);   // chunk_unit num
   binio::put_u64(out, 1);   // chunk_unit den
@@ -362,6 +367,29 @@ TEST(SchedBinHardening, HugeDeclaredDecodeIsRefusedBeforeAllocation) {
   // and into the ordinary decode path (which then rejects the word/record
   // mismatch) — proving the refusal above came from the budget.
   EXPECT_NO_THROW((void)schedbin_inspect(blob, 1ULL << 40));
+
+  // A link header whose record count disagrees with its 18 words is refused
+  // before the transfers are sized: 2^60 records would otherwise ask for
+  // 2^60 transfers (std::length_error, not InvalidArgument). The words are
+  // two transfers 0 -> 1 of [0, 1) at step 1, as rle runs.
+  std::string eighteen;
+  for (const auto [value, run] : {std::pair{0, 6}, {1, 6}, {0, 2}, {1, 4}}) {
+    append_svarint(eighteen, value);
+    append_uvarint(eighteen, static_cast<std::uint64_t>(run));
+  }
+  for (const std::uint64_t records : {std::uint64_t{1}, std::uint64_t{3},
+                                      std::uint64_t{1} << 60}) {
+    SCOPED_TRACE(records);
+    const std::string lying =
+        forge_container(SchedBinCodec::kRle, 18, 1024, {eighteen}, records);
+    EXPECT_NO_THROW((void)schedbin_inspect(lying));
+    EXPECT_THROW((void)link_schedule_from_schedbin(lying), InvalidArgument);
+    EXPECT_THROW((void)SchedBinReader::from_bytes(lying).read_link(),
+                 InvalidArgument);
+  }
+  const std::string honest =
+      forge_container(SchedBinCodec::kRle, 18, 1024, {eighteen});
+  EXPECT_EQ(link_schedule_from_schedbin(honest).transfers.size(), 2u);
 }
 
 TEST(SchedBinHardening, ChunkWordsAboveCeilingRejected) {
@@ -416,6 +444,49 @@ TEST(SchedBinHardening, LegitimateLargeRleStillDecodes) {
   EXPECT_LT(bytes.size(), 4096u);
   const LinkSchedule back = link_schedule_from_schedbin(bytes);
   EXPECT_EQ(back.transfers.size(), s.transfers.size());
+}
+
+TEST(SchedBin, LinkEncodeAndDecodeMoveTheCountersByOneFrame) {
+  // One encode and each link decode count one call, the frame's raw,
+  // encoded, payload and decoded bytes, and one latency sample each.
+  Rng rng(16);
+  const LinkSchedule s = random_link_schedule(rng, 300);
+  SchedBinOptions options;
+  options.codec = SchedBinCodec::kDict;
+  options.chunk_words = 1000;  // 3 chunks, cut inside columns
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const auto counter = [&](const char* name) {
+    return registry.counter(name).value();
+  };
+  const auto samples = [&](const char* name) {
+    return registry.histogram(name).count();
+  };
+  const std::uint64_t words_bytes = 9 * 300 * 8;
+
+  const std::uint64_t encode_calls = counter("schedbin.encode.calls");
+  const std::uint64_t raw = counter("schedbin.encode.raw_bytes");
+  const std::uint64_t encoded = counter("schedbin.encode.encoded_bytes");
+  const std::uint64_t encode_samples = samples("schedbin.encode.seconds");
+  const std::string bytes = link_schedule_to_schedbin(s, options);
+  EXPECT_EQ(counter("schedbin.encode.calls") - encode_calls, 1u);
+  EXPECT_EQ(counter("schedbin.encode.raw_bytes") - raw, words_bytes);
+  EXPECT_EQ(counter("schedbin.encode.encoded_bytes") - encoded, bytes.size());
+  EXPECT_EQ(samples("schedbin.encode.seconds") - encode_samples, 1u);
+
+  const std::size_t payload = schedbin_inspect(bytes).payload_bytes;
+  const auto expect_one_decode = [&](const auto& decode) {
+    const std::uint64_t calls = counter("schedbin.decode.calls");
+    const std::uint64_t payload_bytes = counter("schedbin.decode.payload_bytes");
+    const std::uint64_t decoded = counter("schedbin.decode.decoded_bytes");
+    const std::uint64_t decode_samples = samples("schedbin.decode.seconds");
+    expect_link_equal(decode(), s);
+    EXPECT_EQ(counter("schedbin.decode.calls") - calls, 1u);
+    EXPECT_EQ(counter("schedbin.decode.payload_bytes") - payload_bytes, payload);
+    EXPECT_EQ(counter("schedbin.decode.decoded_bytes") - decoded, words_bytes);
+    EXPECT_EQ(samples("schedbin.decode.seconds") - decode_samples, 1u);
+  };
+  expect_one_decode([&] { return link_schedule_from_schedbin(bytes); });
+  expect_one_decode([&] { return SchedBinReader::from_bytes(bytes).read_link(); });
 }
 
 TEST(SchedBin, InspectReportsGeometry) {

@@ -1,11 +1,13 @@
 // SchedBin v2: property-based round trips for every codec/version, mmap
-// zero-copy chunk reads, trailer metadata, lossless conversion, and the
-// golden corpus pinning the wire format byte-for-byte.
+// zero-copy chunk reads, trailer metadata, lossless conversion, the streamed
+// link path against its whole-array oracle, and the golden corpus pinning
+// the wire format byte-for-byte.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "common/mmap_file.hpp"
 #include "common/random.hpp"
@@ -14,6 +16,7 @@
 #include "mcf/decomposed.hpp"
 #include "schedule/compile_link.hpp"
 #include "schedule/compile_path.hpp"
+#include "reference/schedbin_reference.hpp"
 #include "schedbin_corpus.hpp"
 
 #ifndef A2A_SOURCE_DIR
@@ -431,6 +434,68 @@ TEST(SchedBinV2, DictBeatsRleAndDeltaOnRepetitivePathSchedules) {
   EXPECT_LT(dict, size_by_codec[static_cast<int>(SchedBinCodec::kRle)]);
   EXPECT_LT(dict, size_by_codec[static_cast<int>(SchedBinCodec::kDelta)]);
   EXPECT_LT(dict, size_by_codec[static_cast<int>(SchedBinCodec::kRaw)]);
+}
+
+// ---- streamed link frames vs the whole-array oracle -----------------------
+
+/// Encodes `s` under every version × codec × chunk size (including cuts
+/// inside a column, on a column boundary and at one chunk): the streamed
+/// encoder must write the oracle's bytes, and the streamed decoders must
+/// read back what the oracle's decode does.
+void expect_streamed_link_matches_oracle(const LinkSchedule& s) {
+  const std::size_t t = s.transfers.size();
+  std::set<std::size_t> sizes = {1, 7, 9, 64 * 1024, t, t - 1, 9 * t,
+                                 9 * t - 1};
+  sizes.erase(0);
+  sizes.erase(static_cast<std::size_t>(-1));
+  for (const std::uint16_t version : {kSchedBinVersion1, kSchedBinVersion2}) {
+    for (const SchedBinCodec codec : codecs_for(version)) {
+      for (const std::size_t chunk_words : sizes) {
+        SCOPED_TRACE(::testing::Message()
+                     << t << " transfers, v" << version << " "
+                     << codec_name(codec) << ", chunk_words " << chunk_words);
+        SchedBinOptions options;
+        options.version = version;
+        options.codec = codec;
+        options.chunk_words = static_cast<std::uint32_t>(chunk_words);
+        const std::string bytes = link_schedule_to_schedbin(s, options);
+        ASSERT_EQ(bytes, link_schedule_to_schedbin_reference(s, options));
+        const LinkSchedule oracle = link_schedule_from_schedbin_reference(bytes);
+        expect_link_equal(link_schedule_from_schedbin(bytes), oracle);
+        expect_link_equal(SchedBinReader::from_bytes(bytes).read_link(), oracle);
+        expect_link_equal(oracle, s);
+      }
+    }
+  }
+}
+
+TEST(SchedBinStream, RandomLinkSchedulesMatchTheWholeArrayOracle) {
+  Rng rng(71);
+  for (const int t : {0, 1, 300}) {
+    expect_streamed_link_matches_oracle(random_link_schedule(rng, t));
+  }
+  // Runs in the step and src columns, cut by most of the chunk sizes above.
+  LinkSchedule sorted = random_link_schedule(rng, 297);
+  corpus::sort_in_compile_order(sorted);
+  expect_streamed_link_matches_oracle(sorted);
+}
+
+TEST(SchedBinStream, DictionaryCountsARunCutByAChunkBoundaryOnce) {
+  // Four identical transfers: nine column runs of four words each, and
+  // 3-word chunks cut every one of them. Only 5 (src and from) and 3 (both
+  // denominators) recur as runs, so the dictionary holds exactly those two;
+  // counting each cut run once per chunk would admit all seven values.
+  LinkSchedule s;
+  s.num_nodes = 8;
+  s.num_steps = 9;
+  s.transfers.assign(4, Transfer{{5, 6, Rational(1, 3), Rational(2, 3)}, 5, 7, 9});
+  SchedBinOptions options;
+  options.codec = SchedBinCodec::kDict;
+  options.chunk_words = 3;
+  const std::string bytes = link_schedule_to_schedbin(s, options);
+  EXPECT_EQ(bytes, link_schedule_to_schedbin_reference(s, options));
+  EXPECT_EQ(schedbin_inspect(bytes).dict_words, 2u);
+  expect_streamed_link_matches_oracle(s);
 }
 
 // ---- golden corpus --------------------------------------------------------
