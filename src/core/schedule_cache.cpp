@@ -31,22 +31,23 @@ using binio::read_uint;
 
 // ----------------------------------------------------------- fingerprint ---
 
-void feed_u64(std::string& buf, std::uint64_t v) { put_u64(buf, v); }
-void feed_i64(std::string& buf, std::int64_t v) {
-  put_u64(buf, static_cast<std::uint64_t>(v));
+// The canonical fields go straight into both hash lanes, as little-endian
+// u64s (binio's order) and length-prefixed strings. These bytes name every
+// cache entry and failover library on disk, so their order and encoding
+// never change.
+void feed_i64(Fnv1a128& h, std::int64_t v) {
+  h.update_u64(static_cast<std::uint64_t>(v));
 }
-void feed_double(std::string& buf, double v) {
-  put_u64(buf, std::bit_cast<std::uint64_t>(v));
+void feed_double(Fnv1a128& h, double v) {
+  h.update_u64(std::bit_cast<std::uint64_t>(v));
 }
-void feed_str(std::string& buf, const std::string& s) {
-  feed_u64(buf, s.size());
-  buf.append(s);
+void feed_str(Fnv1a128& h, const std::string& s) {
+  h.update_u64(s.size());
+  h.update(s);
 }
 
-// ------------------------------------------------------ graph serializers ---
-
-void feed_graph(std::string& buf, const DiGraph& g) {
-  feed_u64(buf, static_cast<std::uint64_t>(g.num_nodes()));
+void feed_graph(Fnv1a128& h, const DiGraph& g) {
+  h.update_u64(static_cast<std::uint64_t>(g.num_nodes()));
   struct CanonEdge {
     NodeId from;
     NodeId to;
@@ -60,11 +61,13 @@ void feed_graph(std::string& buf, const DiGraph& g) {
   }
   std::sort(canon.begin(), canon.end());
   for (const CanonEdge& e : canon) {
-    feed_i64(buf, e.from);
-    feed_i64(buf, e.to);
-    feed_u64(buf, e.cap_bits);
+    feed_i64(h, e.from);
+    feed_i64(h, e.to);
+    h.update_u64(e.cap_bits);
   }
 }
+
+// ------------------------------------------------------ graph serializers ---
 
 void write_graph(std::string& out, const DiGraph& g) {
   put_u32(out, static_cast<std::uint32_t>(g.num_nodes()));
@@ -111,8 +114,9 @@ void write_file_atomic(const std::string& path, std::string_view bytes) {
 /// Content key of an artifact's bytes (32 hex chars), the basename of its
 /// object file in the disk tier.
 std::string schedule_content_key(std::string_view bytes) {
-  return hex128(fnv1a(bytes, 0x5bd1e995ULL),
-                fnv1a(bytes, 0xc2b2ae3d27d4eb4fULL));
+  Fnv1a128 h(0x5bd1e995ULL, 0xc2b2ae3d27d4eb4fULL);
+  h.update(bytes);
+  return h.hex();
 }
 
 std::optional<std::string> read_file(const fs::path& path) {
@@ -127,53 +131,52 @@ std::optional<std::string> read_file(const fs::path& path) {
 
 std::string schedule_fingerprint(const DiGraph& topology, const Fabric& fabric,
                                  const ToolchainOptions& options) {
-  std::string buf;
-  buf.reserve(64 + static_cast<std::size_t>(topology.num_edges()) * 24);
-  feed_graph(buf, topology);
+  Fnv1a128 h(0, 0x9e3779b97f4a7c15ULL);
+  feed_graph(h, topology);
 
-  feed_str(buf, fabric.name);
-  feed_double(buf, fabric.link_GBps);
-  feed_double(buf, fabric.injection_GBps);
-  feed_u64(buf, fabric.nic_forwarding ? 1 : 0);
-  feed_u64(buf, static_cast<std::uint64_t>(fabric.flow_control));
-  feed_double(buf, fabric.step_sync_s);
-  feed_double(buf, fabric.per_chunk_s);
-  feed_double(buf, fabric.hop_latency_s);
-  feed_double(buf, fabric.qp_knee);
-  feed_double(buf, fabric.qp_penalty);
+  feed_str(h, fabric.name);
+  feed_double(h, fabric.link_GBps);
+  feed_double(h, fabric.injection_GBps);
+  h.update_u64(fabric.nic_forwarding ? 1 : 0);
+  h.update_u64(static_cast<std::uint64_t>(fabric.flow_control));
+  feed_double(h, fabric.step_sync_s);
+  feed_double(h, fabric.per_chunk_s);
+  feed_double(h, fabric.hop_latency_s);
+  feed_double(h, fabric.qp_knee);
+  feed_double(h, fabric.qp_penalty);
 
-  feed_i64(buf, options.exact_tsmcf_limit);
-  feed_i64(buf, options.path_diversity_threshold);
+  feed_i64(h, options.exact_tsmcf_limit);
+  feed_i64(h, options.path_diversity_threshold);
   // 0 and 1 stand for the retired master and child modes' defaults (auto
   // master, combinatorial children), the only values any pipeline ran with,
   // so that every fingerprint keeps its bytes; exact_master_limit alone now
   // picks the master tier.
-  feed_u64(buf, 0);
-  feed_u64(buf, 1);
-  feed_i64(buf, options.mcf.exact_master_limit);
-  feed_double(buf, options.mcf.fptas_epsilon);
-  feed_i64(buf, options.mcf.lp.max_iterations);
+  h.update_u64(0);
+  h.update_u64(1);
+  feed_i64(h, options.mcf.exact_master_limit);
+  feed_double(h, options.mcf.fptas_epsilon);
+  feed_i64(h, options.mcf.lp.max_iterations);
   // The LP tolerances are constants, fed in the order and types of the
   // SimplexOptions fields they replaced so that every fingerprint (and with
   // it every cache directory and failover library) keeps its bytes. 4000
   // stands for the retired refactor_interval, which no pipeline solve read.
-  feed_i64(buf, 4000);
-  feed_double(buf, kLpFeasibilityTol);
-  feed_double(buf, kLpOptimalityTol);
-  feed_double(buf, kLpPivotTol);
-  feed_i64(buf, kLpStallLimit);
-  feed_double(buf, options.mcf.fptas.epsilon);
-  feed_i64(buf, options.mcf.fptas.max_phases);
-  feed_i64(buf, options.chunking.max_denominator);
-  feed_double(buf, options.chunking.min_fraction);
-  feed_i64(buf, options.vc_max_layers_warn);
+  feed_i64(h, 4000);
+  feed_double(h, kLpFeasibilityTol);
+  feed_double(h, kLpOptimalityTol);
+  feed_double(h, kLpPivotTol);
+  feed_i64(h, kLpStallLimit);
+  feed_double(h, options.mcf.fptas.epsilon);
+  feed_i64(h, options.mcf.fptas.max_phases);
+  feed_i64(h, options.chunking.max_denominator);
+  feed_double(h, options.chunking.min_fraction);
+  feed_i64(h, options.vc_max_layers_warn);
   // Fed only when non-default so every fingerprint minted before workloads
   // existed (and every on-disk cache entry stored under one) stays valid.
   if (!options.workload.is_default()) {
-    feed_str(buf, options.workload.to_string());
+    feed_str(h, options.workload.to_string());
   }
 
-  return hex128(fnv1a(buf, 0), fnv1a(buf, 0x9e3779b97f4a7c15ULL));
+  return h.hex();
 }
 
 // ------------------------------------------------------- entry envelope ---

@@ -208,8 +208,11 @@ std::vector<FailureSignature> enumerate_failure_domain(
 
 std::string failover_fingerprint(const std::string& base_fingerprint,
                                  const FailureSignature& sig) {
-  const std::string canonical = base_fingerprint + "|failover|" + sig.to_string();
-  return hex128(fnv1a(canonical, 0), fnv1a(canonical, 0x9e3779b97f4a7c15ULL));
+  Fnv1a128 h(0, 0x9e3779b97f4a7c15ULL);
+  h.update(base_fingerprint);
+  h.update("|failover|");
+  h.update(sig.to_string());
+  return h.hex();
 }
 
 }  // namespace a2a

@@ -44,6 +44,7 @@ ServiceReply AdmissionQueue::serve(const DiGraph& topology,
     return reply;
   };
 
+  A2A_COUNTER("service.requests").inc();
   if (deadline_ms <= 0.0) deadline_ms = options_.default_deadline_ms;
   const double deadline_s = deadline_ms > 0.0 ? deadline_ms / 1000.0 : 0.0;
 
@@ -52,13 +53,7 @@ ServiceReply AdmissionQueue::serve(const DiGraph& topology,
 
     // Hit fast path — never queued, never sheddable: the lookup is cheaper
     // than the admission bookkeeping itself.
-    if (auto view = broker_->try_lookup(reply.fingerprint)) {
-      reply.view = *view;
-      reply.hit = true;
-      A2A_COUNTER("service.served").inc();
-      A2A_HISTOGRAM("service.hit_seconds").observe_seconds(elapsed());
-      return finish(ServiceOutcome::kServed);
-    }
+    if (lookup_hit(reply)) return finish(ServiceOutcome::kServed);
 
     // Miss: bounded concurrency, then upfront deadline shedding.
     {
@@ -137,6 +132,33 @@ ServiceReply AdmissionQueue::serve(const DiGraph& topology,
     A2A_COUNTER("service.failed").inc();
     return finish(ServiceOutcome::kFailed, e.what());
   }
+}
+
+std::optional<ServiceReply> AdmissionQueue::serve_hit(
+    const std::string& fingerprint) {
+  const auto start = Clock::now();
+  ServiceReply reply;
+  reply.fingerprint = fingerprint;
+  if (!lookup_hit(reply)) return std::nullopt;
+  A2A_COUNTER("service.requests").inc();
+  reply.outcome = ServiceOutcome::kServed;
+  reply.total_seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  A2A_HISTOGRAM("service.request_seconds").observe_seconds(reply.total_seconds);
+  return reply;
+}
+
+bool AdmissionQueue::lookup_hit(ServiceReply& reply) {
+  const auto start = Clock::now();
+  std::optional<ArtifactView> view = broker_->try_lookup(reply.fingerprint);
+  if (!view) return false;
+  reply.view = std::move(*view);
+  reply.hit = true;
+  A2A_COUNTER("service.served").inc();
+  A2A_HISTOGRAM("service.hit_seconds")
+      .observe_seconds(
+          std::chrono::duration<double>(Clock::now() - start).count());
+  return true;
 }
 
 std::size_t AdmissionQueue::pending() const {

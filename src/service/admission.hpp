@@ -1,7 +1,9 @@
 // AdmissionQueue — the deadline-and-load gate in front of the broker.
 //
 // Hits are served inline (the broker fast path costs a hash lookup or an
-// mmap; queueing one behind a seconds-long synthesis would be absurd).
+// mmap; queueing one behind a seconds-long synthesis would be absurd), by
+// one hit routine that serve() runs after fingerprinting and serve_hit()
+// runs for a caller that already knows the fingerprint.
 // Misses are the expensive case, and three policies apply, in order:
 //
 //   * bounded concurrency: at most max_pending misses are in service at
@@ -18,11 +20,13 @@
 //     wait is bounded by the same budget. A synthesis cut short is shed,
 //     never served or cached.
 //
-// Every outcome is counted (`service.*`) and latency-histogrammed.
+// Every request admission answers is counted (`service.requests`), and
+// every outcome is counted (`service.*`) and latency-histogrammed.
 #pragma once
 
 #include <cstddef>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "core/api.hpp"
@@ -75,12 +79,25 @@ class AdmissionQueue {
                                    ToolchainOptions options,
                                    double deadline_ms = 0.0);
 
+  /// serve()'s hit path alone, for a caller that already holds the
+  /// request's fingerprint (the transport's request memo): no topology, no
+  /// fingerprinting. A served reply when the cache holds the artifact;
+  /// otherwise nullopt, nothing counted, and the caller falls back to
+  /// serve().
+  [[nodiscard]] std::optional<ServiceReply> serve_hit(
+      const std::string& fingerprint);
+
   /// Misses currently in service.
   [[nodiscard]] std::size_t pending() const;
   /// EWMA of recent leader synthesis times (0 until the first miss).
   [[nodiscard]] double ewma_synth_seconds() const;
 
  private:
+  /// The hit routine serve() and serve_hit() share: the broker's zero-copy
+  /// lookup of reply.fingerprint, counted and timed (`service.hit_seconds`).
+  /// False, with nothing counted, on a miss.
+  bool lookup_hit(ServiceReply& reply);
+
   ScheduleBroker* broker_;
   AdmissionOptions options_;
   mutable std::mutex mutex_;

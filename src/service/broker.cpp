@@ -34,7 +34,6 @@ BrokerResult ScheduleBroker::request(const std::string& fingerprint,
                                      const Fabric& fabric,
                                      const ToolchainOptions& options,
                                      double budget_s) {
-  A2A_COUNTER("service.requests").inc();
   if (auto view = try_lookup(fingerprint)) {
     return BrokerResult{*view, /*hit=*/true, /*coalesced=*/false, 0.0};
   }

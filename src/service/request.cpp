@@ -1,5 +1,6 @@
 #include "service/request.hpp"
 
+#include <cctype>
 #include <sstream>
 #include <vector>
 
@@ -90,6 +91,27 @@ int parse_int(const std::string& key, const std::string& value) {
   }
 }
 
+/// Percent-encodes one query component: every byte but letters, digits and
+/// "-._~:" becomes %XX, so a value holding '&', '=', '%' or '+' cannot be
+/// read back as another key.
+std::string url_encode(std::string_view s) {
+  static constexpr char kDigits[] = "0123456789ABCDEF";
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (std::isalnum(u) || c == '-' || c == '.' || c == '_' || c == '~' ||
+        c == ':') {
+      out.push_back(c);
+    } else {
+      out.push_back('%');
+      out.push_back(kDigits[u >> 4]);
+      out.push_back(kDigits[u & 0xF]);
+    }
+  }
+  return out;
+}
+
 double parse_double(const std::string& key, const std::string& value) {
   try {
     std::size_t used = 0;
@@ -160,7 +182,7 @@ std::string canonical_query(const ServiceRequest& request) {
   std::ostringstream os;
   const char* sep = "";
   const auto emit = [&](const char* key, const std::string& value) {
-    os << sep << key << '=' << value;
+    os << sep << key << '=' << url_encode(value);
     sep = "&";
   };
   // Alphabetical, defaults elided — a stable, minimal query.

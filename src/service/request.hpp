@@ -64,8 +64,10 @@ struct ServiceRequest {
 [[nodiscard]] ServiceRequest parse_service_request(std::string_view query);
 
 /// The request's canonical query string (sorted keys, only the recognized
-/// set) — parse_service_request(canonical_query(r)) reproduces r. Used by
-/// benches to drive the HTTP transport from programmatic requests.
+/// set, values percent-encoded) — parse_service_request(canonical_query(r))
+/// reproduces r, and two requests that differ in any key give different
+/// strings. Used by benches to drive the HTTP transport from programmatic
+/// requests, and by the transport's request memo as its key.
 [[nodiscard]] std::string canonical_query(const ServiceRequest& request);
 
 }  // namespace a2a::service

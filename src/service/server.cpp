@@ -97,6 +97,15 @@ std::string format_double(double v) {
   return os.str();
 }
 
+/// The request's memo key: its canonical query without the two keys that
+/// do not feed the fingerprint.
+std::string memo_key(ServiceRequest request) {
+  const ServiceRequest defaults;
+  request.deadline_ms = defaults.deadline_ms;
+  request.trace = defaults.trace;
+  return canonical_query(request);
+}
+
 }  // namespace
 
 ScheduleServer::ScheduleServer(AdmissionQueue* admission, ServerOptions options)
@@ -263,8 +272,6 @@ bool ScheduleServer::handle_request(int fd) {
   } else if (path == "/schedule") {
     try {
       const ServiceRequest request = parse_service_request(query);
-      const DiGraph topology = build_topology(request.spec);
-      const Fabric fabric = build_fabric(request.fabric);
 
       // Best-effort per-request tracing: first asker in flight wins the
       // process's one session; everyone else proceeds untraced.
@@ -273,8 +280,7 @@ bool ScheduleServer::handle_request(int fd) {
       const bool want_trace = request.trace && !options_.trace_dir.empty();
       if (want_trace && trace_lock.try_lock()) session.emplace();
 
-      reply = admission_->serve(topology, fabric, request.options,
-                                request.deadline_ms);
+      reply = serve_schedule(request);
 
       if (session) {
         session->stop();
@@ -331,6 +337,41 @@ bool ScheduleServer::handle_request(int fd) {
 
   if (!send_response(fd, response)) return false;
   return !response.close;
+}
+
+ServiceReply ScheduleServer::serve_schedule(const ServiceRequest& request) {
+  std::string key = memo_key(request);
+  std::string fingerprint;
+  {
+    std::lock_guard lock(memo_mutex_);
+    if (const auto it = memo_.find(key); it != memo_.end()) {
+      fingerprint = it->second;
+    }
+  }
+  if (!fingerprint.empty()) {
+    if (std::optional<ServiceReply> hit = admission_->serve_hit(fingerprint)) {
+      A2A_COUNTER("service.fingerprint_memo_hits").inc();
+      return std::move(*hit);
+    }
+  }
+
+  ServiceReply reply =
+      admission_->serve(build_topology(request.spec),
+                        build_fabric(request.fabric), request.options,
+                        request.deadline_ms);
+  if (!reply.fingerprint.empty()) {
+    std::lock_guard lock(memo_mutex_);
+    if (memo_.size() >= kFingerprintMemoEntries && !memo_.contains(key)) {
+      memo_.clear();
+    }
+    memo_.insert_or_assign(std::move(key), reply.fingerprint);
+  }
+  return reply;
+}
+
+std::size_t ScheduleServer::fingerprint_memo_size() const {
+  std::lock_guard lock(memo_mutex_);
+  return memo_.size();
 }
 
 void ScheduleServer::wait_shutdown() {

@@ -18,6 +18,16 @@
 // Status mapping: 200 served, 400 malformed request, 404 unknown path,
 // 429 miss queue full, 504 deadline shed, 500 pipeline failure.
 //
+// Request memo: the fingerprint is a function of the request alone, so
+// the server remembers it per request, keyed by the canonical query with
+// deadline_ms and trace (the only keys the fingerprint does not read)
+// reset. A repeat request goes parse -> memo -> admission's hit path ->
+// socket and builds no topology or fabric and hashes nothing
+// (`service.fingerprint_memo_hits`). A request the memo does not know, or
+// whose artifact the cache no longer holds, takes the full path: build,
+// fingerprint, AdmissionQueue::serve(). The memo is bounded by
+// kFingerprintMemoEntries and cleared when full.
+//
 // Concurrency: `threads` workers block in accept() on the shared listener
 // and each runs its connection's keep-alive loop to completion; a miss
 // therefore occupies its worker for up to the deadline, and the admission
@@ -28,15 +38,19 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 namespace a2a::service {
 
 class AdmissionQueue;
+struct ServiceReply;
+struct ServiceRequest;
 
 struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (read it back via
@@ -66,6 +80,11 @@ class ScheduleServer {
   /// The bound port (valid after start()).
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
+  /// Most requests the fingerprint memo holds; about 1 MB at the bound.
+  static constexpr std::size_t kFingerprintMemoEntries = 4096;
+  /// Requests the fingerprint memo holds now (for tests and monitoring).
+  [[nodiscard]] std::size_t fingerprint_memo_size() const;
+
   /// Blocks until POST /shutdown arrives or stop() is called.
   void wait_shutdown();
   /// Closes the listener and joins every worker. Idempotent.
@@ -77,6 +96,9 @@ class ScheduleServer {
   /// One request on an open connection; returns false when the connection
   /// should close (error, timeout, Connection: close, shutdown).
   bool handle_request(int fd);
+  /// One /schedule request: the memo's fingerprint through admission's hit
+  /// path, else the full path, whose fingerprint the memo then keeps.
+  ServiceReply serve_schedule(const ServiceRequest& request);
 
   AdmissionQueue* admission_;
   ServerOptions options_;
@@ -88,6 +110,9 @@ class ScheduleServer {
   std::mutex shutdown_mutex_;
   std::condition_variable shutdown_cv_;
   bool shutdown_ = false;  ///< guarded by shutdown_mutex_.
+  mutable std::mutex memo_mutex_;
+  /// Memo key (canonical query) -> fingerprint. Guarded by memo_mutex_.
+  std::unordered_map<std::string, std::string> memo_;
 };
 
 }  // namespace a2a::service

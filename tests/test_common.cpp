@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <string>
@@ -7,10 +8,13 @@
 #include <vector>
 #include <sstream>
 
+#include "common/binio.hpp"
 #include "common/error.hpp"
+#include "common/fnv1a.hpp"
 #include "common/random.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "reference/fingerprint_reference.hpp"
 
 namespace a2a {
 namespace {
@@ -142,6 +146,68 @@ TEST(ThreadPool, NestedLoopRunsInlineOnTheWorker) {
       EXPECT_EQ(inner_ids[o][i], outer_ids[o]) << "outer " << o << ", inner " << i;
     }
   }
+}
+
+// ---- FNV-1a ------------------------------------------------------------------
+
+/// The two-lane hasher over `data`, fed in pieces cut at `rng`'s choice.
+std::string two_lane_in_pieces(std::string_view data, std::uint64_t seed_a,
+                               std::uint64_t seed_b, Rng& rng) {
+  Fnv1a128 h(seed_a, seed_b);
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    const std::size_t len = std::min<std::size_t>(
+        data.size() - pos, 1 + rng.next_below(17));
+    h.update(data.substr(pos, len));
+    pos += len;
+  }
+  return h.hex();
+}
+
+TEST(Fnv1a128, MatchesTwoSingleLanePasses) {
+  // The seed pairs of the three keys (schedule fingerprint and failover
+  // fingerprint, content key), then arbitrary ones.
+  const std::uint64_t seeds[][2] = {{0, 0x9e3779b97f4a7c15ULL},
+                                    {0x5bd1e995ULL, 0xc2b2ae3d27d4eb4fULL},
+                                    {7, 7},
+                                    {~0ULL, 1}};
+  Rng rng(20261021);
+  std::vector<std::size_t> sizes = {0, 1, 2, 7, 8, 9, 255, 4096};
+  for (int i = 0; i < 24; ++i) sizes.push_back(rng.next_below(20000));
+  for (const std::size_t size : sizes) {
+    std::string data(size, '\0');
+    for (char& c : data) c = static_cast<char>(rng.next_below(256));
+    for (const auto& [a, b] : seeds) {
+      const std::string expected = hex128(fnv1a(data, a), fnv1a(data, b));
+      Fnv1a128 whole(a, b);
+      whole.update(data);
+      EXPECT_EQ(whole.hex(), expected) << size << " bytes";
+      EXPECT_EQ(two_lane_in_pieces(data, a, b, rng), expected)
+          << size << " bytes";
+    }
+  }
+  // Every byte value on its own, high bit included.
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string one(1, static_cast<char>(byte));
+    Fnv1a128 h(0, 0x9e3779b97f4a7c15ULL);
+    h.update(one);
+    EXPECT_EQ(h.hex(), hex128(fnv1a(one, 0), fnv1a(one, 0x9e3779b97f4a7c15ULL)))
+        << byte;
+  }
+}
+
+TEST(Fnv1a128, U64FeedsItsLittleEndianBytes) {
+  Rng rng(31);
+  Fnv1a128 streamed(0, 0x9e3779b97f4a7c15ULL);
+  std::string buf;
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t v = i < 4 ? std::uint64_t{0} - static_cast<std::uint64_t>(i)
+                                  : rng.next_u64();
+    streamed.update_u64(v);
+    binio::put_u64(buf, v);
+  }
+  EXPECT_EQ(streamed.hex(),
+            hex128(fnv1a(buf, 0), fnv1a(buf, 0x9e3779b97f4a7c15ULL)));
 }
 
 TEST(Table, AlignsColumns) {

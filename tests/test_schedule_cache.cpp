@@ -9,8 +9,12 @@
 #include <fstream>
 #include <thread>
 
+#include "common/fnv1a.hpp"
+#include "common/random.hpp"
+#include "failover/failure_domain.hpp"
 #include "graph/topologies.hpp"
 #include "obs/metrics.hpp"
+#include "reference/fingerprint_reference.hpp"
 #include "runtime/fabric.hpp"
 
 namespace a2a {
@@ -119,6 +123,117 @@ TEST(ScheduleCache, FingerprintsAreStable) {
   budgeted.mcf.lp.time_limit_s = 2;
   EXPECT_EQ(schedule_fingerprint(gk27, hpc_cerio_fabric(), budgeted),
             "a0c16d64b7605eb90091461253996fb4");
+}
+
+/// The other two keys that name objects on disk: the content key an
+/// artifact's object file is named by, and a failover fingerprint.
+TEST(ScheduleCache, ContentKeyAndFailoverFingerprintAreStable) {
+  TempDir dir;
+  ScheduleCacheOptions options;
+  options.disk_dir = dir.path.string();
+  ScheduleCache cache(std::move(options));
+  const GeneratedSchedule schedule = make_sized(32, 5);
+  cache.insert("pinned_fingerprint", schedule);
+  const fs::path object = cache.entry_path("pinned_fingerprint");
+  EXPECT_EQ(object.filename().string(),
+            "79e500378a2c1048c23fb136cb9618da.schedbin");
+  const std::string envelope = generated_schedule_to_bytes(schedule);
+  EXPECT_EQ(object.stem().string(),
+            hex128(fnv1a(envelope, 0x5bd1e995ULL),
+                   fnv1a(envelope, 0xc2b2ae3d27d4eb4fULL)));
+
+  const DiGraph torus = make_torus({3, 3, 2});
+  EXPECT_EQ(failover_fingerprint("c344c82e7b0f1378aad493a8e5db774d",
+                                 FailureSignature::parse("e5+n1", torus)),
+            "cb747c442b5f6e1867800af8aa78f593");
+}
+
+/// A random graph with what the canonical form must absorb: edges in any
+/// order, parallel edges of different capacities, isolated nodes and
+/// non-unit capacities.
+DiGraph random_fingerprint_graph(Rng& rng, bool shuffled) {
+  const int n = rng.next_int(0, 24);
+  struct Arc {
+    NodeId from, to;
+    double capacity;
+  };
+  std::vector<Arc> arcs;
+  const double caps[] = {1.0, 2.0, 0.5, 1e-3, 12.25, 0.0};
+  if (n >= 2) {
+    const int m = rng.next_int(0, 3 * n);
+    for (int i = 0; i < m; ++i) {
+      // The upper half of the nodes stays isolated half the time.
+      const int span = rng.next_below(2) == 0 ? n : std::max(2, n / 2);
+      const NodeId from = rng.next_int(0, span);
+      NodeId to = rng.next_int(0, span - 1);
+      if (to >= from) ++to;
+      const double cap = rng.next_below(4) == 0
+                             ? 0.1 + rng.next_double() * 10.0
+                             : caps[rng.next_below(std::size(caps))];
+      arcs.push_back({from, to, cap});
+      if (rng.next_below(5) == 0) {  // a parallel twin with another capacity
+        arcs.push_back({from, to, cap * 2.0 + 1.0});
+      }
+    }
+  }
+  if (shuffled) rng.shuffle(arcs);
+  DiGraph g(n);
+  for (const Arc& a : arcs) g.add_edge(a.from, a.to, a.capacity);
+  return g;
+}
+
+ToolchainOptions random_fingerprint_options(Rng& rng) {
+  ToolchainOptions o;
+  const auto coin = [&] { return rng.next_below(3) == 0; };
+  if (coin()) o.workload.demand = DemandSpec::parse("zipf:0.6");
+  if (coin()) o.workload.demand = DemandSpec::parse("perm:3");
+  if (coin()) o.workload.collective = CollectiveKind::kReduceScatter;
+  if (coin()) o.path_diversity_threshold = 100000 + rng.next_int(0, 1000);
+  if (coin()) o.exact_tsmcf_limit = rng.next_int(0, 30);
+  if (coin()) o.vc_max_layers_warn = rng.next_int(1, 9);
+  if (coin()) o.mcf.exact_master_limit = rng.next_int(0, 80);
+  if (coin()) o.mcf.fptas_epsilon = 0.01 + rng.next_double() * 0.1;
+  if (coin()) o.mcf.lp.max_iterations = rng.next_int(1, 100000);
+  if (coin()) o.mcf.lp.time_limit_s = rng.next_double();  // not fed
+  if (coin()) o.mcf.fptas.epsilon = 0.01 + rng.next_double() * 0.1;
+  if (coin()) o.mcf.fptas.max_phases = rng.next_int(1, 1000000);
+  if (coin()) o.chunking.max_denominator = rng.next_int(1, 720);
+  if (coin()) o.chunking.min_fraction = rng.next_double() * 1e-2;
+  return o;
+}
+
+TEST(Fingerprint, StreamedMatchesTheBufferedReference) {
+  const Fabric fabrics[] = {hpc_cerio_fabric(), gpu_mscl_fabric(),
+                            cpu_oneccl_fabric()};
+  Rng rng(0xf1f1);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::uint64_t graph_seed = rng.next_u64();
+    Rng draw(graph_seed), redraw(graph_seed);
+    const DiGraph g = random_fingerprint_graph(draw, false);
+    const DiGraph shuffled = random_fingerprint_graph(redraw, true);
+    const Fabric& fabric = fabrics[trial % 3];
+    const ToolchainOptions options = trial < 3 ? ToolchainOptions{}
+                                               : random_fingerprint_options(rng);
+    const std::string expected =
+        schedule_fingerprint_reference(g, fabric, options);
+    EXPECT_EQ(schedule_fingerprint(g, fabric, options), expected)
+        << "trial " << trial;
+    EXPECT_EQ(schedule_fingerprint(shuffled, fabric, options), expected)
+        << "trial " << trial;
+  }
+  // The shapes the service and the benchmark serve.
+  ToolchainOptions zipf;
+  zipf.workload.demand = DemandSpec::parse("zipf:0.6");
+  for (const DiGraph& g :
+       {make_generalized_kautz(27, 4), make_generalized_kautz(64, 4),
+        make_generalized_kautz(96, 4), make_torus({3, 3, 2})}) {
+    for (const Fabric& fabric : fabrics) {
+      for (const ToolchainOptions& options : {ToolchainOptions{}, zipf}) {
+        EXPECT_EQ(schedule_fingerprint(g, fabric, options),
+                  schedule_fingerprint_reference(g, fabric, options));
+      }
+    }
+  }
 }
 
 TEST(ScheduleCache, SecondCallSkipsPipeline) {

@@ -11,9 +11,11 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,6 +82,29 @@ TEST(ServiceRequest, QueryRoundTrip) {
   EXPECT_EQ(parsed.fabric, "gpu");
   EXPECT_DOUBLE_EQ(parsed.deadline_ms, 250.0);
   EXPECT_EQ(parsed.options.path_diversity_threshold, 777);
+}
+
+TEST(ServiceRequest, CanonicalQueryEscapesReservedCharacters) {
+  // A value holding '&' and '=' must not read back as another key: torus3d
+  // reads "3x3x2&fabric=gpu" as 3x3x2, so unescaped this request would
+  // canonicalize like {dims=3x3x2, fabric=gpu}, a different fingerprint.
+  service::ServiceRequest smuggled;
+  smuggled.spec.dims = "3x3x2&fabric=gpu";
+  service::ServiceRequest plain;
+  plain.spec.dims = "3x3x2";
+  plain.fabric = "gpu";
+  EXPECT_NE(service::canonical_query(smuggled), service::canonical_query(plain));
+  for (const std::string dims : {"3x3x2&fabric=gpu", "a+b%20c", "x y=z%"}) {
+    smuggled.spec.dims = dims;
+    const service::ServiceRequest parsed =
+        service::parse_service_request(service::canonical_query(smuggled));
+    EXPECT_EQ(parsed.spec.dims, dims);
+    EXPECT_EQ(parsed.fabric, "cerio");
+  }
+  // Plain values, the only kind the benches send, are emitted as they are.
+  plain.options.workload.demand = DemandSpec::parse("zipf:0.6");
+  EXPECT_EQ(service::canonical_query(plain),
+            "demand=zipf:0.6&dims=3x3x2&fabric=gpu");
 }
 
 TEST(ServiceRequest, RejectsUnknownKeysAndBadValues) {
@@ -544,6 +569,347 @@ TEST(ScheduleServer, RoundTripServesSchedBinAndMetrics) {
             std::string::npos);
   waiter.join();
   server.stop();
+}
+
+// ---- transport: the request memo ---------------------------------------------
+
+std::string header_value(const std::string& response, const std::string& name) {
+  const std::string key = "\r\n" + name + ": ";
+  const std::size_t head_end = response.find("\r\n\r\n");
+  const std::size_t pos = response.find(key);
+  if (pos == std::string::npos || pos > head_end) return {};
+  const std::size_t start = pos + key.size();
+  return response.substr(start, response.find("\r\n", start) - start);
+}
+
+/// One keep-alive connection; get() returns one whole response (headers +
+/// body), or "" on a transport error.
+class KeepAliveClient {
+ public:
+  explicit KeepAliveClient(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    EXPECT_EQ(
+        ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+        0)
+        << std::strerror(errno);
+  }
+  ~KeepAliveClient() { ::close(fd_); }
+  KeepAliveClient(const KeepAliveClient&) = delete;
+  KeepAliveClient& operator=(const KeepAliveClient&) = delete;
+
+  std::string get(const std::string& target) {
+    const std::string request =
+        "GET " + target + " HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+    if (::send(fd_, request.data(), request.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(request.size())) {
+      return {};
+    }
+    std::size_t head_end;
+    while ((head_end = buf_.find("\r\n\r\n")) == std::string::npos) {
+      if (!read_more()) return {};
+    }
+    const std::size_t total =
+        head_end + 4 +
+        std::stoul(header_value(buf_.substr(0, head_end + 4), "Content-Length"));
+    while (buf_.size() < total) {
+      if (!read_more()) return {};
+    }
+    std::string response = buf_.substr(0, total);
+    buf_.erase(0, total);
+    return response;
+  }
+
+ private:
+  bool read_more() {
+    char chunk[4096];
+    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+    if (n <= 0) return false;
+    buf_.append(chunk, static_cast<std::size_t>(n));
+    return true;
+  }
+
+  int fd_;
+  std::string buf_;
+};
+
+/// A live service over a memory-only cache, so ScheduleCache::clear()
+/// evicts every artifact.
+struct LiveService {
+  explicit LiveService(service::AdmissionOptions admission_options = {},
+                       unsigned threads = 2)
+      : broker(&cache, nullptr),
+        admission(&broker, admission_options),
+        server(&admission, service::ServerOptions{.threads = threads}) {
+    server.start();
+  }
+
+  [[nodiscard]] std::string get(const std::string& target) const {
+    return http_request(server.port(), "GET", target);
+  }
+
+  ScheduleCache cache;
+  service::ScheduleBroker broker;
+  service::AdmissionQueue admission;
+  service::ScheduleServer server;
+};
+
+/// A ring request under a fingerprint no other test has used.
+std::string fresh_target() {
+  return "/schedule?topology=ring&nodes=6&path_diversity_threshold=" +
+         std::to_string(fresh_options().path_diversity_threshold);
+}
+
+/// Service-wide cache-only admission: a request whose artifact is not
+/// cached is rejected (429) without a synthesis, after fingerprinting.
+service::AdmissionOptions cache_only() {
+  service::AdmissionOptions options;
+  options.max_pending = 0;
+  return options;
+}
+
+TEST(ScheduleServer, RepeatRequestIsServedThroughTheMemo) {
+  LiveService live;
+  const std::string target = fresh_target();
+  const std::string first = live.get(target);
+  EXPECT_NE(first.find("X-A2A-Hit: 0"), std::string::npos);
+  EXPECT_EQ(live.server.fingerprint_memo_size(), 1u);
+
+  const std::uint64_t memo_hits = counter_value("service.fingerprint_memo_hits");
+  const std::uint64_t runs = pipeline_invocations();
+  const std::string again = live.get(target);
+  EXPECT_NE(again.find("200 OK"), std::string::npos);
+  EXPECT_NE(again.find("X-A2A-Hit: 1"), std::string::npos);
+  EXPECT_NE(again.find("X-A2A-Coalesced: 0"), std::string::npos);
+  EXPECT_EQ(header_value(again, "X-A2A-Fingerprint"),
+            header_value(first, "X-A2A-Fingerprint"));
+  EXPECT_EQ(header_value(again, "X-A2A-Flow"), header_value(first, "X-A2A-Flow"));
+  EXPECT_EQ(body_of(again), body_of(first));
+  EXPECT_EQ(counter_value("service.fingerprint_memo_hits"), memo_hits + 1);
+  EXPECT_EQ(pipeline_invocations(), runs);
+  EXPECT_EQ(live.server.fingerprint_memo_size(), 1u);
+}
+
+TEST(ScheduleServer, DeadlineAndTraceVariantsShareOneMemoEntry) {
+  LiveService live;
+  const std::string threshold =
+      std::to_string(fresh_options().path_diversity_threshold);
+  const std::string target =
+      "/schedule?topology=ring&nodes=6&path_diversity_threshold=" + threshold;
+  const std::string first = live.get(target);
+  ASSERT_NE(first.find("X-A2A-Hit: 0"), std::string::npos);
+  const std::string fingerprint = header_value(first, "X-A2A-Fingerprint");
+  ASSERT_EQ(fingerprint.size(), 32u);
+
+  const std::uint64_t memo_hits = counter_value("service.fingerprint_memo_hits");
+  const std::vector<std::string> variants = {
+      target + "&deadline_ms=250", target + "&trace=1",
+      target + "&trace=1&deadline_ms=1000",
+      // Key order is not part of the request either.
+      "/schedule?path_diversity_threshold=" + threshold +
+          "&deadline_ms=250&nodes=6&topology=ring"};
+  for (const std::string& variant : variants) {
+    const std::string reply = live.get(variant);
+    EXPECT_NE(reply.find("X-A2A-Hit: 1"), std::string::npos) << variant;
+    EXPECT_EQ(header_value(reply, "X-A2A-Fingerprint"), fingerprint) << variant;
+    EXPECT_EQ(body_of(reply), body_of(first)) << variant;
+  }
+  EXPECT_EQ(counter_value("service.fingerprint_memo_hits"),
+            memo_hits + variants.size());
+  EXPECT_EQ(live.server.fingerprint_memo_size(), 1u);
+}
+
+TEST(ScheduleServer, FingerprintRelevantKeysNeverShareAMemoEntry) {
+  // Cache-only admission: each request is fingerprinted, memoized and
+  // rejected, so the keys are compared without synthesizing anything.
+  LiveService live(cache_only());
+  const std::string base =
+      "/schedule?topology=xpander&nodes=20&degree=3&fabric=cerio";
+  const std::vector<std::string> targets = {
+      base,
+      base + "&demand=zipf:0.6",
+      base + "&collective=rs",
+      "/schedule?topology=xpander&nodes=24&degree=3&fabric=cerio",
+      base + "&seed=2",
+      "/schedule?topology=xpander&nodes=20&degree=3&fabric=oneccl",
+      base + "&path_diversity_threshold=777"};
+  std::vector<std::string> fingerprints;
+  for (const std::string& target : targets) {
+    const std::string reply = live.get(target);
+    EXPECT_NE(reply.find("429"), std::string::npos) << target;
+    fingerprints.push_back(header_value(reply, "X-A2A-Fingerprint"));
+    EXPECT_EQ(fingerprints.back().size(), 32u) << target;
+    EXPECT_EQ(live.server.fingerprint_memo_size(), fingerprints.size())
+        << target;
+  }
+  for (std::size_t i = 0; i < fingerprints.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_NE(fingerprints[i], fingerprints[j])
+          << targets[i] << " vs " << targets[j];
+    }
+  }
+  // Asked again, each request finds its own entry and its own fingerprint.
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(header_value(live.get(targets[i]), "X-A2A-Fingerprint"),
+              fingerprints[i])
+        << targets[i];
+  }
+  EXPECT_EQ(live.server.fingerprint_memo_size(), targets.size());
+}
+
+TEST(ScheduleServer, EscapedValuesNeverShareAMemoEntry) {
+  // torus3d reads dims "3x3x2&fabric=gpu" as 3x3x2 on the default fabric;
+  // the plain request below asks for 3x3x2 on gpu. Same words, different
+  // fingerprints, so they must not meet in the memo in either order.
+  LiveService live(cache_only());
+  const std::string smuggled = "/schedule?dims=3x3x2%26fabric%3Dgpu";
+  const std::string plain = "/schedule?dims=3x3x2&fabric=gpu";
+  const std::string a = header_value(live.get(smuggled), "X-A2A-Fingerprint");
+  const std::string b = header_value(live.get(plain), "X-A2A-Fingerprint");
+  ASSERT_EQ(a.size(), 32u);
+  ASSERT_EQ(b.size(), 32u);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(header_value(live.get(smuggled), "X-A2A-Fingerprint"), a);
+  EXPECT_EQ(header_value(live.get(plain), "X-A2A-Fingerprint"), b);
+  EXPECT_EQ(live.server.fingerprint_memo_size(), 2u);
+}
+
+TEST(ScheduleServer, EvictedMemoEntryFallsThroughToSynthesis) {
+  LiveService live;
+  const std::string target = fresh_target();
+  const std::string first = live.get(target);
+  ASSERT_NE(first.find("X-A2A-Hit: 0"), std::string::npos);
+
+  live.cache.clear();  // the memo now names an artifact the cache lacks.
+  const std::uint64_t memo_hits = counter_value("service.fingerprint_memo_hits");
+  const std::uint64_t runs = pipeline_invocations();
+  const std::string again = live.get(target);
+  EXPECT_NE(again.find("200 OK"), std::string::npos);
+  EXPECT_NE(again.find("X-A2A-Hit: 0"), std::string::npos);
+  EXPECT_EQ(pipeline_invocations(), runs + 1);
+  EXPECT_EQ(counter_value("service.fingerprint_memo_hits"), memo_hits);
+  EXPECT_EQ(header_value(again, "X-A2A-Fingerprint"),
+            header_value(first, "X-A2A-Fingerprint"));
+  EXPECT_EQ(body_of(again), body_of(first));
+
+  // The re-synthesized artifact is a memo hit again.
+  EXPECT_NE(live.get(target).find("X-A2A-Hit: 1"), std::string::npos);
+  EXPECT_EQ(counter_value("service.fingerprint_memo_hits"), memo_hits + 1);
+  EXPECT_EQ(live.server.fingerprint_memo_size(), 1u);
+}
+
+TEST(ScheduleServer, BadRequestsAreNeverMemoized) {
+  LiveService live;
+  for (int round = 0; round < 2; ++round) {
+    for (const char* target :
+         {"/schedule?bogus=1", "/schedule?topology=nosuch",
+          "/schedule?topology=ring&nodes=6&fabric=nosuch",
+          "/schedule?topology=ring&nodes=6&demand=zipf:bad",
+          "/schedule?topology=ring&nodes=abc"}) {
+      EXPECT_NE(live.get(target).find("400 Bad Request"), std::string::npos)
+          << target;
+    }
+  }
+  EXPECT_EQ(live.server.fingerprint_memo_size(), 0u);
+}
+
+TEST(ScheduleServer, FingerprintMemoStaysWithinItsBound) {
+  constexpr std::size_t kBound = service::ScheduleServer::kFingerprintMemoEntries;
+  LiveService live(cache_only());
+  KeepAliveClient client(live.server.port());
+  for (std::size_t i = 0; i <= kBound + 8; ++i) {
+    const std::string reply = client.get(
+        "/schedule?topology=ring&nodes=4&fabric=oneccl&vc_max_layers_warn=" +
+        std::to_string(10 + i));
+    ASSERT_NE(reply.find("429"), std::string::npos) << i;
+    const std::size_t size = live.server.fingerprint_memo_size();
+    ASSERT_LE(size, kBound) << i;
+    // Full after kBound distinct requests; the next one clears it first.
+    if (i + 1 == kBound) EXPECT_EQ(size, kBound);
+    if (i == kBound) EXPECT_EQ(size, 1u);
+  }
+}
+
+TEST(ScheduleServer, RequestCountersCountEveryRequestAndMemoHits) {
+  LiveService live;
+  const std::string warm = fresh_target();
+  ASSERT_NE(live.get(warm).find("200 OK"), std::string::npos);
+
+  constexpr int kRepeats = 5;
+  constexpr int kFresh = 3;
+  const std::uint64_t requests = counter_value("service.requests");
+  const std::uint64_t memo_hits = counter_value("service.fingerprint_memo_hits");
+  for (int i = 0; i < kRepeats + kFresh; ++i) {
+    const bool fresh = i % 2 == 1 && i < 2 * kFresh;
+    const std::string reply = live.get(fresh ? fresh_target() : warm);
+    EXPECT_NE(reply.find("200 OK"), std::string::npos);
+    EXPECT_NE(reply.find(fresh ? "X-A2A-Hit: 0" : "X-A2A-Hit: 1"),
+              std::string::npos);
+  }
+  EXPECT_EQ(counter_value("service.requests"), requests + kRepeats + kFresh);
+  EXPECT_EQ(counter_value("service.fingerprint_memo_hits"),
+            memo_hits + kRepeats);
+}
+
+TEST(ScheduleServer, ConcurrentHitsMissesAndEvictionsServeOneArtifactEach) {
+  LiveService live({}, /*threads=*/4);
+  std::vector<std::string> warm;
+  for (int i = 0; i < 3; ++i) {
+    warm.push_back(fresh_target());
+    ASSERT_NE(live.get(warm.back()).find("200 OK"), std::string::npos);
+  }
+  std::vector<std::string> fresh;
+  for (int i = 0; i < 4; ++i) fresh.push_back(fresh_target());
+
+  struct Served {
+    std::string fingerprint, body;
+    bool ok = false;
+  };
+  const auto serve_all = [&](const std::vector<std::string>& targets, int reps,
+                             std::vector<Served>& out) {
+    KeepAliveClient client(live.server.port());
+    for (int r = 0; r < reps; ++r) {
+      for (const std::string& target : targets) {
+        const std::string reply = client.get(target);
+        out.push_back({header_value(reply, "X-A2A-Fingerprint"), body_of(reply),
+                       reply.find("200 OK") != std::string::npos});
+      }
+    }
+  };
+  std::vector<Served> logs[3];
+  std::atomic<bool> done{false};
+  std::thread evictor([&] {
+    while (!done.load()) {
+      live.cache.clear();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  std::thread hits_a([&] { serve_all(warm, 15, logs[0]); });
+  std::thread hits_b([&] { serve_all(warm, 15, logs[1]); });
+  std::thread misses([&] { serve_all(fresh, 2, logs[2]); });
+  hits_a.join();
+  hits_b.join();
+  misses.join();
+  done.store(true);
+  evictor.join();
+
+  std::map<std::string, std::string> body_by_fingerprint;
+  std::size_t served = 0;
+  for (const auto& log : logs) {
+    for (const Served& s : log) {
+      ASSERT_TRUE(s.ok);
+      ASSERT_EQ(s.fingerprint.size(), 32u);
+      ++served;
+      const auto [it, inserted] = body_by_fingerprint.try_emplace(s.fingerprint, s.body);
+      EXPECT_EQ(it->second, s.body) << s.fingerprint;
+    }
+  }
+  EXPECT_EQ(served, 2u * 15u * warm.size() + 2u * fresh.size());
+  EXPECT_EQ(body_by_fingerprint.size(), warm.size() + fresh.size());
+  EXPECT_EQ(live.server.fingerprint_memo_size(), warm.size() + fresh.size());
 }
 
 TEST(ScheduleServer, DeadlineQueryIsHonored) {
