@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace a2a {
 
@@ -120,26 +121,12 @@ DemandSpec DemandSpec::parse(std::string_view spec) {
   const std::string_view arg =
       colon == std::string_view::npos ? std::string_view{}
                                       : spec.substr(colon + 1);
-  const auto parse_number = [&](const char* what) -> double {
-    try {
-      std::size_t used = 0;
-      const double v = std::stod(std::string(arg), &used);
-      A2A_REQUIRE(used == arg.size() && std::isfinite(v), "trailing junk");
-      return v;
-    } catch (const std::exception&) {
-      throw InvalidArgument("bad " + std::string(what) + " in demand spec '" +
-                            std::string(spec) + "'");
-    }
-  };
   if (head == "uniform") {
     A2A_REQUIRE(colon == std::string_view::npos,
                 "demand spec 'uniform' takes no argument");
     out.kind = Kind::kUniform;
   } else if (head == "zipf") {
-    if (colon == std::string_view::npos) {
-      throw InvalidArgument("demand spec 'zipf' needs an exponent: zipf:<s>");
-    }
-    const double s = parse_number("zipf exponent");
+    const double s = parse_number<double>(arg, "zipf exponent (zipf:<s>)");
     if (s < 0.0 || s > 8.0) {
       throw InvalidArgument("zipf exponent out of range [0, 8]: " +
                             std::string(arg));
@@ -149,24 +136,16 @@ DemandSpec DemandSpec::parse(std::string_view spec) {
   } else if (head == "perm") {
     out.kind = Kind::kPermutation;
     if (colon != std::string_view::npos) {
-      const double seed = parse_number("permutation seed");
-      if (seed < 0.0) {
-        throw InvalidArgument("permutation seed must be >= 0");
-      }
-      out.seed = static_cast<std::uint64_t>(seed);
+      out.seed = parse_number<std::uint64_t>(arg, "permutation seed");
     }
   } else if (head == "block") {
-    if (colon == std::string_view::npos) {
-      throw InvalidArgument("demand spec 'block' needs a count: block:<k>");
-    }
-    const double blocks = parse_number("block count");
-    if (blocks < 1.0 || blocks > 1e6 ||
-        blocks != std::floor(blocks)) {
-      throw InvalidArgument("block count must be a positive integer: " +
+    const int blocks = parse_number<int>(arg, "block count (block:<k>)");
+    if (blocks < 1 || blocks > 1'000'000) {
+      throw InvalidArgument("block count out of range [1, 1000000]: " +
                             std::string(arg));
     }
     out.kind = Kind::kBlockDiagonal;
-    out.blocks = static_cast<int>(blocks);
+    out.blocks = blocks;
   } else {
     throw InvalidArgument("unknown demand spec: " + std::string(spec));
   }

@@ -77,8 +77,9 @@ class DemandMatrix {
 
 /// Parseable description of a demand matrix, sized at instantiation time —
 /// what travels through ToolchainOptions, fingerprints, query strings and
-/// CLI flags. Grammar: "uniform" | "zipf:<s>" | "perm[:<seed>]" |
-/// "block:<k>".
+/// CLI flags. Grammar: "uniform" | "zipf:<s>" (0 <= s <= 8) |
+/// "perm[:<seed>]" (a uint64) | "block:<k>" (an int in [1, 10^6]), the
+/// numbers in parse_number's grammar (common/parse.hpp).
 struct DemandSpec {
   enum class Kind : std::uint8_t {
     kUniform = 0,

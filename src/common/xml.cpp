@@ -3,6 +3,8 @@
 #include <cctype>
 #include <sstream>
 
+#include "common/parse.hpp"
+
 namespace a2a {
 
 const std::string& XmlNode::attr(const std::string& key) const {
@@ -13,22 +15,8 @@ const std::string& XmlNode::attr(const std::string& key) const {
 }
 
 long long XmlNode::attr_int(const std::string& key) const {
-  const std::string& value = attr(key);
-  try {
-    std::size_t consumed = 0;
-    const long long parsed = std::stoll(value, &consumed);
-    A2A_REQUIRE(consumed == value.size(), "attribute ", key, "=\"", value,
-                "\" on <", name, "> has trailing non-numeric characters");
-    return parsed;
-  } catch (const std::invalid_argument&) {
-    throw InvalidArgument(detail::concat("attribute ", key, "=\"", value,
-                                         "\" on <", name,
-                                         "> is not an integer"));
-  } catch (const std::out_of_range&) {
-    throw InvalidArgument(detail::concat("attribute ", key, "=\"", value,
-                                         "\" on <", name,
-                                         "> overflows long long"));
-  }
+  return parse_number<long long>(attr(key),
+                                 "attribute " + key + " on <" + name + ">");
 }
 
 std::vector<const XmlNode*> XmlNode::children_named(

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/fnv1a.hpp"
+#include "common/parse.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/spectral.hpp"
 
@@ -40,16 +41,10 @@ FailureSignature FailureSignature::parse(const std::string& spec,
   std::string token;
   auto flush = [&] {
     if (token.empty()) return;
-    A2A_REQUIRE(token.size() >= 2 && (token[0] == 'e' || token[0] == 'n'),
+    A2A_REQUIRE(token[0] == 'e' || token[0] == 'n',
                 "bad failure token '", token, "' (want e<id> or n<id>)");
-    int id = -1;
-    try {
-      std::size_t used = 0;
-      id = std::stoi(token.substr(1), &used);
-      A2A_REQUIRE(used == token.size() - 1, "bad failure token '", token, "'");
-    } catch (const std::logic_error&) {
-      throw Error("bad failure token '" + token + "'");
-    }
+    const int id = parse_number<int>(std::string_view(token).substr(1),
+                                     "failure token id");
     if (token[0] == 'e') {
       A2A_REQUIRE(id >= 0 && id < g.num_edges(), "edge id ", id,
                   " out of range (graph has ", g.num_edges(), " edges)");

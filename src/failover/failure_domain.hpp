@@ -35,8 +35,8 @@ struct FailureSignature {
   /// order; stable across runs, safe in filenames and metric annotations).
   [[nodiscard]] std::string to_string() const;
   /// Inverse of to_string, also accepting ','-separated specs as typed on
-  /// the schedgen --inject command line ("e12,e40,n3"). Throws Error on a
-  /// malformed token or an id out of range for `g`.
+  /// the schedgen --inject command line ("e12,e40,n3"). Throws
+  /// InvalidArgument on a malformed token or an id out of range for `g`.
   [[nodiscard]] static FailureSignature parse(const std::string& spec,
                                               const DiGraph& g);
 };

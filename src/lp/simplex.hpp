@@ -138,15 +138,21 @@ inline constexpr double kLpDropTol = 1e-12;
 /// ill-conditioned to keep).
 inline constexpr double kLpRefactorPivotTol = 1e-8;
 
+/// The longest budget in seconds that the LP's deadline and the broker's
+/// coalesced wait arm on a clock; a longer one (up to inf) is no budget, as
+/// its steady_clock ticks would overflow past ~292 years.
+inline constexpr double kMaxBudgetSeconds = 1e9;
+
 struct SimplexOptions {
   long long max_iterations = 2'000'000;
-  /// Wall-clock budget for the whole solve in seconds; 0 = unlimited. The
-  /// primal phases read the clock before every pivot and end the solve
-  /// with kTimeLimit — exporting the best basis reached so far — instead of
-  /// running on or throwing. The budget is absolute across a solve_lp()
-  /// call: presolve, a collapsed attempt and its cold retry all draw from
-  /// the same allowance, so a deadline-bounded caller overshoots by at most
-  /// one pivot plus one refactorization.
+  /// Wall-clock budget for the whole solve in seconds; 0 = unlimited, and so
+  /// is anything above kMaxBudgetSeconds. The primal phases read the clock
+  /// before every pivot and end the solve with kTimeLimit — exporting the
+  /// best basis reached so far — instead of running on or throwing. The
+  /// budget is absolute across a solve_lp() call: presolve, a collapsed
+  /// attempt and its cold retry all draw from the same allowance, so a
+  /// deadline-bounded caller overshoots by at most one pivot plus one
+  /// refactorization.
   double time_limit_s = 0.0;
   /// Hard backstop on Forrest–Tomlin updates between refactorizations.
   /// Fill growth and diagonal stability are the adaptive triggers, but the

@@ -16,7 +16,8 @@ namespace a2a::lp_detail {
 SimplexCore::SimplexCore(const LpModel& model, const SimplexOptions& options,
                          const LpBasis* warm_start)
     : options_(options), m_(model.num_rows()) {
-  if (options.time_limit_s > 0.0) {
+  if (options.time_limit_s > 0.0 &&
+      options.time_limit_s <= kMaxBudgetSeconds) {
     deadline_ = std::chrono::steady_clock::now() +
                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double>(options.time_limit_s));

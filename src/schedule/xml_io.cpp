@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/parse.hpp"
 #include "common/xml.hpp"
 
 namespace a2a {
@@ -14,10 +15,12 @@ std::string rational_str(const Rational& r) {
   return os.str();
 }
 
-Rational parse_rational(const std::string& s) {
+Rational parse_rational(std::string_view s) {
   const auto slash = s.find('/');
-  if (slash == std::string::npos) return Rational(std::stoll(s));
-  return Rational(std::stoll(s.substr(0, slash)), std::stoll(s.substr(slash + 1)));
+  const auto num = parse_number<std::int64_t>(s.substr(0, slash), "rational");
+  if (slash == std::string_view::npos) return Rational(num);
+  return Rational(num, parse_number<std::int64_t>(s.substr(slash + 1),
+                                                  "rational denominator"));
 }
 
 Path parse_path(const DiGraph& g, const std::string& s) {
@@ -27,7 +30,9 @@ Path parse_path(const DiGraph& g, const std::string& s) {
     const auto next = s.find('>', pos);
     const std::string token =
         next == std::string::npos ? s.substr(pos) : s.substr(pos, next - pos);
-    nodes.push_back(std::stoi(token));
+    nodes.push_back(parse_number<NodeId>(token, "route node"));
+    A2A_REQUIRE(nodes.back() >= 0 && nodes.back() < g.num_nodes(),
+                "route node ", nodes.back(), " out of range");
     if (next == std::string::npos) break;
     pos = next + 1;
   }

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "lp/simplex.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -62,7 +63,7 @@ BrokerResult ScheduleBroker::request(const std::string& fingerprint,
     // options, which may differ from ours.
     A2A_COUNTER("service.coalesced").inc();
     A2A_TRACE_SPAN("service.coalesced_wait", fingerprint);
-    if (budget_s > 0.0 &&
+    if (budget_s > 0.0 && budget_s <= kMaxBudgetSeconds &&
         future.wait_for(std::chrono::duration<double>(budget_s)) !=
             std::future_status::ready) {
       throw SolverError(

@@ -58,7 +58,8 @@ class ScheduleBroker {
       const std::string& fingerprint);
 
   /// Full path: try_lookup, then coalesced synthesis on miss. `budget_s`
-  /// bounds a COALESCED waiter's wait (<= 0: wait forever); the leader's
+  /// bounds a COALESCED waiter's wait (<= 0 or above kMaxBudgetSeconds:
+  /// wait forever); the leader's
   /// own synthesis is bounded by whatever deadline the caller threaded into
   /// options.mcf.lp.time_limit_s and options.mcf.fptas.time_limit_s. Throws
   /// SolverError when the wait or the synthesis exceeds its budget, and

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/random.hpp"
 #include "graph/topologies.hpp"
 
@@ -13,10 +14,14 @@ namespace a2a::service {
 DiGraph build_topology(const TopologySpec& spec) {
   Rng rng(spec.seed);
   if (spec.topology == "torus3d") {
+    // Integers joined by 'x'; the sentinel 'x' makes a trailing one yield
+    // an empty token, which parse_number rejects. make_torus wants them > 0.
     std::vector<int> dims;
-    std::stringstream ss(spec.dims);
+    std::stringstream ss(spec.dims + 'x');
     std::string token;
-    while (std::getline(ss, token, 'x')) dims.push_back(std::stoi(token));
+    while (std::getline(ss, token, 'x')) {
+      dims.push_back(parse_number<int>(token, "dims"));
+    }
     return make_torus(dims);
   }
   if (spec.topology == "torus2d") return make_torus_2d(spec.nodes);
@@ -78,19 +83,6 @@ std::string url_decode(std::string_view s) {
   return out;
 }
 
-int parse_int(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const int v = std::stoi(value, &used);
-    A2A_REQUIRE(used == value.size(), "trailing junk");
-    return v;
-  } catch (const InvalidArgument&) {
-    throw;
-  } catch (const std::exception&) {
-    throw InvalidArgument("bad integer for '" + key + "': " + value);
-  }
-}
-
 /// Percent-encodes one query component: every byte but letters, digits and
 /// "-._~:" becomes %XX, so a value holding '&', '=', '%' or '+' cannot be
 /// read back as another key.
@@ -112,20 +104,38 @@ std::string url_encode(std::string_view s) {
   return out;
 }
 
-double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    A2A_REQUIRE(used == value.size(), "trailing junk");
-    return v;
-  } catch (const InvalidArgument&) {
-    throw;
-  } catch (const std::exception&) {
-    throw InvalidArgument("bad number for '" + key + "': " + value);
-  }
-}
-
 }  // namespace
+
+bool set_schedule_key(ServiceRequest& request, std::string_view key,
+                      const std::string& value) {
+  if (key == "topology") request.spec.topology = value;
+  else if (key == "dims") request.spec.dims = value;
+  else if (key == "nodes") request.spec.nodes = parse_number<int>(value, key);
+  else if (key == "degree") request.spec.degree = parse_number<int>(value, key);
+  else if (key == "dim") request.spec.dim = parse_number<int>(value, key);
+  else if (key == "seed") {
+    request.spec.seed = parse_number<std::uint64_t>(value, key);
+  }
+  else if (key == "fabric") request.fabric = value;
+  else if (key == "path_diversity_threshold") {
+    request.options.path_diversity_threshold =
+        parse_number<long long>(value, key);
+  }
+  else if (key == "exact_tsmcf_limit") {
+    request.options.exact_tsmcf_limit = parse_number<int>(value, key);
+  }
+  else if (key == "vc_max_layers_warn") {
+    request.options.vc_max_layers_warn = parse_number<int>(value, key);
+  }
+  else if (key == "collective") {
+    request.options.workload.collective = collective_from_name(value);
+  }
+  else if (key == "demand") {
+    request.options.workload.demand = DemandSpec::parse(value);
+  }
+  else return false;
+  return true;
+}
 
 ServiceRequest parse_service_request(std::string_view query) {
   ServiceRequest request;
@@ -141,36 +151,13 @@ ServiceRequest parse_service_request(std::string_view query) {
                 "query parameter without '=': ", std::string(pair));
     const std::string key = url_decode(pair.substr(0, eq));
     const std::string value = url_decode(pair.substr(eq + 1));
-    if (key == "topology") request.spec.topology = value;
-    else if (key == "dims") request.spec.dims = value;
-    else if (key == "nodes") request.spec.nodes = parse_int(key, value);
-    else if (key == "degree") request.spec.degree = parse_int(key, value);
-    else if (key == "dim") request.spec.dim = parse_int(key, value);
-    else if (key == "seed") {
-      request.spec.seed =
-          static_cast<std::uint64_t>(parse_double(key, value));
-    }
-    else if (key == "fabric") request.fabric = value;
-    else if (key == "deadline_ms") {
-      request.deadline_ms = parse_double(key, value);
-    }
-    else if (key == "trace") request.trace = parse_int(key, value) != 0;
-    else if (key == "path_diversity_threshold") {
-      request.options.path_diversity_threshold = parse_int(key, value);
-    }
-    else if (key == "exact_tsmcf_limit") {
-      request.options.exact_tsmcf_limit = parse_int(key, value);
-    }
-    else if (key == "vc_max_layers_warn") {
-      request.options.vc_max_layers_warn = parse_int(key, value);
-    }
-    else if (key == "collective") {
-      request.options.workload.collective = collective_from_name(value);
-    }
-    else if (key == "demand") {
-      request.options.workload.demand = DemandSpec::parse(value);
-    }
-    else {
+    if (key == "deadline_ms") {
+      request.deadline_ms = parse_number<double>(value, key);
+      A2A_REQUIRE(request.deadline_ms >= 0.0, "deadline_ms must be >= 0: ",
+                  value);
+    } else if (key == "trace") {
+      request.trace = parse_number<int>(value, key) != 0;
+    } else if (!set_schedule_key(request, key, value)) {
       throw InvalidArgument("unknown query parameter: " + key);
     }
   }

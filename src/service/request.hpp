@@ -28,7 +28,8 @@ struct TopologySpec {
 };
 
 /// Builds the topology a spec describes. Throws InvalidArgument for unknown
-/// families or malformed parameters.
+/// families or malformed parameters (torus3d dims are positive integers
+/// joined by 'x', e.g. "3x3x2").
 [[nodiscard]] DiGraph build_topology(const TopologySpec& spec);
 
 /// Resolves a fabric name (cerio | gpu | oneccl) to its Table 1 model.
@@ -49,18 +50,27 @@ struct ServiceRequest {
   bool trace = false;
 };
 
+/// Sets one schedule key (every recognized key below but deadline_ms and
+/// trace) from its text value: the one setter behind the query and
+/// schedgen's `--<key> <value>` flags, so both resolve to the same request.
+/// Returns false for any other key; throws InvalidArgument for a malformed
+/// value (numbers parse through parse_number, common/parse.hpp).
+bool set_schedule_key(ServiceRequest& request, std::string_view key,
+                      const std::string& value);
+
 /// Parses an HTTP query string ("topology=genkautz&nodes=27&degree=4&
 /// fabric=cerio&deadline_ms=250") into a ServiceRequest. Accepts
 /// percent-escapes and '+' for space. Unknown keys and unparseable values
 /// throw InvalidArgument — the transport maps that to 400, distinguishing
 /// caller mistakes from pipeline failures.
 ///
-/// Recognized keys: topology, dims, nodes, degree, dim, seed, fabric,
-/// deadline_ms, trace, the workload keys collective (a2a | rs | ag |
-/// allreduce) and demand (uniform | zipf:<s> | perm[:<seed>] | block:<k>),
-/// and the fingerprint-relevant pipeline knobs path_diversity_threshold /
+/// Recognized keys: the schedule keys topology, dims, nodes, degree, dim,
+/// seed, fabric, the workload keys collective (a2a | rs | ag | allreduce)
+/// and demand (uniform | zipf:<s> | perm[:<seed>] | block:<k>), and the
+/// fingerprint-relevant pipeline knobs path_diversity_threshold /
 /// exact_tsmcf_limit / vc_max_layers_warn (exposed so tests and benches can
-/// mint distinct fingerprints for an otherwise identical topology).
+/// mint distinct fingerprints for an otherwise identical topology); plus
+/// deadline_ms (finite, >= 0) and trace.
 [[nodiscard]] ServiceRequest parse_service_request(std::string_view query);
 
 /// The request's canonical query string (sorted keys, only the recognized

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/admission.hpp"
@@ -214,12 +215,14 @@ bool ScheduleServer::handle_request(int fd) {
       if (colon == std::string::npos) continue;
       std::string name = line.substr(0, colon);
       for (char& c : name) c = static_cast<char>(std::tolower(c));
+      // The field value without the blanks HTTP allows around it.
       std::string value = line.substr(colon + 1);
-      while (!value.empty() && value.front() == ' ') value.erase(0, 1);
+      value.erase(0, value.find_first_not_of(" \t"));
+      value.erase(value.find_last_not_of(" \t") + 1);
       if (name == "content-length") {
         try {
-          content_length = static_cast<std::size_t>(std::stoull(value));
-        } catch (const std::exception&) {
+          content_length = parse_number<std::size_t>(value, "Content-Length");
+        } catch (const InvalidArgument&) {
           return false;
         }
       } else if (name == "connection") {

@@ -102,6 +102,20 @@ TEST(DemandSpec, MalformedSpecsThrow) {
   }
 }
 
+TEST(DemandSpec, ArgumentsParseAtTheirFieldsType) {
+  // perm seeds are uint64s and block counts ints, never read through a
+  // double: no sign, blank, fraction or out-of-range value passes.
+  for (const char* spec :
+       {"perm:-1", "perm:1.5", "perm:+5", "perm:18446744073709551616",
+        "block:2.0", "block:+2", "block: 2", "block:2147483648", "zipf:+0.6",
+        "zipf: 0.6", "zipf:nan"}) {
+    EXPECT_THROW((void)DemandSpec::parse(spec), InvalidArgument) << spec;
+  }
+  EXPECT_EQ(DemandSpec::parse("perm:9007199254740993").seed,
+            9007199254740993ULL);
+  EXPECT_EQ(DemandSpec::parse("perm:18446744073709551615").seed, UINT64_MAX);
+}
+
 TEST(Collective, NamesRoundTripAndAliasesResolve) {
   for (const CollectiveKind kind :
        {CollectiveKind::kAllToAll, CollectiveKind::kReduceScatter,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <thread>
@@ -11,6 +12,7 @@
 #include "common/binio.hpp"
 #include "common/error.hpp"
 #include "common/fnv1a.hpp"
+#include "common/parse.hpp"
 #include "common/random.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -208,6 +210,57 @@ TEST(Fnv1a128, U64FeedsItsLittleEndianBytes) {
   }
   EXPECT_EQ(streamed.hex(),
             hex128(fnv1a(buf, 0), fnv1a(buf, 0x9e3779b97f4a7c15ULL)));
+}
+
+TEST(ParseNumber, HonoursEachTypesRange) {
+  EXPECT_EQ(parse_number<std::uint16_t>("65535", "port"), 65535);
+  EXPECT_THROW((void)parse_number<std::uint16_t>("70000", "port"),
+               InvalidArgument);
+  EXPECT_EQ(parse_number<unsigned>("4294967295", "threads"), 4294967295u);
+  EXPECT_THROW((void)parse_number<unsigned>("-1", "threads"), InvalidArgument);
+  EXPECT_THROW((void)parse_number<unsigned>("4294967296", "threads"),
+               InvalidArgument);
+  EXPECT_EQ(parse_number<int>("-2147483648", "n"), INT32_MIN);
+  EXPECT_THROW((void)parse_number<int>("2147483648", "n"), InvalidArgument);
+  EXPECT_EQ(parse_number<long long>("3000000000", "n"), 3'000'000'000LL);
+  EXPECT_THROW((void)parse_number<long long>("9223372036854775808", "n"),
+               InvalidArgument);
+  // 2^53 + 1 has no double; a uint64 reads it exactly, 2^64 - 1 too.
+  EXPECT_EQ(parse_number<std::uint64_t>("9007199254740993", "seed"),
+            9007199254740993ULL);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615", "seed"),
+            UINT64_MAX);
+  EXPECT_THROW((void)parse_number<std::uint64_t>("18446744073709551616", "seed"),
+               InvalidArgument);
+  EXPECT_EQ(parse_number<double>("1e300", "ms"), 1e300);
+  EXPECT_THROW((void)parse_number<double>("1e400", "ms"), InvalidArgument);
+}
+
+TEST(ParseNumber, AcceptsPlainDecimalOnly) {
+  EXPECT_EQ(parse_number<int>("007", "n"), 7);
+  EXPECT_EQ(parse_number<int>("-0", "n"), 0);
+  EXPECT_EQ(parse_number<double>("0.6", "s"), 0.6);
+  EXPECT_EQ(parse_number<double>("-2.5e-3", "s"), -2.5e-3);
+  for (const char* text : {"", "+1", " 1", "1 ", "1x", "0x10", "1.5", "1e3",
+                           "--1", "1,000"}) {
+    EXPECT_THROW((void)parse_number<int>(text, "n"), InvalidArgument) << text;
+  }
+  for (const char* text : {"", "+1", " 1", "1 ", "1.5.", "inf", "-inf", "nan",
+                           "infinity", "0x1p3", "1e"}) {
+    EXPECT_THROW((void)parse_number<double>(text, "s"), InvalidArgument)
+        << text;
+  }
+}
+
+TEST(ParseNumber, DiagnosisNamesTheFieldAndQuotesTheText) {
+  try {
+    (void)parse_number<int>("12abc", "nodes");
+    FAIL() << "12abc parsed";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("nodes"), std::string::npos) << what;
+    EXPECT_NE(what.find("\"12abc\""), std::string::npos) << what;
+  }
 }
 
 TEST(Table, AlignsColumns) {

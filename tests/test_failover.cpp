@@ -53,6 +53,15 @@ TEST(FailureSignature, NormalizeToStringParseRoundtrip) {
   EXPECT_THROW((void)FailureSignature::parse("e", g), Error);
 }
 
+TEST(FailureSignature, MalformedTokensAreInvalidArguments) {
+  const DiGraph g = make_generalized_kautz(12, 3);
+  for (const char* spec : {"e1x", "ex", "e 1", "e-1", "e99999999999", "n",
+                           "x3", "e1,,n+1"}) {
+    EXPECT_THROW((void)FailureSignature::parse(spec, g), InvalidArgument)
+        << spec;
+  }
+}
+
 TEST(FailureSignature, FingerprintsAreDistinctAndStable) {
   FailureSignature a, b;
   a.edges = {3};

@@ -62,6 +62,39 @@ TEST(ScheduleXml, PathXmlRejectsNonEdgeRoute) {
   EXPECT_THROW(path_schedule_from_xml(g, xml), InvalidArgument);
 }
 
+TEST(ScheduleXml, MalformedNumbersAreInvalidArguments) {
+  // Route nodes and rationals parse like every number from outside: a
+  // malformed one, or a node the graph lacks, is the library's
+  // InvalidArgument, never a raw std:: exception.
+  const DiGraph g = make_ring(4);
+  const auto path_xml = [](const std::string& unit, const std::string& weight,
+                           const std::string& path) {
+    return "<pathschedule nodes=\"4\" chunkunit=\"" + unit +
+           "\"><route src=\"0\" dst=\"1\" weight=\"" + weight +
+           "\" chunks=\"1\" layer=\"0\" path=\"" + path +
+           "\"/></pathschedule>";
+  };
+  EXPECT_NO_THROW((void)path_schedule_from_xml(g, path_xml("1/2", "1", "0>1")));
+  for (const char* path : {"0>x", "0>1junk", "0> 1", "0>>1", "0>+1", "0>4",
+                           "0>-1", "0>99999999999"}) {
+    EXPECT_THROW((void)path_schedule_from_xml(g, path_xml("1", "1", path)),
+                 InvalidArgument) << path;
+  }
+  for (const char* rational : {"x", "1/x", "1/", "/2", "+1", "1.5", "1/2junk",
+                               "99999999999999999999", "1/0"}) {
+    EXPECT_THROW((void)path_schedule_from_xml(g, path_xml(rational, "1", "0>1")),
+                 InvalidArgument) << rational;
+    EXPECT_THROW((void)path_schedule_from_xml(g, path_xml("1", rational, "0>1")),
+                 InvalidArgument) << rational;
+    EXPECT_THROW(
+        (void)link_schedule_from_xml(
+            "<linkschedule nodes=\"2\" steps=\"1\"><transfer src=\"0\" "
+            "dst=\"1\" lo=\"0\" hi=\"" + std::string(rational) +
+            "\" from=\"0\" to=\"1\" step=\"0\"/></linkschedule>"),
+        InvalidArgument) << rational;
+  }
+}
+
 TEST(ScheduleXml, WrongRootRejected) {
   EXPECT_THROW(link_schedule_from_xml("<pathschedule nodes=\"1\"/>"),
                InvalidArgument);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "lp_same_solve.hpp"
 
 #include "common/error.hpp"
@@ -604,6 +606,22 @@ TEST(SimplexDeadline, GenerousBudgetMatchesUnlimitedOptimum) {
   ASSERT_TRUE(budgeted.optimal());
   EXPECT_NEAR(budgeted.objective, full.objective,
               1e-6 * std::max(1.0, std::abs(full.objective)));
+}
+
+TEST(SimplexDeadline, UncountableBudgetIsNoBudget) {
+  // 1e300 s overflows steady_clock's ticks; armed, that deadline had passed
+  // before the first pivot. Beyond kMaxBudgetSeconds a budget is no budget.
+  const LpModel m = overlapping_rows_model(60);
+  const LpSolution full = solve_lp(m);
+  ASSERT_TRUE(full.optimal());
+  for (const double budget : {1e300, std::numeric_limits<double>::infinity()}) {
+    SimplexOptions opts;
+    opts.time_limit_s = budget;
+    const LpSolution unbudgeted = solve_lp(m, opts);
+    ASSERT_TRUE(unbudgeted.optimal()) << budget;
+    EXPECT_EQ(unbudgeted.iterations, full.iterations) << budget;
+    EXPECT_EQ(unbudgeted.objective, full.objective) << budget;
+  }
 }
 
 std::uint64_t counter_value(const char* name) {

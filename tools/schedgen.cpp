@@ -17,7 +17,8 @@
 // Repeat invocations with --cache-dir are served from the on-disk schedule
 // cache and skip the LP/MCF pipeline entirely.
 //
-// Exit code 0 on success; diagnostics on stderr.
+// Exit code 0 on success, 1 when the library fails, 2 on a bad flag or
+// value; diagnostics ("error: ...") on stderr.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -28,6 +29,7 @@
 #include <string>
 
 #include "common/mmap_file.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "container/schedbin.hpp"
 #include "core/api.hpp"
@@ -45,13 +47,9 @@ namespace {
 using namespace a2a;
 
 struct Args {
-  std::string topology = "torus3d";
-  std::string dims = "3x3x3";
-  int nodes = 64;
-  int degree = 4;
-  int dim = 3;
-  std::uint64_t seed = 1;
-  std::string fabric = "cerio";
+  /// Topology, fabric, workload and pipeline knobs, set flag by flag through
+  /// the schedule service's setter; deadline_ms is --inject's budget.
+  service::ServiceRequest request;
   std::string output;
   std::string format = "xml";  // xml | schedbin
   std::string codec = "delta";
@@ -63,9 +61,6 @@ struct Args {
   std::string metrics_file;
   std::string failure_domain_dir;
   std::string inject;
-  std::string collective = "a2a";
-  std::string demand = "uniform";
-  double deadline_ms = 250.0;
   bool stats = false;
   bool report_only = false;
   bool mmap = false;
@@ -75,9 +70,12 @@ struct Args {
 void usage() {
   std::cerr <<
       "usage: schedgen [options]\n"
+      "Schedule flags are schedserved's query keys, set by the same setter.\n"
+      "Numbers are plain decimal (no '+', blanks, junk, hex or inf/nan). A\n"
+      "bad flag or value prints 'error: ...' and exits 2.\n"
       "  --topology NAME   torus3d|torus2d|hypercube|twisted|bipartite|ring|\n"
       "                    genkautz|debruijn|xpander|randomregular|dragonfly\n"
-      "  --dims AxBxC      torus dimensions (torus3d)\n"
+      "  --dims AxBxC      torus dimensions, positive integers (torus3d)\n"
       "  --nodes N         node count (genkautz/torus2d/randomregular/ring)\n"
       "  --degree D        degree (genkautz/randomregular/xpander)\n"
       "  --dim K           dimension (hypercube/twisted/debruijn)\n"
@@ -86,6 +84,8 @@ void usage() {
       "  --collective NAME a2a|rs|ag|allreduce (default: a2a)\n"
       "  --demand SPEC     uniform|zipf:<s>|perm[:<seed>]|block:<k>\n"
       "                    (default: uniform)\n"
+      "  --path_diversity_threshold N  --exact_tsmcf_limit N\n"
+      "  --vc_max_layers_warn N   pipeline knobs (ToolchainOptions fields)\n"
       "  --output FILE     write the schedule here (default: stdout)\n"
       "  --format FMT      xml|schedbin (default: xml)\n"
       "  --codec NAME      schedbin codec: raw|rle|delta|dict (default: delta)\n"
@@ -116,24 +116,6 @@ void usage() {
       "  --metrics FILE    write the metrics registry as flat JSON on exit\n"
       "  --stats           print a human-readable metrics table on exit\n"
       "  --report-only     print the report, skip the schedule output\n";
-}
-
-/// Topology/fabric construction is shared with the schedule service
-/// (schedserved's query strings and these flags resolve through the same
-/// builders, so both produce the same fingerprints).
-DiGraph build_topology(const Args& args) {
-  service::TopologySpec spec;
-  spec.topology = args.topology;
-  spec.dims = args.dims;
-  spec.nodes = args.nodes;
-  spec.degree = args.degree;
-  spec.dim = args.dim;
-  spec.seed = args.seed;
-  return service::build_topology(spec);
-}
-
-Fabric build_fabric(const std::string& name) {
-  return service::build_fabric(name);
 }
 
 std::string read_file(const std::string& path) {
@@ -309,7 +291,7 @@ int run_convert(const Args& args) {
       if (info.kind == SchedBinKind::kLink) {
         output = link_schedule_to_xml(link_schedule_from_schedbin(input));
       } else {
-        const DiGraph g = build_topology(args);
+        const DiGraph g = service::build_topology(args.request.spec);
         output = path_schedule_to_xml(g, path_schedule_from_schedbin(g, input));
       }
       std::cerr << "schedbin -> xml\n";
@@ -321,7 +303,7 @@ int run_convert(const Args& args) {
       output = link_schedule_to_schedbin(link_schedule_from_xml(std::string(input)),
                                          options);
     } else if (input.find("<pathschedule") != std::string::npos) {
-      const DiGraph g = build_topology(args);
+      const DiGraph g = service::build_topology(args.request.spec);
       output = path_schedule_to_schedbin(
           g, path_schedule_from_xml(g, std::string(input)), options);
     } else {
@@ -340,8 +322,8 @@ int run_convert(const Args& args) {
 /// content-addressed library at DIR for --inject (or a production manager)
 /// to serve in microseconds.
 int run_failure_domain(const Args& args) {
-  const DiGraph topo = build_topology(args);
-  const Fabric fabric = build_fabric(args.fabric);
+  const DiGraph topo = service::build_topology(args.request.spec);
+  const Fabric fabric = service::build_fabric(args.request.fabric);
   std::cerr << "topology: " << topo.summary() << ", fabric: " << fabric.name
             << "\n";
   FailoverOptions options;
@@ -371,18 +353,18 @@ int run_failure_domain(const Args& args) {
 /// long it took, and emits the degraded schedule through the normal output
 /// machinery.
 int run_inject(const Args& args) {
-  const DiGraph topo = build_topology(args);
-  const Fabric fabric = build_fabric(args.fabric);
+  const DiGraph topo = service::build_topology(args.request.spec);
+  const Fabric fabric = service::build_fabric(args.request.fabric);
   const FailureSignature sig = FailureSignature::parse(args.inject, topo);
   std::cerr << "topology: " << topo.summary() << ", fabric: " << fabric.name
             << "\ninjecting: " << sig.to_string() << ", deadline "
-            << args.deadline_ms << " ms\n";
+            << args.request.deadline_ms << " ms\n";
   FailoverOptions options;
   options.library_dir = !args.cache_dir.empty() ? args.cache_dir
                                                 : args.failure_domain_dir;
   FailoverManager mgr(topo, fabric, options);
   const FailoverResult result =
-      mgr.reschedule(sig, args.deadline_ms / 1000.0);
+      mgr.reschedule(sig, args.request.deadline_ms / 1000.0);
   std::cerr << "served by: " << to_string(result.rung) << " in "
             << result.elapsed_s * 1e3 << " ms (validation "
             << result.validate_s * 1e3 << " ms), F = "
@@ -416,50 +398,46 @@ void write_text_file(const std::string& payload, const std::string& path,
 
 int main(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
+  args.request.deadline_ms = 250.0;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) throw InvalidArgument(flag + " needs a value");
+        return argv[++i];
+      };
+      if (flag == "--output" || flag == "-o") args.output = value();
+      else if (flag == "--format") args.format = value();
+      else if (flag == "--codec") args.codec = value();
+      else if (flag == "--cache-dir") args.cache_dir = value();
+      else if (flag == "--convert") {
+        args.convert_in = value();
+        args.convert_out = value();
       }
-      return argv[++i];
-    };
-    if (flag == "--topology") args.topology = value();
-    else if (flag == "--dims") args.dims = value();
-    else if (flag == "--nodes") args.nodes = std::stoi(value());
-    else if (flag == "--degree") args.degree = std::stoi(value());
-    else if (flag == "--dim") args.dim = std::stoi(value());
-    else if (flag == "--seed") args.seed = std::stoull(value());
-    else if (flag == "--fabric") args.fabric = value();
-    else if (flag == "--collective") args.collective = value();
-    else if (flag == "--demand") args.demand = value();
-    else if (flag == "--output" || flag == "-o") args.output = value();
-    else if (flag == "--format") args.format = value();
-    else if (flag == "--codec") args.codec = value();
-    else if (flag == "--cache-dir") args.cache_dir = value();
-    else if (flag == "--convert") {
-      args.convert_in = value();
-      args.convert_out = value();
+      else if (flag == "--inspect") args.inspect = value();
+      else if (flag == "--failure-domain") args.failure_domain_dir = value();
+      else if (flag == "--inject") args.inject = value();
+      else if (flag == "--deadline-ms") {
+        args.request.deadline_ms = parse_number<double>(value(), flag);
+      }
+      else if (flag == "--trace") args.trace_file = value();
+      else if (flag == "--metrics") args.metrics_file = value();
+      else if (flag == "--stats") args.stats = true;
+      else if (flag == "--mmap") args.mmap = true;
+      else if (flag == "--schedbin-v1") args.schedbin_v1 = true;
+      else if (flag == "--report-only") args.report_only = true;
+      else if (flag == "--help" || flag == "-h") {
+        usage();
+        return 0;
+      } else if (!flag.starts_with("--") ||
+                 !service::set_schedule_key(
+                     args.request, std::string_view(flag).substr(2), value())) {
+        throw InvalidArgument("unknown flag: " + flag);
+      }
     }
-    else if (flag == "--inspect") args.inspect = value();
-    else if (flag == "--failure-domain") args.failure_domain_dir = value();
-    else if (flag == "--inject") args.inject = value();
-    else if (flag == "--deadline-ms") args.deadline_ms = std::stod(value());
-    else if (flag == "--trace") args.trace_file = value();
-    else if (flag == "--metrics") args.metrics_file = value();
-    else if (flag == "--stats") args.stats = true;
-    else if (flag == "--mmap") args.mmap = true;
-    else if (flag == "--schedbin-v1") args.schedbin_v1 = true;
-    else if (flag == "--report-only") args.report_only = true;
-    else if (flag == "--help" || flag == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "unknown flag: " << flag << "\n";
-      usage();
-      return 2;
-    }
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   }
 
   try {
@@ -509,11 +487,9 @@ int main(int argc, char** argv) {
     A2A_REQUIRE(args.format == "xml" || args.format == "schedbin",
                 "unknown --format: ", args.format);
 
-    const DiGraph topo = build_topology(args);
-    const Fabric fabric = build_fabric(args.fabric);
-    ToolchainOptions options;
-    options.workload.collective = collective_from_name(args.collective);
-    options.workload.demand = DemandSpec::parse(args.demand);
+    const DiGraph topo = service::build_topology(args.request.spec);
+    const Fabric fabric = service::build_fabric(args.request.fabric);
+    const ToolchainOptions& options = args.request.options;
     std::cerr << "topology: " << topo.summary() << ", fabric: " << fabric.name
               << ", workload: " << options.workload.to_string() << "\n";
 
@@ -544,8 +520,8 @@ int main(int argc, char** argv) {
       // preserve them instead of re-deriving from the converting process.
       bin_options.metadata = {
           {"generator", "a2a-schedgen"},
-          {"topology", args.topology},
-          {"fabric", args.fabric},
+          {"topology", args.request.spec.topology},
+          {"fabric", args.request.fabric},
           {"pipeline_invocation", std::to_string(pipeline_invocations())},
       };
     }

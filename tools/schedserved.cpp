@@ -12,7 +12,8 @@
 // outlives the broker, and the server is torn down first so no request
 // races a dying layer.
 //
-// Exits 0 on a clean shutdown (signal or POST /shutdown).
+// Exits 0 on a clean shutdown (signal or POST /shutdown), 2 on a bad flag or
+// value ("error: ..." on stderr).
 #include <unistd.h>
 
 #include <csignal>
@@ -23,6 +24,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "core/schedule_cache.hpp"
 #include "service/admission.hpp"
 #include "service/broker.hpp"
@@ -63,39 +65,34 @@ int main(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-      }
+    const auto value = [&]() -> std::string {
+      if (i + 1 >= argc) throw InvalidArgument(flag + " needs a value");
       return argv[++i];
     };
     try {
       if (flag == "--port") {
-        args.port = static_cast<std::uint16_t>(std::stoi(value()));
+        args.port = parse_number<std::uint16_t>(value(), flag);
       }
       else if (flag == "--port-file") args.port_file = value();
       else if (flag == "--cache-dir") args.cache_dir = value();
       else if (flag == "--trace-dir") args.trace_dir = value();
       else if (flag == "--threads") {
-        args.threads = static_cast<unsigned>(std::stoul(value()));
+        args.threads = parse_number<unsigned>(value(), flag);
       }
       else if (flag == "--max-pending") {
-        args.max_pending = static_cast<std::size_t>(std::stoul(value()));
+        args.max_pending = parse_number<std::size_t>(value(), flag);
       }
       else if (flag == "--deadline-ms") {
-        args.default_deadline_ms = std::stod(value());
+        args.default_deadline_ms = parse_number<double>(value(), flag);
       }
       else if (flag == "--help" || flag == "-h") {
         usage();
         return 0;
       } else {
-        std::cerr << "unknown flag: " << flag << "\n";
-        usage();
-        return 2;
+        throw InvalidArgument("unknown flag: " + flag);
       }
     } catch (const std::exception& e) {
-      std::cerr << "bad value for " << flag << ": " << e.what() << "\n";
+      std::cerr << "error: " << e.what() << "\n";
       return 2;
     }
   }
